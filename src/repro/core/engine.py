@@ -37,12 +37,11 @@ from repro.core.scheduler import make_scheduler
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.obs import registry as reg
 from repro.graph.builder import GraphImage
-from repro.graph.format import EDGE_BYTES, FORMAT_V2, HEADER_BYTES, decode_lists_v2
+from repro.graph.format import FORMAT_V2, HEADER_BYTES, decode_lists_v2
 from repro.graph.page_vertex import PageVertex, PageVertexBatch, gather_ranges, scatter_positions
 from repro.graph.types import EdgeType
 from repro.safs.filesystem import SAFS
-from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
-from repro.safs.user_task import UserTask
+from repro.safs.io_request import merge_request_arrays
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.sim.faults import UnrecoverableIOError
 from repro.sim.numa import NumaTopology
@@ -50,6 +49,67 @@ from repro.sim.stats import StatsCollector
 
 #: Estimated bytes per buffered message (dest id + payload).
 MESSAGE_BYTES = 16
+
+#: A wave element's direction code indexes this tuple.
+_DIRECTIONS = (EdgeType.OUT, EdgeType.IN)
+
+#: Wave element kinds: an edge list, an edge list that is delivered
+#: together with its attribute block, and that attribute block.
+_EDGES, _EDGES_WITH_ATTRS, _ATTRS = 0, 1, 2
+_KIND_NAMES = ("edges", "edges", "attrs")
+
+
+@dataclass
+class _Wave:
+    """One wave of edge-list requests as parallel arrays, a row per element.
+
+    The engine buffers rows in request order; a servicer reads them, puts
+    every column into delivery order and fills in the delivery columns.
+    """
+
+    #: The vertex whose ``run_on_vertex`` the row's list is delivered to.
+    requesters: np.ndarray
+    #: The vertex whose data the row reads.
+    targets: np.ndarray
+    #: Index into ``_DIRECTIONS``.
+    dirs: np.ndarray
+    #: ``_EDGES``, ``_EDGES_WITH_ATTRS`` or ``_ATTRS``.
+    kinds: np.ndarray
+    #: Neighbors per row (0 for an attribute block) ...
+    degrees: Optional[np.ndarray] = None
+    #: ... and every row's neighbors, row after row.
+    edges: Optional[np.ndarray] = None
+    #: When each row's data is in the page cache (``None``: in memory).
+    times: Optional[np.ndarray] = None
+    #: Compressed bytes each list decodes from (``None`` under format v1).
+    decode_sizes: Optional[np.ndarray] = None
+    #: Row of the other half of an edges+attrs pair, -1 for a row without
+    #: one; the list is delivered once both arrived (``None``: no pairs).
+    mate: Optional[np.ndarray] = None
+
+    def take(self, rows: np.ndarray) -> "_Wave":
+        """The request columns of ``rows`` (an index or mask), in that order."""
+        return _Wave(
+            self.requesters[rows], self.targets[rows], self.dirs[rows], self.kinds[rows]
+        )
+
+    def concat_lists(self, lanes, read=gather_ranges) -> None:
+        """Fill :attr:`edges` from one source array per lane: ``lanes``
+        holds ``(row mask, source, position of each masked row's list)``
+        and ``read(source, positions, degrees)`` returns a lane's lists
+        concatenated."""
+        degrees = self.degrees
+        if len(lanes) == 1:
+            # One source serves every row: nothing to interleave.
+            self.edges = read(lanes[0][1], lanes[0][2], degrees)
+            return
+        starts = np.zeros(degrees.size, dtype=np.int64)
+        np.cumsum(degrees[:-1], out=starts[1:])
+        self.edges = np.empty(int(degrees.sum()), dtype=np.uint32)
+        for lane, source, positions in lanes:
+            self.edges[scatter_positions(starts[lane], degrees[lane])] = read(
+                source, positions, degrees[lane]
+            )
 
 
 class IterationAborted(RuntimeError):
@@ -318,22 +378,17 @@ class GraphEngine:
         self._ctx = GraphContext(self)
         self._workers: List[_Worker] = []
         self._current: Optional[_Worker] = None
-        self._pending_requests: List[Tuple[int, np.ndarray, EdgeType, bool]] = []
-        # Self-request waves buffered by ``run_batch`` programs; serviced
-        # by the vectorized fast path (or expanded to per-vertex entries
-        # when the fast path's preconditions do not hold).
-        self._pending_batches: List[Tuple[np.ndarray, EdgeType]] = []
+        # The wave buffer: edge-list requests issued since the last wave
+        # was serviced, as chunks of the four request columns of a _Wave.
+        self._wave: List[Tuple[np.ndarray, ...]] = []
         self._part_queue: Deque[Tuple[int, np.ndarray, EdgeType, bool]] = deque()
-        self._attr_waiting: set = set()
         # Per-delivery message counts reported by the last
         # ``send_message_batch`` call (the engine replays the per-list
         # send charges from these).
         self._batch_msg_counts: Optional[np.ndarray] = None
         # file_id -> the file's bytes viewed as little-endian u32 words
-        # (zero-copy edge gathering in the semi-external fast path).
-        self._file_words: Dict[int, np.ndarray] = {}
-        # file_id -> the file's raw uint8 bytes (batched v2 decode).
-        self._file_bytes: Dict[int, np.ndarray] = {}
+        # (v1) or raw uint8 (v2): what a wave's edge lists decode from.
+        self._file_arrays: Dict[int, np.ndarray] = {}
         self._activations: List[np.ndarray] = []
         self._messages: Optional[MessageBuffer] = None
         self._iteration_end_requested = False
@@ -466,10 +521,8 @@ class GraphEngine:
         because they are policy decisions, not faults, and the fault
         counter must not move.
         """
-        self._pending_requests.clear()
-        self._pending_batches.clear()
+        self._wave.clear()
         self._part_queue.clear()
-        self._attr_waiting.clear()
         self._activations.clear()
         self._batch_msg_counts = None
         if self._messages is not None:
@@ -694,14 +747,33 @@ class GraphEngine:
     # Iteration machinery
     # ------------------------------------------------------------------
 
-    def _run_iteration(self, frontier: np.ndarray, scheduler) -> None:
+    def _run_iteration(
+        self,
+        frontier: np.ndarray,
+        scheduler,
+        priorities: Optional[np.ndarray] = None,
+    ) -> None:
+        """One sync superstep or, given ``priorities``, one async round.
+
+        An async round orders worker queues by the priority-aware
+        scheduler (``priorities`` indexes by vertex ID) and delivers
+        messages *eagerly* — the buffer drains whenever occupancy reaches
+        §3.4.1's per-thread flush threshold (the first thread to fill its
+        buffer flushes) instead of waiting for the barrier, so receivers
+        fold fresh state in mid-round and each round propagates further
+        than a BSP superstep would.
+        """
         config = self.config
         start = max((w.time for w in self._workers), default=0.0)
         for worker in self._workers:
             worker.time = start
         queues = self.partitioner.split(frontier)
         for worker, queue in zip(self._workers, queues):
-            worker.queue = scheduler.schedule(queue, self.iteration)
+            worker.queue = scheduler.schedule(
+                queue,
+                self.iteration,
+                priorities=None if priorities is None else priorities[queue],
+            )
             worker.pos = 0
         self.stats.add(reg.ENGINE_ACTIVE_VERTICES, frontier.size)
         obs = self.obs
@@ -740,79 +812,9 @@ class GraphEngine:
                 self._process_batch(
                     worker, stolen, stolen=True, victim=victim.index
                 )
-
-        self._deliver_messages()
-        if self._iteration_end_requested:
-            self._iteration_end_requested = False
-            self._current = self._workers[0]
-            self.program.run_on_iteration_end(self._ctx)
-            self._charge(self.cost_model.cpu_per_vertex_run)
-        barrier = max(w.time for w in self._workers) + self.cost_model.iteration_barrier
-        for worker in self._workers:
-            worker.time = barrier
-        if obs is not None:
-            obs.end_iteration(barrier, self._workers, self)
-
-    def _run_round(
-        self, frontier: np.ndarray, scheduler, priorities: np.ndarray
-    ) -> None:
-        """One async priority round — the barrier-free twin of
-        :meth:`_run_iteration`.
-
-        Differences from the sync superstep: worker queues are ordered by
-        the priority-aware scheduler (``priorities`` indexes by vertex
-        ID), and messages deliver *eagerly* — the buffer drains whenever
-        occupancy reaches §3.4.1's per-thread flush threshold (the first
-        thread to fill its buffer flushes) instead of waiting for the
-        barrier, so receivers fold fresh state in mid-round and each
-        round propagates further than a BSP superstep would.
-        Only async runs enter here; the sync path is untouched.
-        """
-        config = self.config
-        start = max((w.time for w in self._workers), default=0.0)
-        for worker in self._workers:
-            worker.time = start
-        queues = self.partitioner.split(frontier)
-        for worker, queue in zip(self._workers, queues):
-            worker.queue = scheduler.schedule(
-                queue, self.iteration, priorities=priorities[queue]
-            )
-            worker.pos = 0
-        self.stats.add(reg.ENGINE_ACTIVE_VERTICES, frontier.size)
-        obs = self.obs
-        if obs is not None:
-            obs.begin_iteration(
-                self.iteration, int(frontier.size), start, self._workers
-            )
-
-        largest_queue = max((w.remaining for w in self._workers), default=0)
-        batch_size = min(
-            config.max_running_vertices, max(1, largest_queue // 4)
-        )
-        flush_at = config.message_flush_threshold
-        while True:
-            worker = self._pick_worker()
-            if worker is None:
-                break
-            if worker.remaining:
-                self._process_batch(worker, worker.take(batch_size), stolen=False)
-            elif self._part_queue:
-                requester, targets, direction, with_attrs = self._part_queue.popleft()
-                self._process_part(worker, requester, targets, direction, with_attrs)
-            else:
-                victim = max(self._workers, key=lambda w: w.remaining)
-                stolen = victim.steal_from_tail(
-                    min(batch_size, max(1, victim.remaining // 2))
-                )
-                if stolen.size == 0:
-                    break
-                self.stats.add(reg.ENGINE_STOLEN_VERTICES, stolen.size)
-                if self.numa.is_remote(worker.index, victim.index):
-                    self.stats.add(reg.NUMA_REMOTE_STEALS, stolen.size)
-                self._process_batch(
-                    worker, stolen, stolen=True, victim=victim.index
-                )
-            if self._messages.flush_due(flush_at):
+            if priorities is not None and self._messages.flush_due(
+                config.message_flush_threshold
+            ):
                 self.stats.add(reg.ENGINE_EAGER_FLUSHES)
                 self._deliver_messages()
 
@@ -892,277 +894,228 @@ class GraphEngine:
         with_attrs: bool = False,
     ) -> None:
         self._current = worker
-        self._pending_requests.append((requester, targets, direction, with_attrs))
+        self._append_wave(requester, targets, direction, with_attrs)
         self.stats.add(reg.ENGINE_VERTEX_PARTS)
         self._service_request_waves(worker)
 
     def _service_request_waves(self, worker: _Worker) -> None:
-        while self._pending_requests or self._pending_batches:
-            if self._pending_batches:
-                batches = self._pending_batches
-                self._pending_batches = []
-                for vertices, edge_type in batches:
-                    self._service_batch_entry(worker, vertices, edge_type)
-            if not self._pending_requests:
-                continue
-            wave = self._pending_requests
-            self._pending_requests = []
-            if self.config.mode is ExecutionMode.IN_MEMORY:
-                self._service_in_memory(worker, wave)
-            else:
-                self._service_semi_external(worker, wave)
+        """Service buffered edge-list requests until none are left.
 
-    def _service_batch_entry(
-        self, worker: _Worker, vertices: np.ndarray, edge_type: EdgeType
-    ) -> None:
-        """Route one batched self-request wave.
-
-        The vectorized fast path requires a ``run_on_vertices`` hook and,
-        in semi-external mode, engine-level merging (the global stable
-        sort is what makes the array merge order-equivalent to the
-        per-request path; the bounded-window disciplines are served by
-        expansion instead).
+        Everything buffered since the last wave is serviced as one wave,
+        which is what gives the engine its global view for merging (§3.6);
+        requests issued from the delivery hooks feed the next wave.
         """
-        if vertices.size == 0:
-            return
-        if self.program.run_on_vertices is None:
-            self._expand_batch_entries(vertices, edge_type)
-        elif self.config.mode is ExecutionMode.IN_MEMORY:
-            self._service_in_memory_batch(worker, vertices, edge_type)
-        elif self.config.merge_in_engine:
-            self._service_semi_external_batch(worker, vertices, edge_type)
+        if self.config.mode is ExecutionMode.IN_MEMORY:
+            service = self._service_in_memory
         else:
-            self._expand_batch_entries(vertices, edge_type)
+            service = self._service_semi_external
+        while self._wave:
+            chunks, self._wave = self._wave, []
+            wave = _Wave(*(np.concatenate(column) for column in zip(*chunks)))
+            if wave.targets.size:
+                service(worker, wave)
 
-    def _expand_batch_entries(self, vertices: np.ndarray, edge_type: EdgeType) -> None:
-        """Fall back to the per-vertex path: emit exactly the wave entries
-        per-vertex ``request_self`` calls would have buffered, including
-        the per-vertex direction interleaving of ``BOTH`` requests."""
-        directions = edge_type.directions()
-        for v in vertices.tolist():
-            targets = np.asarray([v], dtype=np.int64)
-            for direction in directions:
-                self._buffer_request(int(v), targets, direction, False)
+    def _service_in_memory(self, worker: _Worker, wave: _Wave) -> None:
+        """Serve one wave from the CSR adjacency, in request order."""
+        if wave.kinds.any():
+            # Attribute blocks need no read of their own here.
+            wave = wave.take(wave.kinds != _ATTRS)
+        wave.degrees = np.empty(wave.targets.size, dtype=np.int64)
+        lanes = []
+        for code, direction in enumerate(_DIRECTIONS):
+            lane = wave.dirs == code
+            if lane.any():
+                csr = self.image.csr(direction)
+                targets = wave.targets[lane]
+                first = csr.indptr[targets]
+                wave.degrees[lane] = csr.indptr[targets + 1] - first
+                lanes.append((lane, csr.indices, first))
+        wave.concat_lists(lanes)
+        self._deliver_wave(worker, wave)
 
-    def _service_in_memory(self, worker: _Worker, wave) -> None:
-        for requester, targets, direction, with_attrs in wave:
-            for target in targets:
-                view = self.memory_store.fetch(int(target), direction, with_attrs)
-                self._deliver_edge_list(worker, requester, view)
+    def _service_semi_external(self, worker: _Worker, wave: _Wave) -> None:
+        """Read one wave through SAFS and deliver it in completion order.
 
-    def _service_semi_external(self, worker: _Worker, wave) -> None:
-        requests: List[IORequest] = []
-        for requester, targets, direction, with_attrs in wave:
-            index = self.image.index(direction)
-            file = self.safs.open_file(self.image.file_name(direction))
-            offsets, sizes = index.locate_many(targets)
-            for target, offset, size in zip(targets, offsets, sizes):
-                requests.append(
-                    IORequest(
-                        file,
-                        int(offset),
-                        int(size),
-                        UserTask(context=(requester, direction, "edges", int(target))),
-                    )
-                )
-            if with_attrs:
-                requests.extend(self._attr_requests(requester, targets, direction))
-        if not requests:
-            return
-        if self.config.merge_in_engine:
-            merged = merge_requests(requests, self.safs.page_size)
-            completions, cpu = self.safs.submit_merged(merged, worker.time)
-        else:
-            completions, cpu = self.safs.submit(
-                requests, worker.time, fs_merge=self.config.merge_in_fs
-            )
-        self._charge(cpu)
-        self.stats.add(reg.ENGINE_IO_REQUESTS, len(requests))
-        fmt = self.image.fmt
-        compressed = fmt == FORMAT_V2
-        pending_pairs: Dict[Tuple[int, EdgeType, int], Dict[str, memoryview]] = {}
-        for done in completions:
-            if done.completion_time > worker.time:
-                # The worker waits for data; waiting is not busy time.
-                worker.time = done.completion_time
-            requester, direction, kind, target = done.request.task.context
-            key = (requester, direction, target)
-            if key in self._attr_waiting:
-                # This target needs edges AND attrs paired before delivery.
-                parts = pending_pairs.setdefault(key, {})
-                parts[kind] = done.data
-                if len(parts) == 2:
-                    attrs = np.frombuffer(parts["attrs"], dtype="<f4")
-                    view = PageVertex(parts["edges"], direction, attrs=attrs, fmt=fmt)
-                    del pending_pairs[key]
-                    self._attr_waiting.discard(key)
-                    self._deliver_edge_list(
-                        worker, requester, view,
-                        decode_bytes=len(parts["edges"]) if compressed else 0,
-                    )
-            else:
-                view = PageVertex(done.data, direction, fmt=fmt)
-                self._deliver_edge_list(
-                    worker, requester, view,
-                    decode_bytes=done.num_bytes if compressed else 0,
-                )
-
-    def _service_in_memory_batch(
-        self, worker: _Worker, vertices: np.ndarray, edge_type: EdgeType
-    ) -> None:
-        """Vectorized in-memory service of one batched self-request wave.
-
-        Delivery order matches the per-vertex path: per requesting vertex,
-        one list per direction in ``directions()`` order.
+        The wave is located with one index lookup per (direction, kind)
+        lane and merged as arrays — over the whole wave with engine
+        merging, within SAFS's bounded queue window or not at all for the
+        two Figure 12 counterfactuals — then issued span by span.  Its
+        elements complete with their span; they are delivered in the
+        stable completion-time order, and the edge lists are decoded out
+        of the file image once, in that order.
         """
-        directions = edge_type.directions()
-        nd = len(directions)
-        num_lists = vertices.size * nd
-        verts = np.repeat(vertices, nd)
-        degrees = np.empty(num_lists, dtype=np.int64)
-        starts_by_dir: List[np.ndarray] = []
-        indices_by_dir: List[np.ndarray] = []
-        for di, direction in enumerate(directions):
-            csr = self.image.csr(direction)
-            starts = csr.indptr[vertices]
-            degrees[di::nd] = csr.indptr[vertices + 1] - starts
-            starts_by_dir.append(starts)
-            indices_by_dir.append(csr.indices)
-        total_edges = int(degrees.sum())
-        flat_starts = np.zeros(num_lists, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=flat_starts[1:])
-        edges = np.empty(total_edges, dtype=np.uint32)
-        for di in range(nd):
-            lane = slice(di, None, nd)
-            lane_degrees = degrees[lane]
-            positions = scatter_positions(flat_starts[lane], lane_degrees)
-            edges[positions] = gather_ranges(
-                indices_by_dir[di], starts_by_dir[di], lane_degrees
-            )
-        batch = PageVertexBatch(verts, degrees, edges)
-        self._deliver_batch(worker, batch, None, self.cost_model.cpu_per_edge_mem)
-
-    def _service_semi_external_batch(
-        self, worker: _Worker, vertices: np.ndarray, edge_type: EdgeType
-    ) -> None:
-        """Vectorized SAFS service of one batched self-request wave.
-
-        Mirrors ``_service_semi_external`` with engine merging: the
-        request elements are laid out in the exact order the per-vertex
-        path would build its request list (per vertex, one element per
-        direction), array-merged, issued span by span, and delivered in
-        completion order with every per-list charge replayed.
-        """
-        cm = self.cost_model
-        compressed = self.image.fmt == FORMAT_V2
-        directions = edge_type.directions()
-        nd = len(directions)
-        num_elems = vertices.size * nd
-        file_ids = np.empty(num_elems, dtype=np.int64)
-        offsets = np.empty(num_elems, dtype=np.int64)
-        sizes = np.empty(num_elems, dtype=np.int64)
-        dir_code = np.empty(num_elems, dtype=np.int64)
-        # Under v2 the record size no longer encodes the degree, so the
-        # degrees ride along as their own lane-filled array.
-        elem_degrees = np.empty(num_elems, dtype=np.int64) if compressed else None
+        image, safs, config = self.image, self.safs, self.config
+        compressed = image.fmt == FORMAT_V2
+        n = wave.targets.size
+        file_ids = np.empty(n, dtype=np.int64)
+        offsets = np.empty(n, dtype=np.int64)
+        sizes = np.empty(n, dtype=np.int64)
+        degrees = np.zeros(n, dtype=np.int64)
         files: Dict[int, "SAFSFile"] = {}
-        dir_files: List = []
-        for di, direction in enumerate(directions):
-            file = self.safs.open_file(self.image.file_name(direction))
+        edge_files = {}
+        lane_of = 2 * wave.dirs + (wave.kinds == _ATTRS)
+        for lane in sorted(set(lane_of.tolist())):
+            direction = _DIRECTIONS[lane // 2]
+            mask = lane_of == lane
+            targets = wave.targets[mask]
+            if lane % 2:
+                file = safs.open_file(f"{image.name}.{direction.value}-attrs")
+                blocks = image.attr_offsets[direction]
+                offsets[mask] = blocks[targets]
+                sizes[mask] = blocks[targets + 1] - blocks[targets]
+            else:
+                file = edge_files[lane // 2] = safs.open_file(image.file_name(direction))
+                index = image.index(direction)
+                offsets[mask], sizes[mask] = index.locate_many(targets)
+                degrees[mask] = index.degrees_of(targets)
             files[file.file_id] = file
-            dir_files.append(file)
-            index = self.image.index(direction)
-            offs, szs = index.locate_many(vertices)
-            lane = slice(di, None, nd)
-            file_ids[lane] = file.file_id
-            offsets[lane] = offs
-            sizes[lane] = szs
-            dir_code[lane] = di
-            if compressed:
-                elem_degrees[lane] = index.degrees_of(vertices)
-        elem_vertex = np.repeat(vertices, nd)
+            file_ids[mask] = file.file_id
 
-        spans = merge_request_arrays(file_ids, offsets, sizes, self.safs.page_size)
-        issued_at = worker.time
-        span_done, cpu = self.safs.submit_spans(spans, files, worker.time)
+        # A zero-degree vertex's attribute block is empty: nothing to read.
+        io = np.flatnonzero(sizes)
+        if config.merge_in_engine:
+            window, kernel_requests = None, 0
+        else:
+            window = safs.config.fs_merge_window if config.merge_in_fs else 1
+            kernel_requests = io.size
+        spans = merge_request_arrays(
+            file_ids[io], offsets[io], sizes[io], safs.page_size, window=window
+        )
+        span_done, cpu, span_issued, io_ids = safs.submit_spans(
+            spans, files, worker.time, kernel_requests
+        )
         self._charge(cpu)
-        self.stats.add(reg.ENGINE_IO_REQUESTS, num_elems)
+        self.stats.add(reg.ENGINE_IO_REQUESTS, io.size)
 
-        # Stable completion-time sort of the constituent elements — the
-        # array form of ``completions.sort`` over the per-part tasks.
         part_done = span_done[spans.span_of_part]
         by_completion = np.argsort(part_done, kind="stable")
-        deliver = spans.order[by_completion]
-        times = part_done[by_completion]
+        arrived = io[spans.order[by_completion]]
+        mate = None
+        if wave.kinds.any():
+            # The k-th list requested with attributes pairs with the k-th
+            # attribute block; a block that was read is a row of its own.
+            row = np.full(n, -1, dtype=np.int64)
+            row[arrived] = np.arange(arrived.size)
+            lists = row[wave.kinds == _EDGES_WITH_ATTRS]
+            blocks = row[wave.kinds == _ATTRS]
+            read = blocks >= 0
+            mate = np.full(arrived.size, -1, dtype=np.int64)
+            mate[lists[read]] = blocks[read]
+            mate[blocks[read]] = lists[read]
 
-        obs = self.obs
-        if obs is not None and obs.last_io_ids is not None:
-            # Link each delivered element to the merged span that served
-            # it — the fast-path twin of the per-part request events.
-            io_ids = np.asarray(obs.last_io_ids, dtype=np.int64)[
-                spans.span_of_part
-            ][by_completion]
-            codes_delivered = dir_code[deliver]
-            obs.request_events_batch(
-                elem_vertex[deliver].tolist(),
-                [directions[c] for c in codes_delivered.tolist()],
-                io_ids.tolist(),
-                issued_at,
-                times.tolist(),
+        wave = wave.take(arrived)
+        wave.mate = mate
+        wave.times = part_done[by_completion]
+        wave.degrees = degrees[arrived]
+        if io_ids is not None:
+            span = spans.span_of_part[by_completion].tolist()
+            issued = span_issued.tolist()
+            self.obs.request_events_batch(
+                wave.requesters.tolist(),
+                wave.targets.tolist(),
+                [_DIRECTIONS[code] for code in wave.dirs.tolist()],
+                [_KIND_NAMES[kind] for kind in wave.kinds.tolist()],
+                [io_ids[s] for s in span],
+                [issued[s] for s in span],
+                wave.times.tolist(),
             )
-            obs.last_io_ids = None
 
-        if compressed:
-            degrees = elem_degrees[deliver]
-        else:
-            degrees = (sizes[deliver] - HEADER_BYTES) // EDGE_BYTES
-        codes = dir_code[deliver]
-        elem_offsets = offsets[deliver]
-        total_edges = int(degrees.sum())
-        flat_starts = np.zeros(num_elems, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=flat_starts[1:])
-        edges = np.empty(total_edges, dtype=np.uint32)
-        for di in range(nd):
-            mask = codes == di
-            if not np.any(mask):
-                continue
-            lane_degrees = degrees[mask]
-            positions = scatter_positions(flat_starts[mask], lane_degrees)
+        offsets = offsets[arrived]
+        lanes = []
+        for code, file in edge_files.items():
+            # Attribute rows ride along: their degree is 0.
+            lane = wave.dirs == code
             if compressed:
-                # One batched varint+delta decode per direction lane.
-                edges[positions] = decode_lists_v2(
-                    self._bytes_of(dir_files[di]), elem_offsets[mask], lane_degrees
-                )
+                lanes.append((lane, self._file_array(file, np.uint8), offsets[lane]))
             else:
-                words = self._words_of(dir_files[di])
-                word_starts = elem_offsets[mask] // 4 + HEADER_BYTES // 4
-                edges[positions] = gather_ranges(words, word_starts, lane_degrees)
-        batch = PageVertexBatch(elem_vertex[deliver], degrees, edges)
-        self._deliver_batch(
-            worker, batch, times, cm.cpu_per_edge_sem,
-            decode_sizes=sizes[deliver] if compressed else None,
-        )
+                first = offsets[lane] // 4 + HEADER_BYTES // 4
+                lanes.append((lane, self._file_array(file, "<u4"), first))
+        if compressed:
+            wave.decode_sizes = sizes[arrived] * (wave.kinds != _ATTRS)
+        wave.concat_lists(lanes, decode_lists_v2 if compressed else gather_ranges)
+        self._deliver_wave(worker, wave)
 
-    def _deliver_batch(
-        self,
-        worker: _Worker,
-        batch: PageVertexBatch,
-        times: Optional[np.ndarray],
-        edge_rate: float,
-        decode_sizes: Optional[np.ndarray] = None,
-    ) -> None:
-        """Run ``run_on_vertices`` once, then replay the per-list clock
-        updates of the scalar delivery loop: the wait clamp to each list's
-        completion time, the send charge its messages would have incurred,
-        the ``run_on_vertex`` charge and (under format v2) the per-byte
-        decode charge — same values, same order, so worker clocks land on
-        identical bits."""
-        num_lists = batch.num_lists
-        if num_lists == 0:
-            return
+    def _deliver_wave(self, worker: _Worker, wave: _Wave) -> None:
+        """Hand one decoded wave to the program.
+
+        Two back ends, chosen by the hook the program defines: a wave of
+        attribute-free self-requests goes to ``run_on_vertices`` in one
+        call when there is one, anything else to ``run_on_vertex`` list by
+        list.  Either way each list costs the same clock updates in the
+        same order: the wait for its data, the charges made inside the
+        hook, the ``run_on_vertex`` charge and — under format v2 — the
+        per-byte decode charge.
+        """
+        cm = self.cost_model
+        if self.config.mode is ExecutionMode.IN_MEMORY:
+            edge_rate = cm.cpu_per_edge_mem
+        else:
+            edge_rate = cm.cpu_per_edge_sem
+        if (
+            self.program.run_on_vertices is not None
+            and not wave.kinds.any()
+            and np.array_equal(wave.requesters, wave.targets)
+        ):
+            self._deliver_batch(worker, wave, edge_rate)
+        else:
+            self._deliver_lists(worker, wave, edge_rate)
+        if wave.decode_sizes is not None:
+            self.stats.add(reg.GRAPH_DECODE_BYTES, int(wave.decode_sizes.sum()))
+        self.stats.add(reg.ENGINE_EDGES_DELIVERED, int(wave.edges.size))
+
+    def _deliver_lists(self, worker: _Worker, wave: _Wave, edge_rate: float) -> None:
+        """The ``run_on_vertex`` back end of :meth:`_deliver_wave`."""
+        cm = self.cost_model
+        run_on_vertex = self.program.run_on_vertex
+        edges = wave.edges
+        ends = np.cumsum(wave.degrees).tolist()
+        requesters = wave.requesters.tolist()
+        targets = wave.targets.tolist()
+        dirs = wave.dirs.tolist()
+        kinds = wave.kinds.tolist()
+        degrees = wave.degrees.tolist()
+        times = wave.times.tolist() if wave.times is not None else None
+        mate = wave.mate.tolist() if wave.mate is not None else None
+        sizes = wave.decode_sizes.tolist() if wave.decode_sizes is not None else None
+        for row in range(len(targets)):
+            if times is not None and times[row] > worker.time:
+                # The worker waits for data; waiting is not busy time.
+                worker.time = times[row]
+            if mate is not None:
+                if mate[row] > row:
+                    continue  # the other half of the pair is still in flight
+                if kinds[row] == _ATTRS:
+                    row = mate[row]
+            direction = _DIRECTIONS[dirs[row]]
+            attrs = None
+            if kinds[row] == _EDGES_WITH_ATTRS:
+                attrs = self._attrs_of(direction, targets[row])
+            view = PageVertex.from_arrays(
+                targets[row], edges[ends[row] - degrees[row] : ends[row]], direction, attrs
+            )
+            self._extra_edge_charge = 0
+            run_on_vertex(self._ctx, requesters[row], view)
+            self._charge(
+                cm.cpu_per_vertex_run
+                + (degrees[row] + self._extra_edge_charge) * edge_rate
+            )
+            if sizes is not None:
+                self._charge(sizes[row] * cm.cpu_per_decode_byte)
+
+    def _deliver_batch(self, worker: _Worker, wave: _Wave, edge_rate: float) -> None:
+        """The ``run_on_vertices`` back end of :meth:`_deliver_wave`.
+
+        Runs the hook once, then replays the clock updates
+        ``run_on_vertex`` delivery makes per list — the hook's charges
+        being the send charge of the messages each list reported through
+        ``send_message_batch`` — same values, same order, so worker
+        clocks land on identical bits."""
+        num_lists = wave.targets.size
         cm = self.cost_model
         self._batch_msg_counts = None
-        self.program.run_on_vertices(self._ctx, batch)
+        self.program.run_on_vertices(
+            self._ctx, PageVertexBatch(wave.requesters, wave.degrees, wave.edges)
+        )
         counts = self._batch_msg_counts
         self._batch_msg_counts = None
         if counts is None:
@@ -1174,9 +1127,11 @@ class GraphEngine:
                     f"delivered list ({counts.size} != {num_lists})"
                 )
             count_list = counts.tolist()
-        degree_list = batch.degrees.tolist()
-        time_list = times.tolist() if times is not None else None
-        size_list = decode_sizes.tolist() if decode_sizes is not None else None
+        degree_list = wave.degrees.tolist()
+        time_list = wave.times.tolist() if wave.times is not None else None
+        size_list = (
+            wave.decode_sizes.tolist() if wave.decode_sizes is not None else None
+        )
         rate = cm.cpu_per_multicast_recipient
         base = cm.cpu_per_vertex_run
         decode_rate = cm.cpu_per_decode_byte
@@ -1214,72 +1169,21 @@ class GraphEngine:
                 b += charge
         worker.time = t
         worker.busy = b
-        if size_list is not None:
-            self.stats.add(reg.GRAPH_DECODE_BYTES, int(decode_sizes.sum()))
-        self.stats.add(reg.ENGINE_EDGES_DELIVERED, batch.total_edges)
 
-    def _words_of(self, file) -> np.ndarray:
-        words = self._file_words.get(file.file_id)
-        if words is None:
-            words = np.frombuffer(file.read(0, file.size), dtype="<u4")
-            self._file_words[file.file_id] = words
-        return words
+    def _file_array(self, file, dtype) -> np.ndarray:
+        """The file's bytes as a cached zero-copy array of ``dtype``."""
+        data = self._file_arrays.get(file.file_id)
+        if data is None:
+            data = np.frombuffer(file.read(0, file.size), dtype=dtype)
+            self._file_arrays[file.file_id] = data
+        return data
 
-    def _bytes_of(self, file) -> np.ndarray:
-        """The file's raw bytes as a cached uint8 view (v2 decode path)."""
-        raw = self._file_bytes.get(file.file_id)
-        if raw is None:
-            raw = np.frombuffer(file.read(0, file.size), dtype=np.uint8)
-            self._file_bytes[file.file_id] = raw
-        return raw
-
-    def _attr_requests(
-        self, requester: int, targets: np.ndarray, direction: EdgeType
-    ) -> List[IORequest]:
-        if direction not in self.image.attr_offsets:
-            raise ValueError(f"the graph has no {direction.value}-edge attributes")
-        attr_file = self.safs.open_file(f"{self.image.name}.{direction.value}-attrs")
-        offsets = self.image.attr_offsets[direction]
-        requests = []
-        for target in targets:
-            target = int(target)
-            start = int(offsets[target])
-            size = int(offsets[target + 1]) - start
-            if size == 0:
-                continue
-            self._attr_waiting.add((requester, direction, target))
-            requests.append(
-                IORequest(
-                    attr_file,
-                    start,
-                    size,
-                    UserTask(context=(requester, direction, "attrs", target)),
-                )
-            )
-        return requests
-
-    def _deliver_edge_list(
-        self,
-        worker: _Worker,
-        requester: int,
-        view: PageVertex,
-        decode_bytes: int = 0,
-    ) -> None:
-        cm = self.cost_model
-        if self.config.mode is ExecutionMode.IN_MEMORY:
-            edge_rate = cm.cpu_per_edge_mem
-        else:
-            edge_rate = cm.cpu_per_edge_sem
-        self._extra_edge_charge = 0
-        self.program.run_on_vertex(self._ctx, int(requester), view)
-        edges = view.num_edges + self._extra_edge_charge
-        self._charge(cm.cpu_per_vertex_run + edges * edge_rate)
-        if decode_bytes:
-            # Compressed (v2) lists pay per-byte decode CPU; v1 delivery
-            # takes this branch never, keeping its charges bit-identical.
-            self._charge(decode_bytes * cm.cpu_per_decode_byte)
-            self.stats.add(reg.GRAPH_DECODE_BYTES, decode_bytes)
-        self.stats.add(reg.ENGINE_EDGES_DELIVERED, view.num_edges)
+    def _attrs_of(self, direction: EdgeType, vertex: int) -> np.ndarray:
+        """``vertex``'s edge attributes, one float32 per edge (zero-copy;
+        empty for a zero-degree vertex)."""
+        values = np.frombuffer(self.image.attr_bytes[direction], dtype="<f4")
+        indptr = self.image.csr(direction).indptr
+        return values[indptr[vertex] : indptr[vertex + 1]]
 
     def _deliver_messages(self) -> None:
         dests, values, counts = self._messages.deliver()
@@ -1388,25 +1292,36 @@ class GraphEngine:
         threshold = self.config.vertical_part_threshold
         if threshold and targets.size > threshold:
             parts = split_into_parts(requester, targets, self.config.vertical_part_size)
-            self._pending_requests.append(
-                (requester, parts[0].targets, direction, with_attrs)
-            )
+            targets = parts[0].targets
             for part in parts[1:]:
                 self._part_queue.append(
                     (requester, part.targets, direction, with_attrs)
                 )
-        else:
-            self._pending_requests.append((requester, targets, direction, with_attrs))
+        self._append_wave(requester, targets, direction, with_attrs)
 
     def _buffer_batch_request(self, vertices: np.ndarray, edge_type: EdgeType) -> None:
-        """Buffer a whole wave of self-requests from ``run_batch``.
+        """Buffer a whole wave of self-requests from ``run_batch``:
+        per-vertex ``request_self`` calls in ``vertices`` order, a vertex's
+        directions adjacent."""
+        codes = [_DIRECTIONS.index(d) for d in edge_type.directions()]
+        lists = np.repeat(vertices, len(codes))
+        self._wave.append(
+            (lists, lists, np.tile(codes, vertices.size), np.full(lists.size, _EDGES))
+        )
 
-        Kept as one array entry so the service layer can merge and locate
-        the wave vectorized; semantically the wave equals per-vertex
-        ``request_self`` calls in ``vertices`` order (which is what
-        ``_expand_batch_entries`` reconstructs when the fast path cannot
-        run)."""
-        self._pending_batches.append((vertices, edge_type))
+    def _append_wave(
+        self, requester: int, targets: np.ndarray, direction: EdgeType, with_attrs: bool
+    ) -> None:
+        """Add one request's edge-list rows — followed, ``with_attrs``, by
+        an attribute-block row per target — to the wave buffer."""
+        if with_attrs and direction not in self.image.attr_offsets:
+            raise ValueError(f"the graph has no {direction.value}-edge attributes")
+        requesters = np.full(targets.size, requester)
+        dirs = np.full(targets.size, _DIRECTIONS.index(direction))
+        kinds = np.full(targets.size, _EDGES_WITH_ATTRS if with_attrs else _EDGES)
+        self._wave.append((requesters, targets, dirs, kinds))
+        if with_attrs:
+            self._wave.append((requesters, targets, dirs, np.full(targets.size, _ATTRS)))
 
     def _buffer_message_batch(
         self, dests: np.ndarray, values: np.ndarray, counts: np.ndarray

@@ -188,7 +188,7 @@ class AsyncExecution(ExecutionPolicy):
             if cfg.async_threshold > 0.0 and total <= cfg.async_threshold:
                 break  # global residual threshold reached
             chosen = self._select(active)
-            engine._run_round(chosen, scheduler, self._residual)
+            engine._run_iteration(chosen, scheduler, self._residual)
             engine._peak_messages = max(
                 engine._peak_messages, engine._messages.peak_pending
             )

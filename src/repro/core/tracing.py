@@ -48,9 +48,9 @@ class IterationTracer:
         self._original = self.engine._run_iteration
         tracer = self
 
-        def traced(frontier, scheduler):
+        def traced(frontier, scheduler, *priorities):
             before = tracer.engine.stats.snapshot()
-            tracer._original(frontier, scheduler)
+            tracer._original(frontier, scheduler, *priorities)
             delta = tracer.engine.stats.diff(before)
             end_time = max(
                 (w.time for w in tracer.engine._workers), default=0.0

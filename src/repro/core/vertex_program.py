@@ -18,14 +18,14 @@ paper's:
 - ``run_on_iteration_end(g)`` — fires at the iteration barrier when the
   program asked for the notification (``g.notify_iteration_end()``).
 
-Data-parallel algorithms may additionally implement the **batched fast
-path** (``run_batch`` / ``run_on_vertices`` / ``run_on_messages``): the
-engine then hands whole scheduler batches, delivered waves and message
-rounds to the program as numpy arrays instead of making one Python call
-per vertex.  The fast path is a wall-clock optimisation only — the engine
-replays every per-vertex CPU charge in the original order, so simulated
-results are bit-identical to the per-vertex path (see
-``docs/architecture.md``, "Hot paths and vectorization invariants").
+Data-parallel algorithms may additionally implement the **batch hooks**
+(``run_batch`` / ``run_on_vertices`` / ``run_on_messages``): the engine
+then hands whole scheduler batches, delivered waves and message rounds to
+the program as numpy arrays instead of making one Python call per vertex.
+The hooks are a wall-clock optimisation only — the engine replays every
+per-vertex CPU charge in the original order, so simulated results are
+bit-identical to the scalar hooks (see ``docs/architecture.md``, "The
+read path").
 
 Programs that also want the **async priority mode** declare a
 ``residuals`` hook (how much unpropagated work each vertex holds) and,
@@ -56,8 +56,8 @@ class VertexProgram:
     #: (BFS needs 1 byte; most algorithms stay under 8).
     state_bytes_per_vertex: int = 8
 
-    #: Batched fast-path hooks; ``None`` keeps the per-vertex path.  A
-    #: program overriding one of these promises the vectorized form is
+    #: Batch hooks; ``None`` keeps the per-vertex hook.  A program
+    #: overriding one of these promises the vectorized form is
     #: observationally identical to its scalar twin, and that the scalar
     #: twin performs no *charged* context call the batch form hides
     #: (``run_batch`` may request I/O, which is free; ``run_on_vertices``
@@ -214,9 +214,8 @@ class GraphContext:
 
     def request_self_batch(self, vertices, edge_type: Optional[EdgeType] = None) -> None:
         """Batched :meth:`request_self`: every vertex of ``vertices``
-        requests its own edge list(s).  The whole wave is located with one
-        vectorized index lookup and merged as arrays (``run_batch`` fast
-        path); semantics match per-vertex ``request_self`` calls in order.
+        requests its own edge list(s); semantics match per-vertex
+        ``request_self`` calls in order.
         """
         edge_type = edge_type or self._program_edge_type()
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))

@@ -77,9 +77,6 @@ class Observer:
         self.query_spans: List[dict] = []
         #: Stats collector fed with histograms/gauges (set by :func:`arm`).
         self.stats = None
-        #: Io-span ids of the last ``submit_spans`` call, for the engine
-        #: fast path to link elements to their merged span.
-        self.last_io_ids: Optional[List[int]] = None
         #: Active query span context (``{"query", "tenant", "app"}``),
         #: set by :class:`~repro.core.engine.EngineJob` around each step
         #: when the job was started with one; every span recorded while
@@ -264,50 +261,31 @@ class Observer:
     def recovery_end(self) -> None:
         self._recovery_depth -= 1
 
-    def request_event(self, context, issued: float, done: float, io_id: int) -> None:
-        """One engine-level request element completed."""
-        record = {
-            "type": "request",
-            "io": int(io_id),
-            "issued": issued,
-            "done": done,
-        }
-        if isinstance(context, tuple) and len(context) == 4:
-            requester, direction, kind, target = context
-            record["vertex"] = _jsonable(requester)
-            record["direction"] = _jsonable(direction)
-            record["kind"] = _jsonable(kind)
-            record["target"] = _jsonable(target)
-        elif context is not None:
-            record["context"] = [_jsonable(c) for c in context] if isinstance(
-                context, (tuple, list)
-            ) else _jsonable(context)
-        self.request_spans.append(self._tag_query(record))
-
     def request_events_batch(
-        self, vertices, directions, io_ids, issued: float, times
+        self, vertices, targets, directions, kinds, io_ids, issued, times
     ) -> None:
-        """Vectorized twin of :meth:`request_event` for the fast path.
+        """One wave's engine-level request elements, in delivery order.
 
-        ``vertices``/``directions``/``io_ids``/``times`` are parallel
-        sequences in delivery order; the fast path serves only
-        self-requests for edges, so vertex == target and kind is fixed.
+        Parallel sequences, one entry per element: the requesting vertex,
+        the vertex whose data was read, the direction, the kind
+        (``"edges"`` or ``"attrs"``), the io span that carried the
+        element, that span's issue time and the element's completion time.
         """
         append = self.request_spans.append
         tag = self._tag_query
-        for vertex, direction, io_id, done in zip(
-            vertices, directions, io_ids, times
+        for vertex, target, direction, kind, io_id, at, done in zip(
+            vertices, targets, directions, kinds, io_ids, issued, times
         ):
             append(
                 tag({
                     "type": "request",
                     "io": int(io_id),
-                    "issued": issued,
+                    "issued": float(at),
                     "done": float(done),
                     "vertex": int(vertex),
                     "direction": _jsonable(direction),
-                    "kind": "edges",
-                    "target": int(vertex),
+                    "kind": kind,
+                    "target": int(target),
                 })
             )
 

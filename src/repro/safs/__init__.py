@@ -11,10 +11,13 @@ This package implements SAFS faithfully over the simulated SSD array:
 - :mod:`repro.safs.page` — SAFS pages over an in-memory flash image.
 - :mod:`repro.safs.page_cache` — the set-associative page cache; hit/miss
   behaviour is computed exactly, page by page.
-- :mod:`repro.safs.io_request` — request representation plus FlashGraph's
-  conservative merge rule (same or adjacent pages only).
-- :mod:`repro.safs.io_scheduler` — dispatch to per-device queues, optional
-  filesystem-level merging within a bounded queue window.
+- :mod:`repro.safs.io_request` — FlashGraph's conservative merge rule
+  (same or adjacent pages only) over parallel request arrays
+  (:func:`merge_request_arrays`, optionally within a bounded queue
+  window), plus the object-based reference the property tests compare
+  it against (:func:`merge_requests`).
+- :mod:`repro.safs.io_scheduler` — dispatch of merged page spans to the
+  per-device queues through the page cache.
 - :mod:`repro.safs.user_task` — the async user-task abstraction.
 - :mod:`repro.safs.filesystem` — the SAFS facade the engine talks to.
 - :mod:`repro.safs.integrity` — per-page splitmix64 checksums verified on
@@ -29,10 +32,16 @@ from repro.safs.integrity import (
     page_checksum,
     page_checksums,
 )
-from repro.safs.io_request import IORequest, MergedRequest, merge_requests
+from repro.safs.io_request import (
+    IORequest,
+    MergedRequest,
+    MergedSpans,
+    merge_request_arrays,
+    merge_requests,
+)
 from repro.safs.page import Page, SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
-from repro.safs.user_task import CompletedTask, UserTask
+from repro.safs.user_task import UserTask
 
 __all__ = [
     "SAFS",
@@ -43,11 +52,12 @@ __all__ = [
     "page_checksums",
     "IORequest",
     "MergedRequest",
+    "MergedSpans",
+    "merge_request_arrays",
     "merge_requests",
     "Page",
     "SAFSFile",
     "PageCache",
     "PageCacheConfig",
-    "CompletedTask",
     "UserTask",
 ]

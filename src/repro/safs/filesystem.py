@@ -3,25 +3,24 @@
 Responsibilities:
 
 - file namespace (create/open of simulated on-SSD files),
-- the asynchronous submit path: requests in, :class:`CompletedTask`s out,
-  in completion order, with CPU issue costs accounted,
-- both merge disciplines used by the Figure 12 ablation — requests merged
-  by the caller (FlashGraph's engine-level merging) or merged here within a
-  bounded queue window at kernel-like CPU cost (filesystem/block-level
-  merging).
+- the asynchronous submit path: one wave of merged page spans in, one
+  completion time per span out, with CPU issue costs accounted,
+- the kernel-path surcharge of the Figure 12 ablation — a wave merged with
+  the engine's global view is issued as is; one merged only within the
+  bounded ``fs_merge_window`` (filesystem/block-level merging), or not at
+  all, pays kernel-like CPU per raw request.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.obs import registry as reg
-from repro.safs.io_request import IORequest, MergedRequest, MergedSpans, merge_requests
+from repro.safs.io_request import MergedSpans
 from repro.safs.io_scheduler import IOScheduler
 from repro.safs.page import DEFAULT_PAGE_SIZE, SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
-from repro.safs.user_task import CompletedTask
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.sim.faults import FaultPolicy
 from repro.sim.health import HealthMonitor, HealthPolicy
@@ -141,78 +140,51 @@ class SAFS:
         """All file names, in creation order."""
         return list(self._files)
 
-    def submit_merged(
-        self, merged: Sequence[MergedRequest], issue_time: float
-    ) -> Tuple[List[CompletedTask], float]:
-        """Issue pre-merged requests (engine-level merging).
-
-        Requests are issued back-to-back: each one's device arrival time
-        includes the CPU spent issuing its predecessors, modelling a worker
-        thread pushing its batch into SAFS.  Returns the completions of
-        every constituent :class:`IORequest` sorted by completion time,
-        plus the total CPU cost of the batch.
-        """
-        cursor = issue_time
-        total_cpu = 0.0
-        obs = self.obs
-        completions: List[CompletedTask] = []
-        for request in merged:
-            if obs is not None:
-                io_id = obs.begin_io(
-                    request.file.file_id, request.first_page,
-                    request.last_page, len(request.parts), cursor,
-                )
-            issued_at = cursor
-            done, cpu, full_hit = self.scheduler.dispatch(request, cursor)
-            cursor += cpu
-            total_cpu += cpu
-            if done < cursor:
-                done = cursor
-            if obs is not None:
-                obs.end_io(done)
-            for part in request.parts:
-                data = part.file.read(part.offset, part.length)
-                completions.append(CompletedTask(part, data, done, cache_hit=full_hit))
-                if obs is not None:
-                    obs.request_event(part.task.context, issued_at, done, io_id)
-        completions.sort(key=lambda c: c.completion_time)
-        self.stats.add(reg.IO_REQUESTS_ISSUED, len(merged))
-        self.stats.add(reg.IO_CPU_ISSUE_TIME, total_cpu)
-        return completions, total_cpu
-
     def submit_spans(
         self,
         spans: MergedSpans,
         files: Dict[int, "SAFSFile"],
         issue_time: float,
-    ) -> Tuple[np.ndarray, float]:
-        """Array twin of :meth:`submit_merged` (engine fast path).
+        kernel_requests: int = 0,
+    ) -> Tuple[np.ndarray, float, np.ndarray, Optional[List[int]]]:
+        """Issue one wave of merged page spans.
 
-        Issues the merged spans back-to-back exactly as
-        :meth:`submit_merged` would issue the equivalent
-        :class:`MergedRequest` list — same cursor arithmetic, same device
-        submissions, same counters — but returns one completion time per
-        *span* and leaves fan-out to constituent requests to the caller,
-        which holds the wave as arrays and never built request objects.
+        Spans are issued back-to-back: each one's device arrival time
+        includes the CPU spent issuing its predecessors, modelling a worker
+        thread pushing its batch into SAFS.  ``kernel_requests`` is the
+        number of raw requests that crossed the kernel path unmerged (the
+        Figure 12 counterfactuals, where the caller merged within
+        ``fs_merge_window`` or not at all): each costs kernel-path CPU
+        before the first span is issued.
+
+        Returns ``(done, cpu, issued, io_ids)``: the completion and issue
+        time of every span, the total CPU cost of the wave, and — under an
+        armed observer — the io-span id of every span.  Fan-out to the
+        constituent requests is the caller's, which holds the wave as
+        arrays (``spans.span_of_part``).
         """
-        cursor = issue_time
+        cm = self.cost_model
+        extra_cpu = kernel_requests * (
+            cm.cpu_per_io_request_kernel - cm.cpu_per_io_request
+        )
+        cursor = issue_time + extra_cpu
         total_cpu = 0.0
         obs = self.obs
-        part_counts = None
+        io_ids = None
         if obs is not None:
             part_counts = np.bincount(
                 spans.span_of_part, minlength=spans.num_spans
             ).tolist()
-            obs.last_io_ids = []
-        completions = np.empty(spans.num_spans)
+            io_ids = []
+        done_at = np.empty(spans.num_spans)
+        issued_at = np.empty(spans.num_spans)
         dispatch_span = self.scheduler.dispatch_span
         for i, (fid, first, last) in enumerate(
             zip(spans.file_ids.tolist(), spans.first_pages.tolist(), spans.last_pages.tolist())
         ):
             if obs is not None:
-                obs.last_io_ids.append(
-                    obs.begin_io(fid, first, last, part_counts[i], cursor)
-                )
+                io_ids.append(obs.begin_io(fid, first, last, part_counts[i], cursor))
+            issued_at[i] = cursor
             done, cpu, _ = dispatch_span(files[fid], first, last, cursor)
             cursor += cpu
             total_cpu += cpu
@@ -220,38 +192,12 @@ class SAFS:
                 done = cursor
             if obs is not None:
                 obs.end_io(done)
-            completions[i] = done
+            done_at[i] = done
         self.stats.add(reg.IO_REQUESTS_ISSUED, spans.num_spans)
         self.stats.add(reg.IO_CPU_ISSUE_TIME, total_cpu)
-        return completions, total_cpu
-
-    def submit(
-        self,
-        requests: Sequence[IORequest],
-        issue_time: float,
-        fs_merge: bool = True,
-    ) -> Tuple[List[CompletedTask], float]:
-        """Issue raw, unmerged requests (the Figure 12 counterfactual).
-
-        Each incoming request costs kernel-path CPU; with ``fs_merge`` the
-        filesystem merges adjacent requests, but only within its bounded
-        queue window, lacking the engine's global view.  Without it every
-        request hits the device individually.
-        """
-        if not requests:
-            return [], 0.0
-        cm = self.cost_model
-        extra_cpu = len(requests) * (
-            cm.cpu_per_io_request_kernel - cm.cpu_per_io_request
-        )
-        window = self.config.fs_merge_window if fs_merge else 1
-        merged = merge_requests(
-            list(requests), self.config.page_size, adjacency_gap=1, window=window
-        )
-        completions, cpu = self.submit_merged(merged, issue_time + extra_cpu)
-        total_cpu = cpu + extra_cpu
-        self.stats.add(reg.IO_CPU_ISSUE_TIME, extra_cpu)
-        return completions, total_cpu
+        if kernel_requests:
+            self.stats.add(reg.IO_CPU_ISSUE_TIME, extra_cpu)
+        return done_at, total_cpu + extra_cpu, issued_at, io_ids
 
     def cached_bytes(self) -> int:
         """Bytes currently held by the page cache."""

@@ -5,6 +5,12 @@ only when they touch the same SAFS page or adjacent pages (§3.6).  A merged
 request therefore never fetches a page no constituent asked for, yet one
 issued request can range from a single page to many megabytes — exactly the
 flexibility the paper credits for adapting to different access patterns.
+
+The engine holds a wave of requests as parallel arrays and merges it
+with :func:`merge_request_arrays`.  The per-request objects
+(:class:`IORequest`, :class:`MergedRequest`) and :func:`merge_requests`
+are the readable reference the property tests compare the array merger
+against; nothing under ``src/`` calls them.
 """
 
 from dataclasses import dataclass, field
@@ -20,9 +26,8 @@ from repro.safs.user_task import UserTask
 class IORequest:
     """A read of ``[offset, offset + length)`` from ``file``.
 
-    Carries the SAFS user task to run on completion.  Requests are
-    created by the engine on behalf of vertex programs that called
-    ``request_vertices``.
+    Carries the SAFS user task to run on completion.  The object form
+    of one element of a wave (see the module docstring).
     """
 
     file: SAFSFile
@@ -85,7 +90,8 @@ def merge_requests(
     adjacency_gap: int = 1,
     window: Optional[int] = None,
 ) -> List[MergedRequest]:
-    """Merge ``requests`` under FlashGraph's conservative rule.
+    """Merge ``requests`` under FlashGraph's conservative rule (the
+    reference implementation of :func:`merge_request_arrays`).
 
     Requests are sorted by ``(file, offset)`` and joined while the next
     request starts within ``adjacency_gap`` pages of the current span's

@@ -1,12 +1,13 @@
 """Dispatch of merged requests to the SSD array through the page cache.
 
-This is the heart of SAFS's data path: for every merged request it checks
-the page cache page-by-page, fetches only the missing runs from the striped
+This is the heart of SAFS's data path: for every merged page span it
+probes the page cache, fetches only the missing runs from the striped
 device queues, installs the fetched pages, and reports the virtual time at
-which the whole request's data is available in the cache.
+which the whole span's data is available in the cache.
 
-The scheduler never copies data — completions carry zero-copy views of the
-file image, mirroring the user-task interface running computation directly
+The scheduler never copies data — it reports *when* a span is cached; the
+engine then decodes the requested byte ranges straight out of the file
+image, mirroring the user-task interface running computation directly
 against cached pages.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from repro.obs import registry as reg
 from repro.safs.integrity import IntegrityMap
-from repro.safs.io_request import MergedRequest
 from repro.safs.page import Page, SAFSFile, flash_pages_per_safs_page
 from repro.safs.page_cache import PageCache
 from repro.sim.cost_model import CostModel
@@ -99,11 +99,10 @@ class IOScheduler:
     """Routes page reads to per-device queues and maintains the cache.
 
     When the array carries a :class:`~repro.sim.faults.FaultPlan`, every
-    fetch — scalar :meth:`dispatch` and vectorized :meth:`dispatch_span`
-    alike — runs through the same recovery machinery: per-run retries
-    with exponential backoff in simulated time, per-attempt timeouts,
-    and degraded-mode rerouting around dead devices, all governed by the
-    :class:`~repro.sim.faults.FaultPolicy`.
+    fetch :meth:`dispatch_span` issues runs through the recovery
+    machinery: per-run retries with exponential backoff in simulated
+    time, per-attempt timeouts, and degraded-mode rerouting around dead
+    devices, all governed by the :class:`~repro.sim.faults.FaultPolicy`.
     """
 
     def __init__(
@@ -151,8 +150,8 @@ class IOScheduler:
         self._file_bases: dict = {}
         self._next_base = 0
         # _issue_cost_cum[n]: CPU cost of issuing a request plus n cache
-        # lookups, accumulated one float add at a time so the bulk path
-        # reproduces the per-page loop's rounding bit for bit.
+        # lookups, accumulated one float add at a time — the rounding of
+        # a page-by-page walk, which every pinned simulated number has.
         self._issue_cost_cum: List[float] = [self.cost_model.cpu_per_io_request]
 
     def _issue_cost(self, num_pages: int) -> float:
@@ -434,96 +433,21 @@ class IOScheduler:
         if dropped:
             self.stats.add(reg.FAULTS_INVALIDATED_PAGES, dropped)
 
-    def dispatch(self, merged: MergedRequest, issue_time: float) -> Tuple[float, float, bool]:
-        """Service one merged request issued at ``issue_time``.
+    def dispatch_span(
+        self, file: SAFSFile, first_page: int, last_page: int, issue_time: float
+    ) -> Tuple[float, float, bool]:
+        """Service one merged page span issued at ``issue_time``.
 
+        Probes the cache with one
+        :meth:`~repro.safs.page_cache.PageCache.lookup_range` call, fetches
+        each run of missing pages from the device queues (or attaches to an
+        in-flight fetch of the same extent) and installs the fetched pages.
         Returns ``(completion_time, cpu_cost, full_hit)``:
 
         - ``completion_time`` — when every page of the span is in the cache,
         - ``cpu_cost`` — CPU seconds consumed issuing the request (cache
           lookups, request submission, kernel-side page transfers),
         - ``full_hit`` — whether no device access was needed.
-        """
-        if merged.file.file_id not in self._file_bases:
-            raise ValueError(f"file {merged.file.name!r} was never registered")
-        cm = self.cost_model
-        cache = self._current_cache()
-        cpu_cost = cm.cpu_per_io_request
-        completion = issue_time
-        pages_fetched = 0
-        pages_deduped = 0
-
-        # Walk the span, grouping consecutive misses into device runs.
-        run_start: Optional[int] = None
-        spans: List[Tuple[int, int]] = []
-        for page_no in range(merged.first_page, merged.last_page + 1):
-            cpu_cost += cm.cpu_per_cache_lookup
-            if cache.lookup(merged.file.file_id, page_no) is None:
-                if run_start is None:
-                    run_start = page_no
-            elif run_start is not None:
-                spans.append((run_start, page_no - run_start))
-                run_start = None
-        if run_start is not None:
-            spans.append((run_start, merged.last_page + 1 - run_start))
-        if self.obs is not None:
-            self.obs.io_event(
-                "cache_lookup", issue_time,
-                pages=merged.num_pages,
-                misses=sum(length for _, length in spans),
-            )
-
-        inserted: List[Tuple[int, int]] = []
-        hits = merged.num_pages - sum(length for _, length in spans)
-        for start, length in spans:
-            flash_first, flash_count = self._flash_extent(merged.file, start, length)
-            try:
-                done, deduped = self._fetch_or_attach(
-                    merged.file.file_id, issue_time,
-                    flash_first, flash_count, length,
-                )
-            except UnrecoverableIOError:
-                self._rollback_inserted(cache, inserted)
-                self._count_aborted_dispatch(
-                    hits, pages_fetched, pages_deduped
-                )
-                raise
-            if done > completion:
-                completion = done
-            if deduped:
-                pages_deduped += length
-            else:
-                pages_fetched += length
-            for page_no in range(start, start + length):
-                data = merged.file.read_page(page_no, self.page_size)
-                if self.integrity is not None:
-                    self.integrity.verify(merged.file.file_id, page_no, data)
-                cache.insert(Page(merged.file.file_id, page_no, data))
-                inserted.append((merged.file.file_id, page_no))
-
-        # Deduped pages skip the device but still cross the kernel into
-        # this dispatch's cache, so they pay the same transfer CPU; with
-        # dedup off the expression reduces bit-identically to the legacy
-        # ``pages_fetched * flash_per_page * transfer``.
-        cpu_cost += (
-            (pages_fetched + pages_deduped)
-            * self._flash_per_page
-            * cm.cpu_per_page_transfer
-        )
-        full_hit = not spans
-        self._count_dispatch(merged.num_pages, pages_fetched, full_hit)
-        return completion, cpu_cost, full_hit
-
-    def dispatch_span(
-        self, file: SAFSFile, first_page: int, last_page: int, issue_time: float
-    ) -> Tuple[float, float, bool]:
-        """Bulk-path twin of :meth:`dispatch` for one page span.
-
-        Takes the span directly (no :class:`MergedRequest` object), probes
-        the cache with one :meth:`~repro.safs.page_cache.PageCache.lookup_range`
-        call, and charges issue CPU from the precomputed cumulative table.
-        Device submissions, cache mutations and every counter are identical
-        to :meth:`dispatch` on the same span.
         """
         if file.file_id not in self._file_bases:
             raise ValueError(f"file {file.name!r} was never registered")
@@ -585,6 +509,8 @@ class IOScheduler:
             )
             inserted.extend((file.file_id, page_no) for page_no in range(start, start + length))
 
+        # Deduped pages skip the device but still cross the kernel into
+        # this dispatch's cache, so they pay the same transfer CPU.
         cpu_cost += (
             (pages_fetched + pages_deduped)
             * self._flash_per_page

@@ -11,7 +11,7 @@ opaque context.  The engine charges the task's CPU time to the worker that
 consumes the completion, which is how computation/I/O overlap is modelled.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
@@ -30,28 +30,3 @@ class UserTask:
         """Execute the task against ``data`` available at ``completion_time``."""
         if self.on_complete is not None:
             self.on_complete(data, self.context, completion_time)
-
-
-@dataclass(frozen=True)
-class CompletedTask:
-    """One finished request handed back to the engine, in completion order.
-
-    Requests are byte-granular: ``data`` spans exactly the bytes asked
-    for, which under a compressed edge-list format (v2) is the *encoded*
-    record — smaller than the neighbor array it decodes to.  The engine
-    charges decode CPU per byte of :attr:`num_bytes` in that case.
-    """
-
-    #: The originating request (an :class:`~repro.safs.io_request.IORequest`).
-    request: Any
-    #: Zero-copy view of the requested byte range.
-    data: memoryview
-    #: Virtual time at which the data became available in the page cache.
-    completion_time: float
-    #: Whether every page of the request was already cached.
-    cache_hit: bool = field(default=False)
-
-    @property
-    def num_bytes(self) -> int:
-        """Length of the served byte range (compressed bytes under v2)."""
-        return len(self.data)

@@ -58,6 +58,30 @@ class TestGraphContext:
             types = {t for v, t, _ in probe.views if v == vertex}
             assert types == {EdgeType.OUT, EdgeType.IN}
 
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_zero_degree_vertex_gets_empty_attrs(self, mode):
+        # Vertex 2 has no out-edges, so its attribute block is empty: it
+        # must still be delivered *with* attributes, in both modes.
+        image = build_directed(
+            np.array([[0, 1], [1, 0]]),
+            3,
+            name="ctx-iso",
+            weights=np.array([1.0, 2.0], dtype=np.float32),
+        )
+        seen = {}
+
+        class Weighted(VertexProgram):
+            def run(self, g, vertex):
+                g.request_vertices(vertex, [vertex], EdgeType.OUT, with_attrs=True)
+
+            def run_on_vertex(self, g, vertex, page_vertex):
+                assert page_vertex.has_attrs
+                attrs = page_vertex.read_edge_attrs()
+                seen[vertex] = (attrs.dtype.str, attrs.tolist())
+
+        engine_for(image, mode=mode, range_shift=1).run(Weighted(), max_iterations=1)
+        assert seen == {0: ("<f4", [1.0]), 1: ("<f4", [2.0]), 2: ("<f4", [])}
+
     def test_degrees_of_vectorised(self, image):
         engine = engine_for(image, range_shift=1)
 

@@ -13,8 +13,14 @@ import json
 
 import pytest
 
+import numpy as np
+
+from repro.algorithms.sssp import sssp
 from repro.bench.datasets import load_dataset
-from repro.bench.harness import make_engine, run_algorithm
+from repro.bench.harness import default_source, make_engine, run_algorithm
+from repro.core.config import ScheduleOrder
+from repro.graph.builder import build_directed
+from repro.graph.generators import rmat_graph
 from repro.obs import Observer, arm, disarm, to_chrome, to_jsonl
 from repro.obs import registry
 from repro.safs.page import SAFSFile
@@ -99,6 +105,37 @@ class TestIoSpans:
         for req in observer.request_spans:
             assert req["io"] in io_ids
             assert req["done"] >= req["issued"]
+
+    @pytest.mark.parametrize("app", ["pr", "sssp", "tc"])
+    def test_request_spans_are_issued_with_their_io_span(self, app):
+        """One definition of ``issued``: the issue time of the io span that
+        carried the element — whatever the element is (an attribute block
+        under sssp, another vertex's list under tc).  Random order and
+        tiny batches scatter a wave over the file, so waves issue several
+        spans."""
+        edges, n = rmat_graph(10, edge_factor=8, seed=5)
+        weights = np.random.default_rng(2).uniform(1.0, 2.0, size=edges.shape[0])
+        SAFSFile._next_id = 0
+        engine = make_engine(
+            build_directed(edges, n, name="tiny", weights=weights),
+            cache_bytes=32 * 1024,
+            num_threads=4,
+            schedule_order=ScheduleOrder.RANDOM,
+            max_running_vertices=4,
+        )
+        observer = arm(engine)
+        if app == "sssp":
+            sssp(engine, default_source(engine.image))
+        else:
+            run_algorithm(engine, app, max_iterations=3)
+        issue = {span["id"]: span["issue"] for span in observer.io_spans}
+        assert observer.request_spans
+        for req in observer.request_spans:
+            assert req["issued"] == issue[req["io"]]
+        kinds = {req["kind"] for req in observer.request_spans}
+        assert kinds == ({"edges", "attrs"} if app == "sssp" else {"edges"})
+        cross = any(r["target"] != r["vertex"] for r in observer.request_spans)
+        assert cross == (app == "tc")
 
     def test_iteration_count_matches_result(self, armed_run):
         _, observer, result = armed_run

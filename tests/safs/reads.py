@@ -1,0 +1,45 @@
+"""Drive byte-range reads through SAFS the way the engine does.
+
+The engine is the only production caller of the read path; these two
+helpers let SAFS-level tests issue reads without one: a wave of
+``(file, offset, length)`` reads merged by ``merge_request_arrays`` and
+issued by ``SAFS.submit_spans``, or one byte range dispatched as a page
+span.
+"""
+
+import numpy as np
+
+from repro.safs.io_request import merge_request_arrays
+
+
+def submit_reads(safs, reads, issue_time=0.0, window=None, kernel_path=False):
+    """Issue ``reads`` as one wave; ``window``/``kernel_path`` select the
+    Figure 12 disciplines the way the engine does.
+
+    Returns ``(done, cpu)``: each read's completion time, in input order,
+    and the wave's CPU cost.
+    """
+    spans = merge_request_arrays(
+        [file.file_id for file, _, _ in reads],
+        [offset for _, offset, _ in reads],
+        [length for _, _, length in reads],
+        safs.page_size,
+        window=window,
+    )
+    span_done, cpu, _, _ = safs.submit_spans(
+        spans,
+        {file.file_id: file for file, _, _ in reads},
+        issue_time,
+        len(reads) if kernel_path else 0,
+    )
+    done = np.empty(len(reads))
+    done[spans.order] = span_done[spans.span_of_part]
+    return done, cpu
+
+
+def dispatch_bytes(scheduler, file, offset, length, issue_time):
+    """``dispatch_span`` over the pages ``[offset, offset + length)`` touches."""
+    page = scheduler.page_size
+    return scheduler.dispatch_span(
+        file, offset // page, (offset + length - 1) // page, issue_time
+    )

@@ -1,12 +1,14 @@
 """Integration tests for the SAFS facade and I/O scheduler."""
 
+import numpy as np
 import pytest
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.io_request import IORequest, merge_requests
+from repro.safs.io_request import merge_request_arrays
 from repro.safs.user_task import UserTask
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
+from tests.safs.reads import submit_reads
 
 PAGE = 4096
 
@@ -37,56 +39,60 @@ class TestNamespace:
 
 
 class TestSubmit:
-    def test_completion_carries_correct_bytes(self):
+    def test_fetched_pages_carry_the_file_bytes(self):
         safs = make_safs()
         payload = bytes(range(256)) * (PAGE // 16)
         file = safs.create_file("f", payload)
-        merged = merge_requests([IORequest(file, 100, 64)], PAGE)
-        completions, _cpu = safs.submit_merged(merged, 0.0)
-        assert len(completions) == 1
-        assert bytes(completions[0].data) == payload[100:164]
+        done, _cpu = submit_reads(safs, [(file, 100, 64)])
+        assert len(done) == 1
+        cached = safs.cache.lookup(file.file_id, 0)
+        assert bytes(cached.data[100:164]) == payload[100:164]
 
-    def test_completions_sorted_by_time(self):
+    def test_spans_issue_back_to_back_in_file_order(self):
         safs = make_safs()
         file = safs.create_file("f", bytes(PAGE * 32))
-        requests = [IORequest(file, p * PAGE, 16) for p in (30, 2, 17, 5)]
-        merged = merge_requests(requests, PAGE)
-        completions, _ = safs.submit_merged(merged, 0.0)
-        times = [c.completion_time for c in completions]
-        assert times == sorted(times)
-        assert len(completions) == 4
+        reads = [(file, p * PAGE, 16) for p in (30, 2, 17, 5)]
+        spans = merge_request_arrays(
+            [file.file_id] * 4, [o for _, o, _ in reads], [16] * 4, PAGE
+        )
+        done, cpu, issued, io_ids = safs.submit_spans(
+            spans, {file.file_id: file}, 0.0
+        )
+        assert spans.first_pages.tolist() == [2, 5, 17, 30]
+        assert len(done) == 4 and io_ids is None
+        # Each span's issue time includes the CPU spent on its predecessors.
+        assert issued[0] == 0.0
+        assert (np.diff(issued) > 0).all()
+        assert issued[-1] < cpu
+        assert (done > issued).all()
 
-    def test_cache_hit_is_faster_and_flagged(self):
+    def test_cache_hit_is_faster_and_counted(self):
         safs = make_safs()
         file = safs.create_file("f", bytes(PAGE * 8))
-        merged = merge_requests([IORequest(file, 0, 10)], PAGE)
-        first, _ = safs.submit_merged(merged, 0.0)
-        assert not first[0].cache_hit
-        merged = merge_requests([IORequest(file, 0, 10)], PAGE)
-        second, _ = safs.submit_merged(merged, first[0].completion_time)
-        assert second[0].cache_hit
-        device_time = first[0].completion_time
-        hit_time = second[0].completion_time - first[0].completion_time
+        first, _ = submit_reads(safs, [(file, 0, 10)])
+        assert safs.stats.get("io.full_hits") == 0
+        second, _ = submit_reads(safs, [(file, 0, 10)], first[0])
+        assert safs.stats.get("io.full_hits") == 1
+        device_time = first[0]
+        hit_time = second[0] - first[0]
         assert hit_time < device_time
 
     def test_cached_pages_cost_no_device_reads(self):
         safs = make_safs()
         file = safs.create_file("f", bytes(PAGE * 8))
-        merged = merge_requests([IORequest(file, 0, 4 * PAGE)], PAGE)
-        safs.submit_merged(merged, 0.0)
+        submit_reads(safs, [(file, 0, 4 * PAGE)])
         fetched_before = safs.stats.get("io.pages_fetched")
-        merged = merge_requests([IORequest(file, 0, 4 * PAGE)], PAGE)
-        safs.submit_merged(merged, 1.0)
+        submit_reads(safs, [(file, 0, 4 * PAGE)], 1.0)
         assert safs.stats.get("io.pages_fetched") == fetched_before
 
     def test_partial_hit_fetches_only_missing_run(self):
         safs = make_safs()
         file = safs.create_file("f", bytes(PAGE * 8))
         # Prime pages 0-1.
-        safs.submit_merged(merge_requests([IORequest(file, 0, 2 * PAGE)], PAGE), 0.0)
+        submit_reads(safs, [(file, 0, 2 * PAGE)])
         fetched_before = safs.stats.get("io.pages_fetched")
         # Request pages 0-3: only 2-3 should be fetched.
-        safs.submit_merged(merge_requests([IORequest(file, 0, 4 * PAGE)], PAGE), 1.0)
+        submit_reads(safs, [(file, 0, 4 * PAGE)], 1.0)
         assert safs.stats.get("io.pages_fetched") == fetched_before + 2
 
     def test_unregistered_file_rejected(self):
@@ -94,47 +100,49 @@ class TestSubmit:
         from repro.safs.page import SAFSFile
 
         rogue = SAFSFile("rogue", bytes(PAGE))
-        merged = merge_requests([IORequest(rogue, 0, 10)], PAGE)
         with pytest.raises(ValueError):
-            safs.submit_merged(merged, 0.0)
+            submit_reads(safs, [(rogue, 0, 10)])
 
     def test_empty_submit(self):
         safs = make_safs()
-        completions, cpu = safs.submit([], 0.0)
-        assert completions == []
+        done, cpu = submit_reads(safs, [])
+        assert done.size == 0
         assert cpu == 0.0
 
     def test_user_task_runs_on_completion_data(self):
-        safs = make_safs()
         payload = b"A" * 50 + b"B" * 50 + bytes(PAGE)
-        file = safs.create_file("f", payload)
         seen = []
         task = UserTask(
             on_complete=lambda data, ctx, t: seen.append((bytes(data), ctx, t))
         )
-        merged = merge_requests([IORequest(file, 50, 50, task)], PAGE)
-        completions, _ = safs.submit_merged(merged, 0.0)
-        for done in completions:
-            done.request.task.run(done.data, done.completion_time)
-        assert seen == [(b"B" * 50, None, completions[0].completion_time)]
+        task.run(memoryview(payload)[50:100], 0.25)
+        assert seen == [(b"B" * 50, None, 0.25)]
 
 
 class TestMergeDisciplines:
     def test_engine_merge_issues_fewer_device_requests(self):
-        # Two SAFS instances over identical files; one gets pre-merged
-        # requests, the other raw per-vertex requests with no merging.
-        def run(fs_merge):
+        # Two SAFS instances over identical files; one merges the raw
+        # per-vertex requests within its queue window, the other not at all.
+        def run(window):
             safs = make_safs(cache_pages=4)  # tiny cache, no reuse
             file = safs.create_file("f", bytes(PAGE * 64))
-            requests = [IORequest(file, p * PAGE, PAGE) for p in range(32)]
-            completions, cpu = safs.submit(requests, 0.0, fs_merge=fs_merge)
-            last = max(c.completion_time for c in completions)
-            return last, cpu, safs.stats.get("io.dispatched")
+            reads = [(file, p * PAGE, PAGE) for p in range(32)]
+            done, cpu = submit_reads(safs, reads, window=window, kernel_path=True)
+            return done.max(), cpu, safs.stats.get("io.dispatched")
 
-        t_unmerged, cpu_unmerged, n_unmerged = run(fs_merge=False)
-        t_fs, cpu_fs, n_fs = run(fs_merge=True)
+        t_unmerged, cpu_unmerged, n_unmerged = run(window=1)
+        t_fs, cpu_fs, n_fs = run(window=SAFSConfig().fs_merge_window)
+        assert n_unmerged == 32
         assert n_fs < n_unmerged
         assert t_fs <= t_unmerged
+
+    def test_fs_window_splits_spans_adjacent_across_windows(self):
+        safs = make_safs(cache_pages=4)
+        file = safs.create_file("f", bytes(PAGE * 64))
+        reads = [(file, p * PAGE, PAGE) for p in range(32)]
+        submit_reads(safs, reads, window=8, kernel_path=True)
+        # 32 adjacent pages, seen 8 at a time: one span per window.
+        assert safs.stats.get("io.dispatched") == 4
 
     def test_engine_merge_cheaper_cpu_than_fs_merge(self):
         # Figure 12: merging in FlashGraph beats merging in SAFS because
@@ -143,14 +151,28 @@ class TestMergeDisciplines:
         for mode in ("engine", "fs"):
             safs = make_safs(cache_pages=4)
             file = safs.create_file("f", bytes(PAGE * 64))
-            requests = [IORequest(file, p * PAGE, PAGE) for p in range(32)]
+            reads = [(file, p * PAGE, PAGE) for p in range(32)]
             if mode == "engine":
-                merged = merge_requests(requests, PAGE)
-                _, cpu = safs.submit_merged(merged, 0.0)
+                _, cpu = submit_reads(safs, reads)
             else:
-                _, cpu = safs.submit(requests, 0.0, fs_merge=True)
+                _, cpu = submit_reads(
+                    safs, reads, window=safs.config.fs_merge_window, kernel_path=True
+                )
             stats_cost[mode] = cpu
         assert stats_cost["engine"] < stats_cost["fs"]
+
+    def test_kernel_surcharge_is_per_raw_request(self):
+        costs = {}
+        for kernel_path in (False, True):
+            safs = make_safs(cache_pages=4)
+            file = safs.create_file("f", bytes(PAGE * 64))
+            reads = [(file, p * PAGE, PAGE) for p in range(32)]
+            _, costs[kernel_path] = submit_reads(safs, reads, kernel_path=kernel_path)
+            issue_time = safs.stats.get("io.cpu_issue_time")
+            assert issue_time == pytest.approx(costs[kernel_path])
+        cm = safs.cost_model
+        surcharge = 32 * (cm.cpu_per_io_request_kernel - cm.cpu_per_io_request)
+        assert costs[True] - costs[False] == pytest.approx(surcharge)
 
 
 class TestPageSizes:
@@ -160,29 +182,27 @@ class TestPageSizes:
         data = bytes(PAGE * 64)
         f_small = small.create_file("f", data)
         f_large = large.create_file("f", data)
-        small.submit_merged(merge_requests([IORequest(f_small, 0, 100)], PAGE), 0.0)
-        large.submit_merged(
-            merge_requests([IORequest(f_large, 0, 100)], 16 * PAGE), 0.0
-        )
+        submit_reads(small, [(f_small, 0, 100)])
+        submit_reads(large, [(f_large, 0, 100)])
         assert small.stats.get("ssd.pages_read") == 1
         assert large.stats.get("ssd.pages_read") == 16
 
     def test_sub_flash_page_still_reads_full_flash_page(self):
         safs = make_safs(cache_pages=256, page_size=1024)
         file = safs.create_file("f", bytes(PAGE * 4))
-        safs.submit_merged(merge_requests([IORequest(file, 0, 10)], 1024), 0.0)
+        submit_reads(safs, [(file, 0, 10)])
         assert safs.stats.get("ssd.pages_read") == 1
 
     def test_cached_bytes(self):
         safs = make_safs(cache_pages=64)
         file = safs.create_file("f", bytes(PAGE * 8))
-        safs.submit_merged(merge_requests([IORequest(file, 0, 3 * PAGE)], PAGE), 0.0)
+        submit_reads(safs, [(file, 0, 3 * PAGE)])
         assert safs.cached_bytes() == 3 * PAGE
 
     def test_reset_timing(self):
         safs = make_safs()
         file = safs.create_file("f", bytes(PAGE * 8))
-        safs.submit_merged(merge_requests([IORequest(file, 0, PAGE)], PAGE), 0.0)
+        submit_reads(safs, [(file, 0, PAGE)])
         safs.reset_timing()
         assert safs.cached_bytes() == 0
         assert safs.array.drain_time() == 0.0

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.safs.io_request import IORequest, merge_requests
 from repro.safs.io_scheduler import InflightReadRegistry, IOScheduler
 from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
@@ -24,12 +23,9 @@ from repro.sim.cost_model import CostModel
 from repro.sim.faults import UnrecoverableIOError
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
+from tests.safs.reads import dispatch_bytes
 
 PAGE = 4096
-
-
-def merged_for(file, offset, length):
-    return merge_requests([IORequest(file, offset, length)], PAGE)[0]
 
 
 def make_scheduler(stats=None):
@@ -87,12 +83,12 @@ class TestSchedulerDedup:
         file = SAFSFile("a", bytes(PAGE * 8))
         scheduler.register_file(file)
         scheduler.tenant = "a"
-        done_a, _, _ = scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+        done_a, _, _ = dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         assert done_a > 0.0
         # Tenant b misses its own partition on the same extent while
         # a's fetch is still outstanding on the simulated clock.
         scheduler.tenant = "b"
-        done_b, _, hit = scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+        done_b, _, hit = dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         assert not hit
         assert scheduler.stats.get("safs.dedup_pages") == 4
         assert scheduler.stats.get("safs.dedup_waits") == 1
@@ -104,10 +100,10 @@ class TestSchedulerDedup:
         file = SAFSFile("a", bytes(PAGE * 8))
         scheduler.register_file(file)
         scheduler.tenant = "a"
-        done_a, _, _ = scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+        done_a, _, _ = dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         mid = done_a / 2
         scheduler.tenant = "b"
-        done_b, _, _ = scheduler.dispatch(merged_for(file, 0, 4 * PAGE), mid)
+        done_b, _, _ = dispatch_bytes(scheduler, file, 0, 4 * PAGE, mid)
         assert done_b == done_a
         assert scheduler.stats.get("safs.dedup_wait_seconds") == pytest.approx(
             done_a - mid
@@ -118,10 +114,10 @@ class TestSchedulerDedup:
         file = SAFSFile("a", bytes(PAGE * 8))
         scheduler.register_file(file)
         scheduler.tenant = "a"
-        done_a, _, _ = scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+        done_a, _, _ = dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         scheduler.tenant = "b"
         fetched_before = scheduler.stats.get("io.pages_fetched")
-        scheduler.dispatch(merged_for(file, 0, 4 * PAGE), done_a + 1.0)
+        dispatch_bytes(scheduler, file, 0, 4 * PAGE, done_a + 1.0)
         assert scheduler.stats.get("safs.dedup_pages") == 0
         assert scheduler.stats.get("io.pages_fetched") == fetched_before + 4
 
@@ -133,7 +129,7 @@ class TestSchedulerDedup:
             file = SAFSFile("a", bytes(PAGE * 8))
             scheduler.register_file(file)
             scheduler.tenant = "a"
-            scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+            dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         # Same single-tenant sequence, identical counters either way:
         # an armed-but-unused registry costs nothing.
         assert armed.stats.snapshot() == legacy.stats.snapshot()
@@ -150,9 +146,7 @@ class TestSchedulerDedup:
             ("a", 0, 4, 9.0),   # pure hit
         ]:
             scheduler.tenant = tenant
-            scheduler.dispatch(
-                merged_for(file, offset * PAGE, length * PAGE), at
-            )
+            dispatch_bytes(scheduler, file, offset * PAGE, length * PAGE, at)
         stats = scheduler.stats
         assert stats.get("io.pages_requested") == (
             stats.get("cache.hits")
@@ -173,7 +167,7 @@ class TestLeaderFailure:
 
         monkeypatch.setattr(scheduler, "_fetch_extent", doomed)
         with pytest.raises(UnrecoverableIOError):
-            scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+            dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         # The failure contract: no entry, so the next requester drives
         # the full retry path itself instead of waiting forever on a
         # fetch that will never land.
@@ -191,11 +185,11 @@ class TestLeaderFailure:
 
         monkeypatch.setattr(scheduler, "_fetch_extent", doomed)
         with pytest.raises(UnrecoverableIOError):
-            scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+            dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
         # The fault clears; the would-be waiter re-issues and succeeds.
         monkeypatch.setattr(scheduler, "_fetch_extent", real_fetch)
         scheduler.tenant = "b"
-        done, _, hit = scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.1)
+        done, _, hit = dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.1)
         assert not hit and done > 0.1
         assert scheduler.stats.get("safs.dedup_pages") == 0
         assert scheduler.stats.get("io.pages_fetched") == 4
@@ -207,14 +201,14 @@ class TestLeaderFailure:
         scheduler.tenant = "a"
         # Prime pages 0-3, then abort a span that hits 0-3 and dies on
         # the 4-7 fetch: the hits must still balance against requested.
-        scheduler.dispatch(merged_for(file, 0, 4 * PAGE), 0.0)
+        dispatch_bytes(scheduler, file, 0, 4 * PAGE, 0.0)
 
         def doomed(issue_time, flash_first, flash_count):
             raise UnrecoverableIOError(0, issue_time, "dead")
 
         monkeypatch.setattr(scheduler, "_fetch_extent", doomed)
         with pytest.raises(UnrecoverableIOError):
-            scheduler.dispatch(merged_for(file, 0, 8 * PAGE), 1.0)
+            dispatch_bytes(scheduler, file, 0, 8 * PAGE, 1.0)
         stats = scheduler.stats
         assert stats.get("io.pages_requested") == (
             stats.get("cache.hits")
@@ -246,9 +240,7 @@ class TestConservationProperty:
             if length <= 0:
                 continue
             scheduler.tenant = tenant
-            scheduler.dispatch(
-                merged_for(file, first * PAGE, length * PAGE), at
-            )
+            dispatch_bytes(scheduler, file, first * PAGE, length * PAGE, at)
         stats = scheduler.stats
         assert stats.get("io.pages_requested") == (
             stats.get("cache.hits")

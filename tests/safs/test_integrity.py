@@ -21,7 +21,6 @@ from repro.safs.integrity import (
     page_checksum,
     page_checksums,
 )
-from repro.safs.io_request import IORequest, merge_requests
 from repro.safs.page import SAFSFile
 from repro.sim.faults import FaultPlan, FaultPolicy, SilentCorruption, UnrecoverableIOError
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
@@ -170,9 +169,8 @@ class TestStackWiring:
         )
         safs = _stack(plan, FaultPolicy(max_retries=2))
         file = safs.create_file("a", _rng_bytes(9, PAGE * 16))
-        merged = merge_requests([IORequest(file, 0, PAGE * 16)], PAGE)[0]
         with pytest.raises(UnrecoverableIOError):
-            safs.scheduler.dispatch(merged, 0.0)
+            safs.scheduler.dispatch_span(file, 0, 15, 0.0)
         assert safs.stats.get("integrity.checksum_failures") > 0
 
     def test_corruption_is_persistent_per_page(self):

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.safs.io_request import IORequest, merge_requests
 from repro.safs.io_scheduler import IOScheduler
 from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.sim.cost_model import CostModel
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
+from tests.safs.reads import dispatch_bytes
 
 PAGE = 4096
 
@@ -19,10 +19,6 @@ def scheduler():
     array = SSDArray(SSDArrayConfig(num_ssds=2, stripe_pages=2), stats)
     cache = PageCache(PageCacheConfig(capacity_bytes=32 * PAGE), stats)
     return IOScheduler(array, cache, CostModel(), PAGE, stats)
-
-
-def merged_for(file, offset, length):
-    return merge_requests([IORequest(file, offset, length)], PAGE)[0]
 
 
 class TestRegistration:
@@ -50,7 +46,7 @@ class TestRegistration:
     def test_dispatch_unregistered_rejected(self, scheduler):
         rogue = SAFSFile("rogue", bytes(PAGE))
         with pytest.raises(ValueError):
-            scheduler.dispatch(merged_for(rogue, 0, 10), 0.0)
+            dispatch_bytes(scheduler, rogue, 0, 10, 0.0)
 
     def test_invalid_page_size(self):
         array = SSDArray(SSDArrayConfig(num_ssds=1))
@@ -63,18 +59,18 @@ class TestDispatch:
     def test_miss_then_hit(self, scheduler):
         file = SAFSFile("a", bytes(PAGE * 4))
         scheduler.register_file(file)
-        done1, cpu1, hit1 = scheduler.dispatch(merged_for(file, 0, PAGE), 0.0)
+        done1, cpu1, hit1 = dispatch_bytes(scheduler, file, 0, PAGE, 0.0)
         assert not hit1
-        done2, cpu2, hit2 = scheduler.dispatch(merged_for(file, 0, PAGE), done1)
+        done2, cpu2, hit2 = dispatch_bytes(scheduler, file, 0, PAGE, done1)
         assert hit2
         assert cpu2 < cpu1  # no page transfer on the hit path
 
     def test_partial_hit_single_span(self, scheduler):
         file = SAFSFile("a", bytes(PAGE * 8))
         scheduler.register_file(file)
-        scheduler.dispatch(merged_for(file, 0, 2 * PAGE), 0.0)
+        dispatch_bytes(scheduler, file, 0, 2 * PAGE, 0.0)
         before = scheduler.stats.get("io.pages_fetched")
-        scheduler.dispatch(merged_for(file, 0, 6 * PAGE), 1.0)
+        dispatch_bytes(scheduler, file, 0, 6 * PAGE, 1.0)
         # Pages 0-1 cached: only 2-5 fetched.
         assert scheduler.stats.get("io.pages_fetched") == before + 4
 
@@ -82,9 +78,9 @@ class TestDispatch:
         file = SAFSFile("a", bytes(PAGE * 8))
         scheduler.register_file(file)
         # Prime the middle pages 2-3.
-        scheduler.dispatch(merged_for(file, 2 * PAGE, 2 * PAGE), 0.0)
+        dispatch_bytes(scheduler, file, 2 * PAGE, 2 * PAGE, 0.0)
         requests_before = scheduler.stats.get("ssd.requests")
-        scheduler.dispatch(merged_for(file, 0, 8 * PAGE), 1.0)
+        dispatch_bytes(scheduler, file, 0, 8 * PAGE, 1.0)
         # Two missing runs (0-1 and 4-7), each striped over devices.
         assert scheduler.stats.get("ssd.requests") > requests_before + 1
         assert scheduler.stats.get("io.pages_fetched") == 2 + 6
@@ -92,15 +88,15 @@ class TestDispatch:
     def test_full_hit_completes_at_issue_time(self, scheduler):
         file = SAFSFile("a", bytes(PAGE * 2))
         scheduler.register_file(file)
-        scheduler.dispatch(merged_for(file, 0, 2 * PAGE), 0.0)
-        done, _, hit = scheduler.dispatch(merged_for(file, 0, 2 * PAGE), 5.0)
+        dispatch_bytes(scheduler, file, 0, 2 * PAGE, 0.0)
+        done, _, hit = dispatch_bytes(scheduler, file, 0, 2 * PAGE, 5.0)
         assert hit
         assert done == 5.0
 
     def test_cpu_cost_scales_with_span(self, scheduler):
         file = SAFSFile("a", bytes(PAGE * 16))
         scheduler.register_file(file)
-        _, small_cpu, _ = scheduler.dispatch(merged_for(file, 0, PAGE), 0.0)
+        _, small_cpu, _ = dispatch_bytes(scheduler, file, 0, PAGE, 0.0)
         scheduler.cache.clear()
-        _, big_cpu, _ = scheduler.dispatch(merged_for(file, 0, 16 * PAGE), 0.0)
+        _, big_cpu, _ = dispatch_bytes(scheduler, file, 0, 16 * PAGE, 0.0)
         assert big_cpu > small_cpu

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.io_request import IORequest, merge_requests
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
+from tests.safs.reads import submit_reads
 
 PAGE = 4096
 
@@ -16,8 +16,7 @@ def safs():
 
 
 def submit_span(safs, file, first_page, num_pages):
-    request = IORequest(file, first_page * PAGE, num_pages * PAGE)
-    safs.submit_merged(merge_requests([request], PAGE), 0.0)
+    submit_reads(safs, [(file, first_page * PAGE, num_pages * PAGE)])
 
 
 class TestRequestSizeHistogram:

@@ -1,8 +1,8 @@
-"""Property tests: the vectorized fast paths are observationally identical
-to their per-object reference implementations.
+"""Property tests: the array-shaped read path is observationally identical
+to its per-object reference implementations.
 
-Two invariants back the engine's batched fast path (see
-``docs/architecture.md``, "Hot paths and vectorization invariants"):
+Two invariants back the engine's read path (see ``docs/architecture.md``,
+"The read path"):
 
 - ``merge_request_arrays`` produces span-for-span the same merge as the
   object-based ``merge_requests`` — same spans, same part-to-span
@@ -18,26 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.safs.io_request import (
-    IORequest,
-    MergedRequest,
-    merge_request_arrays,
-    merge_requests,
-)
-from repro.safs.io_scheduler import IOScheduler
+from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
 from repro.safs.page import Page, SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
-from repro.sim.cost_model import DEFAULT_COST_MODEL
-from repro.sim.faults import (
-    DeviceFailure,
-    FaultPlan,
-    FaultPolicy,
-    LatencySpike,
-    StuckQueue,
-    TransientErrors,
-    UnrecoverableIOError,
-)
-from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
 
 PAGE = 512
@@ -167,102 +150,3 @@ def test_lookup_range_returns_hit_mask():
     assert mask.tolist() == [False, True, False, True, False]
     assert cache.stats.get("cache.hits") == 2
     assert cache.stats.get("cache.misses") == 3
-
-
-# ---------------------------------------------------------------------------
-# Scalar vs vectorized dispatch under a nonzero fault plan
-# ---------------------------------------------------------------------------
-
-FAULT_PAGE = 4096
-FILE_PAGES = 64
-
-
-def _chaos_plan(seed):
-    """Every fault class at once: flaky reads, a spiked device, a stuck
-    queue and one dead device."""
-    return FaultPlan(
-        [
-            TransientErrors(device=1, start=0.0, end=10.0, probability=0.4),
-            LatencySpike(device=3, start=0.0, end=0.01, factor=6.0),
-            StuckQueue(device=0, start=0.0005, end=0.004),
-            DeviceFailure(device=2, at=0.001),
-        ],
-        seed=seed,
-    )
-
-
-def _dispatch_all(kind, plan, policy, spans):
-    """Drive one fresh SAFS stack through ``spans`` with either the scalar
-    ``dispatch`` or the vectorized ``dispatch_span`` and record everything
-    observable: per-span results, raised aborts, and the counter stream."""
-    SAFSFile._next_id = 0
-    stats = StatsCollector()
-    array = SSDArray(
-        SSDArrayConfig(num_ssds=4, stripe_pages=2), stats, fault_plan=plan
-    )
-    cache = PageCache(
-        PageCacheConfig(
-            capacity_bytes=16 * FAULT_PAGE, page_size=FAULT_PAGE, associativity=4
-        ),
-        stats,
-    )
-    scheduler = IOScheduler(
-        array, cache, DEFAULT_COST_MODEL, FAULT_PAGE, stats, fault_policy=policy
-    )
-    file = SAFSFile("f", bytes(FAULT_PAGE * FILE_PAGES))
-    scheduler.register_file(file)
-    outcomes = []
-    cursor = 0.0
-    for first, count in spans:
-        last = min(first + count - 1, FILE_PAGES - 1)
-        try:
-            if kind == "scalar":
-                result = scheduler.dispatch(
-                    MergedRequest(file, first, last, []), cursor
-                )
-            else:
-                result = scheduler.dispatch_span(file, first, last, cursor)
-        except UnrecoverableIOError as exc:
-            outcomes.append(("aborted", exc.device, exc.time, exc.reason))
-            break
-        cursor += result[1]
-        outcomes.append(result)
-    return outcomes, stats.snapshot()
-
-
-span_strategy = st.tuples(
-    st.integers(min_value=0, max_value=FILE_PAGES - 1),
-    st.integers(min_value=1, max_value=12),
-)
-
-
-@given(
-    spans=st.lists(span_strategy, min_size=1, max_size=25),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-@settings(max_examples=60, deadline=None)
-def test_dispatch_span_matches_dispatch_under_faults(spans, seed):
-    """The vectorized dispatch path traverses the identical fault
-    machinery as the scalar one: same retries, same reroutes, same
-    completion times, same counters — bit for bit, under chaos."""
-    policy = FaultPolicy(
-        max_retries=10, retry_backoff=2e-4, request_timeout=0.02
-    )
-    scalar = _dispatch_all("scalar", _chaos_plan(seed), policy, spans)
-    vectorized = _dispatch_all("span", _chaos_plan(seed), policy, spans)
-    assert scalar == vectorized
-
-
-@given(spans=st.lists(span_strategy, min_size=1, max_size=25))
-@settings(max_examples=40, deadline=None)
-def test_dispatch_paths_abort_identically(spans):
-    """When recovery is impossible, both paths raise the same
-    UnrecoverableIOError at the same point with the same counter stream
-    (including the rolled-back cache insertions)."""
-    plan = FaultPlan([DeviceFailure(device=2, at=0.0)], seed=1)
-    policy = FaultPolicy(
-        max_retries=1, retry_backoff=2e-4, reroute_on_dead=False
-    )
-    scalar = _dispatch_all("scalar", plan, policy, spans)
-    vectorized = _dispatch_all("span", plan, policy, spans)
-    assert scalar == vectorized

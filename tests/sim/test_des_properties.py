@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.io_request import IORequest, merge_requests
 from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
@@ -18,6 +17,7 @@ from repro.sim.faults import (
 )
 from repro.sim.ssd import SSD, SSDConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
+from tests.safs.reads import submit_reads
 
 
 class TestSSDPhysics:
@@ -203,10 +203,7 @@ class TestFaultPhysics:
             )
             file = safs.create_file("data", bytes(4096 * num_pages))
             for page in range(num_pages):
-                merged = merge_requests(
-                    [IORequest(file, page * 4096, 4096)], safs.page_size
-                )
-                safs.submit_merged(merged, 0.0)
+                submit_reads(safs, [(file, page * 4096, 4096)])
             return array.busy_time(), safs.stats.get("faults.transient_errors")
 
         clean_busy, _ = run(None)
