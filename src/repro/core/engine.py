@@ -23,6 +23,7 @@ clock, so device-queue contention between threads is simulated fairly.
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -57,6 +58,9 @@ _DIRECTIONS = (EdgeType.OUT, EdgeType.IN)
 #: together with its attribute block, and that attribute block.
 _EDGES, _EDGES_WITH_ATTRS, _ATTRS = 0, 1, 2
 _KIND_NAMES = ("edges", "edges", "attrs")
+
+#: Sort key of the worker pick: a worker's simulated clock.
+_CLOCK = attrgetter("time")
 
 
 @dataclass
@@ -382,6 +386,9 @@ class GraphEngine:
         # was serviced, as chunks of the four request columns of a _Wave.
         self._wave: List[Tuple[np.ndarray, ...]] = []
         self._part_queue: Deque[Tuple[int, np.ndarray, EdgeType, bool]] = deque()
+        # Workers whose queue still holds unclaimed vertices this
+        # iteration, in index order (what ``_pick_worker`` chooses among).
+        self._queued: List[_Worker] = []
         # Per-delivery message counts reported by the last
         # ``send_message_batch`` call (the engine replays the per-list
         # send charges from these).
@@ -455,7 +462,7 @@ class GraphEngine:
         if self.config.mode is ExecutionMode.SEMI_EXTERNAL:
             self._ensure_files_attached()
         self.program = program
-        self._messages = MessageBuffer(program.combiner)
+        self._messages = MessageBuffer(program.combiner, self.image.num_vertices)
         base = self.stats.snapshot()
         if (
             self.config.mode is ExecutionMode.SEMI_EXTERNAL
@@ -775,6 +782,7 @@ class GraphEngine:
                 priorities=None if priorities is None else priorities[queue],
             )
             worker.pos = 0
+        self._queued = [w for w in self._workers if w.remaining]
         self.stats.add(reg.ENGINE_ACTIVE_VERTICES, frontier.size)
         obs = self.obs
         if obs is not None:
@@ -795,7 +803,10 @@ class GraphEngine:
             if worker is None:
                 break
             if worker.remaining:
-                self._process_batch(worker, worker.take(batch_size), stolen=False)
+                batch = worker.take(batch_size)
+                if not worker.remaining:
+                    self._queued.remove(worker)
+                self._process_batch(worker, batch, stolen=False)
             elif self._part_queue:
                 requester, targets, direction, with_attrs = self._part_queue.popleft()
                 self._process_part(worker, requester, targets, direction, with_attrs)
@@ -806,6 +817,8 @@ class GraphEngine:
                 )
                 if stolen.size == 0:
                     break
+                if not victim.remaining:
+                    self._queued.remove(victim)
                 self.stats.add(reg.ENGINE_STOLEN_VERTICES, stolen.size)
                 if self.numa.is_remote(worker.index, victim.index):
                     self.stats.add(reg.NUMA_REMOTE_STEALS, stolen.size)
@@ -831,19 +844,13 @@ class GraphEngine:
             obs.end_iteration(barrier, self._workers, self)
 
     def _pick_worker(self) -> Optional[_Worker]:
-        work_exists = any(w.remaining for w in self._workers) or self._part_queue
-        if not work_exists:
-            return None
-        best: Optional[_Worker] = None
-        for worker in self._workers:
-            eligible = (
-                worker.remaining
-                or self._part_queue
-                or (self.config.load_balance and work_exists)
-            )
-            if eligible and (best is None or worker.time < best.time):
-                best = worker
-        return best
+        """The eligible worker with the earliest clock, ties to the lowest
+        index; ``None`` once no work is left.  Vertex parts can run
+        anywhere and an idle worker can steal (``load_balance``);
+        otherwise only a worker with vertices of its own is eligible."""
+        if self._part_queue or (self.config.load_balance and self._queued):
+            return min(self._workers, key=_CLOCK)
+        return min(self._queued, key=_CLOCK, default=None)
 
     def _process_batch(
         self,
@@ -1190,39 +1197,43 @@ class GraphEngine:
         if dests.size == 0:
             return
         cm = self.cost_model
-        parts = self.partitioner.partition_many(dests)
+        # Group by owning worker, each group in delivery order.
+        order, bounds = self.partitioner.group(dests)
+        dests, values, counts = dests[order], values[order], counts[order]
         # The batched receive hook needs unique destinations to update
         # state with one vectorized scatter; only combiner programs
         # guarantee that.
         run_on_messages = (
             self.program.run_on_messages if self.program.combiner is not None else None
         )
-        for p in np.unique(parts):
-            worker = self._workers[int(p)]
+        # Message *processing* is local by design: buffers are copied
+        # once per thread (multicast, §3.4.1) and consumed on the
+        # owner's socket.  Only the bundled copy crosses sockets, so
+        # the NUMA penalty applies to the per-copy transfer cost, not
+        # to per-message processing — this is exactly the localisation
+        # the paper's message passing buys.
+        remote_share = 1.0 - 1.0 / self.numa.num_sockets
+        per_message = cm.cpu_per_message + (
+            cm.cpu_per_multicast_recipient
+            * self.numa.remote_penalty
+            * remote_share
+        )
+        for p in np.flatnonzero(np.diff(bounds)).tolist():
+            worker = self._workers[p]
             self._current = worker
-            mask = parts == p
-            # Message *processing* is local by design: buffers are copied
-            # once per thread (multicast, §3.4.1) and consumed on the
-            # owner's socket.  Only the bundled copy crosses sockets, so
-            # the NUMA penalty applies to the per-copy transfer cost, not
-            # to per-message processing — this is exactly the localisation
-            # the paper's message passing buys.
-            remote_share = 1.0 - 1.0 / self.numa.num_sockets
-            per_message = cm.cpu_per_message + (
-                cm.cpu_per_multicast_recipient
-                * self.numa.remote_penalty
-                * remote_share
-            )
+            mine = slice(bounds[p], bounds[p + 1])
             if run_on_messages is not None:
                 self._deliver_messages_batch(
-                    worker, dests[mask], values[mask], counts[mask], per_message
+                    worker, dests[mine], values[mine], counts[mine], per_message
                 )
                 continue
-            for dest, value, count in zip(dests[mask], values[mask], counts[mask]):
+            for dest, value, count in zip(
+                dests[mine].tolist(), values[mine].tolist(), counts[mine].tolist()
+            ):
                 # Receive cost is per *logical* message: the combiner saves
                 # buffer space, not the per-message processing (§3.4.1).
                 self._charge(count * per_message)
-                self.program.run_on_message(self._ctx, int(dest), float(value))
+                self.program.run_on_message(self._ctx, dest, value)
         self.stats.add(reg.MSG_DELIVERED, int(counts.sum()))
         self.stats.add(
             reg.NUMA_REMOTE_MESSAGE_SHARE,
@@ -1253,23 +1264,17 @@ class GraphEngine:
         if activated.size:
             self._activations.append(activated)
             self.stats.add(reg.MSG_ACTIVATIONS, activated.size)
-        rate = self.cost_model.cpu_per_multicast_recipient
-        charges: Dict[int, float] = {}
-        act_list = act.tolist()
-        t = worker.time
-        b = worker.busy
-        for i, count in enumerate(counts.tolist()):
-            charge = charges.get(count)
-            if charge is None:
-                charge = count * per_message
-                charges[count] = charge
-            t += charge
-            b += charge
-            if act_list[i]:
-                t += rate
-                b += rate
-        worker.time = t
-        worker.busy = b
+        # ``cumsum`` adds strictly left to right, so accumulating
+        # [clock, c0, a0, c1, a1, ...] lands on the bits of the scalar
+        # path's one-add-per-charge sequence; a destination that did not
+        # activate contributes a0 = +0.0, which leaves a clock unchanged.
+        steps = np.empty(1 + 2 * dests.size)
+        steps[1::2] = counts * per_message
+        steps[2::2] = np.where(act, self.cost_model.cpu_per_multicast_recipient, 0.0)
+        steps[0] = worker.time
+        worker.time = float(np.cumsum(steps)[-1])
+        steps[0] = worker.busy
+        worker.busy = float(np.cumsum(steps)[-1])
 
     def _drain_activations(self) -> np.ndarray:
         if not self._activations:

@@ -26,8 +26,9 @@ to the pre-policy engine (the golden-result tests pin this).
   force-scheduled, bounding how stale any state read can be;
 - messages deliver *eagerly*: the round drains the buffer whenever
   occupancy reaches the flush threshold (§3.4.1) instead of waiting
-  for a barrier, preserving the canonical ``(dest, value)``
-  accumulation order so fault recovery stays deterministic;
+  for a barrier; each drain combines canonically (see
+  :mod:`repro.core.messages`), a function of the multiset it holds, so
+  fault recovery stays deterministic;
 - convergence needs no barrier: the run ends when the above-floor
   active set quiesces, or when the global residual sum drops to
   ``async_threshold``.

@@ -11,6 +11,19 @@ supports *combiners* (sum/min/max): logical messages are counted and
 charged individually, but deliveries to the same destination are combined
 before ``run_on_message`` fires — the same trick Pregel-style systems use
 to keep buffers small.
+
+Canonical accumulation.  Buffered sends arrive in completion order, which
+device faults (and their retries) legitimately perturb, so what a barrier
+delivers must be a function of the message *multiset* only — otherwise
+float sums would differ in the last bits between a fault-free run and a
+recovered one.  The contract, per combiner:
+
+- ``sum``: each destination's values are added one at a time in
+  ascending value order, starting from ``+0.0``;
+- ``min`` / ``max``: exact and order-free (up to the sign of a zero:
+  ``0.0`` and ``-0.0`` compare equal);
+- no combiner: deliveries are grouped by destination, ascending, and
+  each destination's values are ascending.
 """
 
 from typing import List, Optional, Tuple
@@ -24,10 +37,15 @@ COMBINERS = ("sum", "min", "max")
 class MessageBuffer:
     """Accumulates one iteration's messages until the barrier delivery."""
 
-    def __init__(self, combiner: Optional[str] = None) -> None:
+    def __init__(
+        self, combiner: Optional[str] = None, num_vertices: Optional[int] = None
+    ) -> None:
         if combiner is not None and combiner not in COMBINERS:
             raise ValueError(f"unknown combiner {combiner!r}; pick from {COMBINERS}")
         self.combiner = combiner
+        #: Size of the vertex id space; destinations are checked against
+        #: it at delivery (only negative ids are rejected when unknown).
+        self.num_vertices = num_vertices
         self._dest_chunks: List[np.ndarray] = []
         self._value_chunks: List[np.ndarray] = []
         self._pending = 0
@@ -66,9 +84,8 @@ class MessageBuffer:
         reaches ``threshold`` instead of waiting for the round barrier —
         the same per-thread flush rule real FlashGraph applies at
         ``message_flush_threshold`` messages (§3.4.1).  Delivery itself
-        still goes through :meth:`deliver`, whose canonical
-        ``(dest, value)`` sort keeps accumulation deterministic no
-        matter how often the buffer is drained.
+        still goes through :meth:`deliver`, whose canonical accumulation
+        order makes each drain a function of the multiset it holds.
         """
         return self._pending >= threshold > 0
 
@@ -84,40 +101,57 @@ class MessageBuffer:
         sorted and ``counts[i]`` the number of logical messages combined
         into delivery ``i`` (the receiver is charged per logical message).
         With no combiner, messages to the same destination stay separate
-        (``dests`` may repeat, grouped and sorted; counts are all 1).
+        (``dests`` may repeat, grouped and sorted, each destination's
+        values ascending; counts are all 1).
+
+        The combined value is a function of the message *multiset* only
+        (see the module docstring).  Raises ``ValueError`` for a
+        destination outside ``[0, num_vertices)``.
         """
         if not self._dest_chunks:
             empty = np.zeros(0, dtype=np.int64)
             return empty, np.zeros(0), empty
         dests = np.concatenate(self._dest_chunks)
         values = np.concatenate(self._value_chunks)
-        self._dest_chunks.clear()
-        self._value_chunks.clear()
-        self._pending = 0
-        # Canonical delivery order: sort by (destination, value) so the
-        # combined result is a function of the message *multiset* only.
-        # Buffered sends arrive in completion order, which device faults
-        # (and their retries) legitimately perturb — without a canonical
-        # accumulation order, float sums would differ in the last bits
-        # between a fault-free run and a recovered one.
-        order = np.lexsort((values, dests))
-        dests = dests[order]
-        values = values[order]
+        self.clear()
+        self._check_range(dests)
         if self.combiner is None:
-            return dests, values, np.ones(dests.size, dtype=np.int64)
-        unique, inverse, counts = np.unique(
-            dests, return_inverse=True, return_counts=True
-        )
+            order = np.lexsort((values, dests))
+            return dests[order], values[order], np.ones(dests.size, dtype=np.int64)
+        # One dense slot per vertex id up to the largest destination: the
+        # O(max id) term is cheaper than grouping by a sort even on
+        # near-empty barriers.
+        dense_counts = np.bincount(dests)
+        unique = np.flatnonzero(dense_counts)
         if self.combiner == "sum":
-            out = np.zeros(unique.size)
-            np.add.at(out, inverse, values)
+            # ``bincount`` adds in array order, so one sort of the values
+            # alone gives every destination its ascending-value sum.
+            order = np.argsort(values)
+            dense = np.bincount(
+                dests[order], weights=values[order], minlength=dense_counts.size
+            )
         elif self.combiner == "min":
-            out = np.full(unique.size, np.inf)
-            np.minimum.at(out, inverse, values)
+            dense = np.full(dense_counts.size, np.inf)
+            np.minimum.at(dense, dests, values)
         else:  # max
-            out = np.full(unique.size, -np.inf)
-            np.maximum.at(out, inverse, values)
-        return unique, out, counts
+            dense = np.full(dense_counts.size, -np.inf)
+            np.maximum.at(dense, dests, values)
+        return unique, dense[unique], dense_counts[unique]
+
+    def _check_range(self, dests: np.ndarray) -> None:
+        """Reject a destination that is not a vertex id.
+
+        A negative id would otherwise wrap around to the last vertices'
+        state in the receiver (``state[-1] += value``), silently.
+        """
+        low = int(dests.min())
+        high = int(dests.max())
+        limit = self.num_vertices
+        if low < 0 or (limit is not None and high >= limit):
+            raise ValueError(
+                f"message destination {low if low < 0 else high} is not a "
+                f"vertex id (num_vertices={limit})"
+            )
 
     def restore_peak(self, peak: int) -> None:
         """Reinstate the peak-occupancy gauge from a checkpoint.

@@ -12,7 +12,7 @@ balancer moves parts of a hub vertex across the machine.
 """
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -42,12 +42,21 @@ class RangePartitioner:
         vertices = np.asarray(vertices, dtype=np.int64)
         return (vertices >> self.range_shift) % self.num_partitions
 
+    def group(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One stable sort by owner: returns ``(order, bounds)`` such that
+        ``order[bounds[p]:bounds[p + 1]]`` indexes partition ``p``'s
+        members of ``vertices`` in their input order."""
+        parts = self.partition_many(vertices)
+        order = np.argsort(parts, kind="stable")
+        bounds = np.searchsorted(parts[order], np.arange(self.num_partitions + 1))
+        return order, bounds
+
     def split(self, vertices: np.ndarray) -> List[np.ndarray]:
         """Group ``vertices`` by partition; index ``p`` holds partition
         ``p``'s members in their input order."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        parts = self.partition_many(vertices)
-        return [vertices[parts == p] for p in range(self.num_partitions)]
+        order, bounds = self.group(vertices)
+        return np.split(vertices[order], bounds[1:-1])
 
     @property
     def range_size(self) -> int:

@@ -6,6 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.messages import MessageBuffer
+from repro.core.vertex_program import VertexProgram
+from repro.graph.builder import build_directed
+
+from tests.conftest import engine_for
+from tests.core.reference_messages import reference_deliver
 
 
 class TestSend:
@@ -139,3 +144,137 @@ class TestProperties:
         assert dests.tolist() == sorted(reference)
         for d, v in zip(dests, values):
             assert v == pytest.approx(reference[int(d)])
+
+
+#: Values chosen to break a float reduction that is not canonical:
+#: repeats, both infinities, subnormals, magnitudes that cancel.
+_SPECIAL_VALUES = [
+    0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e16, -1e16,
+    np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 2.0**-1022,
+]
+_MAX_DEST = 12  # few destinations, so most of them collide
+
+
+def _values(combiner):
+    values = st.sampled_from(_SPECIAL_VALUES) | st.floats(allow_nan=False)
+    if combiner in (None, "sum"):
+        return values | st.just(-0.0)
+    # minimum(0.0, -0.0) is whichever came last in both the reference and
+    # the buffer (the two compare equal under any sort): not part of the
+    # contract, so the zero is kept positive.
+    return values.map(lambda v: v + 0.0)
+
+
+def _chunks(combiner):
+    """One barrier's sends: scalar multicasts, aligned arrays, and
+    cancellation triples that sum to 0.0 or 1.0 depending on the order."""
+    dest = st.integers(min_value=0, max_value=_MAX_DEST)
+    value = _values(combiner)
+    multicast = st.tuples(st.lists(dest, min_size=1, max_size=8), value)
+    aligned = st.lists(st.tuples(dest, value), min_size=1, max_size=8).map(
+        lambda pairs: tuple(map(list, zip(*pairs)))
+    )
+    triple = st.tuples(dest, st.permutations([1e16, 1.0, -1e16])).map(
+        lambda dv: ([dv[0]] * 3, list(dv[1]))
+    )
+    return st.lists(multicast | aligned | triple, min_size=1, max_size=12)
+
+
+def _filled(combiner, chunks):
+    buf = MessageBuffer(combiner, num_vertices=_MAX_DEST + 1)
+    for dests, values in chunks:
+        buf.send(np.asarray(dests), values)
+    return buf
+
+
+def _bytes(delivery):
+    return [(a.dtype, a.tobytes()) for a in delivery]
+
+
+class TestAgainstReference:
+    """``deliver`` returns the bytes of the lexsort → unique → ufunc.at
+    reference, on all three arrays."""
+
+    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_bytes(self, combiner, data):
+        buf = _filled(combiner, data.draw(_chunks(combiner)))
+        expected = reference_deliver(buf._dest_chunks, buf._value_chunks, combiner)
+        assert _bytes(buf.deliver()) == _bytes(expected)
+
+    @pytest.mark.parametrize("combiner", ["sum", "min", "max"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_permutation_invariance(self, combiner, data):
+        """The fault-recovery contract: the same multiset of messages,
+        arriving in another chunk and element order, combines to the
+        same bytes."""
+        chunks = data.draw(_chunks(combiner))
+        flat = [
+            (d, float(v))
+            for dests, values in chunks
+            for d, v in zip(dests, np.broadcast_to(values, len(dests)))
+        ]
+        shuffled = data.draw(st.permutations(flat))
+        cuts = data.draw(
+            st.lists(st.integers(1, len(flat)), max_size=4).map(sorted)
+        )
+        rechunked = [
+            tuple(map(list, zip(*shuffled[lo:hi])))
+            for lo, hi in zip([0] + cuts, cuts + [len(flat)])
+            if hi > lo
+        ]
+        first = _filled(combiner, chunks).deliver()
+        second = _filled(combiner, rechunked).deliver()
+        assert _bytes(first) == _bytes(second)
+
+
+class TestDestinationRange:
+    """A destination that is not a vertex id is an error at the barrier,
+    not a wrap-around into the last vertices' state."""
+
+    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @pytest.mark.parametrize("bad", [-1, 64, 1 << 40])
+    def test_out_of_range_rejected(self, combiner, bad):
+        buf = MessageBuffer(combiner, num_vertices=64)
+        buf.send(np.array([3, bad, 5]), 1.0)
+        with pytest.raises(ValueError, match=rf"{bad} .*num_vertices=64"):
+            buf.deliver()
+
+    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    def test_negative_rejected_without_a_vertex_count(self, combiner):
+        buf = MessageBuffer(combiner)
+        buf.send(np.array([0, -7]), 1.0)
+        with pytest.raises(ValueError, match="-7"):
+            buf.deliver()
+
+    def test_last_vertex_is_in_range(self):
+        buf = MessageBuffer("sum", num_vertices=64)
+        buf.send(np.array([63, 0]), 1.0)
+        assert buf.deliver()[0].tolist() == [0, 63]
+
+    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_engine_run_raises(self, combiner, bad):
+        """Unchecked, the run completes: ``-1`` lands in vertex 63's
+        state and ``64`` reaches ``run_on_message`` as is."""
+
+        class Stray(VertexProgram):
+            def __init__(self):
+                self.received = []
+
+            def run(self, g, vertex):
+                if vertex == 0:
+                    g.send_message(np.array([bad]), 1.0)
+
+            def run_on_message(self, g, vertex, value):
+                self.received.append(vertex)
+
+        Stray.combiner = combiner
+        ring = np.column_stack((np.arange(64), (np.arange(64) + 1) % 64))
+        engine = engine_for(build_directed(ring, 64, name="ring"))
+        program = Stray()
+        with pytest.raises(ValueError, match=rf"{bad} .*num_vertices=64"):
+            engine.run(program, max_iterations=2)
+        assert program.received == []
