@@ -41,7 +41,6 @@ from repro.bench.harness import make_engine
 from repro.core.config import ExecutionKind, ExecutionMode
 from repro.graph.builder import build_directed
 from repro.graph.generators import twitter_sim
-from repro.safs.page import SAFSFile
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_FILE = _REPO_ROOT / "BENCH_async.json"
@@ -56,9 +55,7 @@ ASYNC_ROUND_CAP = 5000
 
 
 def _run(image, kind, program, initial_active=None, max_iterations=None, **overrides):
-    """One fresh-engine run; pins the SAFS file-id counter so page-cache
-    set hashing is identical no matter what ran earlier in-process."""
-    SAFSFile._next_id = 0
+    """One fresh-engine run."""
     engine = make_engine(
         image,
         mode=ExecutionMode.SEMI_EXTERNAL,

@@ -35,7 +35,6 @@ from repro.bench.reporting import format_table
 from repro.core.config import ExecutionMode
 from repro.graph.format import FORMATS
 from repro.obs import registry as reg
-from repro.safs.page import SAFSFile
 
 GRAPH = "twitter-sim"
 
@@ -47,7 +46,6 @@ PR_MIN_REDUCTION = 0.25
 def run_app(app: str, fmt: str):
     """One (app, fmt) cell: returns (values, RunResult)."""
     image = load_dataset(GRAPH, fmt)
-    SAFSFile._next_id = 0
     engine = make_engine(
         image,
         mode=ExecutionMode.SEMI_EXTERNAL,

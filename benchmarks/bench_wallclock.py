@@ -36,7 +36,6 @@ from repro.bench.harness import (
 )
 from repro.core.config import ExecutionMode
 from repro.obs import arm, build_profile, validate_profile
-from repro.safs.page import SAFSFile
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_FILE = _REPO_ROOT / "BENCH_wallclock.json"
@@ -75,18 +74,12 @@ def run_suite(
     graph: str, app: str, mode: ExecutionMode, repeats: int = 1, fmt: str = "v1"
 ) -> dict:
     """Run one (graph, app, mode, fmt) suite; wall_s is the best of
-    ``repeats``.
-
-    ``SAFSFile._next_id`` is pinned before each run so page-cache set
-    hashing (which keys on file_id) is reproducible no matter what ran
-    earlier in the process.
-    """
+    ``repeats``."""
     image = load_dataset(graph, fmt)
     cache = scaled_cache_bytes(1.0)
     best = None
     result = None
     for _ in range(repeats):
-        SAFSFile._next_id = 0
         engine = make_engine(image, mode=mode, cache_bytes=cache)
         start = time.perf_counter()
         result = run_algorithm(engine, app)
@@ -148,7 +141,6 @@ def record_metrics() -> None:
     profile = None
     for name, graph, app, mode, fmt in SMOKE_SUITES:
         image = load_dataset(graph, fmt)
-        SAFSFile._next_id = 0
         engine = make_engine(image, mode=mode, cache_bytes=scaled_cache_bytes(1.0))
         observer = arm(engine) if mode is ExecutionMode.SEMI_EXTERNAL else None
         run_algorithm(engine, app)

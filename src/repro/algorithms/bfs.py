@@ -43,11 +43,6 @@ class BFSProgram(VertexProgram):
     def run_on_vertex(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
         g.activate(page_vertex.read_edges())
 
-    @property
-    def num_visited(self) -> int:
-        """Vertices reached from the source."""
-        return int(self.visited.sum())
-
 
 class DirectionOptimizingBFSProgram(BFSProgram):
     """Beamer-style BFS that switches to bottom-up on large frontiers.

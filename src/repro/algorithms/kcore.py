@@ -71,11 +71,6 @@ class KCoreProgram(VertexProgram):
         self.remaining[dests[alive]] -= np.rint(values[alive]).astype(np.int64)
         return alive
 
-    @property
-    def core_size(self) -> int:
-        """Vertices surviving in the k-core."""
-        return int(self.alive.sum())
-
 
 def kcore(engine: GraphEngine, k: int) -> Tuple[np.ndarray, RunResult]:
     """Mask of vertices belonging to the k-core of an undirected image."""

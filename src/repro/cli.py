@@ -49,7 +49,6 @@ from repro.obs import (
     write_chrome,
     write_jsonl,
 )
-from repro.safs.page import SAFSFile
 from repro.serve import (
     GraphService,
     OverloadConfig,
@@ -249,11 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="async: stop once the global residual sum falls to this "
         "value (0 runs to quiescence)",
     )
-    run.add_argument(
-        "--async-staleness", type=int, default=4,
-        help="async: rounds a vertex may be deferred by the priority "
-        "selector before it is force-scheduled",
-    )
     run.add_argument("--cache-mb", type=float, default=1.0)
     run.add_argument("--threads", type=int, default=32)
     run.add_argument(
@@ -404,10 +398,6 @@ def cmd_run(args) -> int:
     fault_plan = None
     if args.fault_seed is not None:
         fault_plan = default_chaos_plan(args.fault_seed)
-    # Pin the file-id counter so every `run` invocation lays files out
-    # identically (cache set hashing keys on ids): a checkpoint written
-    # by one process must restore in another.
-    SAFSFile._next_id = 0
     engine = make_engine(
         image,
         mode=mode,
@@ -415,7 +405,6 @@ def cmd_run(args) -> int:
         num_threads=args.threads,
         execution=execution,
         async_threshold=args.async_threshold,
-        async_staleness=args.async_staleness,
         fault_plan=fault_plan,
         health_policy=HealthPolicy() if fault_plan is not None else None,
         parity=ParityConfig() if args.parity else None,
@@ -766,7 +755,6 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_profile(args) -> int:
     image = load_dataset(args.dataset)
-    SAFSFile._next_id = 0
     engine = make_engine(
         image,
         mode=ExecutionMode.SEMI_EXTERNAL,

@@ -21,11 +21,12 @@ class ExecutionKind(enum.Enum):
     the default and stays bit-identical to the pre-policy engine.
 
     ``ASYNC`` is the priority-driven mode (ACGraph-style): each *round*
-    schedules only the highest-residual vertices, messages deliver
-    eagerly inside the round, and convergence is detected without a
-    global barrier — quiescence of the above-floor active set plus an
-    optional global residual threshold.  Requires a vertex program with
-    a ``residuals`` hook (see :mod:`repro.core.execution`).
+    schedules the vertices whose residual is above the program's floor,
+    hottest blocks first, messages deliver eagerly inside the round, and
+    convergence is detected without a global barrier — quiescence of the
+    above-floor active set plus an optional global residual threshold.
+    Requires a vertex program with a ``residuals`` hook (see
+    :mod:`repro.core.execution`).
     """
 
     SYNC = "sync"
@@ -101,23 +102,6 @@ class EngineConfig:
     #: below this value (0 relies on quiescence alone — the active set
     #: of above-floor vertices emptying out).
     async_threshold: float = 0.0
-    #: Async staleness bound: an eligible vertex may be deferred by the
-    #: priority selector for at most this many rounds before it is
-    #: force-scheduled, so no state read is ever more than this many
-    #: rounds stale.
-    async_staleness: int = 4
-    #: Fraction of the eligible set each async round schedules (the
-    #: highest-residual slice; the rest accumulate more residual first).
-    #: The default of 1.0 schedules every above-floor vertex — on graphs
-    #: whose edge file dwarfs the page cache, one hot-blocks-first sweep
-    #: per round is cheaper in bytes than extra partial sweeps (see
-    #: ``BENCH_async.json``); lower it when residual mass is known to
-    #: concentrate in a few regions.
-    async_selectivity: float = 1.0
-    #: Never schedule fewer than this many vertices per async round
-    #: (keeps rounds on tiny graphs from degenerating to single-vertex
-    #: I/O that cannot merge).
-    async_min_round: int = 64
 
     def with_overrides(self, **overrides) -> "EngineConfig":
         """Return a copy with the given fields replaced."""
@@ -140,9 +124,3 @@ class EngineConfig:
             raise ValueError("num_sockets must be positive")
         if self.async_threshold < 0:
             raise ValueError("async_threshold cannot be negative")
-        if self.async_staleness < 1:
-            raise ValueError("async_staleness must be at least 1")
-        if not 0.0 < self.async_selectivity <= 1.0:
-            raise ValueError("async_selectivity must lie in (0, 1]")
-        if self.async_min_round <= 0:
-            raise ValueError("async_min_round must be positive")

@@ -729,16 +729,7 @@ class GraphEngine:
             self.safs.array.restore_state(safs_state["array"])
             if safs_state["health"] is not None:
                 self.safs.health.restore_state(safs_state["health"])
-            by_id = {
-                self.safs.open_file(name).file_id: self.safs.open_file(name)
-                for name in self.safs.file_names()
-            }
-            self.safs.cache.restore_state(
-                safs_state["cache"],
-                lambda file_id, page_no: by_id[file_id].read_page(
-                    page_no, self.safs.page_size
-                ),
-            )
+            self.safs.cache.restore_state(safs_state["cache"])
         return frontier, int(state["peak_messages"]), base
 
     def simulate_init_time(self) -> float:

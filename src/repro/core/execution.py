@@ -18,12 +18,12 @@ to the pre-policy engine (the golden-result tests pin this).
   holds (PageRank's pending delta, WCC's label improvement since the
   last broadcast, SSSP's tentative-distance improvement) — reported by
   the program's ``residuals`` hook;
-- each round schedules only the highest-residual slice of the eligible
-  set (``async_selectivity``), ordered by the priority-aware
-  :class:`~repro.core.scheduler.VertexScheduler` so hot vertices run
-  first while batches still merge into large sequential reads;
-- a vertex deferred by the selector for ``async_staleness`` rounds is
-  force-scheduled, bounding how stale any state read can be;
+- each round schedules every vertex whose residual is above the
+  program's floor, ordered by the priority-aware
+  :class:`~repro.core.scheduler.VertexScheduler` so hot blocks run
+  first while batches still merge into large sequential reads (a
+  sparser top-residual slice was measured and lost: it still touches
+  almost every page, see ``docs/execution_modes.md``);
 - messages deliver *eagerly*: the round drains the buffer whenever
   occupancy reaches the flush threshold (§3.4.1) instead of waiting
   for a barrier; each drain combines canonically (see
@@ -33,10 +33,10 @@ to the pre-policy engine (the golden-result tests pin this).
   active set quiesces, or when the global residual sum drops to
   ``async_threshold``.
 
-Deferring a vertex until its residual is large means each edge-list
-read propagates more accumulated work, so the same fixpoint is reached
-with fewer I/O bytes — the ACGraph observation this mode reproduces
-(``benchmarks/bench_async_vs_sync.py`` records the win).
+Leaving a vertex below the floor alone until its residual has grown
+means each edge-list read propagates more accumulated work, so the same
+fixpoint is reached with fewer I/O bytes — the ACGraph observation this
+mode reproduces (``benchmarks/bench_async_vs_sync.py`` records the win).
 """
 
 from typing import Optional
@@ -70,15 +70,6 @@ class ExecutionPolicy:
         one DES clock — a batch run just drains the generator.
         """
         raise NotImplementedError
-
-    def run_loop(
-        self, engine, frontier, scheduler, max_iterations, base, manager, every
-    ) -> None:
-        """Drain :meth:`steps` to convergence or the cap."""
-        for _ in self.steps(
-            engine, frontier, scheduler, max_iterations, base, manager, every
-        ):
-            pass
 
     def export_state(self) -> Optional[dict]:
         """Policy state a checkpoint must carry (``None`` = stateless)."""
@@ -151,8 +142,6 @@ class AsyncExecution(ExecutionPolicy):
         self.config = config
         #: Current residual per vertex (the priority).
         self._residual: Optional[np.ndarray] = None
-        #: Rounds each vertex has been eligible but unscheduled.
-        self._deferred: Optional[np.ndarray] = None
         self._resumed = False
 
     # -- the round loop -------------------------------------------------
@@ -173,7 +162,6 @@ class AsyncExecution(ExecutionPolicy):
         if not self._resumed:
             n = engine.image.num_vertices
             self._residual = np.zeros(n)
-            self._deferred = np.zeros(n, dtype=np.int64)
             if frontier.size:
                 self._residual[frontier] = self._score(program, frontier)
                 stats.add(reg.ENGINE_PRIORITY_UPDATES, frontier.size)
@@ -188,13 +176,12 @@ class AsyncExecution(ExecutionPolicy):
                 break  # quiescence: nothing above the floor, nothing in flight
             if cfg.async_threshold > 0.0 and total <= cfg.async_threshold:
                 break  # global residual threshold reached
-            chosen = self._select(active)
-            engine._run_iteration(chosen, scheduler, self._residual)
+            engine._run_iteration(active, scheduler, self._residual)
             engine._peak_messages = max(
                 engine._peak_messages, engine._messages.peak_pending
             )
             activated = engine._drain_activations()
-            touched = np.union1d(chosen, activated)
+            touched = np.union1d(active, activated)
             self._residual[touched] = self._score(program, touched)
             stats.add(reg.ENGINE_PRIORITY_UPDATES, touched.size)
             stats.add(reg.ENGINE_ASYNC_ROUNDS)
@@ -226,24 +213,6 @@ class AsyncExecution(ExecutionPolicy):
                 )
             yield engine.iteration
 
-    def _select(self, active: np.ndarray) -> np.ndarray:
-        """The round's vertices: the top-priority slice plus everyone
-        whose deferral hit the staleness bound."""
-        cfg = self.config
-        k = int(np.ceil(active.size * cfg.async_selectivity))
-        k = max(k, min(cfg.async_min_round, active.size))
-        if k >= active.size:
-            chosen = active
-        else:
-            # Deterministic top-k: residual descending, ID ascending.
-            order = np.lexsort((active, -self._residual[active]))
-            top = active[order[:k]]
-            forced = active[self._deferred[active] >= cfg.async_staleness]
-            chosen = np.union1d(top, forced)
-        self._deferred[active] += 1
-        self._deferred[chosen] = 0
-        return chosen
-
     def _score(self, program, vertices: np.ndarray) -> np.ndarray:
         """Clamped, validated residuals for ``vertices``."""
         if vertices.size == 0:
@@ -262,7 +231,6 @@ class AsyncExecution(ExecutionPolicy):
         return {
             "policy": self.kind.value,
             "residual": self._residual.copy(),
-            "deferred": self._deferred.copy(),
         }
 
     def restore_state(self, state: Optional[dict]) -> None:
@@ -273,7 +241,6 @@ class AsyncExecution(ExecutionPolicy):
                 f"engine runs {self.kind.value!r}"
             )
         self._residual = np.asarray(state["residual"], dtype=np.float64).copy()
-        self._deferred = np.asarray(state["deferred"], dtype=np.int64).copy()
         self._resumed = True
 
 

@@ -259,13 +259,6 @@ class GraphIndexV2(GraphIndex):
             + 32 * len(self._large_sizes)
         )
 
-    def sizes_array(self) -> np.ndarray:
-        """All compressed record sizes as int64 (test/debug helper)."""
-        out = self._size_words.astype(np.int64)
-        for vertex, size in self._large_sizes.items():
-            out[vertex] = size
-        return out
-
     def __repr__(self) -> str:
         return (
             f"GraphIndexV2(vertices={self._num_vertices}, "

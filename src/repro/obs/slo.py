@@ -443,13 +443,6 @@ def format_slo_report(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def query_outcome(record) -> Tuple[str, Optional[float]]:
-    """``(outcome, latency)`` for one finished
-    :class:`~repro.serve.service.JobRecord` — the tracker's input shape
-    (sheds never become records; the service feeds those directly)."""
-    return ("completed" if record.ok else "aborted"), record.latency
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Validate an SLO report: ``python -m repro.obs.slo FILE``."""
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -9,8 +9,9 @@ allocation, no copy.
 This package implements SAFS faithfully over the simulated SSD array:
 
 - :mod:`repro.safs.page` — SAFS pages over an in-memory flash image.
-- :mod:`repro.safs.page_cache` — the set-associative page cache; hit/miss
-  behaviour is computed exactly, page by page.
+- :mod:`repro.safs.page_cache` — the set-associative page cache, a model
+  of which page *keys* are resident: hit, miss and eviction are computed
+  exactly, bytes are never moved.
 - :mod:`repro.safs.io_request` — FlashGraph's conservative merge rule
   (same or adjacent pages only) over parallel request arrays
   (:func:`merge_request_arrays`, optionally within a bounded queue
@@ -39,7 +40,7 @@ from repro.safs.io_request import (
     merge_request_arrays,
     merge_requests,
 )
-from repro.safs.page import Page, SAFSFile
+from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.safs.user_task import UserTask
 
@@ -55,7 +56,6 @@ __all__ = [
     "MergedSpans",
     "merge_request_arrays",
     "merge_requests",
-    "Page",
     "SAFSFile",
     "PageCache",
     "PageCacheConfig",

@@ -117,7 +117,7 @@ class SAFS:
         """
         if name in self._files:
             raise ValueError(f"file {name!r} already exists")
-        file = SAFSFile(name, data)
+        file = SAFSFile(name, data, file_id=len(self._files))
         self.scheduler.register_file(file)
         self._files[name] = file
         self._file_formats[name] = fmt
@@ -200,7 +200,8 @@ class SAFS:
         return done_at, total_cpu + extra_cpu, issued_at, io_ids
 
     def cached_bytes(self) -> int:
-        """Bytes currently held by the page cache."""
+        """Bytes the resident pages stand for (the cache's modelled
+        footprint; it holds keys, not data)."""
         return len(self.cache) * self.config.page_size
 
     def reset_timing(self) -> None:

@@ -13,11 +13,9 @@ against cached pages.
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.obs import registry as reg
 from repro.safs.integrity import IntegrityMap
-from repro.safs.page import Page, SAFSFile, flash_pages_per_safs_page
+from repro.safs.page import SAFSFile, flash_pages_per_safs_page
 from repro.safs.page_cache import PageCache
 from repro.sim.cost_model import CostModel
 from repro.sim.faults import DEFAULT_FAULT_POLICY, FaultPolicy, UnrecoverableIOError
@@ -404,13 +402,6 @@ class IOScheduler:
             inflight.record(file_id, flash_first, flash_count, done)
         return done, False
 
-    def _verified_page(self, file: SAFSFile, page_no: int):
-        """One page's bytes, checked against its checksum when engaged."""
-        data = file.read_page(page_no, self.page_size)
-        if self.integrity is not None:
-            self.integrity.verify(file.file_id, page_no, data)
-        return data
-
     def _current_cache(self) -> PageCache:
         """The cache the current tenant's dispatches run against."""
         if self.tenant_caches is not None and self.tenant is not None:
@@ -419,17 +410,18 @@ class IOScheduler:
                 return partition
         return self.cache
 
-    def _rollback_inserted(self, cache: PageCache, inserted) -> None:
-        """Drop pages cached by an aborted dispatch.
+    def _rollback_inserted(self, cache: PageCache, file_id: int, runs) -> None:
+        """Drop the ``(first_page, count)`` runs an aborted dispatch cached.
 
         An unrecoverable span leaves the cache as if the dispatch never
         ran (evictions aside): the request's user task will never fire,
         and a degraded re-run should observe a consistent cache.
         """
         dropped = 0
-        for file_id, page_no in inserted:
-            if cache.invalidate(file_id, page_no):
-                dropped += 1
+        for first_page, count in runs:
+            for page_no in range(first_page, first_page + count):
+                if cache.invalidate(file_id, page_no):
+                    dropped += 1
         if dropped:
             self.stats.add(reg.FAULTS_INVALIDATED_PAGES, dropped)
 
@@ -440,8 +432,12 @@ class IOScheduler:
 
         Probes the cache with one
         :meth:`~repro.safs.page_cache.PageCache.lookup_range` call, fetches
-        each run of missing pages from the device queues (or attaches to an
-        in-flight fetch of the same extent) and installs the fetched pages.
+        each run of missing pages it reports from the device queues (or
+        attaches to an in-flight fetch of the same extent) and installs the
+        run's page keys.  No page bytes are touched unless checksums are
+        engaged (:attr:`integrity`), in which case every fetched page is
+        verified.  A span reaching past the file's last page raises
+        :class:`ValueError` before any counter moves.
         Returns ``(completion_time, cpu_cost, full_hit)``:
 
         - ``completion_time`` — when every page of the span is in the cache,
@@ -451,6 +447,8 @@ class IOScheduler:
         """
         if file.file_id not in self._file_bases:
             raise ValueError(f"file {file.name!r} was never registered")
+        if last_page >= file.num_pages(self.page_size):
+            raise ValueError(f"page {last_page} is past EOF of {file.name!r}")
         cm = self.cost_model
         cache = self._current_cache()
         completion = issue_time
@@ -459,42 +457,23 @@ class IOScheduler:
         num_pages = last_page - first_page + 1
         cpu_cost = self._issue_cost(num_pages)
 
-        hit_mask = cache.lookup_range(file.file_id, first_page, last_page)
-        if hit_mask.all():
-            runs: List[Tuple[int, int]] = []
-        else:
-            # Miss runs: starts where a miss follows a hit (or the span
-            # start), ends symmetrically.
-            miss = ~hit_mask
-            edges = np.diff(miss.astype(np.int8))
-            starts = np.nonzero(edges == 1)[0] + 1
-            ends = np.nonzero(edges == -1)[0] + 1
-            if miss[0]:
-                starts = np.concatenate([[0], starts])
-            if miss[-1]:
-                ends = np.concatenate([ends, [num_pages]])
-            runs = [
-                (first_page + int(s), int(e - s)) for s, e in zip(starts, ends)
-            ]
+        runs = cache.lookup_range(file.file_id, first_page, last_page)
+        misses = sum(count for _, count in runs)
         if self.obs is not None:
             self.obs.io_event(
-                "cache_lookup", issue_time,
-                pages=num_pages,
-                misses=sum(length for _, length in runs),
+                "cache_lookup", issue_time, pages=num_pages, misses=misses
             )
 
-        inserted: List[Tuple[int, int]] = []
-        hits = num_pages - sum(length for _, length in runs)
-        for start, length in runs:
+        for runs_done, (start, length) in enumerate(runs):
             flash_first, flash_count = self._flash_extent(file, start, length)
             try:
                 done, deduped = self._fetch_or_attach(
                     file.file_id, issue_time, flash_first, flash_count, length
                 )
             except UnrecoverableIOError:
-                self._rollback_inserted(cache, inserted)
+                self._rollback_inserted(cache, file.file_id, runs[:runs_done])
                 self._count_aborted_dispatch(
-                    hits, pages_fetched, pages_deduped
+                    num_pages - misses, pages_fetched, pages_deduped
                 )
                 raise
             if done > completion:
@@ -503,11 +482,11 @@ class IOScheduler:
                 pages_deduped += length
             else:
                 pages_fetched += length
-            cache.insert_range(
-                Page(file.file_id, page_no, self._verified_page(file, page_no))
-                for page_no in range(start, start + length)
-            )
-            inserted.extend((file.file_id, page_no) for page_no in range(start, start + length))
+            if self.integrity is not None:
+                for page_no in range(start, start + length):
+                    data = file.read_page(page_no, self.page_size)
+                    self.integrity.verify(file.file_id, page_no, data)
+            cache.insert_range(file.file_id, start, length)
 
         # Deduped pages skip the device but still cross the kernel into
         # this dispatch's cache, so they pay the same transfer CPU.

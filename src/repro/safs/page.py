@@ -12,7 +12,7 @@ smaller than 4KB does not increase the I/O rate of SSDs).
 """
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from repro.sim.ssd import FLASH_PAGE_SIZE
 
@@ -28,15 +28,27 @@ def flash_pages_per_safs_page(page_size: int) -> int:
 
 
 class SAFSFile:
-    """The simulated content of one file stored on the SSD array."""
+    """The simulated content of one file stored on the SSD array.
+
+    ``file_id`` keys the file's pages in the cache and on the array.
+    ``SAFS.create_file`` numbers its files 0, 1, … so identically built
+    stacks agree; a bare file built without one draws from a counter.
+    """
 
     _next_id = 0
 
-    def __init__(self, name: str, data: Union[bytes, bytearray, memoryview]) -> None:
+    def __init__(
+        self,
+        name: str,
+        data: Union[bytes, bytearray, memoryview],
+        file_id: Optional[int] = None,
+    ) -> None:
         self.name = name
         self._data = bytes(data)
-        self.file_id = SAFSFile._next_id
-        SAFSFile._next_id += 1
+        if file_id is None:
+            file_id = SAFSFile._next_id
+            SAFSFile._next_id += 1
+        self.file_id = file_id
 
     @property
     def size(self) -> int:
@@ -80,11 +92,10 @@ class SAFSFile:
 
 @dataclass(frozen=True)
 class Page:
-    """One cached SAFS page: identity plus a zero-copy view of its bytes."""
+    """The identity of one SAFS page (the cache holds keys, never bytes)."""
 
     file_id: int
     page_no: int
-    data: memoryview
 
     @property
     def key(self) -> tuple:

@@ -11,21 +11,24 @@ one set, eviction is LRU within the set only, so conflict misses of a real
 set-associative cache (as opposed to an idealised global LRU) show up in
 the measured hit rates.
 
-Two bulk entry points, :meth:`PageCache.lookup_range` and
-:meth:`PageCache.insert_range`, serve a whole merged span in one call.
-They are wall-clock fast paths only: hit/miss/eviction counters and the
-per-set recency state evolve exactly as the per-page :meth:`lookup` /
-:meth:`insert` calls would (the property tests assert this).
+The cache is a residency model of page *keys*: it computes hit, miss and
+eviction exactly and never holds a byte — the engine decodes straight from
+the immutable file image, SAFS only reports *when* a span is cached.  A
+merged span is served by two calls: :meth:`PageCache.lookup_range` walks it
+once and answers with the runs of missing pages,
+:meth:`PageCache.insert_range` installs one fetched run.  Counters and
+per-set recency state evolve exactly as a page-by-page walk would
+(``tests/safs/reference_page_cache.py`` is that walk, kept as the oracle).
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.obs import registry as reg
-from repro.safs.page import DEFAULT_PAGE_SIZE, Page
+from repro.safs.page import DEFAULT_PAGE_SIZE
 from repro.sim.stats import StatsCollector
 
 PageKey = Tuple[int, int]
@@ -68,7 +71,7 @@ class PageCacheConfig:
 
 
 class PageCache:
-    """A set-associative page cache with per-set LRU eviction."""
+    """A set-associative cache of page keys with per-set eviction."""
 
     def __init__(
         self,
@@ -104,7 +107,8 @@ class PageCache:
         self._ghost: Optional["OrderedDict[PageKey, None]"] = None
         self._ghost_cap = 0
         self.ghost_hits = 0
-        self._sets: Dict[int, "OrderedDict[PageKey, Page]"] = {}
+        # Per set, the resident keys in recency order (values unused).
+        self._sets: Dict[int, "OrderedDict[PageKey, None]"] = {}
         # All resident keys, mirrored across sets: bulk lookups answer the
         # (dominant) miss case with one set-membership test instead of a
         # hash + per-set dict probe per page.
@@ -165,13 +169,6 @@ class PageCache:
                 else capacity_pages,
             )
 
-    def _ghost_probe(self, key: PageKey) -> None:
-        """Count (and retire) a ghost hit for a missed ``key``."""
-        ghost = self._ghost
-        if ghost is not None and key in ghost:
-            del ghost[key]
-            self.ghost_hits += 1
-
     def _ghost_remember(self, key: PageKey) -> None:
         ghost = self._ghost
         if ghost is None:
@@ -203,12 +200,7 @@ class PageCache:
             for index in sorted(self._sets):
                 cache_set = self._sets[index]
                 while len(cache_set) > set_capacity:
-                    if self.config.eviction == "lru":
-                        evicted, _ = cache_set.popitem(last=False)
-                    else:
-                        evicted = self._gclock_evict(index, cache_set)
-                    self._resident.discard(evicted)
-                    self._ghost_remember(evicted)
+                    self._evict_one(index, cache_set)
                     evicted_count += 1
         self._set_cap = set_capacity
         return evicted_count
@@ -220,51 +212,29 @@ class PageCache:
         h = (page_no * 2654435761 + file_id * 40503) & 0xFFFFFFFF
         return h % self.config.num_sets
 
-    def lookup(self, file_id: int, page_no: int) -> Optional[Page]:
-        """Return the cached page and refresh its recency, or ``None``.
+    def lookup_range(
+        self, file_id: int, first_page: int, last_page: int
+    ) -> List[Tuple[int, int]]:
+        """Probe every page of ``[first_page, last_page]`` in ascending order.
 
-        Counts one hit or one miss in the shared stats either way.
+        Returns the runs of missing pages as ``[(first_page, count), ...]``
+        — empty on a full hit.  A hit refreshes the page's recency and
+        counts one ``cache.hits``; a miss counts one ``cache.misses`` and
+        (under ghost tracking) probes the ghost list, touching nothing
+        else.
         """
-        key = (file_id, page_no)
-        self.lookups += 1
-        if key not in self._resident:
-            if self._set_lookups is not None:
-                self._set_lookups[self._set_index(key)] += 1
-            self._ghost_probe(key)
-            self.stats.add(reg.CACHE_MISSES)
-            return None
-        self.hits += 1
-        index = self._set_index(key)
-        if self._set_lookups is not None:
-            self._set_lookups[index] += 1
-            self._set_hits[index] += 1
-        cache_set = self._sets[index]
-        if self.config.eviction == "lru":
-            cache_set.move_to_end(key)
-        else:
-            self._ref_bits[index][key] = True
-        self.stats.add(reg.CACHE_HITS)
-        return cache_set[key]
-
-    def lookup_range(self, file_id: int, first_page: int, last_page: int) -> np.ndarray:
-        """Probe every page of ``[first_page, last_page]`` in one call.
-
-        Returns a boolean hit mask.  Counter deltas and recency updates are
-        identical to calling :meth:`lookup` per page in ascending order —
-        misses touch nothing but the miss counter, so the whole-span cost
-        collapses to one membership test per page plus per-hit upkeep.
-        """
-        n = last_page - first_page + 1
-        hit_mask = np.zeros(n, dtype=bool)
         resident = self._resident
         lru = self.config.eviction == "lru"
         tracking = self._set_lookups is not None
-        hits = 0
-        for i in range(n):
-            key = (file_id, first_page + i)
+        ghost = self._ghost
+        runs: List[Tuple[int, int]] = []
+        run_start = -1
+        for page_no in range(first_page, last_page + 1):
+            key = (file_id, page_no)
             if key in resident:
-                hit_mask[i] = True
-                hits += 1
+                if run_start >= 0:
+                    runs.append((run_start, page_no - run_start))
+                    run_start = -1
                 index = self._set_index(key)
                 if tracking:
                     self._set_lookups[index] += 1
@@ -274,98 +244,85 @@ class PageCache:
                 else:
                     self._ref_bits[index][key] = True
             else:
+                if run_start < 0:
+                    run_start = page_no
                 if tracking:
                     self._set_lookups[self._set_index(key)] += 1
-                if self._ghost is not None:
-                    self._ghost_probe(key)
+                if ghost is not None and key in ghost:
+                    # It would have hit with more capacity: count and retire.
+                    del ghost[key]
+                    self.ghost_hits += 1
+        if run_start >= 0:
+            runs.append((run_start, last_page + 1 - run_start))
+        n = last_page - first_page + 1
+        misses = sum(count for _, count in runs)
+        hits = n - misses
         self.lookups += n
         self.hits += hits
         if hits:
             self.stats.add(reg.CACHE_HITS, hits)
-        if n - hits:
-            self.stats.add(reg.CACHE_MISSES, n - hits)
-        return hit_mask
-
-    def page(self, file_id: int, page_no: int) -> Page:
-        """The cached page, without stats or recency effects (fast paths
-        that already counted the span via :meth:`lookup_range`)."""
-        key = (file_id, page_no)
-        return self._sets[self._set_index(key)][key]
+        if misses:
+            self.stats.add(reg.CACHE_MISSES, misses)
+        return runs
 
     def contains(self, file_id: int, page_no: int) -> bool:
         """Whether the page is cached, without touching recency or stats."""
         return (file_id, page_no) in self._resident
 
-    def insert(self, page: Page) -> Optional[PageKey]:
-        """Cache ``page``, evicting the set-LRU page when the set is full.
+    def insert_range(self, file_id: int, first_page: int, count: int) -> int:
+        """Cache pages ``[first_page, first_page + count)`` in ascending
+        order; returns the number of evictions.
 
-        Returns the evicted page key, or ``None``.  Re-inserting a cached
-        page just refreshes its recency.
+        Each page evicts its set's victim when the set is full (pages of
+        one run may evict each other); a page already resident is only
+        refreshed.  Evicted keys feed the ghost list; ``cache.evictions``
+        and ``cache.insertions`` are added once per call.
         """
-        evicted, _ = self._insert_one(page)
-        return evicted
-
-    def insert_range(self, pages: Iterable[Page]) -> int:
-        """Insert ``pages`` in order; returns the number of evictions.
-
-        Per-page semantics are exactly :meth:`insert`'s (including pages of
-        one batch evicting each other); only the stats updates are batched.
-        """
+        gclock = self.config.eviction == "gclock"
         evictions = 0
         insertions = 0
-        for page in pages:
-            evicted, inserted = self._insert_one(page, count_stats=False)
-            if evicted is not None:
+        for page_no in range(first_page, first_page + count):
+            key = (file_id, page_no)
+            index = self._set_index(key)
+            cache_set = self._sets.get(index)
+            if cache_set is None:
+                cache_set = self._sets[index] = OrderedDict()
+                if gclock:
+                    self._ref_bits[index] = {}
+                    self._hands[index] = 0
+                    self._rings[index] = []
+            if key in cache_set:
+                if gclock:
+                    self._ref_bits[index][key] = True
+                else:
+                    cache_set.move_to_end(key)
+                continue
+            if len(cache_set) >= self._set_cap:
+                self._evict_one(index, cache_set)
                 evictions += 1
-            if inserted:
-                insertions += 1
+            cache_set[key] = None
+            self._resident.add(key)
+            if gclock:
+                # New pages start unreferenced; a hit sets the bit, so pages
+                # touched since the last sweep outlive ones merely loaded.
+                self._ref_bits[index][key] = False
+                self._rings[index].append(key)
+            insertions += 1
         if evictions:
             self.stats.add(reg.CACHE_EVICTIONS, evictions)
         if insertions:
             self.stats.add(reg.CACHE_INSERTIONS, insertions)
         return evictions
 
-    def _insert_one(
-        self, page: Page, count_stats: bool = True
-    ) -> Tuple[Optional[PageKey], bool]:
-        """Shared insert path; returns ``(evicted_key, newly_inserted)``."""
-        key = page.key
-        index = self._set_index(key)
-        cache_set = self._sets.get(index)
-        if cache_set is None:
-            cache_set = OrderedDict()
-            self._sets[index] = cache_set
-            if self.config.eviction == "gclock":
-                self._ref_bits[index] = {}
-                self._hands[index] = 0
-                self._rings[index] = []
-        if key in cache_set:
-            if self.config.eviction == "lru":
-                cache_set.move_to_end(key)
-            else:
-                self._ref_bits[index][key] = True
-            cache_set[key] = page
-            return None, False
-        evicted: Optional[PageKey] = None
-        if len(cache_set) >= self._set_cap:
-            if self.config.eviction == "lru":
-                evicted, _ = cache_set.popitem(last=False)
-            else:
-                evicted = self._gclock_evict(index, cache_set)
-            self._resident.discard(evicted)
-            self._ghost_remember(evicted)
-            if count_stats:
-                self.stats.add(reg.CACHE_EVICTIONS)
-        cache_set[key] = page
-        self._resident.add(key)
-        if self.config.eviction == "gclock":
-            # New pages start unreferenced; a hit sets the bit, so pages
-            # touched since the last sweep outlive ones merely loaded.
-            self._ref_bits[index][key] = False
-            self._rings[index].append(key)
-        if count_stats:
-            self.stats.add(reg.CACHE_INSERTIONS)
-        return evicted, True
+    def _evict_one(self, index: int, cache_set) -> None:
+        """Evict the set's victim under the configured policy and remember
+        it on the ghost list."""
+        if self.config.eviction == "lru":
+            evicted, _ = cache_set.popitem(last=False)
+        else:
+            evicted = self._gclock_evict(index, cache_set)
+        self._resident.discard(evicted)
+        self._ghost_remember(evicted)
 
     def _gclock_evict(self, index: int, cache_set) -> PageKey:
         """Sweep the set's clock hand, clearing reference bits, until an
@@ -436,9 +393,8 @@ class PageCache:
 
         Captures, per set, the resident keys in recency order (the
         OrderedDict order LRU evicts from) and — under gclock — the key
-        ring, hand position and reference bits.  Page *content* is not
-        stored: cached pages are zero-copy views of immutable file
-        images, so restore re-materialises them from the files.
+        ring, hand position and reference bits.  That is the whole cache:
+        it holds no page content.
         """
         state: Dict = {
             "keys": {
@@ -455,25 +411,24 @@ class PageCache:
             }
         return state
 
-    def restore_state(self, state: Dict, page_provider) -> None:
+    def restore_state(self, state: Dict) -> None:
         """Reinstate :meth:`export_state` output.
 
-        ``page_provider(file_id, page_no)`` returns the page's bytes
-        (typically ``SAFSFile.read_page``).  No stats are touched — the
-        checkpoint restores the counter stream separately.
+        No stats are touched — the checkpoint restores the counter stream
+        separately.
         """
         self.clear()
         gclock = self.config.eviction == "gclock"
         for index, keys in state["keys"].items():
             index = int(index)
-            cache_set: "OrderedDict[PageKey, Page]" = OrderedDict()
+            cache_set: "OrderedDict[PageKey, None]" = OrderedDict()
             for raw_key in keys:
                 key = (int(raw_key[0]), int(raw_key[1]))
                 if self._set_index(key) != index:
                     raise ValueError(
                         f"checkpointed page {key} does not hash to set {index}"
                     )
-                cache_set[key] = Page(key[0], key[1], page_provider(*key))
+                cache_set[key] = None
                 self._resident.add(key)
             self._sets[index] = cache_set
             if gclock:

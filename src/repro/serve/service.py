@@ -42,7 +42,6 @@ from repro.obs import registry as reg
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.safs.io_scheduler import InflightReadRegistry
-from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.serve.admission import AdmissionController
 from repro.serve.cache_sizing import CacheRebalanceConfig, CacheRebalancer
@@ -391,9 +390,6 @@ class GraphService:
             raise ValueError("tenant names must be unique")
         self.config = config or ServiceConfig()
         self.tenants: Dict[str, TenantSpec] = {t.name: t for t in tenants}
-        # Pin the file-id counter (page-cache set hashing keys on file
-        # ids), the same idiom the CLI and benches use per run.
-        SAFSFile._next_id = 0
         array = SSDArray(
             array_config or SSDArrayConfig(),
             fault_plan=fault_plan,

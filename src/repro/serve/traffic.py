@@ -89,27 +89,6 @@ class TenantTraffic:
         off_share = 1.0 - self.burst_factor * self.burst_fraction
         return self.rate_qps * off_share / (1.0 - self.burst_fraction)
 
-    def next_boundary(self, t: float) -> float:
-        """The next ON/OFF window edge strictly after ``t``.
-
-        Walks candidate edges in ascending order and returns the first
-        one strictly past ``t``: ``k * period`` can round to exactly
-        ``t`` in floats (e.g. ``43 * 0.1 == 4.3``), and returning ``t``
-        itself would wedge the arrival walk.
-        """
-        if not self.bursty:
-            return float("inf")
-        period = self.burst_period_s
-        cycle = int(t / period)
-        for k in (cycle - 1, cycle, cycle + 1, cycle + 2):
-            for edge in (
-                k * period + self.burst_fraction * period,
-                (k + 1) * period,
-            ):
-                if edge > t:
-                    return edge
-        return t + period  # pragma: no cover - float backstop
-
     def normalized_weights(self) -> np.ndarray:
         if self.app_weights is not None:
             weights = np.asarray(self.app_weights, dtype=np.float64)

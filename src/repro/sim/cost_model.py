@@ -16,7 +16,6 @@ nanoseconds per edge, a couple of microseconds per I/O request); only the
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -77,25 +76,6 @@ class CostModel:
     def with_overrides(self, **overrides: float) -> "CostModel":
         """Return a copy with the given fields replaced."""
         return replace(self, **overrides)
-
-    def describe(self) -> Dict[str, float]:
-        """All constants as a plain dict (used by the bench reports)."""
-        return {
-            "num_threads": self.num_threads,
-            "num_cores": self.num_cores,
-            "cpu_per_edge_sem": self.cpu_per_edge_sem,
-            "cpu_per_edge_mem": self.cpu_per_edge_mem,
-            "cpu_per_vertex_run": self.cpu_per_vertex_run,
-            "cpu_per_message": self.cpu_per_message,
-            "cpu_per_multicast_recipient": self.cpu_per_multicast_recipient,
-            "cpu_per_io_request": self.cpu_per_io_request,
-            "cpu_per_io_request_kernel": self.cpu_per_io_request_kernel,
-            "cpu_per_cache_lookup": self.cpu_per_cache_lookup,
-            "cpu_per_page_transfer": self.cpu_per_page_transfer,
-            "cpu_per_decode_byte": self.cpu_per_decode_byte,
-            "cpu_steal_penalty": self.cpu_steal_penalty,
-            "iteration_barrier": self.iteration_barrier,
-        }
 
 
 #: The default machine used throughout the evaluation.

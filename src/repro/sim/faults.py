@@ -260,10 +260,6 @@ class FaultPlan:
             if self.corrupted(device, page, time)
         )
 
-    def has_corruption(self, device: int) -> bool:
-        """Whether any corruption window ever targets ``device``."""
-        return bool(self._corruption.get(device))
-
     def devices(self) -> Tuple[int, ...]:
         """Every device index named by at least one event, sorted."""
         touched = (

@@ -249,10 +249,6 @@ class SSDArray:
             raise ValueError("capacity cannot shrink")
         self._capacity_pages += num_pages
 
-    def rebuild_for(self, device: int) -> Optional[RebuildState]:
-        """The in-flight (or finished) rebuild of ``device``, if any."""
-        return self._rebuilds.get(device)
-
     def start_rebuild(self, device: int, time: float) -> Optional[RebuildState]:
         """Begin scrubbing dead ``device`` onto the next hot spare.
 

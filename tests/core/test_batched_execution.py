@@ -16,7 +16,6 @@ from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
 from repro.graph.builder import build_directed, build_undirected
 from repro.graph.generators import rmat_graph
-from repro.safs.page import SAFSFile
 
 SCALE = 9
 
@@ -45,7 +44,6 @@ def _make_program(name, image):
 
 
 def _run(name, image, mode, merge_in_engine, batched):
-    SAFSFile._next_id = 0
     config = EngineConfig(
         mode=mode, num_threads=4, merge_in_engine=merge_in_engine
     )

@@ -23,12 +23,11 @@ from repro.algorithms.bfs import BFSProgram
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.wcc import WCCProgram
 from repro.bench.datasets import load_dataset, scaled_cache_bytes
-from repro.bench.harness import default_source
+from repro.bench.harness import default_source, make_engine as harness_make_engine
 from repro.core.checkpoint import CheckpointError, CheckpointManager, CHECKPOINT_VERSION
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine, IterationAborted
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 from repro.sim.faults import DeviceFailure, FaultPlan, FaultPolicy, TransientErrors
 from repro.sim.health import HealthPolicy
 from repro.sim.parity import ParityConfig
@@ -36,10 +35,8 @@ from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 
 
 def make_engine(plan=None, policy=None, health=None, parity=None):
-    """A twitter-sim engine (same idiom as the golden-result tests:
-    file ids pinned because page-cache set hashing keys on them)."""
+    """A twitter-sim engine on a fresh stack."""
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     array = SSDArray(SSDArrayConfig(), fault_plan=plan, parity=parity)
     safs = SAFS(
         array,
@@ -196,6 +193,23 @@ class TestCrashResumeMatrix:
         assert result.runtime == golden_result.runtime
 
 
+    def test_resume_on_a_second_stack_in_the_same_process(self, tmp_path):
+        """File ids belong to the SAFS instance (0, 1, … in creation
+        order), so an identically built stack restores a checkpoint no
+        matter how many stacks this process built before it."""
+        image = load_dataset("twitter-sim")
+        manager = CheckpointManager(tmp_path)
+        golden_state, golden_result, golden_counters = _run(
+            "pr", harness_make_engine(image), manager=manager
+        )
+        state, result, counters = _run(
+            "pr", harness_make_engine(image), resume=manager.load(3)
+        )
+        assert np.array_equal(state, golden_state)
+        assert result.runtime == golden_result.runtime
+        assert counters == golden_counters
+
+
 class TestResumeValidation:
     def _checkpointed_state(self, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -212,7 +226,6 @@ class TestResumeValidation:
     def test_wrong_thread_count_rejected(self, tmp_path):
         manager = self._checkpointed_state(tmp_path)
         image = load_dataset("twitter-sim")
-        SAFSFile._next_id = 0
         array = SSDArray(SSDArrayConfig())
         safs = SAFS(
             array,

@@ -21,7 +21,6 @@ from repro.core.engine import GraphEngine, IterationAborted
 from repro.graph.builder import build_directed
 from repro.graph.generators import rmat_graph
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
     FaultPlan,
@@ -60,13 +59,8 @@ ALGORITHMS = {
 
 
 def make_engine(plan=None, policy=None):
-    """A twitter-sim engine whose array carries ``plan``.
-
-    File ids are pinned because page-cache set hashing keys on them
-    (same idiom as the golden-result tests).
-    """
+    """A twitter-sim engine whose array carries ``plan``."""
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     array = SSDArray(SSDArrayConfig(), fault_plan=plan)
     safs = SAFS(
         array,
@@ -168,7 +162,6 @@ def test_scalar_and_batched_paths_agree_under_faults():
     policy = FaultPolicy(max_retries=8, retry_backoff=200e-6)
 
     def run(batched):
-        SAFSFile._next_id = 0
         # One-page stripes over four devices so the tiny graph's few
         # pages actually land on the faulty devices.
         array = SSDArray(

@@ -4,11 +4,11 @@ The execution-policy contract under test (``docs/execution_modes.md``):
 
 - async PageRank/WCC/SSSP converge to the sync fixpoint — exactly for
   the monotone algorithms (WCC labels, SSSP distances), within the
-  pending-mass tolerance for PageRank — across random graphs, seeds,
-  staleness bounds and selectivities (hypothesis properties);
+  pending-mass tolerance for PageRank — across random graphs and seeds
+  (hypothesis properties);
 - the async mode is deterministic: the same graph + config yields
   bit-identical counter streams and simulated clocks, run after run;
-- async engine state (residuals, deferral counters) round-trips through
+- async engine state (the residuals) round-trips through
   checkpoint/resume with bit-identical continuation;
 - checkpoints never cross policies: a sync checkpoint cannot seed an
   async run or vice versa;
@@ -31,7 +31,6 @@ from repro.graph.builder import build_directed
 from repro.graph.generators import erdos_renyi_graph
 from repro.obs import registry as reg
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 
 #: Generous async round cap — convergence must come from quiescence.
 ROUND_CAP = 3000
@@ -50,10 +49,8 @@ def _mem_engine(image, execution, **overrides):
 
 
 def _sem_engine(execution, **overrides):
-    """A twitter-sim semi-external engine (file ids pinned: page-cache
-    set hashing keys on them)."""
+    """A twitter-sim semi-external engine."""
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     safs = SAFS(config=SAFSConfig(cache_bytes=scaled_cache_bytes(1.0)))
     config = EngineConfig(
         mode=ExecutionMode.SEMI_EXTERNAL,
@@ -70,29 +67,24 @@ def _random_image(seed, n, density):
     return build_directed(edges, n, name=f"er-{seed}")
 
 
-_async_knobs = dict(
+_random_graphs = dict(
     seed=st.integers(0, 2**16),
     n=st.integers(30, 120),
     density=st.floats(1.0, 6.0),
-    staleness=st.integers(1, 8),
-    selectivity=st.floats(0.1, 1.0),
 )
 
 
 class TestAsyncConvergesToSyncFixpoint:
     @settings(max_examples=12, deadline=None)
-    @given(**_async_knobs)
-    def test_pagerank(self, seed, n, density, staleness, selectivity):
+    @given(**_random_graphs)
+    def test_pagerank(self, seed, n, density):
         image = _random_image(seed, n, density)
         sync_prog = PageRankProgram(image.num_vertices)
         _mem_engine(image, ExecutionKind.SYNC).run(sync_prog, max_iterations=None)
         async_prog = PageRankProgram(image.num_vertices)
-        _mem_engine(
-            image,
-            ExecutionKind.ASYNC,
-            async_staleness=staleness,
-            async_selectivity=selectivity,
-        ).run(async_prog, max_iterations=ROUND_CAP)
+        _mem_engine(image, ExecutionKind.ASYNC).run(
+            async_prog, max_iterations=ROUND_CAP
+        )
         # Both quiesce with per-vertex pending at or below the floor, so
         # the rank vectors sit within that mass of the common fixpoint.
         assert np.allclose(
@@ -104,23 +96,20 @@ class TestAsyncConvergesToSyncFixpoint:
         assert np.all(np.abs(async_prog.pending) <= async_prog.async_floor)
 
     @settings(max_examples=12, deadline=None)
-    @given(**_async_knobs)
-    def test_wcc(self, seed, n, density, staleness, selectivity):
+    @given(**_random_graphs)
+    def test_wcc(self, seed, n, density):
         image = _random_image(seed, n, density)
         sync_prog = WCCProgram(image.num_vertices)
         _mem_engine(image, ExecutionKind.SYNC).run(sync_prog)
         async_prog = WCCProgram(image.num_vertices)
-        _mem_engine(
-            image,
-            ExecutionKind.ASYNC,
-            async_staleness=staleness,
-            async_selectivity=selectivity,
-        ).run(async_prog, max_iterations=ROUND_CAP)
+        _mem_engine(image, ExecutionKind.ASYNC).run(
+            async_prog, max_iterations=ROUND_CAP
+        )
         assert np.array_equal(sync_prog.component, async_prog.component)
 
     @settings(max_examples=12, deadline=None)
-    @given(**_async_knobs)
-    def test_sssp(self, seed, n, density, staleness, selectivity):
+    @given(**_random_graphs)
+    def test_sssp(self, seed, n, density):
         edges, n = erdos_renyi_graph(n, int(n * density), seed=seed)
         rng = np.random.default_rng(seed + 1)
         image = build_directed(
@@ -133,13 +122,10 @@ class TestAsyncConvergesToSyncFixpoint:
             sync_prog, initial_active=np.asarray([source])
         )
         async_prog = SSSPProgram(n, source)
-        _mem_engine(
-            image,
-            ExecutionKind.ASYNC,
-            async_staleness=staleness,
-            async_selectivity=selectivity,
-        ).run(async_prog, initial_active=np.asarray([source]),
-              max_iterations=ROUND_CAP)
+        _mem_engine(image, ExecutionKind.ASYNC).run(
+            async_prog, initial_active=np.asarray([source]),
+            max_iterations=ROUND_CAP,
+        )
         # Each path's length is summed source-to-vertex regardless of
         # relaxation order, so the min over paths matches exactly.
         assert np.array_equal(sync_prog.dist, async_prog.dist)
@@ -220,7 +206,6 @@ class TestAsyncCheckpointResume:
         execution = state["execution"]
         assert execution["policy"] == "async"
         assert execution["residual"].shape == (8192,)
-        assert execution["deferred"].shape == (8192,)
 
     def test_sync_checkpoint_rejected_by_async_engine(self, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -17,7 +17,6 @@ from repro.graph.builder import build_directed
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 from repro.obs import registry as reg
-from repro.safs.page import SAFSFile
 
 SCALE = 9
 
@@ -40,7 +39,6 @@ def _state_of(name, program):
 
 
 def _run(name, fmt, batched=True):
-    SAFSFile._next_id = 0
     image = _image(fmt)
     engine = GraphEngine(
         image,
@@ -97,7 +95,6 @@ def test_decode_bytes_equal_compressed_file_bytes_delivered():
     # its own edge list exactly once, so the decoded bytes of a
     # one-iteration run equal the compressed file minus the header-only
     # lists of degree-0 vertices.
-    SAFSFile._next_id = 0
     image = _image(FORMAT_V2)
     engine = GraphEngine(
         image,
@@ -115,7 +112,6 @@ def test_decode_bytes_equal_compressed_file_bytes_delivered():
 def test_format_mismatch_on_attach_rejected():
     # Attaching a v2 image to a SAFS that already holds the same file
     # names in v1 layout must fail fast, not decode garbage.
-    SAFSFile._next_id = 0
     v1_image = _image(FORMAT_V1)
     engine = GraphEngine(
         v1_image,

@@ -19,7 +19,6 @@ import pytest
 
 from repro.bench.datasets import load_dataset, scaled_cache_bytes
 from repro.bench.harness import make_engine, run_algorithm
-from repro.safs.page import SAFSFile
 
 FIXTURE = Path(__file__).resolve().parent / "golden_twitter_sim.json"
 
@@ -28,13 +27,8 @@ GOLDEN_APPS = ("bfs", "wcc", "pr")
 
 
 def _run_app(app: str):
-    """One reproducible run: fresh engine, pinned SAFS file ids.
-
-    Page-cache set hashing keys on ``file_id``, so the global file-id
-    counter is pinned to make results independent of test ordering.
-    """
+    """One reproducible run on a fresh engine."""
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     engine = make_engine(image, cache_bytes=scaled_cache_bytes(1.0))
     return run_algorithm(engine, app)
 

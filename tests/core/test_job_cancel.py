@@ -13,12 +13,10 @@ from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
 from repro.core.engine import IterationAborted, JobCancelled
 from repro.obs import registry as reg
-from repro.safs.page import SAFSFile
 
 
 def fresh_engine():
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     engine = make_engine(
         image, cache_bytes=1 << 20, num_threads=32, range_shift=8
     )

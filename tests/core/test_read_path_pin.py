@@ -39,7 +39,6 @@ from repro.bench.harness import default_source, make_engine
 from repro.core.config import ExecutionMode
 from repro.graph.builder import build_directed, build_undirected
 from repro.graph.generators import rmat_graph
-from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
     FaultPlan,
@@ -111,7 +110,6 @@ def run_case(case: str) -> dict:
         overrides.update(vertical_part_threshold=8, vertical_part_size=4)
     if "faults" in extra:
         overrides.update(fault_plan=FAULT_PLAN, fault_policy=FAULT_POLICY)
-    SAFSFile._next_id = 0
     engine = make_engine(
         _image(fmt, undirected=(app == "kcore")),
         mode=MODES[mode],

@@ -21,7 +21,6 @@ from repro.bench.datasets import load_dataset, scaled_cache_bytes
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
     FaultPlan,
@@ -41,10 +40,8 @@ CHAOS_POLICY = FaultPolicy(max_retries=12, retry_backoff=200e-6)
 
 
 def fresh_engine(plan=None, policy=None):
-    """A twitter-sim engine on its own stack; file ids pinned because
-    page-cache set hashing keys on them (golden-test idiom)."""
+    """A twitter-sim engine on its own stack."""
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     array = SSDArray(SSDArrayConfig(), fault_plan=plan)
     safs = SAFS(
         array,

@@ -14,7 +14,6 @@ from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
 from repro.obs import arm, build_profile, to_jsonl, validate_profile
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
     FaultPlan,
@@ -44,7 +43,6 @@ CHAOS_POLICY = FaultPolicy(
 
 def make_chaos_engine(parity=False):
     image = load_dataset("twitter-sim")
-    SAFSFile._next_id = 0
     array = SSDArray(
         SSDArrayConfig(),
         fault_plan=chaos_plan(),

@@ -8,12 +8,10 @@ from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine, run_algorithm
 from repro.obs import arm, build_profile, format_profile, validate_profile
 from repro.obs.report import LAYERS, PROFILE_SCHEMA, TICK_SECONDS, main
-from repro.safs.page import SAFSFile
 
 
 @pytest.fixture(scope="module")
 def profile_and_result():
-    SAFSFile._next_id = 0
     engine = make_engine(load_dataset("page-sim"))
     observer = arm(engine)
     result = run_algorithm(engine, "pr", max_iterations=5)

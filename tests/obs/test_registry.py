@@ -5,7 +5,6 @@ import pytest
 from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine, run_algorithm
 from repro.obs import registry
-from repro.safs.page import SAFSFile
 from repro.sim.health import HealthPolicy
 from repro.sim.parity import ParityConfig
 
@@ -40,7 +39,6 @@ class TestRunsStayInsideRegistry:
     """Every counter an actual run touches must be a registry member."""
 
     def test_clean_semi_external_run(self):
-        SAFSFile._next_id = 0
         engine = make_engine(load_dataset("page-sim"))
         run_algorithm(engine, "pr", max_iterations=5)
         assert registry.unknown_counters(engine.stats.names()) == []
@@ -48,7 +46,6 @@ class TestRunsStayInsideRegistry:
     def test_recovery_stack_run(self):
         from repro.sim.faults import default_chaos_plan
 
-        SAFSFile._next_id = 0
         engine = make_engine(
             load_dataset("page-sim"),
             fault_plan=default_chaos_plan(42),

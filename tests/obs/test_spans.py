@@ -23,11 +23,9 @@ from repro.graph.builder import build_directed
 from repro.graph.generators import rmat_graph
 from repro.obs import Observer, arm, disarm, to_chrome, to_jsonl
 from repro.obs import registry
-from repro.safs.page import SAFSFile
 
 
 def traced_run(app="pr", armed=True, max_iterations=5):
-    SAFSFile._next_id = 0
     engine = make_engine(load_dataset("page-sim"))
     observer = arm(engine) if armed else None
     result = run_algorithm(engine, app, max_iterations=max_iterations)
@@ -48,7 +46,6 @@ class TestZeroCostDisarmed:
         assert engine2.stats.snapshot() == engine.stats.snapshot()
 
     def test_disarm_detaches_every_layer(self):
-        SAFSFile._next_id = 0
         engine = make_engine(load_dataset("page-sim"))
         arm(engine)
         disarm(engine)
@@ -59,7 +56,6 @@ class TestZeroCostDisarmed:
         assert all(s.obs is None for s in engine.safs.array.ssds)
 
     def test_layers_default_to_disarmed(self):
-        SAFSFile._next_id = 0
         engine = make_engine(load_dataset("page-sim"))
         assert engine.obs is None
         assert engine.safs.obs is None
@@ -115,7 +111,6 @@ class TestIoSpans:
         spans."""
         edges, n = rmat_graph(10, edge_factor=8, seed=5)
         weights = np.random.default_rng(2).uniform(1.0, 2.0, size=edges.shape[0])
-        SAFSFile._next_id = 0
         engine = make_engine(
             build_directed(edges, n, name="tiny", weights=weights),
             cache_bytes=32 * 1024,
@@ -175,7 +170,6 @@ class TestHistogramsAndGauges:
             assert all(0.0 <= value <= 1.0 for _, value in series)
 
     def test_per_set_tracking_off_when_disarmed(self):
-        SAFSFile._next_id = 0
         engine = make_engine(load_dataset("page-sim"))
         run_algorithm(engine, "pr", max_iterations=2)
         assert engine.safs.cache.set_hit_rate_samples() == {}

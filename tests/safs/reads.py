@@ -1,10 +1,10 @@
 """Drive byte-range reads through SAFS the way the engine does.
 
-The engine is the only production caller of the read path; these two
+The engine is the only production caller of the read path; these
 helpers let SAFS-level tests issue reads without one: a wave of
 ``(file, offset, length)`` reads merged by ``merge_request_arrays`` and
-issued by ``SAFS.submit_spans``, or one byte range dispatched as a page
-span.
+issued by ``SAFS.submit_spans``, one byte range dispatched as a page
+span, or a one-page probe / install against a ``PageCache``.
 """
 
 import numpy as np
@@ -43,3 +43,13 @@ def dispatch_bytes(scheduler, file, offset, length, issue_time):
     return scheduler.dispatch_span(
         file, offset // page, (offset + length - 1) // page, issue_time
     )
+
+
+def lookup(cache, file_id, page_no):
+    """Probe one page (counts a hit or a miss); whether it hit."""
+    return not cache.lookup_range(file_id, page_no, page_no)
+
+
+def insert(cache, file_id, page_no):
+    """Install one page; the number of pages it evicted (0 or 1)."""
+    return cache.insert_range(file_id, page_no, 1)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.safs.page import Page
 from repro.safs.page_cache import PageCache, PageCacheConfig
+from tests.safs.reads import insert, lookup
 
 
 def make_cache(capacity_pages=4, associativity=4, eviction="gclock"):
@@ -19,10 +19,6 @@ def make_cache(capacity_pages=4, associativity=4, eviction="gclock"):
     )
 
 
-def page(no):
-    return Page(0, no, memoryview(bytes([no % 256])))
-
-
 class TestGClockBasics:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -30,40 +26,39 @@ class TestGClockBasics:
 
     def test_hit_after_insert(self):
         cache = make_cache()
-        cache.insert(page(1))
-        assert cache.lookup(0, 1) is not None
+        insert(cache, 0, 1)
+        assert lookup(cache, 0, 1)
 
     def test_eviction_happens_at_capacity(self):
         cache = make_cache(capacity_pages=2, associativity=2)
-        cache.insert(page(0))
-        cache.insert(page(1))
-        evicted = cache.insert(page(2))
-        assert evicted is not None
+        insert(cache, 0, 0)
+        insert(cache, 0, 1)
+        assert insert(cache, 0, 2) == 1
         assert len(cache) == 2
 
     def test_referenced_page_survives_first_sweep(self):
         cache = make_cache(capacity_pages=2, associativity=2)
-        cache.insert(page(0))
-        cache.insert(page(1))
+        insert(cache, 0, 0)
+        insert(cache, 0, 1)
         # Touch page 0 repeatedly; inserting two new pages must evict
         # page 1 before page 0 loses its reference bit twice.
-        cache.lookup(0, 0)
-        evicted = cache.insert(page(2))
-        assert evicted == (0, 1) or cache.contains(0, 0)
+        lookup(cache, 0, 0)
+        insert(cache, 0, 2)
+        assert cache.contains(0, 0) and not cache.contains(0, 1)
 
     def test_clear_resets_clock_state(self):
         cache = make_cache(capacity_pages=2, associativity=2)
-        cache.insert(page(0))
-        cache.insert(page(1))
+        insert(cache, 0, 0)
+        insert(cache, 0, 1)
         cache.clear()
         assert len(cache) == 0
-        cache.insert(page(5))
+        insert(cache, 0, 5)
         assert cache.contains(0, 5)
 
     def test_reinsert_refreshes(self):
         cache = make_cache()
-        cache.insert(page(1))
-        assert cache.insert(page(1)) is None
+        insert(cache, 0, 1)
+        assert insert(cache, 0, 1) == 0
         assert len(cache) == 1
 
 
@@ -77,8 +72,8 @@ class TestGClockProperties:
     def test_never_exceeds_capacity(self, accesses, capacity, assoc):
         cache = make_cache(capacity_pages=capacity, associativity=assoc)
         for no in accesses:
-            if cache.lookup(0, no) is None:
-                cache.insert(page(no))
+            if not lookup(cache, 0, no):
+                insert(cache, 0, no)
             assert len(cache) <= cache.config.capacity_pages
 
     @given(accesses=st.lists(st.integers(min_value=0, max_value=60), max_size=300))
@@ -88,8 +83,8 @@ class TestGClockProperties:
         for policy in ("lru", "gclock"):
             cache = make_cache(capacity_pages=8, associativity=4, eviction=policy)
             for no in accesses:
-                if cache.lookup(0, no) is None:
-                    cache.insert(page(no))
+                if not lookup(cache, 0, no):
+                    insert(cache, 0, no)
             total = cache.stats.get("cache.hits") + cache.stats.get("cache.misses")
             assert total == len(accesses)
 
@@ -101,8 +96,8 @@ class TestGClockProperties:
             cache = make_cache(capacity_pages=4, associativity=4, eviction=policy)
             for _ in range(40):
                 for no in range(5):
-                    if cache.lookup(0, no) is None:
-                        cache.insert(page(no))
+                    if not lookup(cache, 0, no):
+                        insert(cache, 0, no)
             return cache.hit_rate()
 
         assert run("gclock") >= 0.0  # sanity: completes, hit rate defined

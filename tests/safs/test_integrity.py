@@ -21,7 +21,6 @@ from repro.safs.integrity import (
     page_checksum,
     page_checksums,
 )
-from repro.safs.page import SAFSFile
 from repro.sim.faults import FaultPlan, FaultPolicy, SilentCorruption, UnrecoverableIOError
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 
@@ -133,7 +132,6 @@ class TestIntegrityMap:
 
 
 def _stack(plan=None, policy=None):
-    SAFSFile._next_id = 0
     array = SSDArray(
         SSDArrayConfig(num_ssds=4, stripe_pages=2), fault_plan=plan
     )

@@ -100,3 +100,13 @@ class TestDispatch:
         scheduler.cache.clear()
         _, big_cpu, _ = dispatch_bytes(scheduler, file, 0, 16 * PAGE, 0.0)
         assert big_cpu > small_cpu
+
+    def test_span_past_eof_rejected_before_any_counter_moves(self, scheduler):
+        file = SAFSFile("a", bytes(PAGE * 4))
+        scheduler.register_file(file)
+        dispatch_bytes(scheduler, file, 0, PAGE, 0.0)
+        before = scheduler.stats.snapshot()
+        with pytest.raises(ValueError, match="past EOF"):
+            scheduler.dispatch_span(file, 2, 4, 1.0)
+        assert scheduler.stats.snapshot() == before
+        assert len(scheduler.cache) == 1

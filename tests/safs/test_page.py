@@ -81,5 +81,5 @@ class TestSAFSFile:
 
 class TestPage:
     def test_key(self):
-        page = Page(3, 7, memoryview(b"x"))
+        page = Page(3, 7)
         assert page.key == (3, 7)

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.safs.page import Page
+from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.sim.stats import StatsCollector
+from tests.safs.reads import insert, lookup
 
 
 def make_cache(capacity_pages=16, associativity=4, page_size=4096):
@@ -16,10 +17,6 @@ def make_cache(capacity_pages=16, associativity=4, page_size=4096):
             associativity=associativity,
         )
     )
-
-
-def page(file_id, page_no):
-    return Page(file_id, page_no, memoryview(bytes([page_no % 256])))
 
 
 class TestGeometry:
@@ -40,16 +37,14 @@ class TestGeometry:
 class TestLookupInsert:
     def test_miss_then_hit(self):
         cache = make_cache()
-        assert cache.lookup(0, 5) is None
-        cache.insert(page(0, 5))
-        got = cache.lookup(0, 5)
-        assert got is not None
-        assert got.key == (0, 5)
+        assert not lookup(cache, 0, 5)
+        insert(cache, 0, 5)
+        assert lookup(cache, 0, 5)
 
     def test_contains_does_not_count_stats(self):
         stats = StatsCollector()
         cache = PageCache(PageCacheConfig(capacity_bytes=16 * 4096), stats)
-        cache.insert(page(0, 1))
+        insert(cache, 0, 1)
         assert cache.contains(0, 1)
         assert not cache.contains(0, 2)
         assert stats.get("cache.hits") == 0
@@ -57,47 +52,48 @@ class TestLookupInsert:
 
     def test_distinct_files_are_distinct_pages(self):
         cache = make_cache()
-        cache.insert(page(0, 5))
-        assert cache.lookup(1, 5) is None
+        insert(cache, 0, 5)
+        assert not lookup(cache, 1, 5)
 
     def test_reinsert_refreshes_not_grows(self):
         cache = make_cache()
-        cache.insert(page(0, 1))
-        cache.insert(page(0, 1))
+        insert(cache, 0, 1)
+        insert(cache, 0, 1)
         assert len(cache) == 1
 
     def test_eviction_is_lru_within_set(self):
         # One set of capacity 2: inserting a third page evicts the LRU one.
         cache = make_cache(capacity_pages=2, associativity=2)
-        cache.insert(page(0, 0))
-        cache.insert(page(0, 1))
-        cache.lookup(0, 0)  # refresh page 0
-        evicted = cache.insert(page(0, 2))
-        assert evicted == (0, 1)
+        insert(cache, 0, 0)
+        insert(cache, 0, 1)
+        lookup(cache, 0, 0)  # refresh page 0
+        assert insert(cache, 0, 2) == 1
         assert cache.contains(0, 0)
         assert not cache.contains(0, 1)
 
     def test_hit_rate(self):
         cache = make_cache()
         assert cache.hit_rate() == 0.0
-        cache.lookup(0, 1)
-        cache.insert(page(0, 1))
-        cache.lookup(0, 1)
+        lookup(cache, 0, 1)
+        insert(cache, 0, 1)
+        lookup(cache, 0, 1)
         assert cache.hit_rate() == 0.5
 
     def test_clear(self):
         cache = make_cache()
-        cache.insert(page(0, 1))
+        insert(cache, 0, 1)
         cache.clear()
         assert len(cache) == 0
         assert not cache.contains(0, 1)
 
     def test_page_data_preserved(self):
+        # The cache holds the page's key; the bytes a hit stands for are
+        # the file image's, which is what the engine decodes.
         cache = make_cache()
-        original = Page(0, 9, memoryview(b"payload"))
-        cache.insert(original)
-        got = cache.lookup(0, 9)
-        assert bytes(got.data) == b"payload"
+        file = SAFSFile("f", bytes(4096) + b"payload")
+        insert(cache, file.file_id, 1)
+        assert lookup(cache, file.file_id, 1)
+        assert bytes(file.read(4096, 7)) == b"payload"
 
 
 class TestProperties:
@@ -110,8 +106,8 @@ class TestProperties:
     def test_never_exceeds_capacity(self, accesses, capacity, assoc):
         cache = make_cache(capacity_pages=capacity, associativity=assoc)
         for page_no in accesses:
-            if cache.lookup(0, page_no) is None:
-                cache.insert(page(0, page_no))
+            if not lookup(cache, 0, page_no):
+                insert(cache, 0, page_no)
             assert len(cache) <= cache.config.capacity_pages
 
     @given(accesses=st.lists(st.integers(min_value=0, max_value=50), max_size=200))
@@ -120,8 +116,8 @@ class TestProperties:
         stats = StatsCollector()
         cache = PageCache(PageCacheConfig(capacity_bytes=8 * 4096), stats)
         for page_no in accesses:
-            if cache.lookup(0, page_no) is None:
-                cache.insert(page(0, page_no))
+            if not lookup(cache, 0, page_no):
+                insert(cache, 0, page_no)
         total = stats.get("cache.hits") + stats.get("cache.misses")
         assert total == len(accesses)
 
@@ -133,9 +129,9 @@ class TestProperties:
         cache = make_cache(capacity_pages=64, associativity=64)
         inserted = set()
         for page_no in accesses:
-            if cache.lookup(0, page_no) is None:
+            if not lookup(cache, 0, page_no):
                 assert page_no not in inserted
-                cache.insert(page(0, page_no))
+                insert(cache, 0, page_no)
                 inserted.add(page_no)
             else:
                 assert page_no in inserted
@@ -144,18 +140,18 @@ class TestProperties:
 class TestPerSetTracking:
     def test_off_by_default(self):
         cache = make_cache()
-        cache.insert(page(0, 1))
-        cache.lookup(0, 1)
-        cache.lookup(0, 2)
+        insert(cache, 0, 1)
+        lookup(cache, 0, 1)
+        lookup(cache, 0, 2)
         assert cache.set_hit_rate_samples() == {}
 
     def test_tracks_hits_and_misses_per_set(self):
         cache = make_cache(capacity_pages=8, associativity=8)  # one set
         cache.enable_set_tracking()
-        cache.insert(page(0, 1))
-        cache.lookup(0, 1)  # hit
-        cache.lookup(0, 2)  # miss
-        cache.lookup(0, 1)  # hit
+        insert(cache, 0, 1)
+        lookup(cache, 0, 1)  # hit
+        lookup(cache, 0, 2)  # miss
+        lookup(cache, 0, 1)  # hit
         samples = cache.set_hit_rate_samples()
         assert samples == {0: 2 / 3}
 
@@ -163,16 +159,17 @@ class TestPerSetTracking:
         scalar, bulk = make_cache(), make_cache()
         for cache in (scalar, bulk):
             cache.enable_set_tracking()
-            cache.insert_range([page(0, n) for n in (2, 4, 5)])
+            for n in (2, 4, 5):
+                insert(cache, 0, n)
         for n in range(8):
-            scalar.lookup(0, n)
+            lookup(scalar, 0, n)
         bulk.lookup_range(0, 0, 7)
         assert scalar.set_hit_rate_samples() == bulk.set_hit_rate_samples()
 
     def test_unprobed_sets_omitted(self):
         cache = make_cache(capacity_pages=16, associativity=1)  # 16 sets
         cache.enable_set_tracking()
-        cache.lookup(0, 0)
+        lookup(cache, 0, 0)
         samples = cache.set_hit_rate_samples()
         assert len(samples) == 1
         assert set(samples.values()) == {0.0}
@@ -180,7 +177,7 @@ class TestPerSetTracking:
     def test_idempotent_enable_keeps_tallies(self):
         cache = make_cache(capacity_pages=8, associativity=8)
         cache.enable_set_tracking()
-        cache.insert(page(0, 1))
-        cache.lookup(0, 1)
+        insert(cache, 0, 1)
+        lookup(cache, 0, 1)
         cache.enable_set_tracking()
         assert cache.set_hit_rate_samples() == {0: 1.0}

@@ -8,9 +8,11 @@ Two invariants back the engine's read path (see ``docs/architecture.md``,
   object-based ``merge_requests`` — same spans, same part-to-span
   assignment, same stable ``(file, offset)`` order — for every
   ``adjacency_gap`` and ``window``;
-- ``PageCache.lookup_range`` / ``insert_range`` leave the hit, miss,
-  eviction and insertion counters *and* the full recency state exactly
-  where the per-page ``lookup`` / ``insert`` calls would.
+- ``PageCache.lookup_range`` / ``insert_range`` return the miss runs and
+  eviction counts, and leave every counter *and* the full recency state,
+  exactly where the page-by-page walk of ``reference_page_cache.py``
+  would — interleaved with ``invalidate`` and ``resize_set_capacity``,
+  with ghost and per-set tracking on.
 """
 
 import numpy as np
@@ -19,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
-from repro.safs.page import Page, SAFSFile
+from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.sim.stats import StatsCollector
+from tests.safs.reference_page_cache import ReferencePageCache
 
 PAGE = 512
 FILE_BYTES = PAGE * 64
@@ -79,74 +82,77 @@ def test_merge_arrays_matches_merge_requests(raw, adjacency_gap, window):
         assert np.all(np.diff(spans.span_of_part) >= 0)
 
 
-# A cache operation: either a span lookup or a span insert.
+# A cache operation over a page span; ``invalidate`` drops the span's
+# first page and ``resize`` takes the span length as the new set capacity.
 op_strategy = st.tuples(
-    st.sampled_from(["lookup", "insert"]),
+    st.sampled_from(["lookup", "lookup", "insert", "insert", "invalidate", "resize"]),
     st.integers(min_value=0, max_value=1),  # file id
     st.integers(min_value=0, max_value=40),  # first page
     st.integers(min_value=1, max_value=12),  # span length
 )
 
 
-def _apply_per_page(cache, ops):
-    for kind, file_id, first, count in ops:
-        if kind == "lookup":
-            for page_no in range(first, first + count):
-                cache.lookup(file_id, page_no)
+def _miss_runs(hit_flags, first):
+    """``[(first_page, count), ...]`` of the ``False`` stretches."""
+    runs = []
+    for page_no, hit in enumerate(hit_flags, first):
+        if hit:
+            continue
+        if runs and sum(runs[-1]) == page_no:
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
         else:
-            for page_no in range(first, first + count):
-                cache.insert(Page(file_id, page_no, memoryview(b"x")))
+            runs.append((page_no, 1))
+    return runs
 
 
-def _apply_bulk(cache, ops):
-    for kind, file_id, first, count in ops:
-        if kind == "lookup":
-            cache.lookup_range(file_id, first, first + count - 1)
-        else:
-            cache.insert_range(
-                Page(file_id, page_no, memoryview(b"x"))
-                for page_no in range(first, first + count)
-            )
-
-
-def _recency_state(cache):
-    state = {index: list(s.keys()) for index, s in cache._sets.items() if s}
-    if cache.config.eviction == "gclock":
-        bits = {
-            index: [bool(b[k]) for k in cache._rings[index]]
-            for index, b in cache._ref_bits.items()
-        }
-        hands = dict(cache._hands)
-        rings = {index: list(r) for index, r in cache._rings.items()}
-        return state, bits, hands, rings
-    return state
+def _apply(cache, op, per_page):
+    """Run one op; returns what the caller observes (miss runs, eviction
+    count, whether a page was dropped)."""
+    kind, file_id, first, count = op
+    pages = range(first, first + count)
+    if kind == "lookup":
+        if per_page:
+            return _miss_runs([cache.lookup(file_id, p) for p in pages], first)
+        return cache.lookup_range(file_id, first, first + count - 1)
+    if kind == "insert":
+        if per_page:
+            return sum(cache.insert(file_id, p) is not None for p in pages)
+        return cache.insert_range(file_id, first, count)
+    if kind == "invalidate":
+        return cache.invalidate(file_id, first)
+    return cache.resize_set_capacity(count)
 
 
 @pytest.mark.parametrize("eviction", ["lru", "gclock"])
-@given(ops=st.lists(op_strategy, min_size=1, max_size=30))
+@given(ops=st.lists(op_strategy, min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
 def test_bulk_cache_ops_match_per_page(eviction, ops):
     config = PageCacheConfig(
         capacity_bytes=16 * PAGE, page_size=PAGE, associativity=4, eviction=eviction
     )
-    scalar_stats = StatsCollector()
-    bulk_stats = StatsCollector()
-    scalar = PageCache(config, scalar_stats)
-    bulk = PageCache(config, bulk_stats)
+    oracle = ReferencePageCache(config, StatsCollector())
+    cache = PageCache(config, StatsCollector())
+    for c in (oracle, cache):
+        c.enable_set_tracking()
+        c.enable_ghost_tracking(capacity_pages=8)
 
-    _apply_per_page(scalar, ops)
-    _apply_bulk(bulk, ops)
+    for op in ops:
+        assert _apply(cache, op, per_page=False) == _apply(oracle, op, per_page=True)
 
-    assert scalar_stats.snapshot() == bulk_stats.snapshot()
-    assert scalar._resident == bulk._resident
-    assert _recency_state(scalar) == _recency_state(bulk)
+    assert cache.stats.snapshot() == oracle.stats.snapshot()
+    assert (cache.lookups, cache.hits) == (oracle.lookups, oracle.hits)
+    assert cache.ghost_hits == oracle.ghost_hits
+    assert list(cache._ghost) == list(oracle._ghost)
+    assert cache.set_hit_rate_samples() == oracle.set_hit_rate_samples()
+    assert cache.export_state() == oracle.export_state()
+    assert cache._resident == oracle._resident
 
 
-def test_lookup_range_returns_hit_mask():
+def test_lookup_range_returns_miss_runs():
     cache = PageCache(PageCacheConfig(capacity_bytes=64 * PAGE, page_size=PAGE))
-    cache.insert(Page(0, 3, memoryview(b"x")))
-    cache.insert(Page(0, 5, memoryview(b"x")))
-    mask = cache.lookup_range(0, 2, 6)
-    assert mask.tolist() == [False, True, False, True, False]
-    assert cache.stats.get("cache.hits") == 2
-    assert cache.stats.get("cache.misses") == 3
+    cache.insert_range(0, 3, 1)
+    cache.insert_range(0, 6, 2)
+    assert cache.lookup_range(0, 2, 9) == [(2, 1), (4, 2), (8, 2)]
+    assert cache.lookup_range(0, 6, 7) == []
+    assert cache.stats.get("cache.hits") == 5
+    assert cache.stats.get("cache.misses") == 5

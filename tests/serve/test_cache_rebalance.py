@@ -3,14 +3,15 @@
 Unit-level policy semantics (capacity moves toward the best marginal
 ghost-hit rate, floors are never crossed, decisions are deterministic)
 plus the service-level wiring: a skewed two-tenant run shifts capacity
-to the hot tenant, gauges land in the stats series, and the run stays
-byte-identical across same-seed replays (``docs/io_sharing.md``).
+to the hot tenant and reads fewer bytes than the static split, gauges
+land in the stats series, and the run stays byte-identical across
+same-seed replays (``docs/io_sharing.md``).
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.datasets import load_dataset
-from repro.safs.page import Page
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.serve import (
     CacheRebalanceConfig,
@@ -21,6 +22,7 @@ from repro.serve import (
     TenantTraffic,
     generate_trace,
 )
+from tests.safs.reads import insert, lookup
 
 PAGE = 4096
 
@@ -40,10 +42,10 @@ def thrash(cache, file_id, pages):
     evicted keys land on the ghost list and the probes score ghost
     hits — the 'would have hit with more capacity' signal."""
     for page_no in range(pages):
-        cache.lookup(file_id, page_no)
-        cache.insert(Page(file_id, page_no, b""))
+        lookup(cache, file_id, page_no)
+        insert(cache, file_id, page_no)
     for page_no in range(pages):
-        cache.lookup(file_id, page_no)
+        lookup(cache, file_id, page_no)
 
 
 class TestRebalancerUnit:
@@ -58,7 +60,7 @@ class TestRebalancerUnit:
             CacheRebalanceConfig(interval_s=0.01),
         )
         thrash(hot, 0, 24)
-        cold.lookup(1, 0)  # active but never ghost-hitting
+        lookup(cold, 1, 0)  # active but never ghost-hitting
         rebalancer.note_time(0.01)
         assert rebalancer.moves == 1
         assert hot._set_cap == 5 and cold._set_cap == 3
@@ -87,8 +89,8 @@ class TestRebalancerUnit:
         )
         # Fits in capacity: lookups but zero ghost hits.
         for page_no in range(4):
-            a.lookup(0, page_no)
-            a.insert(Page(0, page_no, b""))
+            lookup(a, 0, page_no)
+            insert(a, 0, page_no)
         rebalancer.note_time(0.01)
         assert rebalancer.moves == 0
 
@@ -98,7 +100,7 @@ class TestRebalancerUnit:
             {"a": a, "b": b}, CacheRebalanceConfig(interval_s=0.01)
         )
         for page_no in range(8):
-            b.insert(Page(0, page_no, b""))
+            insert(b, 0, page_no)
         thrash(a, 1, 24)
         rebalancer.note_time(0.01)
         assert rebalancer.moves == 1
@@ -129,7 +131,7 @@ class TestRebalancerUnit:
             CacheRebalanceConfig(step_sets=0)
 
 
-def skewed_service(image, **config_kw):
+def skewed_service(image, cache_rebalance=True):
     tenants = [
         TenantSpec(name="hot", max_concurrent=2, cache_bytes=1 << 18),
         TenantSpec(name="cold", max_concurrent=2, cache_bytes=1 << 18),
@@ -143,13 +145,20 @@ def skewed_service(image, **config_kw):
         tenants,
         ServiceConfig(
             policy="fair",
-            cache_rebalance=True,
+            cache_rebalance=cache_rebalance,
             cache_rebalance_interval_s=0.005,
-            **config_kw,
         ),
     )
     trace = generate_trace(traffics, 0.1, seed=11)
     return service, trace
+
+
+@pytest.fixture(scope="module")
+def rebalanced(image):
+    """The skewed mix served once with the rebalancer on, shared by the
+    tests that only read the outcome: ``(service, report)``."""
+    service, trace = skewed_service(image)
+    return service, service.serve(trace)
 
 
 class TestServiceRebalance:
@@ -161,9 +170,8 @@ class TestServiceRebalance:
                 ServiceConfig(cache_rebalance=True),
             )
 
-    def test_hot_tenant_gains_capacity(self, image):
-        service, trace = skewed_service(image)
-        report = service.serve(trace)
+    def test_hot_tenant_gains_capacity(self, rebalanced):
+        service, report = rebalanced
         summary = report.sharing["rebalancer"]
         assert summary["moves"] > 0
         assert summary["pages_moved"] > 0
@@ -172,9 +180,8 @@ class TestServiceRebalance:
         assert caps["cold"] >= summary["floors"]["cold"]
         assert service.stats.get("serve.cache_rebalances") == summary["moves"]
 
-    def test_share_gauges_are_sampled(self, image):
-        service, trace = skewed_service(image)
-        service.serve(trace)
+    def test_share_gauges_are_sampled(self, rebalanced):
+        service, _ = rebalanced
         for name in ("hot", "cold"):
             series = service.stats.series(f"serve.cache_share.{name}")
             assert series, f"no cache_share samples for {name}"
@@ -187,9 +194,28 @@ class TestServiceRebalance:
             if t in cold:
                 assert hot[t] + cold[t] == pytest.approx(1.0)
 
-    def test_same_seed_runs_identical(self, image):
-        service_a, trace_a = skewed_service(image)
-        report_a = service_a.serve(trace_a)
+    def test_rebalancing_reads_fewer_bytes_on_a_skewed_mix(self, image, rebalanced):
+        # What the rebalancer is kept for: with one tenant's working set
+        # far larger than the other's, moving capacity to it saves device
+        # reads (seed 11: 123 461 632 -> 110 460 928 B) and changes no
+        # query's answer.
+        service_on, report_on = rebalanced
+        service_off, trace = skewed_service(image, cache_rebalance=False)
+        report_off = service_off.serve(trace)
+        assert service_on.stats.get("array.bytes_read") < service_off.stats.get(
+            "array.bytes_read"
+        )
+        by_index = {r.index: r for r in report_off.records}
+        for record in report_on.records:
+            twin = by_index[record.index]
+            assert record.ok == twin.ok
+            if record.ok:
+                np.testing.assert_array_equal(
+                    np.asarray(record.values), np.asarray(twin.values)
+                )
+
+    def test_same_seed_runs_identical(self, image, rebalanced):
+        service_a, report_a = rebalanced
         service_b, trace_b = skewed_service(image)
         report_b = service_b.serve(trace_b)
         assert service_a.rebalancer.log == service_b.rebalancer.log

@@ -1,7 +1,7 @@
 """Serving is a pure function of (config, trace seed): two runs agree
 byte for byte — span traces, histograms, reports."""
 
-import numpy as np
+import pytest
 
 from repro.bench.datasets import load_dataset
 from repro.obs import Observer, to_jsonl
@@ -41,10 +41,20 @@ def _one_run(image, seed):
     return to_jsonl(observer), histograms, report.to_dict()
 
 
+@pytest.fixture(scope="module")
+def image():
+    return load_dataset("twitter-sim")
+
+
+@pytest.fixture(scope="module")
+def seed_11_run(image):
+    """The seed-11 run both tests compare against, served once."""
+    return _one_run(image, seed=11)
+
+
 class TestServeDeterminism:
-    def test_same_seed_byte_identical_spans_and_histograms(self):
-        image = load_dataset("twitter-sim")
-        spans_one, hists_one, report_one = _one_run(image, seed=11)
+    def test_same_seed_byte_identical_spans_and_histograms(self, image, seed_11_run):
+        spans_one, hists_one, report_one = seed_11_run
         spans_two, hists_two, report_two = _one_run(image, seed=11)
         assert spans_one == spans_two  # byte-identical JSONL
         assert hists_one == hists_two
@@ -54,9 +64,8 @@ class TestServeDeterminism:
             assert f"{reg.HIST_SERVE_QUERY_SECONDS}.{tenant}" in hists_one
             assert f"{reg.HIST_SERVE_QUEUE_WAIT_SECONDS}.{tenant}" in hists_one
 
-    def test_different_seeds_differ(self):
-        image = load_dataset("twitter-sim")
-        spans_one, _, report_one = _one_run(image, seed=11)
+    def test_different_seeds_differ(self, image, seed_11_run):
+        spans_one, _, report_one = seed_11_run
         spans_two, _, report_two = _one_run(image, seed=12)
         assert report_one != report_two
         assert spans_one != spans_two

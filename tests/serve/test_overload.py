@@ -24,7 +24,6 @@ from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
 from repro.algorithms.pagerank import PageRankProgram
 from repro.graph.builder import build_directed
-from repro.safs.page import SAFSFile
 from repro.serve import (
     GraphService,
     OverloadConfig,
@@ -168,7 +167,6 @@ class TestBatchIdentityWithOverloadArmed:
         generous caps and no pressure, a single query at t=0 replays the
         batch engine bit for bit."""
         image = load_dataset("twitter-sim")
-        SAFSFile._next_id = 0
         engine = make_engine(
             image, cache_bytes=1 << 20, num_threads=32, range_shift=8
         )

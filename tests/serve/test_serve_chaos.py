@@ -14,7 +14,6 @@ import pytest
 from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
 from repro.algorithms.pagerank import PageRankProgram
-from repro.safs.page import SAFSFile
 from repro.serve import (
     GraphService,
     ServiceConfig,
@@ -73,7 +72,6 @@ def clean_values(image):
     for app in ("pr", "bfs", "wcc"):
         factory = QueryFactory(image, pr_iterations=5)
         query = factory.build(app)
-        SAFSFile._next_id = 0
         engine = make_engine(image, cache_bytes=1 << 20)
         engine.run(
             query.program,
@@ -108,7 +106,6 @@ class TestRecoverableChaos:
                 assert record.result.counters
 
     def test_single_tenant_chaos_counters_match_batch(self, image):
-        SAFSFile._next_id = 0
         engine = make_engine(
             image,
             cache_bytes=1 << 20,

@@ -13,7 +13,6 @@ from repro.algorithms.pagerank import PageRankProgram
 from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
 from repro.graph.builder import build_undirected
-from repro.safs.page import SAFSFile
 from repro.serve import (
     GraphService,
     ServiceConfig,
@@ -28,7 +27,6 @@ from repro.serve.traffic import Arrival
 
 def batch_sequence(image, count):
     """``count`` sequential PageRank(5) runs on one fresh batch stack."""
-    SAFSFile._next_id = 0
     engine = make_engine(image, cache_bytes=1 << 20, num_threads=32, range_shift=8)
     results = []
     programs = []

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
     FaultPlan,
@@ -190,7 +189,6 @@ class TestFaultPhysics:
         )
 
         def run(fault_plan):
-            SAFSFile._next_id = 0
             array = SSDArray(
                 SSDArrayConfig(num_ssds=1, stripe_pages=1),
                 fault_plan=fault_plan,

@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.page import SAFSFile
 from repro.sim.faults import (
     DeviceFailure,
     FaultPlan,
@@ -24,11 +23,10 @@ from repro.sim.faults import (
 )
 from repro.sim.ssd import SSD
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
-from tests.safs.reads import submit_reads
+from tests.safs.reads import lookup, submit_reads
 
 
 def _faulty_safs(plan, policy=None, num_ssds=4, stripe_pages=2, cache_bytes=1 << 20):
-    SAFSFile._next_id = 0
     array = SSDArray(
         SSDArrayConfig(num_ssds=num_ssds, stripe_pages=stripe_pages),
         fault_plan=plan,
@@ -355,8 +353,8 @@ class TestSAFSRecovery:
         with pytest.raises(UnrecoverableIOError):
             submit_reads(safs, [(file, 0, 4096 * 4)])
         assert len(safs.cache) == 1
-        assert safs.cache.lookup(file.file_id, 1) is not None
-        assert safs.cache.lookup(file.file_id, 0) is None
+        assert lookup(safs.cache, file.file_id, 1)
+        assert not lookup(safs.cache, file.file_id, 0)
         assert safs.stats.get("faults.invalidated_pages") == 1
         assert safs.stats.get("cache.invalidations") == 1
 
