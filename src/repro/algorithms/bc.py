@@ -55,6 +55,25 @@ class _ForwardProgram(VertexProgram):
             self.sigma[vertex] = value
             g.activate(np.asarray([vertex]))
 
+    # -- batched fast path: the three hooks above, a frontier at a time --
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.request_self_batch(vertices, EdgeType.OUT)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        g.send_message_batch(
+            batch.read_edges_concat(),
+            batch.repeat(self.sigma[batch.vertices]),
+            batch.degrees,
+        )
+
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+        first = self.dist[dests] == -1
+        reached = dests[first]
+        self.dist[reached] = g.iteration + 1
+        self.sigma[reached] = values[first]
+        return first
+
 
 class _BackwardProgram(VertexProgram):
     """Dependency accumulation, one BFS level per iteration, far to near."""
@@ -95,6 +114,28 @@ class _BackwardProgram(VertexProgram):
 
     def run_on_message(self, g: GraphContext, vertex: int, value: float) -> None:
         self.delta[vertex] += self.sigma[vertex] * value
+
+    # -- batched fast path: the three hooks above, a level at a time -----
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        g.notify_iteration_end()
+        g.request_self_batch(vertices[self.dist[vertices] > 0], EdgeType.IN)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        parents = batch.read_edges_concat()
+        g.charge_edges_batch(2 * batch.degrees)
+        # One filter over the whole wave: every list keeps the parents one
+        # level closer to the source than its owner.
+        on_path = self.dist[parents] == batch.repeat(self.dist[batch.vertices] - 1)
+        share = (1.0 + self.delta[batch.vertices]) / self.sigma[batch.vertices]
+        lists = batch.repeat(np.arange(batch.num_lists))[on_path]
+        g.send_message_batch(
+            parents[on_path], share[lists], np.bincount(lists, minlength=batch.num_lists)
+        )
+
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+        self.delta[dests] += self.sigma[dests] * values
+        return np.zeros(dests.size, dtype=bool)
 
     def run_on_iteration_end(self, g: GraphContext) -> None:
         next_level = self.max_level - g.iteration - 1

@@ -43,6 +43,17 @@ class BFSProgram(VertexProgram):
     def run_on_vertex(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
         g.activate(page_vertex.read_edges())
 
+    # -- batched fast path: the two hooks above, a frontier at a time ----
+
+    def run_batch(self, g: GraphContext, vertices: np.ndarray) -> None:
+        fresh = vertices[~self.visited[vertices]]
+        self.visited[fresh] = True
+        self.level[fresh] = g.iteration
+        g.request_self_batch(fresh)
+
+    def run_on_vertices(self, g: GraphContext, batch) -> None:
+        g.activate_batch(batch.read_edges_concat(), batch.degrees)
+
 
 class DirectionOptimizingBFSProgram(BFSProgram):
     """Beamer-style BFS that switches to bottom-up on large frontiers.

@@ -61,6 +61,8 @@ _KIND_NAMES = ("edges", "edges", "attrs")
 
 #: Sort key of the worker pick: a worker's simulated clock.
 _CLOCK = attrgetter("time")
+#: Sort key of the steal-victim pick: vertices a worker has not claimed.
+_REMAINING = attrgetter("remaining")
 
 
 @dataclass
@@ -389,10 +391,14 @@ class GraphEngine:
         # Workers whose queue still holds unclaimed vertices this
         # iteration, in index order (what ``_pick_worker`` chooses among).
         self._queued: List[_Worker] = []
-        # Per-delivery message counts reported by the last
-        # ``send_message_batch`` call (the engine replays the per-list
-        # send charges from these).
+        # What the ``run_on_vertices`` call in progress reported, one
+        # entry per delivered list: messages sent (``send_message_batch``),
+        # vertices activated (``activate_batch``) and extra edges of work
+        # (``charge_edges_batch``).  ``_deliver_batch`` replays the
+        # per-list charges from these.
         self._batch_msg_counts: Optional[np.ndarray] = None
+        self._batch_act_counts: Optional[np.ndarray] = None
+        self._batch_extra_edges: Optional[np.ndarray] = None
         # file_id -> the file's bytes viewed as little-endian u32 words
         # (v1) or raw uint8 (v2): what a wave's edge lists decode from.
         self._file_arrays: Dict[int, np.ndarray] = {}
@@ -531,7 +537,7 @@ class GraphEngine:
         self._wave.clear()
         self._part_queue.clear()
         self._activations.clear()
-        self._batch_msg_counts = None
+        self._take_batch_slots()
         if self._messages is not None:
             self._messages.clear()
         if record_fault:
@@ -802,12 +808,14 @@ class GraphEngine:
                 requester, targets, direction, with_attrs = self._part_queue.popleft()
                 self._process_part(worker, requester, targets, direction, with_attrs)
             else:
-                victim = max(self._workers, key=lambda w: w.remaining)
+                # The fullest queue, ties to the lowest index (``_queued``
+                # is in index order and holds no empty queue).
+                victim = max(self._queued, key=_REMAINING, default=None)
+                if victim is None:
+                    break
                 stolen = victim.steal_from_tail(
                     min(batch_size, max(1, victim.remaining // 2))
                 )
-                if stolen.size == 0:
-                    break
                 if not victim.remaining:
                     self._queued.remove(victim)
                 self.stats.add(reg.ENGINE_STOLEN_VERTICES, stolen.size)
@@ -1105,27 +1113,36 @@ class GraphEngine:
 
         Runs the hook once, then replays the clock updates
         ``run_on_vertex`` delivery makes per list — the hook's charges
-        being the send charge of the messages each list reported through
-        ``send_message_batch`` — same values, same order, so worker
-        clocks land on identical bits."""
+        being the multicast charge of the messages or activations each
+        list reported through ``send_message_batch`` / ``activate_batch``,
+        and ``charge_edges_batch``'s extra edges inside the run charge —
+        same values, same order, so worker clocks land on identical bits."""
         num_lists = wave.targets.size
         cm = self.cost_model
-        self._batch_msg_counts = None
+        self._take_batch_slots()
         self.program.run_on_vertices(
             self._ctx, PageVertexBatch(wave.requesters, wave.degrees, wave.edges)
         )
-        counts = self._batch_msg_counts
-        self._batch_msg_counts = None
-        if counts is None:
-            count_list = [0] * num_lists
-        else:
-            if counts.size != num_lists:
+        sent, activated, extra = self._take_batch_slots()
+        if sent is not None and activated is not None:
+            # The scalar hooks would make two float charges per list;
+            # one multicast slot cannot replay that.
+            raise ValueError(
+                "one run_on_vertices call may use send_message_batch or "
+                "activate_batch, not both"
+            )
+        counts = sent if sent is not None else activated
+        multicast = "send_message_batch" if activated is None else "activate_batch"
+        for name, slot in ((multicast, counts), ("charge_edges_batch", extra)):
+            if slot is not None and slot.size != num_lists:
                 raise ValueError(
-                    "send_message_batch counts must have one entry per "
-                    f"delivered list ({counts.size} != {num_lists})"
+                    f"{name} counts must have one entry per delivered "
+                    f"list ({slot.size} != {num_lists})"
                 )
-            count_list = counts.tolist()
-        degree_list = wave.degrees.tolist()
+        count_list = [0] * num_lists if counts is None else counts.tolist()
+        # Integer edge work per list, summed before the one multiply, as
+        # ``_deliver_lists`` does.
+        degree_list = (wave.degrees if extra is None else wave.degrees + extra).tolist()
         time_list = wave.times.tolist() if wave.times is not None else None
         size_list = (
             wave.decode_sizes.tolist() if wave.decode_sizes is not None else None
@@ -1167,6 +1184,13 @@ class GraphEngine:
                 b += charge
         worker.time = t
         worker.busy = b
+
+    def _take_batch_slots(self):
+        """Read and clear what ``run_on_vertices`` reported, so nothing
+        leaks into the next wave (or, after an abort, the next job)."""
+        slots = (self._batch_msg_counts, self._batch_act_counts, self._batch_extra_edges)
+        self._batch_msg_counts = self._batch_act_counts = self._batch_extra_edges = None
+        return slots
 
     def _file_array(self, file, dtype) -> np.ndarray:
         """The file's bytes as a cached zero-copy array of ``dtype``."""
@@ -1335,6 +1359,21 @@ class GraphEngine:
         if total:
             self.stats.add(reg.MSG_SENT, total)
 
+    def _buffer_activation_batch(self, vertices, counts) -> None:
+        """Buffer one delivered wave's activations in a single chunk;
+        like :meth:`_buffer_message_batch`, charges nothing here."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        total = int(counts.sum())
+        if total != vertices.size:
+            raise ValueError(
+                f"activate_batch counts sum to {total}, not the "
+                f"{vertices.size} vertices activated"
+            )
+        self._batch_act_counts = counts
+        self._activations.append(vertices)
+        self.stats.add(reg.MSG_ACTIVATIONS, vertices.size)
+
     def _buffer_activation(self, vertices: np.ndarray) -> None:
         self._activations.append(vertices)
         self._charge(vertices.size * self.cost_model.cpu_per_multicast_recipient)
@@ -1350,6 +1389,9 @@ class GraphEngine:
 
     def _charge_edges(self, count: int) -> None:
         self._extra_edge_charge += count
+
+    def _charge_edges_batch(self, counts) -> None:
+        self._batch_extra_edges = np.asarray(counts, dtype=np.int64)
 
     def _charge(self, seconds: float) -> None:
         worker = self._current

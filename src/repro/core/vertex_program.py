@@ -43,6 +43,13 @@ from repro.graph.types import EdgeType
 #: Scalar types the default snapshot captures alongside numpy arrays.
 _SNAPSHOT_SCALARS = (bool, int, float, str)
 
+#: Each scalar hook and the batch hook that stands in for it.
+_HOOK_TWINS = (
+    ("run", "run_batch"),
+    ("run_on_vertex", "run_on_vertices"),
+    ("run_on_message", "run_on_messages"),
+)
+
 
 class VertexProgram:
     """Base class for all graph algorithms run by the engine."""
@@ -61,12 +68,24 @@ class VertexProgram:
     #: observationally identical to its scalar twin, and that the scalar
     #: twin performs no *charged* context call the batch form hides
     #: (``run_batch`` may request I/O, which is free; ``run_on_vertices``
-    #: must route messages through ``g.send_message_batch`` so the engine
-    #: can replay per-list charges; ``run_on_messages`` must return the
-    #: activation mask instead of calling ``g.activate``).
+    #: must route messages, activations and extra edge work through
+    #: ``g.send_message_batch`` / ``g.activate_batch`` /
+    #: ``g.charge_edges_batch`` so the engine can replay per-list charges;
+    #: ``run_on_messages`` must return the activation mask instead of
+    #: calling ``g.activate``).
     run_batch = None  # run_batch(g, vertices: int64 array)
     run_on_vertices = None  # run_on_vertices(g, batch: PageVertexBatch)
     run_on_messages = None  # run_on_messages(g, dests, values) -> activation mask
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """A subclass that redefines a scalar hook without its batch twin
+        drops the inherited twin: the scalar hook is the definition, and
+        the twin it inherited vectorizes the *parent's* scalar hook."""
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        for scalar, batch in _HOOK_TWINS:
+            if scalar in own and batch not in own:
+                setattr(cls, batch, None)
 
     #: Async-mode hook (see :mod:`repro.core.execution`): ``None`` means
     #: the program only supports synchronous BSP execution.  A program
@@ -229,6 +248,18 @@ class GraphContext:
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
         self._engine._buffer_activation(vertices)
 
+    def activate_batch(self, vertices, counts) -> None:
+        """Activate one delivered wave's vertices in a single call.
+
+        The data-free-multicast twin of :meth:`send_message_batch`, only
+        valid inside ``run_on_vertices``: ``vertices`` holds every
+        activation of the wave concatenated in delivery order and
+        ``counts[i]`` is how many of them list ``i`` contributed.  The
+        engine replays the per-list multicast charges from ``counts``.
+        One ``run_on_vertices`` call may use this or
+        :meth:`send_message_batch`, not both."""
+        self._engine._buffer_activation_batch(vertices, counts)
+
     def send_message(self, dests, values) -> None:
         """Send ``values`` to ``dests`` (scalar value = multicast)."""
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
@@ -255,6 +286,12 @@ class GraphContext:
         """Charge extra per-edge CPU work to the current worker (e.g.
         triangle counting's neighbor-list intersections)."""
         self._engine._charge_edges(count)
+
+    def charge_edges_batch(self, counts) -> None:
+        """Batched :meth:`charge_edges`, only valid inside
+        ``run_on_vertices``: ``counts[i]`` extra edges of work for
+        delivered list ``i``, folded into that list's run charge."""
+        self._engine._charge_edges_batch(counts)
 
     # -- internals --------------------------------------------------------
 

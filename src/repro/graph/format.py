@@ -342,26 +342,27 @@ def decode_lists_v2(
     total = int(degrees.sum())
     if total == 0:
         return np.empty(0, dtype=np.uint32)
-    lv = np.repeat(np.arange(offsets.size, dtype=np.int64), degrees)
     rank = _ramp(degrees, total)
     tag_counts = (degrees + VALUES_PER_TAG - 1) // VALUES_PER_TAG
+    bodies = offsets + HEADER_BYTES
 
     tag_bytes = file_bytes[
-        offsets[lv] + HEADER_BYTES + rank // VALUES_PER_TAG
+        np.repeat(bodies, degrees) + rank // VALUES_PER_TAG
     ].astype(np.int64)
     val_len = ((tag_bytes >> (2 * (rank % VALUES_PER_TAG))) & 3) + 1
 
-    # Payload position of each value: list start + within-list running sum
-    # of earlier value lengths.
+    # Payload position of each value: the list's payload start + the
+    # within-list running sum of earlier value lengths.
     cum = np.cumsum(val_len)
     excl = cum - val_len
     list_starts = np.concatenate(([0], np.cumsum(degrees)))[:-1]
     safe_starts = np.minimum(list_starts, total - 1)
-    within = excl - np.repeat(excl[safe_starts], degrees)
-    payload_pos = offsets[lv] + HEADER_BYTES + tag_counts[lv] + within
+    payload_pos = np.repeat(bodies + tag_counts - excl[safe_starts], degrees) + excl
 
-    values = np.zeros(total, dtype=np.int64)
-    for k in range(4):
+    # Every value has a low byte; the wider planes only as far as the
+    # widest value of this batch reaches.
+    values = file_bytes[payload_pos].astype(np.int64)
+    for k in range(1, int(val_len.max())):
         mask = val_len > k
         values[mask] |= file_bytes[payload_pos[mask] + k].astype(np.int64) << (8 * k)
 

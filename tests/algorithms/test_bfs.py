@@ -63,6 +63,15 @@ class TestDirectionOptimizing:
         )
         assert opt.bytes_read > plain.bytes_read
 
+    def test_pinned_at_the_scalar_hooks(self, rmat_image):
+        # Recorded before BFSProgram had batch hooks: inheriting them
+        # would skip the bottom-up phase and move all three numbers.
+        source = int(np.argmax(rmat_image.out_csr.degrees()))
+        levels, result = bfs_direction_optimizing(engine_for(rmat_image), source=source)
+        assert np.bincount(levels + 1).tolist() == [143, 1, 146, 203, 18, 1]
+        assert result.runtime == 0.0007080616666666755
+        assert result.bytes_read == 40960.0
+
     def test_invalid_fraction(self, rmat_image):
         with pytest.raises(ValueError):
             bfs_direction_optimizing(engine_for(rmat_image), 0, bottom_up_fraction=0.0)

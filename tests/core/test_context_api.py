@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import BFSProgram, DirectionOptimizingBFSProgram
+from repro.algorithms.pagerank import PageRankProgram
 from repro.core.config import ExecutionMode
+from repro.core.engine import JobCancelled
 from repro.core.memory_mode import InMemoryEdgeStore
 from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed
@@ -130,6 +133,114 @@ class TestGraphContext:
         engine = engine_for(image, range_shift=1)
         engine.run(Notifying(), max_iterations=1)
         assert calls == ["end"]
+
+
+class _SelfRequesting(VertexProgram):
+    """Requests every vertex's out-list; subclasses supply ``run_on_vertices``."""
+
+    def run_batch(self, g, vertices):
+        g.request_self_batch(vertices, EdgeType.OUT)
+
+
+class TestBatchHookGuards:
+    """``_deliver_batch`` refuses reports it could not replay exactly."""
+
+    def _run(self, image, hook):
+        program = type("Reporting", (_SelfRequesting,), {"run_on_vertices": hook})()
+        engine = engine_for(image, range_shift=1)
+        engine.run(program, max_iterations=1)
+        return engine
+
+    def test_activate_batch_replays_the_scalar_charges(self, image):
+        class Scalar(VertexProgram):
+            def run(self, g, vertex):
+                g.request_self(vertex, EdgeType.OUT)
+
+            def run_on_vertex(self, g, vertex, page_vertex):
+                g.charge_edges(3)
+                g.activate(page_vertex.read_edges())
+
+        def hook(self, g, batch):
+            g.charge_edges_batch(np.full(batch.num_lists, 3))
+            g.activate_batch(batch.read_edges_concat(), batch.degrees)
+
+        scalar = engine_for(image, range_shift=1)
+        expected = scalar.run(Scalar(), max_iterations=1)
+        batched = self._run(image, hook)
+        assert [(w.time, w.busy) for w in batched._workers] == [
+            (w.time, w.busy) for w in scalar._workers
+        ]
+        assert expected.counters["msg.activations"] == 5
+
+    def test_activation_counts_must_match_the_lists(self, image):
+        def hook(self, g, batch):
+            g.activate_batch(batch.read_edges_concat(), np.append(batch.degrees, 0))
+
+        with pytest.raises(ValueError, match="activate_batch counts must have one entry"):
+            self._run(image, hook)
+
+    def test_extra_edge_counts_must_match_the_lists(self, image):
+        def hook(self, g, batch):
+            g.charge_edges_batch(np.ones(batch.num_lists + 1))
+
+        with pytest.raises(ValueError, match="charge_edges_batch counts must have one entry"):
+            self._run(image, hook)
+
+    def test_activation_counts_must_sum_to_the_vertices(self, image):
+        def hook(self, g, batch):
+            g.activate_batch(batch.read_edges_concat(), np.zeros(batch.num_lists))
+
+        with pytest.raises(ValueError, match="counts sum to 0"):
+            self._run(image, hook)
+
+    def test_one_multicast_slot_per_call(self, image):
+        def hook(self, g, batch):
+            edges = batch.read_edges_concat()
+            g.send_message_batch(edges, np.ones(edges.size), batch.degrees)
+            g.activate_batch(edges, batch.degrees)
+
+        with pytest.raises(ValueError, match="not both"):
+            self._run(image, hook)
+
+    def test_abort_clears_the_slots(self, image):
+        # An abort between a hook and its replay must not leak counts
+        # into the next job on the reused engine.
+        engine = engine_for(image, range_shift=1)
+        engine.program = _SelfRequesting()
+        engine._ctx.activate_batch([1, 2], [2])
+        engine._ctx.charge_edges_batch([4])
+        engine._abort_run(JobCancelled("test", 0.0), engine.stats.snapshot(), 0)
+        assert engine._take_batch_slots() == (None, None, None)
+        assert engine._activations == []
+
+
+class TestHookTwins:
+    """A redefined scalar hook drops the batch twin it would inherit."""
+
+    def test_overriding_run_drops_run_batch(self):
+        class Tweaked(PageRankProgram):
+            def run(self, g, vertex):
+                super().run(g, vertex)
+
+        assert Tweaked.run_batch is None
+        assert Tweaked.run_on_vertices is PageRankProgram.run_on_vertices
+        assert Tweaked.run_on_messages is PageRankProgram.run_on_messages
+
+    def test_defining_both_keeps_the_twin(self):
+        class Both(PageRankProgram):
+            def run_on_message(self, g, vertex, value):
+                pass
+
+            def run_on_messages(self, g, dests, values):
+                return np.zeros(dests.size, dtype=bool)
+
+        assert Both.run_on_messages is not None
+        assert Both.run_batch is PageRankProgram.run_batch
+
+    def test_direction_optimizing_bfs_keeps_its_scalar_hooks(self):
+        assert BFSProgram.run_batch is not None
+        assert DirectionOptimizingBFSProgram.run_batch is None
+        assert DirectionOptimizingBFSProgram.run_on_vertices is None
 
 
 class TestInMemoryEdgeStore:

@@ -70,6 +70,21 @@ class TestRoundtrip:
         # First values spanning 1/2/3/4-byte varint classes.
         _roundtrip([[0x12], [0x1234], [0x123456], [0x12345678]])
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_batch_decode_at_every_plane_count(self, width):
+        # The batched decoder reads only as many byte planes as the widest
+        # value of the batch needs: a batch whose widest value is
+        # ``width`` bytes, beside narrower lists, in one call.
+        top = 1 << (8 * (width - 1))
+        lists = [[top, 2 * top, 2 * top + 1]] + [[1 << (8 * k)] for k in range(width - 1)]
+        indptr, indices = _csr(lists)
+        data, offsets = serialize_adjacency_v2(indptr, indices)
+        order = np.arange(len(lists))[::-1]
+        decoded = decode_lists_v2(
+            np.frombuffer(data, dtype=np.uint8), offsets[order], np.diff(indptr)[order]
+        )
+        assert decoded.tolist() == [n for i in order for n in lists[i]]
+
     def test_mixed_lengths_within_one_tag_byte(self):
         # Four values of different byte lengths share one tag byte.
         _roundtrip([[1, 0x300, 0x40000, 0x5000000 + 0x40301]])
