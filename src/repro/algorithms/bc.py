@@ -62,9 +62,7 @@ class _ForwardProgram(VertexProgram):
 
     def run_on_vertices(self, g: GraphContext, batch) -> None:
         g.send_message_batch(
-            batch.read_edges_concat(),
-            batch.repeat(self.sigma[batch.vertices]),
-            batch.degrees,
+            batch.read_edges_concat(), self.sigma[batch.vertices], batch.degrees
         )
 
     def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -130,7 +128,7 @@ class _BackwardProgram(VertexProgram):
         share = (1.0 + self.delta[batch.vertices]) / self.sigma[batch.vertices]
         lists = batch.repeat(np.arange(batch.num_lists))[on_path]
         g.send_message_batch(
-            parents[on_path], share[lists], np.bincount(lists, minlength=batch.num_lists)
+            parents[on_path], share, np.bincount(lists, minlength=batch.num_lists)
         )
 
     def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -59,9 +59,7 @@ class KCoreProgram(VertexProgram):
 
     def run_on_vertices(self, g: GraphContext, batch) -> None:
         g.send_message_batch(
-            batch.read_edges_concat(),
-            np.ones(batch.total_edges),
-            batch.degrees,
+            batch.read_edges_concat(), np.ones(batch.num_lists), batch.degrees
         )
 
     def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:

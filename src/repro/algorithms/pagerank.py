@@ -100,9 +100,7 @@ class PageRankProgram(VertexProgram):
 
     def run_on_vertices(self, g: GraphContext, batch) -> None:
         g.send_message_batch(
-            batch.read_edges_concat(),
-            batch.repeat(self._sending[batch.vertices]),
-            batch.degrees,
+            batch.read_edges_concat(), self._sending[batch.vertices], batch.degrees
         )
 
     def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:

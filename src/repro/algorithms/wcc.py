@@ -58,9 +58,7 @@ class WCCProgram(VertexProgram):
 
     def run_on_vertices(self, g: GraphContext, batch) -> None:
         g.send_message_batch(
-            batch.read_edges_concat(),
-            batch.repeat(self.component[batch.vertices].astype(np.float64)),
-            batch.degrees,
+            batch.read_edges_concat(), self.component[batch.vertices], batch.degrees
         )
 
     def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:

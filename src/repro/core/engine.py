@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.config import EngineConfig, ExecutionMode, PartitionStrategy, ScheduleOrder
 from repro.core.execution import make_execution_policy
 from repro.core.memory_mode import InMemoryEdgeStore
-from repro.core.messages import MessageBuffer
+from repro.core.messages import MessageBuffer, check_vertex_ids
 from repro.core.partition import HashPartitioner, RangePartitioner, split_into_parts
 from repro.core.scheduler import make_scheduler
 from repro.core.vertex_program import GraphContext, VertexProgram
@@ -53,6 +53,11 @@ MESSAGE_BYTES = 16
 
 #: A wave element's direction code indexes this tuple.
 _DIRECTIONS = (EdgeType.OUT, EdgeType.IN)
+#: The direction codes one ``request_self`` of each edge type fetches.
+_DIRECTION_CODES = {
+    edge_type: np.array([_DIRECTIONS.index(d) for d in edge_type.directions()])
+    for edge_type in EdgeType
+}
 
 #: Wave element kinds: an edge list, an edge list that is delivered
 #: together with its attribute block, and that attribute block.
@@ -1294,9 +1299,16 @@ class GraphEngine:
     def _drain_activations(self) -> np.ndarray:
         if not self._activations:
             return np.zeros(0, dtype=np.int64)
-        frontier = np.unique(np.concatenate(self._activations))
+        activated = np.concatenate(self._activations)
         self._activations.clear()
-        return frontier
+        if activated.size == 0:
+            return activated
+        check_vertex_ids(activated, self.image.num_vertices, "activated vertex")
+        # One dense slot per vertex, as ``MessageBuffer.deliver`` keeps:
+        # cheaper than the sort inside ``np.unique``.
+        active = np.zeros(self.image.num_vertices, dtype=bool)
+        active[activated] = True
+        return np.flatnonzero(active)
 
     # ------------------------------------------------------------------
     # Context plumbing (called via GraphContext)
@@ -1323,11 +1335,12 @@ class GraphEngine:
         """Buffer a whole wave of self-requests from ``run_batch``:
         per-vertex ``request_self`` calls in ``vertices`` order, a vertex's
         directions adjacent."""
-        codes = [_DIRECTIONS.index(d) for d in edge_type.directions()]
-        lists = np.repeat(vertices, len(codes))
-        self._wave.append(
-            (lists, lists, np.tile(codes, vertices.size), np.full(lists.size, _EDGES))
-        )
+        codes = _DIRECTION_CODES[edge_type]
+        lists = np.repeat(vertices, codes.size)
+        dirs = np.empty((vertices.size, codes.size), dtype=np.int64)
+        dirs[:] = codes
+        kinds = np.zeros(lists.size, dtype=np.int64)  # all ``_EDGES``
+        self._wave.append((lists, lists, dirs.ravel(), kinds))
 
     def _append_wave(
         self, requester: int, targets: np.ndarray, direction: EdgeType, with_attrs: bool
@@ -1348,14 +1361,13 @@ class GraphEngine:
     ) -> None:
         """Buffer one delivered wave's messages in a single chunk.
 
-        ``counts[i]`` is the number of messages list ``i`` sent; the
-        engine replays the per-list send charges from it, so no CPU is
-        charged here.  Buffer content at the barrier is identical to the
-        per-list ``send_message`` calls (chunk granularity never changes
-        the concatenation)."""
+        List ``i`` multicasts ``values[i]`` to its ``counts[i]``
+        destinations; the engine replays the per-list send charges from
+        ``counts``, so no CPU is charged here.  The buffer holds the runs
+        the per-list ``send_message`` calls would have put there."""
         counts = np.asarray(counts, dtype=np.int64)
         self._batch_msg_counts = counts
-        total = self._messages.send(dests, values)
+        total = self._messages.send(dests, values, counts)
         if total:
             self.stats.add(reg.MSG_SENT, total)
 

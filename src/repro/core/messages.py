@@ -4,7 +4,9 @@ Vertices never write each other's state — they send messages, which the
 worker threads buffer and deliver in batches, avoiding both races on
 vertex state and per-message synchronisation.  Multicast sends one copy of
 a message per *thread* rather than per recipient; vertex activation is a
-data-free multicast.
+data-free multicast.  The buffer keeps a multicast as it was sent — a
+*run*, one ``(value, count)`` beside its ``count`` destinations — so a
+barrier handles one value per edge list, not one per edge.
 
 Most algorithms' messages are commutative aggregations, so the buffer
 supports *combiners* (sum/min/max): logical messages are counted and
@@ -34,6 +36,22 @@ import numpy as np
 COMBINERS = ("sum", "min", "max")
 
 
+def check_vertex_ids(ids: np.ndarray, num_vertices: Optional[int], what: str) -> None:
+    """Reject a non-empty ``ids`` holding something that is not a vertex id.
+
+    A negative id would otherwise wrap around to the last vertices'
+    state in the receiver (``state[-1] += value``), silently.  Only
+    negative ids are rejected when ``num_vertices`` is unknown.
+    """
+    low = int(ids.min())
+    high = int(ids.max())
+    if low < 0 or (num_vertices is not None and high >= num_vertices):
+        raise ValueError(
+            f"{what} {low if low < 0 else high} is not a "
+            f"vertex id (num_vertices={num_vertices})"
+        )
+
+
 class MessageBuffer:
     """Accumulates one iteration's messages until the barrier delivery."""
 
@@ -47,26 +65,44 @@ class MessageBuffer:
         #: it at delivery (only negative ids are rejected when unknown).
         self.num_vertices = num_vertices
         self._dest_chunks: List[np.ndarray] = []
+        #: One value and one count per run; counts sum to the dests.
         self._value_chunks: List[np.ndarray] = []
+        self._count_chunks: List[np.ndarray] = []
         self._pending = 0
         self._peak_pending = 0
 
-    def send(self, dests: np.ndarray, values) -> int:
-        """Buffer messages ``values[i] -> dests[i]``; returns the count.
+    def send(self, dests: np.ndarray, values, counts=None) -> int:
+        """Buffer one chunk of messages; returns how many.
 
-        ``values`` may be a scalar (multicast payload: one value to every
-        destination) or an array aligned with ``dests``.
+        The buffer stores *runs* — ``(value, count)``: one value multicast
+        to the next ``count`` destinations.  A scalar ``values`` is one
+        run over all of ``dests``; with ``counts``, ``values`` holds one
+        value per run (a zero-count run delivers nothing); an array
+        aligned with ``dests`` is runs of length 1.
         """
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
+        values = np.asarray(values, dtype=np.float64)
+        if counts is None:
+            if values.ndim == 0:
+                values = values.reshape(1)
+                counts = np.asarray(dests.shape)
+            elif values.shape == dests.shape:
+                counts = np.ones(dests.size, dtype=np.int64)
+            else:
+                raise ValueError("values must be scalar or match dests in shape")
+        else:
+            counts = np.asarray(counts, dtype=np.int64)
+            if values.shape != counts.shape or counts.ndim != 1:
+                raise ValueError("values and counts must hold one entry per run")
+            if counts.sum() != dests.size:
+                raise ValueError(
+                    f"counts sum to {int(counts.sum())}, not the {dests.size} destinations"
+                )
         if dests.size == 0:
             return 0
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 0:
-            values = np.broadcast_to(values, dests.shape)
-        elif values.shape != dests.shape:
-            raise ValueError("values must be scalar or match dests in shape")
         self._dest_chunks.append(dests)
-        self._value_chunks.append(np.ascontiguousarray(values))
+        self._value_chunks.append(values)
+        self._count_chunks.append(counts)
         self._pending += dests.size
         if self._pending > self._peak_pending:
             self._peak_pending = self._pending
@@ -113,8 +149,13 @@ class MessageBuffer:
             return empty, np.zeros(0), empty
         dests = np.concatenate(self._dest_chunks)
         values = np.concatenate(self._value_chunks)
+        counts = np.concatenate(self._count_chunks)
         self.clear()
-        self._check_range(dests)
+        check_vertex_ids(dests, self.num_vertices, "message destination")
+        if counts.min() < 0:
+            raise ValueError(f"a run of {int(counts.min())} messages was sent")
+        if self.combiner != "sum":
+            values = np.repeat(values, counts)
         if self.combiner is None:
             order = np.lexsort((values, dests))
             return dests[order], values[order], np.ones(dests.size, dtype=np.int64)
@@ -124,11 +165,21 @@ class MessageBuffer:
         dense_counts = np.bincount(dests)
         unique = np.flatnonzero(dense_counts)
         if self.combiner == "sum":
-            # ``bincount`` adds in array order, so one sort of the values
-            # alone gives every destination its ascending-value sum.
+            # ``bincount`` adds in array order, so visiting the runs in
+            # ascending value order gives every destination its
+            # ascending-value sum (equal values are interchangeable): one
+            # sort of the run values, then one gather that lays each run's
+            # destinations out where the sorted order puts the run.
             order = np.argsort(values)
+            sorted_counts = counts[order]
+            run_ends = np.cumsum(counts)
+            sorted_ends = np.cumsum(sorted_counts)
+            where = np.repeat(run_ends[order] - sorted_ends, sorted_counts)
+            where += np.arange(dests.size)
             dense = np.bincount(
-                dests[order], weights=values[order], minlength=dense_counts.size
+                dests[where],
+                weights=np.repeat(values[order], sorted_counts),
+                minlength=dense_counts.size,
             )
         elif self.combiner == "min":
             dense = np.full(dense_counts.size, np.inf)
@@ -137,21 +188,6 @@ class MessageBuffer:
             dense = np.full(dense_counts.size, -np.inf)
             np.maximum.at(dense, dests, values)
         return unique, dense[unique], dense_counts[unique]
-
-    def _check_range(self, dests: np.ndarray) -> None:
-        """Reject a destination that is not a vertex id.
-
-        A negative id would otherwise wrap around to the last vertices'
-        state in the receiver (``state[-1] += value``), silently.
-        """
-        low = int(dests.min())
-        high = int(dests.max())
-        limit = self.num_vertices
-        if low < 0 or (limit is not None and high >= limit):
-            raise ValueError(
-                f"message destination {low if low < 0 else high} is not a "
-                f"vertex id (num_vertices={limit})"
-            )
 
     def restore_peak(self, peak: int) -> None:
         """Reinstate the peak-occupancy gauge from a checkpoint.
@@ -168,4 +204,5 @@ class MessageBuffer:
         """Drop everything without delivering."""
         self._dest_chunks.clear()
         self._value_chunks.clear()
+        self._count_chunks.clear()
         self._pending = 0

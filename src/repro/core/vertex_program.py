@@ -268,12 +268,14 @@ class GraphContext:
     def send_message_batch(self, dests, values, counts) -> None:
         """Send one delivered wave's messages in a single call.
 
-        Only valid inside ``run_on_vertices``: ``dests``/``values`` hold
-        every message of the wave concatenated in delivery order, and
-        ``counts[i]`` is the number of messages list ``i`` contributed
-        (zero for lists that send nothing).  The engine replays the
-        per-list send charges from ``counts``, so the worker clocks match
-        per-list ``send_message`` calls bit for bit."""
+        The batch twin of ``send_message(dests, scalar)``, only valid
+        inside ``run_on_vertices``: list ``i`` multicasts ``values[i]`` —
+        **one value per delivered list** — to its ``counts[i]``
+        destinations (zero for lists that send nothing), and ``dests``
+        holds every list's destinations concatenated in delivery order.
+        The engine replays the per-list send charges from ``counts``, so
+        the worker clocks match per-list ``send_message`` calls bit for
+        bit.  Lists with per-edge payloads keep the scalar hook."""
         self._engine._buffer_message_batch(dests, values, counts)
 
     def notify_iteration_end(self) -> None:

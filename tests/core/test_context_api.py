@@ -196,7 +196,7 @@ class TestBatchHookGuards:
     def test_one_multicast_slot_per_call(self, image):
         def hook(self, g, batch):
             edges = batch.read_edges_concat()
-            g.send_message_batch(edges, np.ones(edges.size), batch.degrees)
+            g.send_message_batch(edges, np.ones(batch.num_lists), batch.degrees)
             g.activate_batch(edges, batch.degrees)
 
         with pytest.raises(ValueError, match="not both"):

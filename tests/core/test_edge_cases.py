@@ -9,6 +9,7 @@ from repro.algorithms.triangle_count import triangle_count
 from repro.algorithms.wcc import wcc
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
+from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed, build_undirected
 from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
@@ -146,3 +147,68 @@ class TestReuseAndIsolation:
         levels_b, _ = bfs(engine_b, source=1)
         assert levels_a.tolist() == [0, 1]
         assert levels_b.tolist() == [1, 0]
+
+
+class TestActivationRange:
+    """An activation that is not a vertex id is an error at the barrier,
+    as a message destination is — not a ``run(g, -1)`` on wrapped state."""
+
+    @staticmethod
+    def _ring(mode):
+        ring = np.column_stack((np.arange(64), (np.arange(64) + 1) % 64))
+        return engine_for(build_directed(ring, 64, name="ring"), mode=mode)
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    @pytest.mark.parametrize("bad", [-1, 64, 69])
+    def test_activate_rejects_a_non_vertex(self, mode, bad):
+        class Stray(VertexProgram):
+            def __init__(self):
+                self.ran = []
+
+            def run(self, g, vertex):
+                self.ran.append(vertex)
+                if vertex == 0:
+                    g.activate([3, bad])
+
+        program = Stray()
+        with pytest.raises(ValueError, match=rf"activated vertex {bad} .*num_vertices=64"):
+            self._ring(mode).run(program, initial_active=np.array([0]))
+        assert program.ran == [0]
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_activate_batch_rejects_a_non_vertex(self, mode, bad):
+        class StrayBatch(VertexProgram):
+            def run_batch(self, g, vertices):
+                g.request_self_batch(vertices)
+
+            def run_on_vertices(self, g, batch):
+                g.activate_batch(np.full(batch.total_edges, bad), batch.degrees)
+
+        with pytest.raises(ValueError, match=rf"activated vertex {bad} "):
+            self._ring(mode).run(StrayBatch(), initial_active=np.array([0]))
+
+    def test_duplicates_across_chunks_make_a_sorted_unique_frontier(self):
+        class Fanout(VertexProgram):
+            def __init__(self):
+                self.ran = []
+
+            def run(self, g, vertex):
+                self.ran.append((g.iteration, vertex))
+                if g.iteration == 0:
+                    g.activate([9, 3, 9])
+                    g.activate([63, 3])
+                    g.activate(np.zeros(0, dtype=np.int64))
+                    g.activate([0, 9])
+
+        program = Fanout()
+        engine = self._ring(ExecutionMode.IN_MEMORY)
+        engine.run(program, initial_active=np.array([5]))
+        assert sorted(program.ran) == [(0, 5), (1, 0), (1, 3), (1, 9), (1, 63)]
+        # The frontier itself, as the barrier builds it.
+        engine._activations.extend(
+            [np.array([9, 3, 9]), np.zeros(0, dtype=np.int64), np.array([63, 3, 0])]
+        )
+        frontier = engine._drain_activations()
+        assert frontier.dtype == np.int64 and frontier.tolist() == [0, 3, 9, 63]
+        assert engine._drain_activations().size == 0

@@ -166,8 +166,10 @@ def _values(combiner):
 
 
 def _chunks(combiner):
-    """One barrier's sends: scalar multicasts, aligned arrays, and
-    cancellation triples that sum to 0.0 or 1.0 depending on the order."""
+    """One barrier's sends: scalar multicasts, aligned arrays,
+    cancellation triples that sum to 0.0 or 1.0 depending on the order,
+    and ``(dests, one value per run, counts)`` runs — zero-count and
+    single-destination runs included."""
     dest = st.integers(min_value=0, max_value=_MAX_DEST)
     value = _values(combiner)
     multicast = st.tuples(st.lists(dest, min_size=1, max_size=8), value)
@@ -177,13 +179,38 @@ def _chunks(combiner):
     triple = st.tuples(dest, st.permutations([1e16, 1.0, -1e16])).map(
         lambda dv: ([dv[0]] * 3, list(dv[1]))
     )
-    return st.lists(multicast | aligned | triple, min_size=1, max_size=12)
+    run = st.tuples(
+        value | st.sampled_from([1e16, 1.0, -1e16]), st.lists(dest, max_size=4)
+    )
+    runs = st.lists(run, min_size=1, max_size=6).map(
+        lambda rs: (
+            [d for _, ds in rs for d in ds],
+            [v for v, _ in rs],
+            [len(ds) for _, ds in rs],
+        )
+    )
+    return st.lists(multicast | aligned | triple | runs, min_size=1, max_size=12)
+
+
+def _per_message(chunk):
+    """A drawn chunk as one ``(dests, values)`` pair of aligned arrays —
+    what the chunk means, whatever the buffer stores."""
+    dests = np.asarray(chunk[0], dtype=np.int64)
+    values = np.asarray(chunk[1], dtype=np.float64)
+    if len(chunk) == 3:
+        return dests, np.repeat(values, chunk[2])
+    return dests, np.ascontiguousarray(np.broadcast_to(values, dests.shape))
+
+
+def _reference(combiner, chunks):
+    dests, values = zip(*map(_per_message, chunks))
+    return reference_deliver(dests, values, combiner)
 
 
 def _filled(combiner, chunks):
     buf = MessageBuffer(combiner, num_vertices=_MAX_DEST + 1)
-    for dests, values in chunks:
-        buf.send(np.asarray(dests), values)
+    for chunk in chunks:
+        buf.send(np.asarray(chunk[0], dtype=np.int64), *chunk[1:])
     return buf
 
 
@@ -191,17 +218,20 @@ def _bytes(delivery):
     return [(a.dtype, a.tobytes()) for a in delivery]
 
 
+_COMBINERS = ["sum", "min", "max", None]
+
+
 class TestAgainstReference:
     """``deliver`` returns the bytes of the lexsort → unique → ufunc.at
     reference, on all three arrays."""
 
-    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @pytest.mark.parametrize("combiner", _COMBINERS)
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_bytes(self, combiner, data):
-        buf = _filled(combiner, data.draw(_chunks(combiner)))
-        expected = reference_deliver(buf._dest_chunks, buf._value_chunks, combiner)
-        assert _bytes(buf.deliver()) == _bytes(expected)
+        chunks = data.draw(_chunks(combiner))
+        expected = _reference(combiner, chunks)
+        assert _bytes(_filled(combiner, chunks).deliver()) == _bytes(expected)
 
     @pytest.mark.parametrize("combiner", ["sum", "min", "max"])
     @given(data=st.data())
@@ -212,13 +242,13 @@ class TestAgainstReference:
         same bytes."""
         chunks = data.draw(_chunks(combiner))
         flat = [
-            (d, float(v))
-            for dests, values in chunks
-            for d, v in zip(dests, np.broadcast_to(values, len(dests)))
+            (int(d), float(v))
+            for chunk in chunks
+            for d, v in zip(*_per_message(chunk))
         ]
         shuffled = data.draw(st.permutations(flat))
         cuts = data.draw(
-            st.lists(st.integers(1, len(flat)), max_size=4).map(sorted)
+            st.lists(st.integers(0, len(flat)), max_size=4).map(sorted)
         )
         rechunked = [
             tuple(map(list, zip(*shuffled[lo:hi])))
@@ -228,6 +258,76 @@ class TestAgainstReference:
         first = _filled(combiner, chunks).deliver()
         second = _filled(combiner, rechunked).deliver()
         assert _bytes(first) == _bytes(second)
+
+
+class TestRuns:
+    """A run — ``(value, count)`` — is the unit the buffer stores; how a
+    multicast is cut into runs never shows in what a barrier delivers."""
+
+    @pytest.mark.parametrize("combiner", _COMBINERS)
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_whole_split_and_scalar_sends_agree(self, combiner, data):
+        background = data.draw(_chunks(combiner))
+        dests = data.draw(
+            st.lists(st.integers(0, _MAX_DEST), min_size=1, max_size=8)
+        )
+        value = data.draw(_values(combiner))
+        cut = data.draw(st.integers(0, len(dests)))
+        whole = [(dests, [value], [len(dests)])]
+        split = [(dests, [value, value], [cut, len(dests) - cut])]
+        scalars = [([d], value) for d in dests]
+        expected = _bytes(_reference(combiner, background + whole))
+        for form in (whole, split, scalars):
+            delivery = _filled(combiner, background + form).deliver()
+            assert _bytes(delivery) == expected
+
+    def test_one_value_per_run(self):
+        buf = MessageBuffer("sum")
+        assert buf.send(np.array([4, 2, 4, 9]), [0.5, 7.0, 2.0], [2, 0, 2]) == 4
+        dests, values, counts = buf.deliver()
+        assert dests.tolist() == [2, 4, 9]
+        assert values.tolist() == [0.5, 2.5, 2.0]
+        assert counts.tolist() == [1, 2, 1]
+
+    def test_all_zero_counts_send_nothing(self):
+        buf = MessageBuffer("sum")
+        assert buf.send(np.zeros(0, dtype=np.int64), [1.0, 2.0], [0, 0]) == 0
+        assert buf.pending == 0
+        assert buf.deliver()[0].size == 0
+
+    @pytest.mark.parametrize(
+        "values, counts, match",
+        [
+            ([1.0, 2.0], [3], "one entry per run"),
+            ([1.0], [2, 1], "one entry per run"),
+            (1.0, [3], "one entry per run"),
+            ([1.0, 2.0], [1, 1], "counts sum to 2, not the 3"),
+            ([1.0, 2.0], [2, 2], "counts sum to 4, not the 3"),
+        ],
+    )
+    def test_misaligned_runs_rejected(self, values, counts, match):
+        buf = MessageBuffer("sum")
+        with pytest.raises(ValueError, match=match):
+            buf.send(np.array([1, 2, 3]), values, counts)
+        assert buf.pending == 0
+
+    @pytest.mark.parametrize("combiner", _COMBINERS)
+    def test_negative_count_rejected_at_the_barrier(self, combiner):
+        buf = MessageBuffer(combiner)
+        buf.send(np.array([1, 2, 3]), [1.0, 2.0], [4, -1])
+        with pytest.raises(ValueError, match="a run of -1 messages"):
+            buf.deliver()
+        assert buf.pending == 0
+
+    def test_pending_counts_messages_not_runs(self):
+        buf = MessageBuffer("min")
+        buf.send(np.arange(5), [1.0, 2.0], [2, 3])
+        buf.send(np.arange(7), 3.0)
+        assert buf.pending == 12
+        buf.deliver()
+        buf.send(np.arange(4), [1.0], [4])
+        assert (buf.pending, buf.peak_pending) == (4, 12)
 
 
 class TestDestinationRange:
