@@ -154,8 +154,6 @@ OVERLOAD_CONTROLS = {
         **_OVERLOAD_CAPS,
         enforce_deadlines=True,
         brownout=True,
-        window_s=0.02,
-        sample_period_s=0.001,
         wait_budget_s=0.01,
     ),
 }

@@ -37,7 +37,6 @@ from repro.core.engine import IterationAborted
 from repro.core.tracing import IterationTracer
 from repro.obs import (
     Observer,
-    TimelineConfig,
     TimelineSampler,
     arm,
     build_profile,
@@ -546,8 +545,12 @@ def _parse_tenant(spec: str):
     return tenant, traffic
 
 
-def _make_service(args, observer=None, timeline=None):
-    """A :class:`GraphService` plus its trace, from the shared flags."""
+def _make_service(args, timeline: bool = False):
+    """A :class:`GraphService` plus its trace, from the shared flags.
+
+    The service carries an :class:`Observer` when ``--trace-spans`` asks
+    for one, and a :class:`TimelineSampler` for ``--timeline`` (always,
+    with ``timeline=True``)."""
     image = load_dataset(args.dataset)
     parsed = [_parse_tenant(spec) for spec in args.tenant]
     tenants = [tenant for tenant, _ in parsed]
@@ -571,13 +574,6 @@ def _make_service(args, observer=None, timeline=None):
             "--enforce-deadlines/--brownout need --overload to arm "
             "overload control"
         )
-    if args.cache_rebalance:
-        partitioned = sum(1 for t in tenants if t.cache_bytes is not None)
-        if partitioned < 2:
-            raise SystemExit(
-                "--cache-rebalance needs at least two tenants with "
-                "cache-kb= partitions to move capacity between"
-            )
     config = ServiceConfig(
         cache_bytes=int(args.cache_mb * (1 << 20)),
         num_threads=args.threads,
@@ -590,26 +586,39 @@ def _make_service(args, observer=None, timeline=None):
         cache_rebalance=args.cache_rebalance,
         cache_rebalance_interval_s=args.cache_rebalance_interval,
     )
-    service = GraphService(
-        image,
-        tenants,
-        config,
-        fault_plan=fault_plan,
-        health_policy=HealthPolicy() if fault_plan is not None else None,
-        observer=observer,
-        timeline=timeline,
-    )
+    try:
+        service = GraphService(
+            image,
+            tenants,
+            config,
+            fault_plan=fault_plan,
+            health_policy=HealthPolicy() if fault_plan is not None else None,
+            observer=Observer() if args.trace_spans else None,
+            timeline=(
+                TimelineSampler(interval_s=args.timeline_interval)
+                if timeline or args.timeline
+                else None
+            ),
+        )
+    except ValueError as exc:  # e.g. --cache-rebalance without two cache-kb=
+        raise SystemExit(f"bad service configuration: {exc}") from None
     return service, trace
 
 
+def _write_traces(args, service) -> None:
+    """Write the span trace and timeline table the flags asked for."""
+    if args.trace_spans:
+        write_jsonl(service.observer, args.trace_spans)
+        print(f"wrote span trace -> {args.trace_spans}")
+    if args.timeline:
+        with open(args.timeline, "w") as f:
+            f.write(service.timeline.to_markdown())
+            f.write("\n")
+        print(f"wrote timeline -> {args.timeline}")
+
+
 def cmd_serve(args) -> int:
-    observer = Observer() if args.trace_spans else None
-    timeline = (
-        TimelineSampler(TimelineConfig(interval_s=args.timeline_interval))
-        if args.timeline
-        else None
-    )
-    service, trace = _make_service(args, observer=observer, timeline=timeline)
+    service, trace = _make_service(args)
     report = service.serve(trace)
     print(
         f"served {report.completed}/{report.offered} queries "
@@ -660,14 +669,7 @@ def cmd_serve(args) -> int:
             f"{row['max_queue_wait_s'] * 1e3:>12.3f} "
             f"{row['busy_seconds'] * 1e3:>9.3f}"
         )
-    if args.trace_spans:
-        write_jsonl(observer, args.trace_spans)
-        print(f"wrote span trace -> {args.trace_spans}")
-    if args.timeline:
-        with open(args.timeline, "w") as f:
-            f.write(timeline.to_markdown())
-            f.write("\n")
-        print(f"wrote timeline -> {args.timeline}")
+    _write_traces(args, service)
     if args.out:
         with open(args.out, "w") as f:
             json.dump(report.to_dict(), f, indent=2, sort_keys=True)
@@ -681,11 +683,7 @@ def cmd_slo(args) -> int:
     timeline sampler streams windowed snapshots, tenants' declared
     objectives feed the burn-rate tracker, and the validated
     ``repro.slo/v1`` report lands in ``--out``."""
-    observer = Observer() if args.trace_spans else None
-    timeline = TimelineSampler(
-        TimelineConfig(interval_s=args.timeline_interval)
-    )
-    service, trace = _make_service(args, observer=observer, timeline=timeline)
+    service, trace = _make_service(args, timeline=True)
     if service.slo is None:
         raise SystemExit(
             "repro slo needs at least one tenant declaring an objective "
@@ -693,7 +691,7 @@ def cmd_slo(args) -> int:
         )
     report = service.serve(trace)
     label = f"{args.dataset} policy={args.policy} seed={args.seed}"
-    doc = build_slo_report(report, service.slo, timeline, label=label)
+    doc = build_slo_report(report, service.slo, service.timeline, label=label)
     problems = validate_slo_report(doc)
     if problems:
         for problem in problems:
@@ -702,14 +700,9 @@ def cmd_slo(args) -> int:
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    if args.timeline:
-        with open(args.timeline, "w") as f:
-            f.write(timeline.to_markdown())
-            f.write("\n")
-    if args.trace_spans:
-        write_jsonl(observer, args.trace_spans)
     print(format_slo_report(doc))
-    print(timeline.to_markdown())
+    print(service.timeline.to_markdown())
+    _write_traces(args, service)
     print(f"wrote slo report -> {args.out}")
     return 0
 

@@ -30,7 +30,6 @@ from repro.obs.report import (
 )
 from repro.obs.slo import (
     SLO_SCHEMA,
-    SLOConfig,
     SLOEvent,
     SLOTracker,
     build_slo_report,
@@ -47,17 +46,15 @@ from repro.obs.spans import (
     write_chrome,
     write_jsonl,
 )
-from repro.obs.timeline import TimelineConfig, TimelineSampler
+from repro.obs.timeline import TimelineSampler
 
 __all__ = [
     "Observer",
     "PROFILE_SCHEMA",
     "SLO_SCHEMA",
-    "SLOConfig",
     "SLOEvent",
     "SLOTracker",
     "TICK_SECONDS",
-    "TimelineConfig",
     "TimelineSampler",
     "arm",
     "build_profile",

@@ -203,7 +203,7 @@ HIST_SERVE_QUERY_SECONDS = "serve.query_seconds"
 HIST_SERVE_QUEUE_WAIT_SECONDS = "serve.queue_wait_seconds"
 #: Queue age at the moment a query was shed (seconds), per tenant —
 #: distinguishes shedding fresh arrivals (reject-newest) from killing
-#: long-waiting work (reject-oldest / deadline expiry).
+#: long-waiting work (by-priority / deadline expiry).
 HIST_SERVE_SHED_AGE_SECONDS = "serve.shed_age_seconds"
 
 #: Fixed ascending bucket upper bounds per histogram family; a value

@@ -36,7 +36,7 @@ harness, mirroring ``python -m repro.obs.report``.
 import json
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 #: Schema tag of the SLO report document (validated like
@@ -47,24 +47,13 @@ SLO_SCHEMA = "repro.slo/v1"
 OBJECTIVE_KINDS = ("latency", "availability")
 
 
-@dataclass(frozen=True)
-class SLOConfig:
-    """Burn-rate tracking knobs (simulated seconds)."""
-
-    #: Fast sliding window: catches sharp error-budget cliffs.
-    fast_window_s: float = 0.02
-    #: Slow sliding window: confirms the burn is sustained.
-    slow_window_s: float = 0.1
-    #: Burn rate at or above which (in *both* windows) a burn starts.
-    burn_threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.fast_window_s <= 0.0:
-            raise ValueError("fast_window_s must be positive")
-        if self.slow_window_s < self.fast_window_s:
-            raise ValueError("slow_window_s must be >= fast_window_s")
-        if self.burn_threshold <= 0.0:
-            raise ValueError("burn_threshold must be positive")
+#: Fast sliding window (simulated seconds): catches sharp error-budget
+#: cliffs.
+FAST_WINDOW_S = 0.02
+#: Slow sliding window: confirms the burn is sustained.
+SLOW_WINDOW_S = 0.1
+#: Burn rate at or above which (in *both* windows) a burn starts.
+BURN_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -81,16 +70,6 @@ class SLOEvent:
     kind: str
     fast_burn: float
     slow_burn: float
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "tenant": self.tenant,
-            "objective": self.objective,
-            "kind": self.kind,
-            "fast_burn": self.fast_burn,
-            "slow_burn": self.slow_burn,
-        }
 
 
 class _Window:
@@ -126,12 +105,12 @@ class _ObjectiveState:
         "burning", "burn_since", "burn_seconds", "peak_fast", "peak_slow",
     )
 
-    def __init__(self, threshold: float, target: float, config: SLOConfig) -> None:
+    def __init__(self, threshold: float, target: float) -> None:
         self.threshold = threshold
         self.target = target
         self.budget = 1.0 - target
-        self.fast = _Window(config.fast_window_s)
-        self.slow = _Window(config.slow_window_s)
+        self.fast = _Window(FAST_WINDOW_S)
+        self.slow = _Window(SLOW_WINDOW_S)
         self.good = 0
         self.bad = 0
         self.burning = False
@@ -144,20 +123,15 @@ class _ObjectiveState:
 class SLOTracker:
     """Tracks every declared objective over one service run.
 
-    Fed by :meth:`~repro.serve.service.GraphService.serve` behind a
-    single ``slo is not None`` check (the spans-style zero-cost hook
-    discipline): a service whose tenants declare no objectives never
-    constructs one.  Purely observational — it reads the outcome stream
+    Subscribed to the shed/completed/aborted events of
+    :meth:`~repro.serve.service.GraphService.serve` only when armed: a
+    service whose tenants declare no objectives never constructs one.
+    Purely observational — it reads the outcome stream
     but never touches the shared counters, so an SLO-tracked run's
     counter snapshot stays bit-identical to an untracked one.
     """
 
-    def __init__(
-        self,
-        tenants: Mapping[str, object],
-        config: Optional[SLOConfig] = None,
-    ) -> None:
-        self.config = config or SLOConfig()
+    def __init__(self, tenants: Mapping[str, object]) -> None:
         self.events: List[SLOEvent] = []
         #: Monotone high-water clock.  The service finalizes jobs in
         #: event-loop order, whose finish times are *not* globally
@@ -175,7 +149,7 @@ class SLOTracker:
                 if kind in objectives:
                     threshold, target = objectives[kind]
                     self._states[(name, kind)] = _ObjectiveState(
-                        threshold, target, self.config
+                        threshold, target
                     )
 
     @property
@@ -234,15 +208,14 @@ class SLOTracker:
             state.peak_fast = fast_burn
         if slow_burn > state.peak_slow:
             state.peak_slow = slow_burn
-        threshold = self.config.burn_threshold
         if not state.burning:
-            if fast_burn >= threshold and slow_burn >= threshold:
+            if fast_burn >= BURN_THRESHOLD and slow_burn >= BURN_THRESHOLD:
                 state.burning = True
                 state.burn_since = time
                 self.events.append(
                     SLOEvent(time, tenant, kind, "burn-start", fast_burn, slow_burn)
                 )
-        elif fast_burn < threshold:
+        elif fast_burn < BURN_THRESHOLD:
             state.burning = False
             state.burn_seconds += max(0.0, time - state.burn_since)
             self.events.append(
@@ -278,11 +251,11 @@ class SLOTracker:
                 "burning": state.burning,
             }
         return {
-            "fast_window_s": self.config.fast_window_s,
-            "slow_window_s": self.config.slow_window_s,
-            "burn_threshold": self.config.burn_threshold,
+            "fast_window_s": FAST_WINDOW_S,
+            "slow_window_s": SLOW_WINDOW_S,
+            "burn_threshold": BURN_THRESHOLD,
             "tenants": tenants,
-            "events": [event.to_dict() for event in self.events],
+            "events": [asdict(event) for event in self.events],
         }
 
 

@@ -471,6 +471,14 @@ def write_jsonl(observer: Observer, path) -> None:
         f.write(to_jsonl(observer))
 
 
+def _thread_name(tid: int, name: str) -> dict:
+    """A Chrome metadata event naming track ``tid``."""
+    return {
+        "ph": "M", "pid": 0, "tid": tid, "name": "thread_name",
+        "args": {"name": name},
+    }
+
+
 def to_chrome(observer: Observer) -> dict:
     """The trace as a Chrome ``trace_event`` document.
 
@@ -480,20 +488,8 @@ def to_chrome(observer: Observer) -> dict:
     durations tile the device's busy time).  Timestamps are µs.
     """
     events: List[dict] = [
-        {
-            "ph": "M",
-            "pid": 0,
-            "tid": _TID_ENGINE,
-            "name": "thread_name",
-            "args": {"name": "engine"},
-        },
-        {
-            "ph": "M",
-            "pid": 0,
-            "tid": _TID_SAFS,
-            "name": "thread_name",
-            "args": {"name": "safs"},
-        },
+        _thread_name(_TID_ENGINE, "engine"),
+        _thread_name(_TID_SAFS, "safs"),
     ]
     named_devices = set()
     for row in observer.iterations:
@@ -544,15 +540,7 @@ def to_chrome(observer: Observer) -> dict:
         tid = _TID_DEVICE_BASE + span["device"]
         if span["device"] not in named_devices:
             named_devices.add(span["device"])
-            events.append(
-                {
-                    "ph": "M",
-                    "pid": 0,
-                    "tid": tid,
-                    "name": "thread_name",
-                    "args": {"name": span["name"]},
-                }
-            )
+            events.append(_thread_name(tid, span["name"]))
         events.append(
             {
                 "ph": "X",
@@ -572,15 +560,7 @@ def to_chrome(observer: Observer) -> dict:
     if observer.query_spans:
         # Serving runs only: batch traces carry no query events, so
         # their Chrome documents are byte-identical to before.
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": _TID_QUERIES,
-                "name": "thread_name",
-                "args": {"name": "queries"},
-            }
-        )
+        events.append(_thread_name(_TID_QUERIES, "queries"))
         for span in observer.query_spans:
             args = {
                 key: value

@@ -38,24 +38,10 @@ test).  Two runs of the same seed produce byte-identical snapshot
 streams.
 """
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs import registry
 from repro.sim.stats import Histogram
-
-
-@dataclass(frozen=True)
-class TimelineConfig:
-    """Sampler knobs (simulated seconds)."""
-
-    #: Window length.  The default matches the serving benches' ~5 ms
-    #: query latencies: a handful of queries per window per tenant.
-    interval_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0.0:
-            raise ValueError("interval_s must be positive")
 
 
 class TimelineSampler:
@@ -65,10 +51,15 @@ class TimelineSampler:
     (which calls :meth:`bind`), run :meth:`~GraphService.serve`, then
     read :attr:`snapshots` / :meth:`to_markdown` — or the gauge series
     the sampler mirrored into the service's stats collector.
+    ``interval_s`` is the window length in simulated seconds; the
+    default matches the serving benches' ~5 ms query latencies: a
+    handful of queries per window per tenant.
     """
 
-    def __init__(self, config: Optional[TimelineConfig] = None) -> None:
-        self.config = config or TimelineConfig()
+    def __init__(self, interval_s: float = 0.005) -> None:
+        if interval_s <= 0.0:
+            raise ValueError("interval_s must be positive")
+        self.interval_s = interval_s
         #: Closed windows, one dict row per tenant per window, in order.
         self.snapshots: List[dict] = []
         self._service = None
@@ -81,7 +72,7 @@ class TimelineSampler:
         #: End of the currently open window.  The service's hot loop
         #: compares its frontier against this before paying for a
         #: :meth:`note_time` call — one float test per event-loop pass.
-        self.next_boundary_s = self.config.interval_s
+        self.next_boundary_s = self.interval_s
         self._completed: Dict[str, int] = {}
         self._aborted: Dict[str, int] = {}
         self._hists: Dict[str, Histogram] = {}
@@ -111,7 +102,7 @@ class TimelineSampler:
         loop's frontier), closing every window it crossed."""
         if now > self._high_water:
             self._high_water = now
-        while self._high_water >= (self._window + 1) * self.config.interval_s:
+        while self._high_water >= (self._window + 1) * self.interval_s:
             self._close_window()
 
     def note_completion(
@@ -124,10 +115,7 @@ class TimelineSampler:
         which the non-monotone frontier permits) lands in the currently
         open window instead — attributed once, never dropped.
         """
-        if finish_time > self._high_water:
-            self._high_water = finish_time
-        while finish_time >= (self._window + 1) * self.config.interval_s:
-            self._close_window()
+        self.note_time(finish_time)
         if ok:
             self._completed[tenant] += 1
             self._hists[tenant].observe(latency)
@@ -158,11 +146,10 @@ class TimelineSampler:
         from repro.serve.overload import OVERLOAD_STATES
 
         service = self._service
-        interval = self.config.interval_s
+        interval = self.interval_s
         start = self._window * interval
         end = start + interval
-        telemetry = getattr(service, "telemetry", None)
-        waiting = telemetry.waiting if telemetry is not None else []
+        waiting = service.telemetry.waiting
         depth = {name: 0 for name in self._tenants}
         for waiter in waiting:
             depth[waiter.arrival.tenant] += 1
@@ -179,7 +166,7 @@ class TimelineSampler:
         # rebalancer moves mid-run) and its own cumulative hit rate —
         # the per-instance tallies, not the shared counters, which
         # aggregate every cache on the collector.
-        partitions = getattr(service, "cache_partitions", None) or {}
+        partitions = service.cache_partitions
         total_pages = sum(
             cache.set_capacity_pages for cache in partitions.values()
         )
@@ -190,65 +177,47 @@ class TimelineSampler:
         )
         for name in self._tenants:
             hist = self._hists[name]
-            completed = self._completed[name]
-            # Nominal-interval rate, also for the final partial window
-            # (a time-varying divisor would make the last row's rate
-            # incomparable with every other row's).
-            throughput = completed / interval
-            p50 = hist.quantile(0.50)
-            p99 = hist.quantile(0.99)
-            occupancy = (
-                service.admission.running[name]
-                / service.tenants[name].max_concurrent
-            )
-            self.snapshots.append(
-                {
-                    "window": self._window,
-                    "start_s": start,
-                    "end_s": end,
-                    "tenant": name,
-                    "completed": completed,
-                    "aborted": self._aborted[name],
-                    "throughput_qps": throughput,
-                    "latency_p50_s": p50,
-                    "latency_p99_s": p99,
-                    "queue_depth": depth[name],
-                    "quota_occupancy": occupancy,
-                    "brownout_state": state,
-                    "unhealthy_fraction": unhealthy,
-                }
-            )
-            stats.sample(
-                f"{registry.GAUGE_SERVE_WINDOW_THROUGHPUT}.{name}",
-                end,
-                throughput,
-            )
-            stats.sample(f"{registry.GAUGE_SERVE_WINDOW_P50}.{name}", end, p50)
-            stats.sample(f"{registry.GAUGE_SERVE_WINDOW_P99}.{name}", end, p99)
-            stats.sample(
-                f"{registry.GAUGE_SERVE_QUEUE_DEPTH}.{name}",
-                end,
-                float(depth[name]),
-            )
-            stats.sample(
-                f"{registry.GAUGE_SERVE_QUOTA_OCCUPANCY}.{name}",
-                end,
-                occupancy,
-            )
+            row = {
+                "window": self._window,
+                "start_s": start,
+                "end_s": end,
+                "tenant": name,
+                "completed": self._completed[name],
+                "aborted": self._aborted[name],
+                # Nominal-interval rate, also for the final partial
+                # window (a time-varying divisor would make the last
+                # row's rate incomparable with every other row's).
+                "throughput_qps": self._completed[name] / interval,
+                "latency_p50_s": hist.quantile(0.50),
+                "latency_p99_s": hist.quantile(0.99),
+                "queue_depth": depth[name],
+                "quota_occupancy": (
+                    service.admission.running[name]
+                    / service.tenants[name].max_concurrent
+                ),
+                "brownout_state": state,
+                "unhealthy_fraction": unhealthy,
+            }
+            self.snapshots.append(row)
+            gauges = [
+                (registry.GAUGE_SERVE_WINDOW_THROUGHPUT, row["throughput_qps"]),
+                (registry.GAUGE_SERVE_WINDOW_P50, row["latency_p50_s"]),
+                (registry.GAUGE_SERVE_WINDOW_P99, row["latency_p99_s"]),
+                (registry.GAUGE_SERVE_QUEUE_DEPTH, float(depth[name])),
+                (registry.GAUGE_SERVE_QUOTA_OCCUPANCY, row["quota_occupancy"]),
+            ]
             partition = partitions.get(name)
             if partition is not None:
-                stats.sample(
-                    f"{registry.GAUGE_SERVE_CACHE_SHARE}.{name}",
-                    end,
-                    partition.set_capacity_pages / total_pages
-                    if total_pages
-                    else 0.0,
-                )
-                stats.sample(
-                    f"{registry.GAUGE_SERVE_CACHE_HIT_RATE}.{name}",
-                    end,
-                    partition.hit_rate(),
-                )
+                pages = partition.set_capacity_pages
+                gauges += [
+                    (
+                        registry.GAUGE_SERVE_CACHE_SHARE,
+                        pages / total_pages if total_pages else 0.0,
+                    ),
+                    (registry.GAUGE_SERVE_CACHE_HIT_RATE, partition.hit_rate()),
+                ]
+            for gauge, value in gauges:
+                stats.sample(f"{gauge}.{name}", end, value)
         self._window += 1
         self.next_boundary_s = (self._window + 1) * interval
         self._reset_window()

@@ -26,7 +26,7 @@ See ``docs/serving.md`` for the architecture.
 """
 
 from repro.serve.admission import AdmissionController, QuotaExceeded
-from repro.serve.cache_sizing import CacheRebalanceConfig, CacheRebalancer
+from repro.serve.cache_sizing import CacheRebalancer
 from repro.serve.overload import (
     OverloadConfig,
     OverloadController,
@@ -34,12 +34,7 @@ from repro.serve.overload import (
     ShedRecord,
 )
 from repro.serve.queries import Query, QueryFactory
-from repro.serve.results import (
-    CachedResult,
-    ResultCache,
-    ResultCacheConfig,
-    image_digest,
-)
+from repro.serve.results import CachedResult, ResultCache, image_digest
 from repro.serve.service import (
     GraphService,
     ServeTelemetry,
@@ -53,7 +48,6 @@ from repro.serve.traffic import Arrival, TenantTraffic, generate_trace
 __all__ = [
     "AdmissionController",
     "Arrival",
-    "CacheRebalanceConfig",
     "CacheRebalancer",
     "CachedResult",
     "GraphService",
@@ -64,7 +58,6 @@ __all__ = [
     "QueryFactory",
     "QuotaExceeded",
     "ResultCache",
-    "ResultCacheConfig",
     "ServeTelemetry",
     "ServiceConfig",
     "ServiceReport",

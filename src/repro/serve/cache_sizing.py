@@ -25,34 +25,17 @@ live outside counter snapshots, are sampled as decisions happen.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs import registry as reg
 from repro.safs.page_cache import PageCache
 
-
-@dataclass(frozen=True)
-class CacheRebalanceConfig:
-    """Rebalancer knobs (simulated seconds)."""
-
-    #: Rebalance interval.  The default matches the timeline sampler's
-    #: window scale: a few queries' worth of lookups per decision.
-    interval_s: float = 0.01
-    #: No partition shrinks below this fraction of its *initial* per-set
-    #: capacity (rounded up, never below one page per set).
-    floor_fraction: float = 0.5
-    #: Per-set pages moved per decision (small steps keep the policy
-    #: stable; capacity moves at ``step_sets × num_sets`` pages a step).
-    step_sets: int = 1
-
-    def __post_init__(self) -> None:
-        if self.interval_s <= 0.0:
-            raise ValueError("interval_s must be positive")
-        if not 0.0 < self.floor_fraction <= 1.0:
-            raise ValueError("floor_fraction must lie in (0, 1]")
-        if self.step_sets < 1:
-            raise ValueError("step_sets must be at least 1")
+#: No partition shrinks below this fraction of its *initial* per-set
+#: capacity (rounded up, never below one page per set).
+FLOOR_FRACTION = 0.5
+#: Per-set pages moved per decision (small steps keep the policy
+#: stable; capacity moves at ``STEP_SETS × num_sets`` pages a step).
+STEP_SETS = 1
 
 
 class CacheRebalancer:
@@ -62,13 +45,16 @@ class CacheRebalancer:
     :class:`~repro.serve.service.GraphService` run; the service's event
     loop calls :meth:`note_time` whenever its frontier crosses
     :attr:`next_boundary_s` (the same one-float-compare hot-loop
-    discipline as the timeline sampler).
+    discipline as the timeline sampler).  ``interval_s`` is the decision
+    interval in simulated seconds; the default matches the timeline
+    sampler's window scale — a few queries' worth of lookups per
+    decision.
     """
 
     def __init__(
         self,
         partitions: Dict[str, PageCache],
-        config: Optional[CacheRebalanceConfig] = None,
+        interval_s: float = 0.01,
         stats=None,
     ) -> None:
         if len(partitions) < 2:
@@ -76,7 +62,9 @@ class CacheRebalancer:
                 "cache rebalancing needs at least two tenant cache "
                 "partitions to move capacity between"
             )
-        self.config = config or CacheRebalanceConfig()
+        if interval_s <= 0.0:
+            raise ValueError("interval_s must be positive")
+        self.interval_s = interval_s
         self.partitions = partitions
         #: Stats collector for gauge sampling; ``None`` = no gauges.
         self.stats = stats
@@ -85,16 +73,12 @@ class CacheRebalancer:
         for name in self._tenants:
             cache = partitions[name]
             cache.enable_ghost_tracking()
-            self._floor[name] = max(
-                1, math.ceil(cache._set_cap * self.config.floor_fraction)
-            )
+            self._floor[name] = max(1, math.ceil(cache._set_cap * FLOOR_FRACTION))
         # Windowed tallies: last-seen cumulative lookups/ghost hits.
-        self._last: Dict[str, tuple] = {
-            name: (0, 0) for name in self._tenants
-        }
+        self._last: Dict[str, tuple] = {name: (0, 0) for name in self._tenants}
         self._window = 0
         #: End of the currently open interval (hot-loop compare bound).
-        self.next_boundary_s = self.config.interval_s
+        self.next_boundary_s = self.interval_s
         # Local counters, flushed by the service after the last job.
         self.moves = 0
         self.pages_moved = 0
@@ -117,7 +101,7 @@ class CacheRebalancer:
 
     def note_time(self, now: float) -> None:
         """Close every rebalance interval the frontier crossed."""
-        while now >= (self._window + 1) * self.config.interval_s:
+        while now >= (self._window + 1) * self.interval_s:
             self._close_window()
 
     def _close_window(self) -> None:
@@ -130,7 +114,7 @@ class CacheRebalancer:
             self._last[name] = (cache.lookups, cache.ghost_hits)
             benefits[name] = ghost / lookups if lookups else 0.0
         self._window += 1
-        self.next_boundary_s = (self._window + 1) * self.config.interval_s
+        self.next_boundary_s = (self._window + 1) * self.interval_s
         # Receiver: best marginal benefit; donor: worst benefit still
         # above its floor.  Lexicographic tie-breaks keep same-seed runs
         # replaying the same decisions.
@@ -139,7 +123,7 @@ class CacheRebalancer:
         )
         if benefits[receiver] <= 0.0:
             return
-        step = self.config.step_sets
+        step = STEP_SETS
         donors = [
             name
             for name in self._tenants
@@ -157,7 +141,7 @@ class CacheRebalancer:
         self.moves += 1
         self.pages_moved += step * donor_cache.config.num_sets
         self.evictions += evicted
-        end = self._window * self.config.interval_s
+        end = self._window * self.interval_s
         self.log.append(
             {
                 "window": self._window - 1,
@@ -173,6 +157,14 @@ class CacheRebalancer:
                 self.stats.sample(
                     f"{reg.GAUGE_SERVE_CACHE_SHARE}.{name}", end, share
                 )
+
+    def counters(self, tenants: List[str]) -> Dict[str, float]:
+        """The ``serve.cache_*`` counters, in flush order."""
+        return {
+            reg.SERVE_CACHE_REBALANCES: self.moves,
+            reg.SERVE_CACHE_PAGES_MOVED: self.pages_moved,
+            reg.SERVE_CACHE_REBALANCE_EVICTIONS: self.evictions,
+        }
 
     def summary(self) -> dict:
         """Run-level outcome for :class:`ServiceReport`."""

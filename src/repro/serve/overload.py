@@ -1,10 +1,9 @@
 """Overload control: bounded queues, shedding, deadlines, brownout.
 
-PR 7's service queues arrivals without bound and never gives up on a
-job, so once the array loses bandwidth (a dead device under chaos) every
-tenant's tail latency collapses together — the open-loop traffic keeps
-arriving and the backlog only grows.  This module is the control plane
-that lets the service *degrade deliberately* instead:
+Without it the service queues arrivals without bound and never gives up
+on a job, so once the array loses bandwidth every tenant's tail latency
+collapses together.  This module lets the service *degrade
+deliberately* instead:
 
 - **Bounded admission queues** — a per-tenant and a global cap on how
   many revealed arrivals may wait for admission.  A full queue sheds a
@@ -34,19 +33,19 @@ logs, which the determinism tests pin.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
+
+from repro.obs import registry as reg
 
 #: Deterministic shed policies for a full admission queue.
 #:
 #: - ``reject-newest`` — drop the arriving query (the queue keeps its
 #:   accumulated waiting investment);
-#: - ``reject-oldest`` — drop the longest-waiting query in the full
-#:   scope (its deadline is the most at risk anyway);
 #: - ``by-priority`` — drop the *worst-ranked* query under the
 #:   service's own scheduling order (fair → highest share; deadline →
 #:   latest deadline; fifo → newest), ties broken by trace index.
-SHED_POLICIES = ("reject-newest", "reject-oldest", "by-priority")
+SHED_POLICIES = ("reject-newest", "by-priority")
 
 #: Brownout state machine states, in escalation order.
 STATE_HEALTHY = "healthy"
@@ -60,13 +59,32 @@ OVERLOAD_STATES = (
     STATE_RECOVERING,
 )
 
+# The detector's fixed tuning (simulated seconds and pressure units).
+#: Sliding signal window.
+WINDOW_S = 0.02
+#: Minimum simulated time between detector samples.
+SAMPLE_PERIOD_S = 0.001
+#: Pressure at or above which healthy/recovering escalates.
+OVERLOAD_ENTER = 0.75
+#: Pressure at or below which the service may start recovering.
+OVERLOAD_EXIT = 0.35
+#: Sustained pressure at which overloaded escalates to brownout.
+BROWNOUT_ENTER = 1.25
+#: Consecutive samples over a threshold before escalating.
+ENTER_SAMPLES = 2
+#: Consecutive samples under ``OVERLOAD_EXIT`` before de-escalating.
+EXIT_SAMPLES = 4
+#: Weight of the unhealthy-device fraction in the pressure signal.
+HEALTH_WEIGHT = 1.0
+#: Brownout: factor coarsening degraded PageRank tolerance.
+BROWNOUT_TOLERANCE_FACTOR = 100.0
+
 
 @dataclass(frozen=True)
 class OverloadConfig:
-    """Every overload-control knob (see ``docs/overload.md``).
+    """The overload-control knobs (see ``docs/overload.md``).
 
-    ``ServiceConfig.overload is None`` disables the whole subsystem; the
-    event loop then runs the exact PR 7 code path.
+    ``ServiceConfig.overload is None`` disables the whole subsystem.
     """
 
     #: Default waiting-queue cap per tenant (``TenantSpec.queue_cap``
@@ -76,36 +94,16 @@ class OverloadConfig:
     global_queue_cap: int = 24
     #: One of :data:`SHED_POLICIES`.
     shed_policy: str = "reject-newest"
-    #: Drop queued queries whose deadline already expired, and (when
-    #: :attr:`deadline_abort_running` also holds) cancel running jobs
-    #: whose deadline the progress estimate says is unreachable.
+    #: Drop queued queries whose deadline already expired, and cancel
+    #: running jobs whose deadline the progress estimate says is
+    #: unreachable.
     enforce_deadlines: bool = False
-    #: Cancel *running* jobs at iteration barriers on a predicted miss.
-    deadline_abort_running: bool = True
     #: Arm the overload detector + brownout state machine.
     brownout: bool = False
-    #: Sliding signal window (simulated seconds).
-    window_s: float = 0.02
-    #: Minimum simulated time between detector samples.
-    sample_period_s: float = 0.001
     #: Queue wait that counts as one full unit of pressure.
     wait_budget_s: float = 0.02
-    #: Pressure at or above which healthy/recovering escalates.
-    overload_enter: float = 0.75
-    #: Pressure at or below which the service may start recovering.
-    overload_exit: float = 0.35
-    #: Sustained pressure at which overloaded escalates to brownout.
-    brownout_enter: float = 1.25
-    #: Consecutive samples over a threshold before escalating.
-    enter_samples: int = 2
-    #: Consecutive samples under ``overload_exit`` before de-escalating.
-    exit_samples: int = 4
-    #: Weight of the unhealthy-device fraction in the pressure signal.
-    health_weight: float = 1.0
     #: Brownout: iteration cap applied to degraded ``pr``/``pr30``.
     brownout_pr_iterations: int = 2
-    #: Brownout: factor coarsening degraded PageRank tolerance.
-    brownout_tolerance_factor: float = 100.0
 
     def __post_init__(self) -> None:
         if self.tenant_queue_cap < 1:
@@ -117,24 +115,10 @@ class OverloadConfig:
                 f"unknown shed policy {self.shed_policy!r} "
                 f"(one of {', '.join(SHED_POLICIES)})"
             )
-        if self.window_s <= 0.0:
-            raise ValueError("window_s must be positive")
-        if self.sample_period_s <= 0.0:
-            raise ValueError("sample_period_s must be positive")
         if self.wait_budget_s <= 0.0:
             raise ValueError("wait_budget_s must be positive")
-        if not 0.0 <= self.overload_exit < self.overload_enter:
-            raise ValueError(
-                "thresholds must satisfy 0 <= overload_exit < overload_enter"
-            )
-        if self.brownout_enter < self.overload_enter:
-            raise ValueError("brownout_enter must be >= overload_enter")
-        if self.enter_samples < 1 or self.exit_samples < 1:
-            raise ValueError("hysteresis sample counts must be at least 1")
         if self.brownout_pr_iterations < 1:
             raise ValueError("brownout_pr_iterations must be at least 1")
-        if self.brownout_tolerance_factor < 1.0:
-            raise ValueError("brownout_tolerance_factor must be >= 1.0")
 
 
 @dataclass(frozen=True)
@@ -154,16 +138,6 @@ class OverloadEvent:
     app: str
     index: int
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "tenant": self.tenant,
-            "app": self.app,
-            "index": self.index,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -188,20 +162,32 @@ class OverloadController:
     """The service's overload detector and brownout state machine.
 
     One controller per :class:`~repro.serve.service.GraphService` run.
-    The service feeds it queue snapshots (:meth:`observe`) on the DES
-    clock and consults it for shed victims, deadline verdicts and the
+    The service's event loop calls :meth:`note_time` whenever its
+    frontier crosses :attr:`next_boundary_s` (the clocked-subscriber
+    shape the timeline sampler and cache rebalancer share); a due
+    sample reads ``signal(now)`` — ``(queue_depth, mean_wait,
+    health_fraction)`` — into :meth:`observe`.  The service also
+    consults the controller for shed victims, deadline verdicts and the
     current degradation level; the controller records every decision in
     :attr:`events`.
     """
 
-    def __init__(self, config: OverloadConfig, tenants: Mapping[str, "object"]) -> None:
+    def __init__(
+        self,
+        config: OverloadConfig,
+        tenants: Mapping[str, "object"],
+        signal: Optional[Callable[[float], Tuple[int, float, float]]] = None,
+    ) -> None:
         self.config = config
         self._specs = dict(tenants)
+        self._signal = signal
         self.state = STATE_HEALTHY
         self.events: List[OverloadEvent] = []
         #: ``(time, pressure)`` samples inside the sliding window.
         self._samples: List[Tuple[float, float]] = []
         self._last_sample = -math.inf
+        #: No detector sample falls due before this simulated time.
+        self.next_boundary_s = -math.inf
         self._over_streak = 0
         self._brownout_streak = 0
         self._under_streak = 0
@@ -240,32 +226,24 @@ class OverloadController:
         service's scheduling key (lower = served sooner).  Deterministic:
         ties always break on the arrival's trace index.
         """
-        policy = self.config.shed_policy
-        if policy == "reject-newest":
+        if self.config.shed_policy == "reject-newest":
             return max(candidates, key=lambda w: (w.arrival.time, w.arrival.index))
-        if policy == "reject-oldest":
-            return min(candidates, key=lambda w: (w.arrival.time, w.arrival.index))
         # by-priority: shed the entry the scheduler would serve last.
         return max(candidates, key=lambda w: (order_key(w), w.arrival.index))
 
-    def record_shed(self, arrival, shed_time: float, reason: str) -> ShedRecord:
-        kind = "shed" if reason == "queue-cap" else "deadline-expired"
+    def _log(self, time: float, kind: str, arrival, detail: str) -> None:
         self.events.append(
             OverloadEvent(
-                time=shed_time,
-                kind=kind,
-                tenant=arrival.tenant,
-                app=arrival.app,
-                index=arrival.index,
-                detail=reason,
+                time, kind, arrival.tenant, arrival.app, arrival.index, detail
             )
         )
-        if reason == "queue-cap":
-            self.sheds[arrival.tenant] = self.sheds.get(arrival.tenant, 0) + 1
-        else:
-            self.deadline_aborts[arrival.tenant] = (
-                self.deadline_aborts.get(arrival.tenant, 0) + 1
-            )
+
+    def record_shed(self, arrival, shed_time: float, reason: str) -> ShedRecord:
+        queue_cap = reason == "queue-cap"
+        kind = "shed" if queue_cap else "deadline-expired"
+        self._log(shed_time, kind, arrival, reason)
+        tally = self.sheds if queue_cap else self.deadline_aborts
+        tally[arrival.tenant] = tally.get(arrival.tenant, 0) + 1
         return ShedRecord(
             tenant=arrival.tenant,
             app=arrival.app,
@@ -319,29 +297,16 @@ class OverloadController:
         return None
 
     def record_deadline_abort(self, arrival, time: float, detail: str) -> None:
-        self.events.append(
-            OverloadEvent(
-                time=time,
-                kind="deadline-abort",
-                tenant=arrival.tenant,
-                app=arrival.app,
-                index=arrival.index,
-                detail=detail,
-            )
-        )
-        self.deadline_aborts[arrival.tenant] = (
-            self.deadline_aborts.get(arrival.tenant, 0) + 1
-        )
+        self._log(time, "deadline-abort", arrival, detail)
+        tally = self.deadline_aborts
+        tally[arrival.tenant] = tally.get(arrival.tenant, 0) + 1
 
     # -- the detector and state machine ---------------------------------
 
-    def sample_due(self, now: float) -> bool:
-        """Whether the detector wants a sample at simulated ``now``."""
-        return (
-            self.config.brownout
-            and math.isfinite(now)
-            and now - self._last_sample >= self.config.sample_period_s
-        )
+    def note_time(self, now: float) -> None:
+        """Take one detector sample at simulated ``now`` if one is due."""
+        if now - self._last_sample >= SAMPLE_PERIOD_S:
+            self.observe(now, *self._signal(now))
 
     def observe(
         self,
@@ -361,11 +326,14 @@ class OverloadController:
         """
         cfg = self.config
         self._last_sample = now
-        horizon = now - cfg.window_s
+        # Half a period early: note_time makes the exact due test, so
+        # rounding in this sum can never skip a sample that is due.
+        self.next_boundary_s = now + SAMPLE_PERIOD_S / 2
+        horizon = now - WINDOW_S
         self._samples = [(t, p) for t, p in self._samples if t >= horizon]
         depth_term = queue_depth / cfg.global_queue_cap
         wait_term = mean_wait / cfg.wait_budget_s
-        pressure = depth_term + wait_term + cfg.health_weight * health_fraction
+        pressure = depth_term + wait_term + HEALTH_WEIGHT * health_fraction
         if self._samples:
             # Positive wait/depth slope across the window adds pressure:
             # a *growing* backlog is worse than a static one.
@@ -375,28 +343,27 @@ class OverloadController:
         self._advance_state(now, pressure)
 
     def _advance_state(self, now: float, pressure: float) -> None:
-        cfg = self.config
-        self._over_streak = self._over_streak + 1 if pressure >= cfg.overload_enter else 0
+        self._over_streak = self._over_streak + 1 if pressure >= OVERLOAD_ENTER else 0
         self._brownout_streak = (
-            self._brownout_streak + 1 if pressure >= cfg.brownout_enter else 0
+            self._brownout_streak + 1 if pressure >= BROWNOUT_ENTER else 0
         )
-        self._under_streak = self._under_streak + 1 if pressure <= cfg.overload_exit else 0
+        self._under_streak = self._under_streak + 1 if pressure <= OVERLOAD_EXIT else 0
         state = self.state
         if state == STATE_HEALTHY:
-            if self._over_streak >= cfg.enter_samples:
+            if self._over_streak >= ENTER_SAMPLES:
                 self._transition(now, STATE_OVERLOADED)
         elif state == STATE_OVERLOADED:
-            if self._brownout_streak >= cfg.enter_samples:
+            if self._brownout_streak >= ENTER_SAMPLES:
                 self._transition(now, STATE_BROWNOUT)
-            elif self._under_streak >= cfg.exit_samples:
+            elif self._under_streak >= EXIT_SAMPLES:
                 self._transition(now, STATE_RECOVERING)
         elif state == STATE_BROWNOUT:
-            if self._under_streak >= cfg.exit_samples:
+            if self._under_streak >= EXIT_SAMPLES:
                 self._transition(now, STATE_RECOVERING)
         elif state == STATE_RECOVERING:
-            if self._over_streak >= cfg.enter_samples:
+            if self._over_streak >= ENTER_SAMPLES:
                 self._transition(now, STATE_OVERLOADED)
-            elif self._under_streak >= 2 * cfg.exit_samples:
+            elif self._under_streak >= 2 * EXIT_SAMPLES:
                 self._transition(now, STATE_HEALTHY)
 
     def _transition(self, now: float, new_state: str) -> None:
@@ -437,6 +404,25 @@ class OverloadController:
 
     # -- reporting ------------------------------------------------------
 
+    def counters(self, tenants: List[str]) -> Dict[str, float]:
+        """The overload ``serve.*`` counters, in flush order."""
+        rows = {
+            reg.SERVE_SHED_TOTAL: sum(self.sheds.values()),
+            reg.SERVE_DEADLINE_ABORTS_TOTAL: sum(self.deadline_aborts.values()),
+            reg.SERVE_BROWNOUT_TRANSITIONS: self.transitions,
+            reg.SERVE_BROWNOUT_SECONDS: self.brownout_seconds,
+            reg.SERVE_OVERLOAD_PEAK_QUEUE_DEPTH: self.peak_queue_depth,
+        }
+        for name in tenants:
+            rows[f"{reg.SERVE_SHED}.{name}"] = self.sheds.get(name, 0)
+            rows[f"{reg.SERVE_DEADLINE_ABORTS}.{name}"] = (
+                self.deadline_aborts.get(name, 0)
+            )
+            rows[f"{reg.SERVE_BROWNOUT_DEGRADED}.{name}"] = (
+                self.degraded_jobs.get(name, 0)
+            )
+        return rows
+
     def summary(self) -> dict:
         """JSON-ready controller outcome (the deterministic event log
         included — the byte-identity tests serialize this)."""
@@ -449,5 +435,5 @@ class OverloadController:
             "shed": dict(sorted(self.sheds.items())),
             "deadline_aborts": dict(sorted(self.deadline_aborts.items())),
             "degraded_jobs": dict(sorted(self.degraded_jobs.items())),
-            "events": [event.to_dict() for event in self.events],
+            "events": [asdict(event) for event in self.events],
         }

@@ -24,6 +24,9 @@ from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import GraphImage
 from repro.serve.results import image_digest
 
+#: k for "kcore" queries.
+KCORE_K = 4
+
 
 @dataclass
 class Query:
@@ -54,7 +57,6 @@ class QueryFactory:
         image: GraphImage,
         undirected_image: Optional[GraphImage] = None,
         pr_iterations: int = 5,
-        kcore_k: int = 4,
         source: Optional[int] = None,
     ) -> None:
         if pr_iterations < 1:
@@ -62,7 +64,6 @@ class QueryFactory:
         self.image = image
         self.undirected_image = undirected_image
         self.pr_iterations = pr_iterations
-        self.kcore_k = kcore_k
         if source is None:
             source = int(np.argmax(image.out_csr.degrees()))
         self.source = source
@@ -105,23 +106,17 @@ class QueryFactory:
         graph image the app runs against — so a degraded build, a
         different source, or a rebuilt image never aliases.
         """
-        if app not in self._builders:
-            raise ValueError(
-                f"unsupported app {app!r} (supported: "
-                f"{', '.join(self._builders)})"
-            )
+        self._check(app)
         image = self.undirected_image if app == "kcore" else self.image
         parts = [app, f"fmt={image.fmt}", f"image={self._digest(image)}"]
         if app in ("pr", "pr30"):
-            full = self.pr_iterations if app == "pr" else DEFAULT_MAX_ITERATIONS
-            capped = full if pr_iterations is None else min(full, pr_iterations)
             tolerance = DEFAULT_TOLERANCE * pr_tolerance_factor
-            parts.append(f"iters={capped}")
+            parts.append(f"iters={self._pr_cap(app, pr_iterations)}")
             parts.append(f"tol={tolerance!r}")
         elif app == "bfs":
             parts.append(f"source={self.source}")
         elif app == "kcore":
-            parts.append(f"k={self.kcore_k}")
+            parts.append(f"k={KCORE_K}")
         return "|".join(parts)
 
     def build(
@@ -138,20 +133,26 @@ class QueryFactory:
         are no-ops for non-PageRank apps: traversals have no fidelity
         dial, they are shed or aborted instead.
         """
-        try:
-            builder = self._builders[app]
-        except KeyError:
-            raise ValueError(
-                f"unsupported app {app!r} (supported: "
-                f"{', '.join(self._builders)})"
-            ) from None
+        self._check(app)
         if app in ("pr", "pr30") and (
             pr_iterations is not None or pr_tolerance_factor != 1.0
         ):
-            full = self.pr_iterations if app == "pr" else DEFAULT_MAX_ITERATIONS
-            capped = full if pr_iterations is None else min(full, pr_iterations)
-            return self._pagerank(capped, tolerance_factor=pr_tolerance_factor)
-        return builder()
+            return self._pagerank(
+                self._pr_cap(app, pr_iterations), pr_tolerance_factor
+            )
+        return self._builders[app]()
+
+    def _check(self, app: str) -> None:
+        if app not in self._builders:
+            raise ValueError(
+                f"unsupported app {app!r} (supported: "
+                f"{', '.join(self._builders)})"
+            )
+
+    def _pr_cap(self, app: str, pr_iterations: Optional[int]) -> int:
+        """A PageRank app's iteration cap, lowered to ``pr_iterations``."""
+        full = self.pr_iterations if app == "pr" else DEFAULT_MAX_ITERATIONS
+        return full if pr_iterations is None else min(full, pr_iterations)
 
     def _pagerank(
         self, max_iterations: int, tolerance_factor: float = 1.0
@@ -203,7 +204,7 @@ class QueryFactory:
                     degrees[vertex] -= 1
             self._kcore_degrees = degrees
         program = KCoreProgram(
-            image.num_vertices, self.kcore_k, self._kcore_degrees.copy()
+            image.num_vertices, KCORE_K, self._kcore_degrees.copy()
         )
         return Query(
             app="kcore",

@@ -31,7 +31,9 @@ after the last job.
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.obs import registry as reg
 
 #: Scope key for communally shared entries (tenant names are non-empty,
 #: so the empty string can never collide with a private scope).
@@ -39,6 +41,10 @@ RESULT_SCOPE_SHARED = ""
 
 #: Per-tenant sharing policies (``TenantSpec.result_cache``).
 RESULT_CACHE_POLICIES = ("shared", "private", "off")
+
+#: Simulated seconds a cache hit costs the querying tenant (fingerprint
+#: lookup + handing back the vector).
+HIT_COST_S = 5e-5
 
 
 def image_digest(image) -> str:
@@ -79,33 +85,19 @@ class CachedResult:
     source_index: int
 
 
-@dataclass(frozen=True)
-class ResultCacheConfig:
-    """Result-cache knobs."""
-
-    #: Entry lifetime on the simulated clock; ``None`` = never expires.
-    ttl_s: Optional[float] = None
-    #: Simulated seconds a cache hit costs the querying tenant
-    #: (fingerprint lookup + handing back the vector).
-    hit_cost_s: float = 5e-5
-
-    def __post_init__(self) -> None:
-        if self.ttl_s is not None and self.ttl_s <= 0.0:
-            raise ValueError("ttl_s must be positive")
-        if self.hit_cost_s < 0.0:
-            raise ValueError("hit_cost_s must be non-negative")
-
-
 class ResultCache:
     """Fingerprint-keyed store of completed query outputs.
 
     One instance per :class:`~repro.serve.service.GraphService`; scopes
     (shared vs. per-tenant) partition the key space, so a ``private``
-    tenant never reads another tenant's deposits.
+    tenant never reads another tenant's deposits.  ``ttl_s`` is the
+    entry lifetime on the simulated clock (``None`` never expires).
     """
 
-    def __init__(self, config: Optional[ResultCacheConfig] = None) -> None:
-        self.config = config or ResultCacheConfig()
+    def __init__(self, ttl_s: Optional[float] = None) -> None:
+        if ttl_s is not None and ttl_s <= 0.0:
+            raise ValueError("ttl_s must be positive")
+        self.ttl_s = ttl_s
         self._entries: Dict[Tuple[str, str], CachedResult] = {}
         # Local tallies, flushed to serve.result_cache_* by the service
         # after the last job (never mid-run).
@@ -129,7 +121,7 @@ class ResultCache:
         """
         key = (scope, fingerprint)
         entry = self._entries.get(key)
-        ttl = self.config.ttl_s
+        ttl = self.ttl_s
         if (
             entry is not None
             and ttl is not None
@@ -183,6 +175,20 @@ class ResultCache:
             del self._entries[key]
         self.invalidations += len(doomed)
         return len(doomed)
+
+    def counters(self, tenants: List[str]) -> Dict[str, float]:
+        """The ``serve.result_cache_*`` counters, in flush order."""
+        rows = {
+            reg.SERVE_RESULT_CACHE_HITS_TOTAL: self.hits,
+            reg.SERVE_RESULT_CACHE_MISSES_TOTAL: self.misses,
+            reg.SERVE_RESULT_CACHE_INSERTIONS_TOTAL: self.insertions,
+            reg.SERVE_RESULT_CACHE_EXPIRATIONS_TOTAL: self.expirations,
+        }
+        for name in tenants:
+            rows[f"{reg.SERVE_RESULT_CACHE_HITS}.{name}"] = (
+                self.hits_by_tenant.get(name, 0)
+            )
+        return rows
 
     def summary(self) -> dict:
         """Run-level outcome for :class:`ServiceReport`."""

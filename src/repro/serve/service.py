@@ -13,19 +13,22 @@ Scheduling policies (``ServiceConfig.policy``):
 - ``fifo`` — arrival order;
 - ``fair`` — weighted fair share: admit the tenant with the least
   attributed device-busy time per unit weight, with starvation aging
-  (a query waiting longer than ``starvation_bound_s`` jumps the queue);
+  (a query waiting longer than :data:`STARVATION_BOUND_S` jumps the
+  queue);
 - ``deadline`` — earliest deadline first over each tenant's
   ``deadline_s``.
 
-A single-job service run replays the batch engine's code path operation
-for operation, so its simulated counters are bit-identical to the
-equivalent ``repro run`` — the serving tests pin this.
-
-Overload control (``ServiceConfig.overload``, see ``docs/overload.md``)
-bounds the admission queues, sheds or deadline-aborts infeasible work,
-and brownouts the service under sustained pressure.  With the knob left
-``None`` the event loop runs the exact pre-overload code path, so the
-bit-identity guarantees above are untouched.
+The event loop (:meth:`GraphService.serve`) is a fixed sequence of
+stages — reveal, expire, clocked subscribers, admit, step, finalize —
+and every query lifecycle event goes out exactly once, through
+``_emit``, to the sinks armed at construction; ``docs/serving.md``
+states both as the loop's contract.  A single-job service run replays
+the batch engine's code path operation for operation, so its simulated
+counters are bit-identical to the equivalent ``repro run`` — the
+serving tests pin this.  Overload control (``ServiceConfig.overload``,
+see ``docs/overload.md``) bounds the admission queues, sheds or
+deadline-aborts infeasible work, and brownouts the service under
+sustained pressure; left ``None``, it changes nothing.
 """
 
 import math
@@ -39,19 +42,20 @@ from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import EngineJob, GraphEngine, IterationAborted, RunResult
 from repro.graph.builder import GraphImage
 from repro.obs import registry as reg
-from repro.obs.slo import SLOConfig, SLOTracker
+from repro.obs.slo import SLOTracker
 from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.safs.io_scheduler import InflightReadRegistry
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.serve.admission import AdmissionController
-from repro.serve.cache_sizing import CacheRebalanceConfig, CacheRebalancer
-from repro.serve.overload import OverloadConfig, OverloadController, ShedRecord
-from repro.serve.queries import Query, QueryFactory
-from repro.serve.results import (
-    RESULT_SCOPE_SHARED,
-    ResultCache,
-    ResultCacheConfig,
+from repro.serve.cache_sizing import CacheRebalancer
+from repro.serve.overload import (
+    BROWNOUT_TOLERANCE_FACTOR,
+    OverloadConfig,
+    OverloadController,
+    ShedRecord,
 )
+from repro.serve.queries import Query, QueryFactory
+from repro.serve.results import HIT_COST_S, RESULT_SCOPE_SHARED, ResultCache
 from repro.serve.tenants import TenantAccountant, TenantSpec
 from repro.serve.traffic import Arrival
 from repro.sim.cost_model import CostModel
@@ -62,6 +66,15 @@ from repro.sim.parity import ParityConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 
 SCHEDULING_POLICIES = ("fifo", "fair", "deadline")
+
+#: Fair mode: a query waiting this long (simulated seconds) is admitted
+#: ahead of any share comparison — the no-starvation bound.
+STARVATION_BOUND_S = 0.05
+
+#: Query lifecycle event kinds, in lifecycle order (see ``_emit``).
+QUERY_EVENTS = (
+    "queued", "shed", "admitted", "deadline-abort", "completed", "aborted",
+)
 
 
 @dataclass(frozen=True)
@@ -74,13 +87,8 @@ class ServiceConfig:
     range_shift: int = 8
     #: Admission scheduling policy: "fifo", "fair" or "deadline".
     policy: str = "fair"
-    #: Fair mode: a query waiting this long (simulated seconds) is
-    #: admitted ahead of any share comparison — the no-starvation bound.
-    starvation_bound_s: float = 0.05
     #: Iteration cap for "pr" queries ("pr30" always runs the paper's 30).
     pr_iterations: int = 5
-    #: k for "kcore" queries.
-    kcore_k: int = 4
     #: Overload control (bounded queues, shedding, deadline enforcement,
     #: brownout); ``None`` keeps the exact pre-overload event loop.
     overload: Optional[OverloadConfig] = None
@@ -96,16 +104,12 @@ class ServiceConfig:
     #: Result-cache entry lifetime on the simulated clock; ``None``
     #: never expires.
     result_cache_ttl_s: Optional[float] = None
-    #: Simulated cost a result-cache hit charges the tenant.
-    result_cache_cost_s: float = 5e-5
     #: Adaptive tenant cache sizing: periodically move set capacity
     #: between tenant cache partitions toward the best marginal hit
     #: rate (requires at least two tenants with ``cache_bytes``).
     cache_rebalance: bool = False
     #: Rebalance decision interval (simulated seconds).
     cache_rebalance_interval_s: float = 0.01
-    #: Per-partition capacity floor, as a fraction of initial capacity.
-    cache_rebalance_floor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.policy not in SCHEDULING_POLICIES:
@@ -113,20 +117,12 @@ class ServiceConfig:
                 f"unknown scheduling policy {self.policy!r} "
                 f"(one of {', '.join(SCHEDULING_POLICIES)})"
             )
-        if self.starvation_bound_s <= 0.0:
-            raise ValueError("starvation_bound_s must be positive")
         if self.pr_iterations < 1:
             raise ValueError("pr_iterations must be at least 1")
-        if self.kcore_k < 1:
-            raise ValueError("kcore_k must be at least 1")
         if self.result_cache_ttl_s is not None and self.result_cache_ttl_s <= 0.0:
             raise ValueError("result_cache_ttl_s must be positive")
-        if self.result_cache_cost_s < 0.0:
-            raise ValueError("result_cache_cost_s must be non-negative")
         if self.cache_rebalance_interval_s <= 0.0:
             raise ValueError("cache_rebalance_interval_s must be positive")
-        if not 0.0 < self.cache_rebalance_floor <= 1.0:
-            raise ValueError("cache_rebalance_floor must lie in (0, 1]")
 
 
 @dataclass
@@ -178,6 +174,23 @@ def _query_context(arrival: Arrival) -> dict:
         "tenant": arrival.tenant,
         "app": arrival.app,
     }
+
+
+def _record(
+    arrival: Arrival, start: float, finish: float, result: RunResult, **fields
+) -> JobRecord:
+    """``arrival``'s :class:`JobRecord`, run from ``start`` to ``finish``."""
+    return JobRecord(
+        tenant=arrival.tenant,
+        app=arrival.app,
+        arrival_time=arrival.time,
+        start_time=start,
+        finish_time=finish,
+        iterations=result.iterations,
+        result=result,
+        index=arrival.index,
+        **fields,
+    )
 
 
 def _latency_histogram(values) -> Histogram:
@@ -311,11 +324,9 @@ class _Running:
     arrival: Arrival
     start: float
     query: Query
-    engine: GraphEngine
     job: EngineJob
     aborted: Optional[IterationAborted] = None
     degraded: bool = False
-    deadline_aborted: bool = False
     #: Result-cache deposit key for this query's output (``None`` when
     #: the cache is off or the tenant opted out).
     fingerprint: Optional[str] = None
@@ -343,13 +354,18 @@ class ServeTelemetry:
 
     #: Per-tenant outcome reports, updated as each job finalizes.
     reports: Dict[str, TenantReport]
+    #: Per tenant, when its most recently finished query freed its slot
+    #: (a quota-blocked waiter starts no earlier).
+    free_at: Dict[str, float]
     #: Revealed-but-unadmitted queries, in reveal order.
     waiting: List["_Waiting"] = field(default_factory=list)
     #: Admitted, unfinished jobs.
     running: List["_Running"] = field(default_factory=list)
-    #: Finished-query records in finish order (result-cache answers are
-    #: appended here directly, without ever entering ``running``).
+    #: Finished-query records in finish order (result-cache answers
+    #: finish at admission, without ever entering ``running``).
     records: List[JobRecord] = field(default_factory=list)
+    #: Queries refused without running, in decision order.
+    sheds: List[ShedRecord] = field(default_factory=list)
     completed: int = 0
     aborted: int = 0
     deadline_aborted: int = 0
@@ -380,7 +396,6 @@ class GraphService:
         cost_model: Optional[CostModel] = None,
         observer=None,
         timeline=None,
-        slo_config: Optional[SLOConfig] = None,
         source: Optional[int] = None,
     ) -> None:
         if not tenants:
@@ -388,7 +403,7 @@ class GraphService:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
-        self.config = config or ServiceConfig()
+        self.config = config = config or ServiceConfig()
         self.tenants: Dict[str, TenantSpec] = {t.name: t for t in tenants}
         array = SSDArray(
             array_config or SSDArrayConfig(),
@@ -397,10 +412,7 @@ class GraphService:
         )
         self.safs = SAFS(
             array,
-            SAFSConfig(
-                page_size=self.config.page_size,
-                cache_bytes=self.config.cache_bytes,
-            ),
+            SAFSConfig(page_size=config.page_size, cache_bytes=config.cache_bytes),
             stats=array.stats,
             fault_policy=fault_policy,
             health_policy=health_policy,
@@ -409,23 +421,27 @@ class GraphService:
         self.cost_model = cost_model
         self._engine_config = EngineConfig(
             mode=ExecutionMode.SEMI_EXTERNAL,
-            num_threads=self.config.num_threads,
-            range_shift=self.config.range_shift,
+            num_threads=config.num_threads,
+            range_shift=config.range_shift,
         )
         self.queries = QueryFactory(
             image,
             undirected_image=undirected_image,
-            pr_iterations=self.config.pr_iterations,
-            kcore_k=self.config.kcore_k,
+            pr_iterations=config.pr_iterations,
             source=source,
         )
         self.admission = AdmissionController(self.tenants)
         #: Overload controller; ``None`` = the pre-overload event loop.
-        self.overload: Optional[OverloadController] = (
-            OverloadController(self.config.overload, self.tenants)
-            if self.config.overload is not None
-            else None
-        )
+        self.overload: Optional[OverloadController] = None
+        detector = None
+        self._enforce_deadlines = False
+        if config.overload is not None:
+            self.overload = OverloadController(
+                config.overload, self.tenants, signal=self._pressure
+            )
+            self._enforce_deadlines = config.overload.enforce_deadlines
+            if config.overload.brownout:
+                detector = self.overload
         self.accountant = TenantAccountant(names)
         self.accountant.install(array)
         self.observer = observer
@@ -437,44 +453,48 @@ class GraphService:
         #: declares objectives (pure bookkeeping outside the shared
         #: counters, so arming never perturbs counter bit-identity).
         self.slo: Optional[SLOTracker] = (
-            SLOTracker(self.tenants, slo_config)
+            SLOTracker(self.tenants)
             if any(spec.slo_objectives for spec in tenants)
             else None
         )
         #: Live event-loop accumulators; set by :meth:`serve`.
         self.telemetry: Optional[ServeTelemetry] = None
         #: Per-tenant cache partitions (only tenants that asked for one).
-        self.cache_partitions: Dict[str, PageCache] = {}
-        for spec in tenants:
-            if spec.cache_bytes is not None:
-                self.cache_partitions[spec.name] = PageCache(
-                    PageCacheConfig(
-                        capacity_bytes=spec.cache_bytes,
-                        page_size=self.config.page_size,
-                        associativity=self.safs.config.cache_associativity,
-                        eviction=self.safs.config.cache_eviction,
-                    ),
-                    self.stats,
-                )
+        self.cache_partitions: Dict[str, PageCache] = {
+            spec.name: PageCache(
+                PageCacheConfig(
+                    capacity_bytes=spec.cache_bytes,
+                    page_size=config.page_size,
+                    associativity=self.safs.config.cache_associativity,
+                    eviction=self.safs.config.cache_eviction,
+                ),
+                self.stats,
+            )
+            for spec in tenants
+            if spec.cache_bytes is not None
+        }
         if self.cache_partitions:
             self.safs.scheduler.tenant_caches = self.cache_partitions
         # Cross-query I/O sharing (docs/io_sharing.md); every handle is
         # None when its feature is off, keeping the legacy event loop.
-        self.inflight: Optional[InflightReadRegistry] = (
-            InflightReadRegistry() if self.config.share_reads else None
-        )
-        self.result_cache: Optional[ResultCache] = (
-            ResultCache(
-                ResultCacheConfig(
-                    ttl_s=self.config.result_cache_ttl_s,
-                    hit_cost_s=self.config.result_cache_cost_s,
-                )
-            )
-            if self.config.result_cache
-            else None
-        )
+        self.inflight: Optional[InflightReadRegistry] = None
+        #: Tenants whose steps attach to (and publish) in-flight reads.
+        self._sharing_tenants = set()
+        if config.share_reads:
+            self.inflight = InflightReadRegistry()
+            self._sharing_tenants = {t.name for t in tenants if t.share_reads}
+        self.result_cache: Optional[ResultCache] = None
+        #: Result-cache scope per tenant that reads and writes the cache.
+        self._result_scopes: Dict[str, str] = {}
+        if config.result_cache:
+            self.result_cache = ResultCache(config.result_cache_ttl_s)
+            self._result_scopes = {
+                t.name: t.name if t.result_cache == "private" else RESULT_SCOPE_SHARED
+                for t in tenants
+                if t.result_cache != "off"
+            }
         self.rebalancer: Optional[CacheRebalancer] = None
-        if self.config.cache_rebalance:
+        if config.cache_rebalance:
             if len(self.cache_partitions) < 2:
                 raise ValueError(
                     "cache_rebalance needs at least two tenants with "
@@ -482,12 +502,79 @@ class GraphService:
                 )
             self.rebalancer = CacheRebalancer(
                 self.cache_partitions,
-                CacheRebalanceConfig(
-                    interval_s=self.config.cache_rebalance_interval_s,
-                    floor_fraction=self.config.cache_rebalance_floor,
-                ),
+                config.cache_rebalance_interval_s,
                 stats=self.stats,
             )
+        #: The clocked subscribers, in stage order: each exposes
+        #: ``next_boundary_s`` and ``note_time(now)``.
+        self._clocked = [
+            c for c in (detector, self.timeline, self.rebalancer) if c is not None
+        ]
+        #: The armed features that own ``serve.*`` counters, each
+        #: exposing ``counters(tenants)``, in flush order.
+        parts = (self.result_cache, self.rebalancer, self.overload)
+        self._counted = [p for p in parts if p is not None]
+        self._sinks = self._build_sinks()
+
+    # ------------------------------------------------------------------
+    # The event stream
+    # ------------------------------------------------------------------
+
+    def _build_sinks(self) -> Dict[str, list]:
+        """Per event kind, the sinks armed for this service — decided
+        once here, so no stage ever asks what is armed."""
+        outcomes = ("shed", "completed", "aborted")
+        # (what the sink writes to — None when disarmed, sink, kinds)
+        wiring = (
+            (self.stats, self._histogram_sink, outcomes),
+            (self.slo, self._slo_sink, outcomes),
+            (self.timeline, self._timeline_sink, ("completed", "aborted")),
+            (self.observer, self._observer_sink, QUERY_EVENTS),
+        )
+        sinks: Dict[str, list] = {kind: [] for kind in QUERY_EVENTS}
+        for target, sink, kinds in wiring:
+            if target is not None:
+                for kind in kinds:
+                    sinks[kind].append(sink)
+        return sinks
+
+    def _emit(
+        self, kind: str, arrival: Arrival, time: float, outcome=None, **fields
+    ) -> None:
+        """Fan one query lifecycle event out to every sink armed for
+        ``kind``.  ``outcome`` is the :class:`ShedRecord` or
+        :class:`JobRecord` a terminal event closes; ``fields`` are the
+        event's span-trace attributes."""
+        for sink in self._sinks[kind]:
+            sink(kind, arrival, time, outcome, fields)
+
+    def _histogram_sink(self, kind, arrival, time, outcome, fields) -> None:
+        # Histograms live outside counter snapshots/diffs, so recording
+        # them mid-run never perturbs any job's counter bit-identity.
+        if kind == "shed":
+            observed = [(reg.HIST_SERVE_SHED_AGE_SECONDS, outcome.age)]
+        else:
+            observed = [
+                (reg.HIST_SERVE_QUERY_SECONDS, outcome.latency),
+                (reg.HIST_SERVE_QUEUE_WAIT_SECONDS, outcome.queue_wait),
+            ]
+        for family, value in observed:
+            self.stats.observe(
+                f"{family}.{arrival.tenant}", value, reg.histogram_bounds(family)
+            )
+
+    def _slo_sink(self, kind, arrival, time, outcome, fields) -> None:
+        self.slo.record(arrival.tenant, time, kind, fields.get("latency"))
+
+    def _timeline_sink(self, kind, arrival, time, outcome, fields) -> None:
+        self.timeline.note_completion(
+            arrival.tenant, time, fields["latency"], kind == "completed"
+        )
+
+    def _observer_sink(self, kind, arrival, time, outcome, fields) -> None:
+        self.observer.note_query_event(
+            kind, time, _query_context(arrival), **fields
+        )
 
     # ------------------------------------------------------------------
     # The event loop
@@ -498,95 +585,61 @@ class GraphService:
 
         One call per service instance: the report's counters are written
         into the shared stats at the end (never mid-run, so per-job
-        counter diffs stay unperturbed).
+        counter diffs stay unperturbed), and the quota, busy-time and
+        cache state a run leaves behind would leak into a second run's
+        report — so a second call raises :class:`RuntimeError`.
         """
+        if self.telemetry is not None:
+            raise RuntimeError(
+                "GraphService.serve() runs once per service instance; "
+                "build a new service to serve another trace"
+            )
         for earlier, later in zip(trace, trace[1:]):
             if later.time < earlier.time:
                 raise ValueError("the trace must be sorted by arrival time")
-        pending = deque(trace)
-        telemetry = ServeTelemetry(
-            reports={name: TenantReport(tenant=name) for name in self.tenants}
+        telemetry = self.telemetry = ServeTelemetry(
+            reports={name: TenantReport(tenant=name) for name in self.tenants},
+            free_at={name: 0.0 for name in self.tenants},
         )
-        self.telemetry = telemetry
-        waiting = telemetry.waiting
-        running = telemetry.running
+        pending = deque(trace)
+        while pending or telemetry.waiting or telemetry.running:
+            now = self._frontier(pending)
+            self._reveal(pending, now)
+            if math.isfinite(now):
+                self._expire(now)
+                # One float compare per subscriber per pass; a call only
+                # when its boundary actually falls due.
+                for clock in self._clocked:
+                    if now >= clock.next_boundary_s:
+                        clock.note_time(now)
+            self._admit(now)
+            if telemetry.running:
+                self._step_earliest()
+        return self._report(len(trace))
+
+    def _frontier(self, pending: deque) -> float:
+        """The smallest running job's clock; with none running, ``-inf``
+        while queries wait (a blocked waiter implies a running job of
+        its tenant, so admission starts one), else the next arrival."""
+        telemetry = self.telemetry
+        if telemetry.running:
+            return min(r.job.clock for r in telemetry.running)
+        if telemetry.waiting:
+            return -math.inf
+        return pending[0].time
+
+    def _report(self, offered: int) -> ServiceReport:
+        telemetry = self.telemetry
         reports = telemetry.reports
-        records = telemetry.records
-        sheds: List[ShedRecord] = []
-        free_at: Dict[str, float] = {name: 0.0 for name in self.tenants}
-        overload = self.overload
-        observer = self.observer
-        timeline = self.timeline
-        rebalancer = self.rebalancer
-
-        while pending or waiting or running:
-            if running:
-                frontier = min(r.job.clock for r in running)
-            elif waiting:
-                # Every waiter is admissible (a blocked waiter implies a
-                # running job of its tenant), so admission below starts
-                # at least one job.
-                frontier = -math.inf
-            else:
-                frontier = pending[0].time
-            while pending and pending[0].time <= frontier:
-                arrival = pending.popleft()
-                if observer is not None:
-                    observer.note_query_event(
-                        "queued", arrival.time, _query_context(arrival)
-                    )
-                if overload is None:
-                    waiting.append(_Waiting(arrival))
-                else:
-                    self._reveal(arrival, waiting, sheds)
-            if overload is not None and math.isfinite(frontier):
-                if overload.config.enforce_deadlines:
-                    self._expire_waiting(waiting, frontier, sheds)
-                if overload.sample_due(frontier):
-                    self._observe_pressure(frontier, waiting)
-            # The boundary compare keeps the hot loop at one float test
-            # per pass; the sampler call only happens when a window
-            # actually closes (plus once per completion, in _finalize).
-            if (
-                timeline is not None
-                and frontier >= timeline.next_boundary_s
-                and math.isfinite(frontier)
-            ):
-                timeline.note_time(frontier)
-            # Same hot-loop discipline for the cache rebalancer: one
-            # float compare per pass, a decision only at its boundary.
-            if (
-                rebalancer is not None
-                and frontier >= rebalancer.next_boundary_s
-                and math.isfinite(frontier)
-            ):
-                rebalancer.note_time(frontier)
-            self._admit(waiting, running, free_at, frontier, sheds)
-            if not running:
-                continue
-            current = min(running, key=lambda r: (r.job.clock, r.arrival.index))
-            alive = self._step(current)
-            if alive and overload is not None:
-                alive = not self._maybe_deadline_abort(current)
-            if not alive:
-                running.remove(current)
-                record = self._finalize(current, free_at, reports)
-                records.append(record)
-                if record.ok:
-                    telemetry.completed += 1
-                else:
-                    telemetry.aborted += 1
-                    if current.deadline_aborted:
-                        telemetry.deadline_aborted += 1
-
         for name, report in reports.items():
             report.quota_waits = self.admission.quota_waits[name]
         for name, busy in self.accountant.busy_by_tenant().items():
             if name in reports:
                 reports[name].busy_seconds = busy
-        duration = max((r.finish_time for r in records), default=0.0)
+        duration = max((r.finish_time for r in telemetry.records), default=0.0)
         summary = None
         end = duration
+        overload = self.overload
         if overload is not None:
             if overload.events:
                 end = max(end, overload.events[-1].time)
@@ -596,24 +649,26 @@ class GraphService:
                 report.shed = overload.sheds.get(name, 0)
                 report.deadline_aborts = overload.deadline_aborts.get(name, 0)
                 report.degraded = overload.degraded_jobs.get(name, 0)
+        slo = None
         if self.slo is not None:
             self.slo.finish(end)
-        if timeline is not None:
-            timeline.finish(end)
-        self._write_serve_counters(telemetry)
+            slo = self.slo.summary()
+        if self.timeline is not None:
+            self.timeline.finish(end)
+        self._write_serve_counters()
         return ServiceReport(
             policy=self.config.policy,
-            offered=len(trace),
+            offered=offered,
             completed=telemetry.completed,
             aborted=telemetry.aborted,
             quota_waits=self.admission.total_quota_waits(),
             duration_s=duration,
             tenants=reports,
-            records=records,
-            sheds=sheds,
+            records=telemetry.records,
+            sheds=telemetry.sheds,
             deadline_aborts=telemetry.deadline_aborted,
             overload=summary,
-            slo=self.slo.summary() if self.slo is not None else None,
+            slo=slo,
             sharing=self._sharing_summary(),
         )
 
@@ -624,40 +679,31 @@ class GraphService:
         cache's / rebalancer's local tallies; pure reads, so the
         bit-identical counter snapshot is untouched.
         """
-        if (
-            self.inflight is None
-            and self.result_cache is None
-            and self.rebalancer is None
-        ):
+        cache, rebalancer = self.result_cache, self.rebalancer
+        if self.inflight is None and cache is None and rebalancer is None:
             return None
         stats = self.stats
         return {
-            "share_reads": self.inflight is not None,
+            "share_reads": self.config.share_reads,
             "dedup_pages": stats.get(reg.SAFS_DEDUP_PAGES),
             "dedup_waits": stats.get(reg.SAFS_DEDUP_WAITS),
             "dedup_wait_seconds": stats.get(reg.SAFS_DEDUP_WAIT_SECONDS),
-            "result_cache": (
-                self.result_cache.summary()
-                if self.result_cache is not None
-                else None
-            ),
-            "rebalancer": (
-                self.rebalancer.summary()
-                if self.rebalancer is not None
-                else None
-            ),
+            "result_cache": None if cache is None else cache.summary(),
+            "rebalancer": None if rebalancer is None else rebalancer.summary(),
         }
 
     # ------------------------------------------------------------------
-    # Overload control (every hook below requires self.overload)
+    # Stages 1-2: reveal and expire
     # ------------------------------------------------------------------
 
-    def _reveal(
-        self,
-        arrival: Arrival,
-        waiting: List[_Waiting],
-        sheds: List[ShedRecord],
-    ) -> None:
+    def _reveal(self, pending: deque, now: float) -> None:
+        """Queue every arrival due by ``now``."""
+        while pending and pending[0].time <= now:
+            arrival = pending.popleft()
+            self._emit("queued", arrival, arrival.time)
+            self._enqueue(_Waiting(arrival))
+
+    def _enqueue(self, newcomer: _Waiting) -> None:
         """Queue one revealed arrival, shedding if a cap would burst.
 
         The tenant cap is checked first (a tenant may never crowd its
@@ -665,73 +711,64 @@ class GraphService:
         newcomer or a queued query, per the shed policy — is decided
         purely from the queue contents, so it replays bit-identically.
         """
+        waiting = self.telemetry.waiting
         overload = self.overload
-        newcomer = _Waiting(arrival)
+        if overload is None:
+            waiting.append(newcomer)
+            return
+        arrival = newcomer.arrival
         mine = [w for w in waiting if w.arrival.tenant == arrival.tenant]
         victim = None
         if len(mine) >= overload.tenant_cap(arrival.tenant):
             victim = overload.choose_victim(mine + [newcomer], self._order_key)
         elif len(waiting) >= overload.config.global_queue_cap:
-            victim = overload.choose_victim(
-                waiting + [newcomer], self._order_key
-            )
+            victim = overload.choose_victim(waiting + [newcomer], self._order_key)
         if victim is None:
             waiting.append(newcomer)
         elif victim is newcomer:
-            sheds.append(self._shed(arrival, arrival.time, "queue-cap"))
+            self._shed(arrival, arrival.time, "queue-cap")
         else:
             waiting.remove(victim)
             waiting.append(newcomer)
-            sheds.append(self._shed(victim.arrival, arrival.time, "queue-cap"))
+            self._shed(victim.arrival, arrival.time, "queue-cap")
         depth = {name: 0 for name in self.tenants}
         for waiter in waiting:
             depth[waiter.arrival.tenant] += 1
         overload.note_depth(len(waiting), depth)
 
-    def _expire_waiting(
-        self, waiting: List[_Waiting], now: float, sheds: List[ShedRecord]
-    ) -> None:
+    def _expire(self, now: float) -> None:
         """Drop queued queries whose deadline already passed at ``now``:
         admitting them can only burn array bandwidth on a guaranteed
         miss, the exact waste overload control exists to avoid."""
-        expired = []
-        for waiter in waiting:
-            deadline_s = self.tenants[waiter.arrival.tenant].deadline_s
-            if deadline_s is not None and now > waiter.arrival.time + deadline_s:
-                expired.append(waiter)
+        if not self._enforce_deadlines:
+            return
+        waiting = self.telemetry.waiting
+        expired = [w for w in waiting if self._past_deadline(w.arrival, now)]
         for waiter in expired:
             waiting.remove(waiter)
-            sheds.append(self._shed(waiter.arrival, now, "deadline-expired"))
+            self._shed(waiter.arrival, now, "deadline-expired")
 
-    def _shed(self, arrival: Arrival, shed_time: float, reason: str) -> ShedRecord:
-        record = self.overload.record_shed(arrival, shed_time, reason)
-        # Histograms live outside counter snapshots/diffs (see
-        # _finalize), so observing mid-run is bit-identity safe.
-        self.stats.observe(
-            f"{reg.HIST_SERVE_SHED_AGE_SECONDS}.{arrival.tenant}",
-            record.age,
-            reg.histogram_bounds(reg.HIST_SERVE_SHED_AGE_SECONDS),
-        )
-        if self.slo is not None:
-            self.slo.record(arrival.tenant, shed_time, "shed")
-        if self.observer is not None:
-            self.observer.note_query_event(
-                "shed",
-                shed_time,
-                _query_context(arrival),
-                reason=reason,
-                age=record.age,
-            )
-        return record
+    def _past_deadline(self, arrival: Arrival, time: float) -> bool:
+        deadline_s = self.tenants[arrival.tenant].deadline_s
+        return deadline_s is not None and time > arrival.time + deadline_s
 
-    def _observe_pressure(self, now: float, waiting: List[_Waiting]) -> None:
-        """Feed the overload detector one sample at simulated ``now``."""
+    def _shed(self, arrival: Arrival, time: float, reason: str) -> None:
+        record = self.overload.record_shed(arrival, time, reason)
+        self.telemetry.sheds.append(record)
+        self._emit("shed", arrival, time, record, reason=reason, age=record.age)
+
+    # ------------------------------------------------------------------
+    # Stage 3's brownout-detector signal
+    # ------------------------------------------------------------------
+
+    def _pressure(self, now: float):
+        """The detector's inputs at simulated ``now``: queue depth, the
+        mean age of waiting queries, and the unhealthy-device fraction."""
+        waiting = self.telemetry.waiting
         mean_wait = 0.0
         if waiting:
             mean_wait = sum(now - w.arrival.time for w in waiting) / len(waiting)
-        self.overload.observe(
-            now, len(waiting), mean_wait, self._unhealthy_fraction(now)
-        )
+        return len(waiting), mean_wait, self._unhealthy_fraction(now)
 
     def _unhealthy_fraction(self, now: float) -> float:
         """Fraction of data devices dead, failed or quarantined at
@@ -750,47 +787,8 @@ class GraphService:
                 bad += 1
         return bad / num
 
-    def _maybe_deadline_abort(self, run: _Running) -> bool:
-        """Cancel ``run`` at this barrier if its deadline is hopeless.
-
-        Returns ``True`` when the job was cancelled (the caller
-        finalizes it like any abort, keeping the partial result).
-        """
-        overload = self.overload
-        if not (
-            overload.config.enforce_deadlines
-            and overload.config.deadline_abort_running
-        ):
-            return False
-        deadline_s = self.tenants[run.arrival.tenant].deadline_s
-        if deadline_s is None:
-            return False
-        now = run.job.clock
-        reason = overload.deadline_unreachable(
-            now=now,
-            start=run.start,
-            deadline=run.arrival.time + deadline_s,
-            iterations=run.job.iteration,
-            max_iterations=run.query.max_iterations,
-            frontier_size=run.job.frontier_size,
-        )
-        if reason is None:
-            return False
-        run.aborted = run.job.cancel(f"deadline unreachable: {reason}")
-        run.deadline_aborted = True
-        overload.record_deadline_abort(run.arrival, now, reason)
-        if self.observer is not None:
-            self.observer.note_query_event(
-                "deadline-abort",
-                now,
-                _query_context(run.arrival),
-                reason=reason,
-                iteration=run.job.iteration,
-            )
-        return True
-
     # ------------------------------------------------------------------
-    # Admission
+    # Stage 4: admission
     # ------------------------------------------------------------------
 
     def _order_key(self, waiter: _Waiting):
@@ -799,23 +797,15 @@ class GraphService:
         if self.config.policy == "fifo":
             return (arrival.time, arrival.index)
         if self.config.policy == "deadline":
-            deadline = (
-                arrival.time + spec.deadline_s
-                if spec.deadline_s is not None
-                else math.inf
-            )
+            deadline_s = spec.deadline_s
+            deadline = math.inf if deadline_s is None else arrival.time + deadline_s
             return (deadline, arrival.time, arrival.index)
         share = self.accountant.usage[arrival.tenant] / spec.weight
         return (share, arrival.time, arrival.index)
 
-    def _admit(
-        self,
-        waiting: List[_Waiting],
-        running: List[_Running],
-        free_at: Dict[str, float],
-        now: float,
-        sheds: Optional[List[ShedRecord]] = None,
-    ) -> None:
+    def _admit(self, now: float) -> None:
+        """Start waiting queries by policy until every quota blocks."""
+        waiting = self.telemetry.waiting
         while waiting:
             candidates = []
             for waiter in waiting:
@@ -831,97 +821,66 @@ class GraphService:
                 # Starvation aging: anyone past the bound is admitted
                 # longest-waiting first, regardless of share.
                 starved = [
-                    w
-                    for w in candidates
-                    if now - w.arrival.time >= self.config.starvation_bound_s
+                    w for w in candidates if now - w.arrival.time >= STARVATION_BOUND_S
                 ]
                 if starved:
-                    pick = min(
-                        starved, key=lambda w: (w.arrival.time, w.arrival.index)
-                    )
+                    pick = min(starved, key=lambda w: (w.arrival.time, w.arrival.index))
             if pick is None:
                 pick = min(candidates, key=self._order_key)
             waiting.remove(pick)
-            if (
-                self.overload is not None
-                and self.overload.config.enforce_deadlines
-            ):
-                # A quota-blocked pick starts at free_at, which can sit
-                # far past the frontier the expiry sweep sees (one slow
-                # job can jump a tenant's free_at by whole seconds);
-                # re-check the deadline against the actual start time so
-                # a guaranteed miss is shed instead of started.
-                arrival = pick.arrival
-                deadline_s = self.tenants[arrival.tenant].deadline_s
-                start = (
-                    max(arrival.time, free_at[arrival.tenant])
-                    if pick.blocked_noted
-                    else arrival.time
-                )
-                if (
-                    deadline_s is not None
-                    and start > arrival.time + deadline_s
-                ):
-                    sheds.append(
-                        self._shed(arrival, start, "deadline-expired")
-                    )
-                    continue
-            self._start(pick, running, free_at)
+            arrival = pick.arrival
+            # A query that was ever blocked starts when its slot freed,
+            # not at its (earlier) arrival; a never-blocked query starts
+            # on arrival.
+            start = (
+                max(arrival.time, self.telemetry.free_at[arrival.tenant])
+                if pick.blocked_noted
+                else arrival.time
+            )
+            # That start can sit far past the frontier the expiry sweep
+            # sees (one slow job can jump a tenant's free_at by whole
+            # seconds): a guaranteed miss is shed instead of started.
+            if self._enforce_deadlines and self._past_deadline(arrival, start):
+                self._shed(arrival, start, "deadline-expired")
+                continue
+            self._start(arrival, start)
 
-    def _start(
-        self,
-        waiter: _Waiting,
-        running: List[_Running],
-        free_at: Dict[str, float],
-    ) -> None:
-        arrival = waiter.arrival
+    def _start(self, arrival: Arrival, start: float) -> None:
         tenant = arrival.tenant
-        # A query that was ever blocked starts when its slot freed, not
-        # at its (earlier) arrival; a never-blocked query starts on
-        # arrival.
-        if waiter.blocked_noted:
-            start = max(arrival.time, free_at[tenant])
-        else:
-            start = arrival.time
         self.admission.admit(tenant)
         degraded = False
         build_kwargs: dict = {}
         if self.overload is not None and self.overload.degrades(tenant):
-            cfg = self.overload.config
             build_kwargs = {
-                "pr_iterations": cfg.brownout_pr_iterations,
-                "pr_tolerance_factor": cfg.brownout_tolerance_factor,
+                "pr_iterations": self.config.overload.brownout_pr_iterations,
+                "pr_tolerance_factor": BROWNOUT_TOLERANCE_FACTOR,
             }
             # Only PageRank has a fidelity dial today; traversals run
             # full-fidelity even in brownout (they are shed or aborted
             # instead), so only mark what actually changed.
             degraded = arrival.app in ("pr", "pr30")
+            if degraded:
+                self.overload.note_degraded(tenant)
         # Result cache: fingerprint the query the build would produce
         # (the *effective*, post-brownout parameters — a degraded run
         # can only ever be answered by an equally degraded deposit) and
         # answer a repeat at admission time without running an engine.
-        fingerprint: Optional[str] = None
-        scope_key = RESULT_SCOPE_SHARED
-        if self.result_cache is not None:
-            policy = self.tenants[tenant].result_cache
-            if policy != "off":
-                if policy == "private":
-                    scope_key = tenant
-                fingerprint = self.queries.fingerprint(
-                    arrival.app, **build_kwargs
-                )
-                cached = self.result_cache.lookup(scope_key, fingerprint, start)
-                if cached is not None:
-                    if degraded:
-                        self.overload.note_degraded(tenant)
-                    self.admission.release(tenant)
-                    self._finalize_cached(
-                        arrival, start, cached, free_at, degraded
-                    )
-                    return
+        fingerprint = cached = None
+        scope_key = self._result_scopes.get(tenant, RESULT_SCOPE_SHARED)
+        if tenant in self._result_scopes:
+            fingerprint = self.queries.fingerprint(arrival.app, **build_kwargs)
+            cached = self.result_cache.lookup(scope_key, fingerprint, start)
+        hit = {} if cached is None else {"cached": True}
+        self._emit(
+            "admitted", arrival, start, queue_wait=start - arrival.time,
+            degraded=degraded, **hit,
+        )
+        if cached is not None:
+            self._finalize(
+                arrival, self._cached_record(arrival, start, cached, degraded)
+            )
+            return
         query = self.queries.build(arrival.app, **build_kwargs)
-        if degraded:
-            self.overload.note_degraded(tenant)
         engine = GraphEngine(
             query.image,
             safs=self.safs,
@@ -934,13 +893,6 @@ class GraphService:
 
             arm(engine, self.observer)
             span_context = _query_context(arrival)
-            self.observer.note_query_event(
-                "admitted",
-                start,
-                span_context,
-                queue_wait=start - arrival.time,
-                degraded=degraded,
-            )
         job = engine.start_job(
             query.program,
             initial_active=query.initial_active,
@@ -948,12 +900,11 @@ class GraphService:
             start_time=start,
             span_context=span_context,
         )
-        running.append(
+        self.telemetry.running.append(
             _Running(
                 arrival=arrival,
                 start=start,
                 query=query,
-                engine=engine,
                 job=job,
                 degraded=degraded,
                 fingerprint=fingerprint,
@@ -961,21 +912,13 @@ class GraphService:
             )
         )
 
-    def _finalize_cached(
-        self,
-        arrival: Arrival,
-        start: float,
-        cached,
-        free_at: Dict[str, float],
-        degraded: bool,
-    ) -> None:
-        """Book a result-cache answer: all of ``_finalize``'s telemetry,
-        none of the engine.  The query holds its tenant slot only for
-        the (near-zero) hit cost, reads zero bytes, and reuses the
-        deposited output vector verbatim."""
-        tenant = arrival.tenant
-        finish = start + self.config.result_cache_cost_s
-        free_at[tenant] = max(free_at[tenant], finish)
+    def _cached_record(
+        self, arrival: Arrival, start: float, cached, degraded: bool
+    ) -> JobRecord:
+        """A result-cache answer as a finished query: it holds its
+        tenant slot only for the (near-zero) hit cost, reads zero bytes,
+        and reuses the deposited output vector verbatim."""
+        finish = start + HIT_COST_S
         result = RunResult(
             runtime=finish - start,
             iterations=cached.iterations,
@@ -987,67 +930,24 @@ class GraphService:
             cache_hit_rate=0.0,
             counters={},
         )
-        record = JobRecord(
-            tenant=tenant,
-            app=arrival.app,
-            arrival_time=arrival.time,
-            start_time=start,
-            finish_time=finish,
-            ok=True,
-            iterations=cached.iterations,
-            result=result,
-            values=cached.values,
-            degraded=degraded,
-            index=arrival.index,
-            result_cached=True,
+        return _record(
+            arrival, start, finish, result, ok=True, values=cached.values,
+            degraded=degraded, result_cached=True,
         )
-        telemetry = self.telemetry
-        telemetry.records.append(record)
-        telemetry.completed += 1
-        self.result_cache.hits_by_tenant[tenant] = (
-            self.result_cache.hits_by_tenant.get(tenant, 0) + 1
-        )
-        report = telemetry.reports[tenant]
-        report.jobs += 1
-        report.result_cache_hits += 1
-        report.latencies.append(record.latency)
-        report.queue_waits.append(record.queue_wait)
-        self.stats.observe(
-            f"{reg.HIST_SERVE_QUERY_SECONDS}.{tenant}",
-            record.latency,
-            reg.histogram_bounds(reg.HIST_SERVE_QUERY_SECONDS),
-        )
-        self.stats.observe(
-            f"{reg.HIST_SERVE_QUEUE_WAIT_SECONDS}.{tenant}",
-            record.queue_wait,
-            reg.histogram_bounds(reg.HIST_SERVE_QUEUE_WAIT_SECONDS),
-        )
-        if self.slo is not None:
-            self.slo.record(tenant, finish, "completed", record.latency)
-        if self.timeline is not None:
-            self.timeline.note_completion(tenant, finish, record.latency, True)
-        if self.observer is not None:
-            context = _query_context(arrival)
-            self.observer.note_query_event(
-                "admitted",
-                start,
-                context,
-                queue_wait=start - arrival.time,
-                degraded=degraded,
-                cached=True,
-            )
-            self.observer.note_query_event(
-                "completed",
-                finish,
-                context,
-                latency=record.latency,
-                iterations=cached.iterations,
-                cached=True,
-            )
 
     # ------------------------------------------------------------------
-    # Job stepping
+    # Stages 5-6: step and finalize
     # ------------------------------------------------------------------
+
+    def _step_earliest(self) -> None:
+        """Advance the job with the smallest clock one iteration
+        barrier; book it once it finished, aborted or was cancelled."""
+        running = self.telemetry.running
+        run = min(running, key=lambda r: (r.job.clock, r.arrival.index))
+        if self._step(run) and not self._deadline_abort(run):
+            return
+        running.remove(run)
+        self._finalize(run.arrival, self._job_record(run))
 
     def _step(self, run: _Running) -> bool:
         """One iteration of ``run``'s job, tagged with its tenant.
@@ -1065,7 +965,7 @@ class GraphService:
         scheduler.tenant = tenant
         self.accountant.current = tenant
         stats = self.stats
-        if self.inflight is not None and self.tenants[tenant].share_reads:
+        if tenant in self._sharing_tenants:
             scheduler.inflight = self.inflight
         base_bytes = stats.get(reg.ARRAY_BYTES_READ)
         base_dedup_pages = stats.get(reg.SAFS_DEDUP_PAGES)
@@ -1077,110 +977,106 @@ class GraphService:
             return False
         finally:
             run.bytes_read += stats.get(reg.ARRAY_BYTES_READ) - base_bytes
-            run.dedup_pages += (
-                stats.get(reg.SAFS_DEDUP_PAGES) - base_dedup_pages
-            )
-            run.dedup_waits += (
-                stats.get(reg.SAFS_DEDUP_WAITS) - base_dedup_waits
-            )
+            run.dedup_pages += stats.get(reg.SAFS_DEDUP_PAGES) - base_dedup_pages
+            run.dedup_waits += stats.get(reg.SAFS_DEDUP_WAITS) - base_dedup_waits
             scheduler.tenant = None
             scheduler.inflight = None
             self.accountant.current = None
 
-    def _finalize(
-        self,
-        run: _Running,
-        free_at: Dict[str, float],
-        reports: Dict[str, TenantReport],
-    ) -> JobRecord:
-        tenant = run.arrival.tenant
-        self.admission.release(tenant)
+    def _deadline_abort(self, run: _Running) -> bool:
+        """Cancel ``run`` at this barrier if its deadline is hopeless.
+
+        Returns ``True`` when the job was cancelled (the caller
+        finalizes it like any abort, keeping the partial result).
+        """
+        if not self._enforce_deadlines:
+            return False
+        deadline_s = self.tenants[run.arrival.tenant].deadline_s
+        if deadline_s is None:
+            return False
+        now = run.job.clock
+        reason = self.overload.deadline_unreachable(
+            now=now,
+            start=run.start,
+            deadline=run.arrival.time + deadline_s,
+            iterations=run.job.iteration,
+            max_iterations=run.query.max_iterations,
+            frontier_size=run.job.frontier_size,
+        )
+        if reason is None:
+            return False
+        run.aborted = run.job.cancel(f"deadline unreachable: {reason}")
+        self.overload.record_deadline_abort(run.arrival, now, reason)
+        self.telemetry.deadline_aborted += 1
+        self._emit(
+            "deadline-abort", run.arrival, now, reason=reason,
+            iteration=run.job.iteration,
+        )
+        return True
+
+    def _job_record(self, run: _Running) -> JobRecord:
+        """``run``'s finished record; a completed output is deposited in
+        the result cache (a copy: the program's arrays stay mutable, the
+        cached vector must not)."""
         if run.aborted is None:
-            result = run.job.result()
-            ok = True
-            reason = None
+            result, values, reason = run.job.result(), run.query.values(), None
         else:
-            result = run.aborted.partial
-            ok = False
+            result, values = run.aborted.partial, None
             reason = run.aborted.cause.reason
         finish = run.start + result.runtime
-        free_at[tenant] = max(free_at[tenant], finish)
-        record = JobRecord(
-            tenant=tenant,
-            app=run.arrival.app,
-            arrival_time=run.arrival.time,
-            start_time=run.start,
-            finish_time=finish,
-            ok=ok,
-            iterations=result.iterations,
-            result=result,
-            values=run.query.values() if ok else None,
-            abort_reason=reason,
-            degraded=run.degraded,
-            index=run.arrival.index,
-            bytes_read=run.bytes_read,
-            dedup_pages=run.dedup_pages,
+        record = _record(
+            run.arrival, run.start, finish, result, ok=run.aborted is None,
+            values=values, abort_reason=reason, degraded=run.degraded,
+            bytes_read=run.bytes_read, dedup_pages=run.dedup_pages,
             dedup_waits=run.dedup_waits,
         )
-        if ok and self.result_cache is not None and run.fingerprint is not None:
-            # Deposit a copy: the program's arrays stay mutable, the
-            # cached vector must not.
+        if record.ok and run.fingerprint is not None:
             self.result_cache.insert(
                 run.scope_key,
                 run.fingerprint,
-                values=np.array(record.values, copy=True),
+                values=np.array(values, copy=True),
                 iterations=result.iterations,
                 app=run.arrival.app,
                 now=finish,
                 source_index=run.arrival.index,
             )
-        report = reports[tenant]
-        report.jobs += 1
-        if not ok:
-            report.aborts += 1
-        report.latencies.append(record.latency)
-        report.queue_waits.append(record.queue_wait)
-        # Histograms live outside counter snapshots/diffs, so recording
-        # them mid-run never perturbs any job's counter bit-identity.
-        self.stats.observe(
-            f"{reg.HIST_SERVE_QUERY_SECONDS}.{tenant}",
-            record.latency,
-            reg.histogram_bounds(reg.HIST_SERVE_QUERY_SECONDS),
-        )
-        self.stats.observe(
-            f"{reg.HIST_SERVE_QUEUE_WAIT_SECONDS}.{tenant}",
-            record.queue_wait,
-            reg.histogram_bounds(reg.HIST_SERVE_QUEUE_WAIT_SECONDS),
-        )
-        if self.slo is not None:
-            self.slo.record(
-                tenant,
-                finish,
-                "completed" if ok else "aborted",
-                record.latency,
-            )
-        if self.timeline is not None:
-            self.timeline.note_completion(tenant, finish, record.latency, ok)
-        if self.observer is not None:
-            fields = {"latency": record.latency, "iterations": result.iterations}
-            if not ok:
-                fields["reason"] = reason
-            self.observer.note_query_event(
-                "completed" if ok else "aborted",
-                finish,
-                _query_context(run.arrival),
-                **fields,
-            )
         return record
 
-    def _write_serve_counters(self, telemetry: ServeTelemetry) -> None:
-        """Tally the service's own counters, once, after the last job —
-        a mid-run add would leak into concurrent jobs' counter diffs.
-        Everything flushed here comes from the :class:`ServeTelemetry`
-        accumulators the timeline sampler reads mid-run; reading them
-        early never moves a counter, so an armed sampler's final
-        ``serve.*`` snapshot is byte-identical to a disarmed run's."""
+    def _finalize(self, arrival: Arrival, record: JobRecord) -> None:
+        """Book one finished query — an engine job, or a result-cache
+        answer (a finished query that ran no engine)."""
+        tenant = record.tenant
+        telemetry = self.telemetry
+        self.admission.release(tenant)
+        telemetry.free_at[tenant] = max(telemetry.free_at[tenant], record.finish_time)
+        telemetry.records.append(record)
+        report = telemetry.reports[tenant]
+        report.jobs += 1
+        report.latencies.append(record.latency)
+        report.queue_waits.append(record.queue_wait)
+        fields = {"latency": record.latency, "iterations": record.iterations}
+        if record.result_cached:
+            report.result_cache_hits += 1
+            hits = self.result_cache.hits_by_tenant
+            hits[tenant] = hits.get(tenant, 0) + 1
+            fields["cached"] = True
+        if record.ok:
+            telemetry.completed += 1
+            self._emit("completed", arrival, record.finish_time, record, **fields)
+        else:
+            telemetry.aborted += 1
+            report.aborts += 1
+            self._emit(
+                "aborted", arrival, record.finish_time, record,
+                reason=record.abort_reason, **fields,
+            )
+
+    def _write_serve_counters(self) -> None:
+        """Tally the ``serve.*`` counters, once, after the last job — a
+        mid-run add would leak into concurrent jobs' counter diffs (see
+        :class:`ServeTelemetry`)."""
         stats = self.stats
+        telemetry = self.telemetry
         completed = telemetry.completed
         aborted = telemetry.aborted
         stats.add(reg.SERVE_JOBS_ADMITTED, completed + aborted)
@@ -1198,44 +1094,7 @@ class GraphService:
                 f"{reg.SERVE_TENANT_QUOTA_WAITS}.{name}",
                 self.admission.quota_waits[name],
             )
-        if self.result_cache is not None:
-            cache = self.result_cache
-            stats.add(reg.SERVE_RESULT_CACHE_HITS_TOTAL, cache.hits)
-            stats.add(reg.SERVE_RESULT_CACHE_MISSES_TOTAL, cache.misses)
-            stats.add(reg.SERVE_RESULT_CACHE_INSERTIONS_TOTAL, cache.insertions)
-            stats.add(
-                reg.SERVE_RESULT_CACHE_EXPIRATIONS_TOTAL, cache.expirations
-            )
-            for name in sorted(self.tenants):
-                stats.add(
-                    f"{reg.SERVE_RESULT_CACHE_HITS}.{name}",
-                    cache.hits_by_tenant.get(name, 0),
-                )
-        if self.rebalancer is not None:
-            stats.add(reg.SERVE_CACHE_REBALANCES, self.rebalancer.moves)
-            stats.add(reg.SERVE_CACHE_PAGES_MOVED, self.rebalancer.pages_moved)
-            stats.add(
-                reg.SERVE_CACHE_REBALANCE_EVICTIONS, self.rebalancer.evictions
-            )
-        if self.overload is not None:
-            overload = self.overload
-            stats.add(reg.SERVE_SHED_TOTAL, sum(overload.sheds.values()))
-            stats.add(
-                reg.SERVE_DEADLINE_ABORTS_TOTAL,
-                sum(overload.deadline_aborts.values()),
-            )
-            stats.add(reg.SERVE_BROWNOUT_TRANSITIONS, overload.transitions)
-            stats.add(reg.SERVE_BROWNOUT_SECONDS, overload.brownout_seconds)
-            stats.add(
-                reg.SERVE_OVERLOAD_PEAK_QUEUE_DEPTH, overload.peak_queue_depth
-            )
-            for name in sorted(self.tenants):
-                stats.add(f"{reg.SERVE_SHED}.{name}", overload.sheds.get(name, 0))
-                stats.add(
-                    f"{reg.SERVE_DEADLINE_ABORTS}.{name}",
-                    overload.deadline_aborts.get(name, 0),
-                )
-                stats.add(
-                    f"{reg.SERVE_BROWNOUT_DEGRADED}.{name}",
-                    overload.degraded_jobs.get(name, 0),
-                )
+        names = sorted(self.tenants)
+        for part in self._counted:
+            for name, value in part.counters(names).items():
+                stats.add(name, value)

@@ -16,7 +16,6 @@ import pytest
 from repro.graph.builder import build_directed
 from repro.obs import (
     SLO_SCHEMA,
-    SLOConfig,
     SLOTracker,
     TimelineSampler,
     build_slo_report,
@@ -33,24 +32,14 @@ from repro.serve import (
 )
 
 
-def _tracker(config=None, target=0.9, threshold_s=0.005):
+def _tracker(target=0.9, threshold_s=0.005):
     spec = TenantSpec(
         name="acme",
         max_concurrent=2,
         slo_latency_s=threshold_s,
         slo_target=target,
     )
-    return SLOTracker({"acme": spec}, config)
-
-
-class TestSLOConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SLOConfig(fast_window_s=0.0)
-        with pytest.raises(ValueError):
-            SLOConfig(fast_window_s=0.1, slow_window_s=0.05)
-        with pytest.raises(ValueError):
-            SLOConfig(burn_threshold=0.0)
+    return SLOTracker({"acme": spec})
 
 
 class TestTenantObjectives:
@@ -87,42 +76,37 @@ class TestBurnMath:
         assert row["burn_seconds"] == 0.0
 
     def test_burn_starts_only_when_both_windows_cross(self):
-        # Slow window 10x the fast one: a burst of bad outcomes saturates
-        # the fast window immediately but must also push the *slow*
-        # window's bad fraction over budget before the event fires.
-        config = SLOConfig(
-            fast_window_s=0.01, slow_window_s=0.1, burn_threshold=1.0
-        )
-        tracker = _tracker(config, target=0.5)  # budget = 0.5
+        # Slow window 5x the fast one (0.1 s vs 0.02 s): a burst of bad
+        # outcomes saturates the fast window immediately but must also
+        # push the *slow* window's bad fraction over budget before the
+        # event fires.
+        tracker = _tracker(target=0.5)  # budget = 0.5
         for i in range(20):
-            tracker.record("acme", i * 0.001, "completed", latency=0.001)
-        tracker.record("acme", 0.020, "shed")
-        # fast window: 10 entries ending at t=0.020 hold 1 bad -> burn
+            tracker.record("acme", i * 0.002, "completed", latency=0.001)
+        tracker.record("acme", 0.040, "shed")
+        # fast window: 10 entries ending at t=0.040 hold 1 bad -> burn
         # 0.2; slow window burn 1/21/0.5 < 1.  No event yet.
         assert tracker.events == []
         # Keep shedding: the fast window saturates quickly (burn 2.0)
         # but the slow window still holds the 20 good outcomes, so the
         # event only fires once the bad outcomes outnumber them.
         for i in range(25):
-            tracker.record("acme", 0.021 + i * 0.0005, "shed")
+            tracker.record("acme", 0.042 + i * 0.001, "shed")
         kinds = [e.kind for e in tracker.events]
         assert kinds == ["burn-start"]
         event = tracker.events[0]
         assert event.fast_burn >= 1.0 and event.slow_burn >= 1.0
 
     def test_burn_stop_fires_when_fast_window_recovers(self):
-        config = SLOConfig(
-            fast_window_s=0.01, slow_window_s=0.02, burn_threshold=1.0
-        )
-        tracker = _tracker(config, target=0.5)
+        tracker = _tracker(target=0.5)
         for i in range(10):
-            tracker.record("acme", i * 0.001, "shed")
+            tracker.record("acme", i * 0.002, "shed")
         assert [e.kind for e in tracker.events] == ["burn-start"]
         # A run of good completions pushes the bad entries out of the
         # fast window: burn-stop, with burn-in-progress time accounted.
         for i in range(30):
             tracker.record(
-                "acme", 0.010 + i * 0.001, "completed", latency=0.001
+                "acme", 0.020 + i * 0.002, "completed", latency=0.001
             )
         kinds = [e.kind for e in tracker.events]
         assert kinds == ["burn-start", "burn-stop"]
@@ -153,7 +137,7 @@ class TestBurnMath:
         # The service finalizes jobs in event-loop order; finish times
         # are not globally monotone.  The tracker clamps, so the event
         # log stays time-ordered (the validator's contract).
-        tracker = _tracker(SLOConfig(0.01, 0.01, 1.0), target=0.5)
+        tracker = _tracker(target=0.5)
         tracker.record("acme", 0.020, "shed")
         tracker.record("acme", 0.005, "shed")  # late completion, earlier time
         times = [e.time for e in tracker.events]
@@ -161,7 +145,7 @@ class TestBurnMath:
         assert all(t >= 0.020 for t in times)
 
     def test_finish_closes_open_burn_accounting(self):
-        tracker = _tracker(SLOConfig(0.01, 0.01, 1.0), target=0.5)
+        tracker = _tracker(target=0.5)
         for i in range(5):
             tracker.record("acme", i * 0.001, "shed")
         assert tracker.summary()["tenants"]["acme"]["latency"]["burning"]

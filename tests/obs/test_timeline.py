@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import build_directed
-from repro.obs import TimelineConfig, TimelineSampler
+from repro.obs import TimelineSampler
 from repro.obs import registry as reg
 from repro.serve import (
     GraphService,
@@ -77,8 +77,6 @@ def _chaos_run(seed, timeline=None, duration=0.01):
             tenant_queue_cap=8,
             global_queue_cap=16,
             brownout=True,
-            window_s=0.002,
-            sample_period_s=0.0002,
             wait_budget_s=0.002,
         ),
     )
@@ -97,9 +95,9 @@ def _chaos_run(seed, timeline=None, duration=0.01):
 class TestTimelineConfig:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
-            TimelineConfig(interval_s=0.0)
+            TimelineSampler(interval_s=0.0)
         with pytest.raises(ValueError):
-            TimelineConfig(interval_s=-1.0)
+            TimelineSampler(interval_s=-1.0)
 
     def test_unbound_sampler_is_disarmed_and_finish_is_a_noop(self):
         sampler = TimelineSampler()
@@ -173,7 +171,7 @@ class TestConservation:
     @given(run=timeline_runs())
     def test_window_counts_sum_to_report_totals(self, run):
         seed, interval, duration = run
-        sampler = TimelineSampler(TimelineConfig(interval_s=interval))
+        sampler = TimelineSampler(interval_s=interval)
         _, report = _chaos_run(seed, timeline=sampler, duration=duration)
         assert (
             sum(row["completed"] for row in sampler.snapshots)

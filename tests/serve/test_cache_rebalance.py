@@ -14,7 +14,6 @@ import pytest
 from repro.bench.datasets import load_dataset
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.serve import (
-    CacheRebalanceConfig,
     CacheRebalancer,
     GraphService,
     ServiceConfig,
@@ -56,8 +55,7 @@ class TestRebalancerUnit:
     def test_capacity_moves_toward_ghost_hits(self):
         hot, cold = small_cache(), small_cache()
         rebalancer = CacheRebalancer(
-            {"hot": hot, "cold": cold},
-            CacheRebalanceConfig(interval_s=0.01),
+            {"hot": hot, "cold": cold}, interval_s=0.01
         )
         thrash(hot, 0, 24)
         lookup(cold, 1, 0)  # active but never ghost-hitting
@@ -70,11 +68,10 @@ class TestRebalancerUnit:
 
     def test_floor_is_never_crossed(self):
         hot, cold = small_cache(), small_cache()
-        rebalancer = CacheRebalancer(
-            {"hot": hot, "cold": cold},
-            CacheRebalanceConfig(interval_s=0.01, floor_fraction=0.5),
-        )
+        rebalancer = CacheRebalancer({"hot": hot, "cold": cold}, interval_s=0.01)
+        # FLOOR_FRACTION of the initial 4 pages per set.
         floor = rebalancer._floor["cold"]
+        assert floor == 2
         for window in range(1, 20):
             thrash(hot, 0, 24)
             rebalancer.note_time(window * 0.01)
@@ -85,7 +82,7 @@ class TestRebalancerUnit:
     def test_no_move_without_benefit(self):
         a, b = small_cache(), small_cache()
         rebalancer = CacheRebalancer(
-            {"a": a, "b": b}, CacheRebalanceConfig(interval_s=0.01)
+            {"a": a, "b": b}, interval_s=0.01
         )
         # Fits in capacity: lookups but zero ghost hits.
         for page_no in range(4):
@@ -97,7 +94,7 @@ class TestRebalancerUnit:
     def test_shrink_evictions_feed_ghost(self):
         a, b = small_cache(), small_cache()
         rebalancer = CacheRebalancer(
-            {"a": a, "b": b}, CacheRebalanceConfig(interval_s=0.01)
+            {"a": a, "b": b}, interval_s=0.01
         )
         for page_no in range(8):
             insert(b, 0, page_no)
@@ -111,8 +108,7 @@ class TestRebalancerUnit:
         def run():
             hot, cold = small_cache(), small_cache()
             rebalancer = CacheRebalancer(
-                {"hot": hot, "cold": cold},
-                CacheRebalanceConfig(interval_s=0.01),
+                {"hot": hot, "cold": cold}, interval_s=0.01
             )
             for window in range(1, 6):
                 thrash(hot, 0, 24)
@@ -123,12 +119,12 @@ class TestRebalancerUnit:
         assert run() == run()
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CacheRebalanceConfig(interval_s=0.0)
-        with pytest.raises(ValueError):
-            CacheRebalanceConfig(floor_fraction=0.0)
-        with pytest.raises(ValueError):
-            CacheRebalanceConfig(step_sets=0)
+        for interval_s in (0.0, -0.01):
+            with pytest.raises(ValueError, match="interval_s"):
+                CacheRebalancer(
+                    {"a": small_cache(), "b": small_cache()},
+                    interval_s=interval_s,
+                )
 
 
 def skewed_service(image, cache_rebalance=True):

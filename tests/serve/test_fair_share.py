@@ -13,6 +13,7 @@ from repro.serve import (
     TenantTraffic,
     generate_trace,
 )
+from repro.serve.service import STARVATION_BOUND_S
 
 
 def _image():
@@ -23,7 +24,6 @@ def _image():
 
 
 IMAGE = _image()
-STARVATION_BOUND = 0.002
 
 
 @st.composite
@@ -68,7 +68,6 @@ def _run(tenants, trace, policy):
             cache_bytes=1 << 16,
             num_threads=4,
             range_shift=4,
-            starvation_bound_s=STARVATION_BOUND,
         ),
     )
     return service, service.serve(trace)
@@ -116,7 +115,7 @@ class TestFairShareProperties:
                 and other.arrival_time < record.arrival_time
                 and other.finish_time > record.arrival_time
             )
-            bound = STARVATION_BOUND + (backlog + 1) * longest_job
+            bound = STARVATION_BOUND_S + (backlog + 1) * longest_job
             assert record.queue_wait <= bound
 
     @given(run=serve_runs())

@@ -80,6 +80,19 @@ def run_overlap(image, share_reads, tenants=None, chaos=False, **kw):
     return service, report
 
 
+@pytest.fixture(scope="module")
+def base(image):
+    """The overlap mix served once without sharing: ``(service, report)``,
+    shared by the tests that only read it."""
+    return run_overlap(image, share_reads=False)
+
+
+@pytest.fixture(scope="module")
+def shared(image):
+    """The overlap mix served once with in-flight dedup on."""
+    return run_overlap(image, share_reads=True)
+
+
 def assert_conservation(stats):
     assert stats.get("io.pages_requested") == (
         stats.get("cache.hits")
@@ -89,9 +102,8 @@ def assert_conservation(stats):
 
 
 class TestDedupEffect:
-    def test_overlapping_mix_dedups_and_reduces_bytes(self, image):
-        _, base = run_overlap(image, share_reads=False)
-        service, shared = run_overlap(image, share_reads=True)
+    def test_overlapping_mix_dedups_and_reduces_bytes(self, base, shared):
+        (_, base), (service, shared) = base, shared
         stats = service.stats
         assert stats.get("safs.dedup_pages") > 0
         assert stats.get("safs.dedup_waits") > 0
@@ -101,9 +113,8 @@ class TestDedupEffect:
         shared_bytes = sum(r.bytes_read for r in shared.records)
         assert shared_bytes < base_bytes
 
-    def test_dedup_never_changes_outputs(self, image):
-        _, base = run_overlap(image, share_reads=False)
-        _, shared = run_overlap(image, share_reads=True)
+    def test_dedup_never_changes_outputs(self, base, shared):
+        (_, base), (_, shared) = base, shared
         assert base.completed == shared.completed
         by_index = {r.index: r for r in base.records}
         for record in shared.records:
@@ -114,19 +125,19 @@ class TestDedupEffect:
                     np.asarray(record.values), np.asarray(twin.values)
                 )
 
-    def test_conservation_law_exact(self, image):
-        service, _ = run_overlap(image, share_reads=True)
+    def test_conservation_law_exact(self, shared):
+        service, _ = shared
         assert_conservation(service.stats)
 
-    def test_sharing_off_reports_no_sharing(self, image):
-        service, report = run_overlap(image, share_reads=False)
+    def test_sharing_off_reports_no_sharing(self, base):
+        service, report = base
         assert report.sharing is None
         assert service.stats.get("safs.dedup_pages") == 0
 
 
 class TestAttribution:
-    def test_job_records_tile_global_counters(self, image):
-        service, report = run_overlap(image, share_reads=True)
+    def test_job_records_tile_global_counters(self, shared):
+        service, report = shared
         stats = service.stats
         assert sum(r.bytes_read for r in report.records) == pytest.approx(
             stats.get("array.bytes_read")
@@ -138,14 +149,14 @@ class TestAttribution:
             stats.get("safs.dedup_waits")
         )
 
-    def test_some_job_carries_dedup(self, image):
-        _, report = run_overlap(image, share_reads=True)
+    def test_some_job_carries_dedup(self, shared):
+        _, report = shared
         assert any(r.dedup_pages > 0 for r in report.records)
 
 
 class TestPartitionHitRates:
-    def test_hit_rate_is_partition_local(self, image):
-        service, _ = run_overlap(image, share_reads=True)
+    def test_hit_rate_is_partition_local(self, shared):
+        service, _ = shared
         for name, partition in service.cache_partitions.items():
             assert partition.lookups > 0
             assert partition.hit_rate() == pytest.approx(
@@ -160,9 +171,9 @@ class TestPartitionHitRates:
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())
 
     def test_timeline_samples_cache_hit_rate_gauges(self, image):
-        from repro.obs.timeline import TimelineConfig, TimelineSampler
+        from repro.obs.timeline import TimelineSampler
 
-        timeline = TimelineSampler(TimelineConfig(interval_s=0.005))
+        timeline = TimelineSampler(interval_s=0.005)
         service = GraphService(
             image,
             overlap_tenants(),

@@ -34,6 +34,10 @@ from repro.serve import (
 )
 from repro.serve.admission import AdmissionController
 from repro.serve.overload import (
+    ENTER_SAMPLES,
+    EXIT_SAMPLES,
+    SAMPLE_PERIOD_S,
+    WINDOW_S,
     OverloadController,
     SHED_POLICIES,
     STATE_BROWNOUT,
@@ -150,8 +154,6 @@ class TestDeterminism:
                 shed_policy=shed_policy,
                 enforce_deadlines=True,
                 brownout=True,
-                window_s=0.002,
-                sample_period_s=0.0002,
                 wait_budget_s=0.002,
             ),
         )
@@ -227,27 +229,6 @@ class TestDeadlineEnforcement:
             assert record.finish_time >= record.start_time
         assert report.completed + report.aborted + report.shed == report.offered
 
-    def test_deadline_drops_without_abort_flag_leave_running_jobs_alone(self):
-        tenants = [TenantSpec(name="a", max_concurrent=1, deadline_s=0.0005)]
-        traffics = [TenantTraffic(tenant="a", rate_qps=8000.0)]
-        trace = generate_trace(traffics, 0.004, seed=3)
-        config = ServiceConfig(
-            policy="fifo",
-            pr_iterations=5,
-            overload=OverloadConfig(
-                enforce_deadlines=True, deadline_abort_running=False
-            ),
-        )
-        report = GraphService(IMAGE, tenants, config).serve(trace)
-        kinds = {event["kind"] for event in report.overload["events"]}
-        assert "deadline-abort" not in kinds
-        assert report.deadline_aborts == 0
-        # With running jobs never cancelled, each admitted 5-iteration
-        # PageRank hogs the engine — so *queued* queries blow their
-        # 0.5ms deadline and are dropped without ever running.
-        assert "deadline-expired" in kinds
-        assert any(s.reason == "deadline-expired" for s in report.sheds)
-
 
 class TestBrownoutDegradation:
     @pytest.fixture(scope="class")
@@ -268,8 +249,6 @@ class TestBrownoutDegradation:
                 tenant_queue_cap=12,
                 global_queue_cap=24,
                 brownout=True,
-                window_s=0.002,
-                sample_period_s=0.0002,
                 wait_budget_s=0.002,
             ),
         )
@@ -314,7 +293,6 @@ class TestControllerUnits:
         order_key = {0: 0.0, 1: 9.0, 2: 1.0}
         key = lambda w: order_key[w.arrival.index]
         assert self._controller("reject-newest").choose_victim(queue, key) is newest
-        assert self._controller("reject-oldest").choose_victim(queue, key) is oldest
         assert self._controller("by-priority").choose_victim(queue, key) is middle
 
     def test_deadline_estimator_rules(self):
@@ -351,18 +329,14 @@ class TestControllerUnits:
         ) is None
 
     def test_state_machine_walks_the_full_cycle_with_hysteresis(self):
-        cfg = OverloadConfig(
-            brownout=True,
-            enter_samples=2,
-            exit_samples=2,
-            sample_period_s=0.001,
-            window_s=1.0,  # wide window: no samples age out mid-test
+        ctl = OverloadController(
+            OverloadConfig(brownout=True), {"t": TenantSpec(name="t")}
         )
-        ctl = OverloadController(cfg, {"t": TenantSpec(name="t")})
         t = [0.0]
 
         def feed(depth, wait):
-            t[0] += cfg.sample_period_s
+            # Every sample lands inside one WINDOW_S, so none ages out.
+            t[0] += SAMPLE_PERIOD_S
             ctl.observe(t[0], queue_depth=depth, mean_wait=wait, health_fraction=0.0)
 
         # One hot sample is not enough (hysteresis).
@@ -375,12 +349,13 @@ class TestControllerUnits:
         feed(24, 0.05)
         assert ctl.state == STATE_BROWNOUT
         # Cool off -> recovering -> healthy (double exit streak).
-        for _ in range(2):
+        for _ in range(EXIT_SAMPLES):
             feed(0, 0.0)
         assert ctl.state == STATE_RECOVERING
-        for _ in range(4):
+        for _ in range(2 * EXIT_SAMPLES):
             feed(0, 0.0)
         assert ctl.state == STATE_HEALTHY
+        assert t[0] < WINDOW_S
         assert ctl.transitions == 4
         assert ctl.brownout_seconds > 0.0
         details = [e.detail for e in ctl.events if e.kind == "state"]
@@ -392,18 +367,35 @@ class TestControllerUnits:
         ]
 
     def test_finish_closes_open_brownout_interval(self):
-        cfg = OverloadConfig(
-            brownout=True, enter_samples=1, sample_period_s=0.001, window_s=1.0
+        ctl = OverloadController(
+            OverloadConfig(brownout=True), {"t": TenantSpec(name="t")}
         )
-        ctl = OverloadController(cfg, {"t": TenantSpec(name="t")})
-        # Streaks reset at each transition, so extreme pressure still
-        # escalates one state per sample: healthy -> overloaded -> brownout.
-        ctl.observe(0.001, queue_depth=48, mean_wait=0.1, health_fraction=1.0)
-        assert ctl.state == STATE_OVERLOADED
-        ctl.observe(0.002, queue_depth=48, mean_wait=0.1, health_fraction=1.0)
-        assert ctl.state == STATE_BROWNOUT
-        ctl.finish(0.012)
+        # Streaks reset at each transition, so even extreme pressure
+        # escalates one state per ENTER_SAMPLES samples: healthy ->
+        # overloaded -> brownout.
+        t = 0.0
+        for state in (STATE_OVERLOADED, STATE_BROWNOUT):
+            for _ in range(ENTER_SAMPLES):
+                t += SAMPLE_PERIOD_S
+                ctl.observe(t, queue_depth=48, mean_wait=0.1, health_fraction=1.0)
+            assert ctl.state == state
+        ctl.finish(t + 0.010)
         assert ctl.brownout_seconds == pytest.approx(0.010)
+
+    def test_detector_samples_once_per_period(self):
+        # The service's clocked-subscriber shape: note_time is called at
+        # frontiers past next_boundary_s, and samples only when a full
+        # SAMPLE_PERIOD_S has passed since the last sample.
+        seen = []
+        ctl = OverloadController(
+            OverloadConfig(brownout=True),
+            {"t": TenantSpec(name="t")},
+            signal=lambda now: seen.append(now) or (0, 0.0, 0.0),
+        )
+        for now in (0.0, 0.0004, 0.0009, 0.001, 0.0015, 0.0021, 0.0025):
+            if now >= ctl.next_boundary_s:
+                ctl.note_time(now)
+        assert seen == [0.0, 0.001, 0.0021]
 
 
 class TestValidation:
@@ -412,18 +404,14 @@ class TestValidation:
             OverloadConfig(tenant_queue_cap=0)
         with pytest.raises(ValueError, match="shed policy"):
             OverloadConfig(shed_policy="coin-flip")
-        with pytest.raises(ValueError, match="overload_exit"):
-            OverloadConfig(overload_enter=0.3, overload_exit=0.5)
-        with pytest.raises(ValueError, match="brownout_enter"):
-            OverloadConfig(overload_enter=0.9, brownout_enter=0.8)
-        with pytest.raises(ValueError, match="hysteresis"):
-            OverloadConfig(enter_samples=0)
+        with pytest.raises(ValueError, match="wait_budget_s"):
+            OverloadConfig(wait_budget_s=0.0)
+        with pytest.raises(ValueError, match="brownout_pr_iterations"):
+            OverloadConfig(brownout_pr_iterations=0)
 
     def test_service_config_rejects_nonpositive_iteration_knobs(self):
         with pytest.raises(ValueError, match="pr_iterations"):
             ServiceConfig(pr_iterations=0)
-        with pytest.raises(ValueError, match="kcore_k"):
-            ServiceConfig(kcore_k=0)
 
     def test_tenant_queue_cap_validated(self):
         with pytest.raises(ValueError, match="queue_cap"):

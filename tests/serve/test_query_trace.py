@@ -78,8 +78,6 @@ def _traced_run():
             global_queue_cap=24,
             enforce_deadlines=True,
             brownout=True,
-            window_s=0.002,
-            sample_period_s=0.0002,
             wait_budget_s=0.001,
         ),
     )

@@ -2,7 +2,7 @@
 
 Unit semantics of :class:`ResultCache` (TTL expiry on probe,
 invalidation hooks, scope isolation) plus the service-level contract:
-a repeat query is served at ``result_cache_cost_s`` without touching
+a repeat query is served at ``HIT_COST_S`` without touching
 the engine, its values equal the producing run's bit for bit, private
 scopes never leak across tenants, ``off`` tenants opt out, and the
 fingerprint folds in the *effective* parameters so degraded runs can
@@ -16,13 +16,12 @@ from repro.bench.datasets import load_dataset
 from repro.serve import (
     GraphService,
     ResultCache,
-    ResultCacheConfig,
     ServiceConfig,
     TenantSpec,
     image_digest,
 )
 from repro.serve.queries import QueryFactory
-from repro.serve.results import RESULT_SCOPE_SHARED
+from repro.serve.results import HIT_COST_S, RESULT_SCOPE_SHARED
 from repro.serve.traffic import Arrival
 
 
@@ -42,7 +41,7 @@ class TestResultCacheUnit:
         assert (cache.hits, cache.misses, cache.insertions) == (1, 1, 1)
 
     def test_ttl_expires_on_probe(self):
-        cache = ResultCache(ResultCacheConfig(ttl_s=1.0))
+        cache = ResultCache(ttl_s=1.0)
         cache.insert("", "fp", values=[1.0], iterations=3, app="pr",
                      now=0.0, source_index=0)
         assert cache.lookup("", "fp", now=0.5) is not None
@@ -70,10 +69,9 @@ class TestResultCacheUnit:
         assert cache.invalidations == 2
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ResultCacheConfig(ttl_s=0.0)
-        with pytest.raises(ValueError):
-            ResultCacheConfig(hit_cost_s=-1.0)
+        for ttl_s in (0.0, -1.0):
+            with pytest.raises(ValueError, match="ttl_s"):
+                ResultCache(ttl_s=ttl_s)
 
 
 class TestFingerprint:
@@ -115,14 +113,12 @@ class TestServiceResultCache:
             Arrival(time=0.0, tenant="solo", app="pr", index=0),
             Arrival(time=0.05, tenant="solo", app="pr", index=1),
         ]
-        service, report = serve_repeats(image, arrivals, tenants)
+        _, report = serve_repeats(image, arrivals, tenants)
         assert report.completed == 2
         first, second = sorted(report.records, key=lambda r: r.index)
         assert not first.result_cached
         assert second.result_cached
-        assert second.latency == pytest.approx(
-            service.config.result_cache_cost_s
-        )
+        assert second.latency == pytest.approx(HIT_COST_S)
         np.testing.assert_array_equal(
             np.asarray(second.values), np.asarray(first.values)
         )
@@ -200,7 +196,5 @@ class TestServiceResultCache:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServiceConfig(result_cache_ttl_s=-1.0)
-        with pytest.raises(ValueError):
-            ServiceConfig(result_cache_cost_s=-1.0)
         with pytest.raises(ValueError):
             TenantSpec(name="x", result_cache="sometimes")

@@ -12,7 +12,7 @@ import pytest
 from repro.algorithms.pagerank import PageRankProgram
 from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
-from repro.graph.builder import build_undirected
+from repro.graph.builder import build_directed, build_undirected
 from repro.serve import (
     GraphService,
     ServiceConfig,
@@ -127,6 +127,33 @@ class TestReportShape:
         assert set(payload["tenants"]) == {"acme", "globex"}
         for row in payload["tenants"].values():
             assert row["latency_p99_s"] >= row["latency_p50_s"] >= 0.0
+
+
+class TestOneServePerInstance:
+    def test_second_serve_raises_instead_of_mixing_runs(self):
+        # A second run on the same instance would inherit the first
+        # run's quota waits, tenant busy time, cache state and flushed
+        # counters, so its report would silently sum the two runs.
+        rng = np.random.default_rng(0)
+        edges = rng.integers(0, 120, size=(600, 2), dtype=np.int64)
+        image = build_directed(edges, 120, name="serve-once")
+        traffics = [
+            TenantTraffic(tenant="a", rate_qps=2000.0),
+            TenantTraffic(tenant="b", rate_qps=1000.0),
+        ]
+        trace = generate_trace(traffics, 0.003, seed=3)
+        service = GraphService(
+            image,
+            [TenantSpec(name="a"), TenantSpec(name="b")],
+            ServiceConfig(policy="fair"),
+        )
+        first = service.serve(trace)
+        counters = service.stats.snapshot()
+        with pytest.raises(RuntimeError, match="once per service instance"):
+            service.serve(trace)
+        # The refused call changed nothing.
+        assert service.stats.snapshot() == counters
+        assert first.completed == len(trace)
 
 
 class TestQueryFactory:

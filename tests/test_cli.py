@@ -254,7 +254,7 @@ class TestSlo:
         timeline = tmp_path / "timeline.md"
         rc = cli.main(
             [
-                "slo", "--dataset", "page-sim", "--duration", "0.02",
+                "slo", "--dataset", "twitter-sim", "--duration", "0.02",
                 "--seed", "11", "--overload",
                 "--tenant",
                 "name=acme,rate=400,quota=2,"
@@ -276,7 +276,7 @@ class TestSlo:
         with pytest.raises(SystemExit, match="declaring an objective"):
             cli.main(
                 [
-                    "slo", "--dataset", "page-sim", "--duration", "0.01",
+                    "slo", "--dataset", "twitter-sim", "--duration", "0.01",
                     "--tenant", "name=acme,rate=200,quota=2",
                     "--out", str(tmp_path / "slo.json"),
                 ]
