@@ -65,12 +65,12 @@ class _ForwardProgram(VertexProgram):
             batch.read_edges_concat(), self.sigma[batch.vertices], batch.degrees
         )
 
-    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> None:
         first = self.dist[dests] == -1
         reached = dests[first]
         self.dist[reached] = g.iteration + 1
         self.sigma[reached] = values[first]
-        return first
+        g.activate_batch(reached, first)
 
 
 class _BackwardProgram(VertexProgram):
@@ -131,9 +131,8 @@ class _BackwardProgram(VertexProgram):
             parents[on_path], share, np.bincount(lists, minlength=batch.num_lists)
         )
 
-    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> None:
         self.delta[dests] += self.sigma[dests] * values
-        return np.zeros(dests.size, dtype=bool)
 
     def run_on_iteration_end(self, g: GraphContext) -> None:
         next_level = self.max_level - g.iteration - 1

@@ -62,12 +62,12 @@ class KCoreProgram(VertexProgram):
             batch.read_edges_concat(), np.ones(batch.num_lists), batch.degrees
         )
 
-    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> None:
         alive = self.alive[dests]
         # Message sums are exact small integers; rint matches the scalar
         # banker's ``round``.
         self.remaining[dests[alive]] -= np.rint(values[alive]).astype(np.int64)
-        return alive
+        g.activate_batch(dests[alive], alive)
 
 
 def kcore(engine: GraphEngine, k: int) -> Tuple[np.ndarray, RunResult]:

@@ -103,9 +103,9 @@ class PageRankProgram(VertexProgram):
             batch.read_edges_concat(), self._sending[batch.vertices], batch.degrees
         )
 
-    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> None:
         self.pending[dests] += values
-        return np.ones(dests.size, dtype=bool)
+        g.activate_batch(dests, np.ones(dests.size, dtype=np.int64))
 
     # -- async priority hook (see docs/execution_modes.md) ---------------
 

@@ -51,13 +51,12 @@ class SSSPProgram(VertexProgram):
             self.dist[vertex] = value
             g.activate(np.asarray([vertex]))
 
-    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The receive side in bulk.  ``run`` / ``run_on_vertex`` stay
-        scalar: their lists arrive paired with attribute blocks, which a
-        ``PageVertexBatch`` does not carry."""
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> None:
+        """The receive side in bulk (``run`` / ``run_on_vertex`` go
+        through the default batch hooks)."""
         better = values < self.dist[dests]
         self.dist[dests[better]] = values[better]
-        return better
+        g.activate_batch(dests[better], better)
 
     # -- async priority hook (see docs/execution_modes.md) ---------------
 

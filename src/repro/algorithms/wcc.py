@@ -61,13 +61,13 @@ class WCCProgram(VertexProgram):
             batch.read_edges_concat(), self.component[batch.vertices], batch.degrees
         )
 
-    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def run_on_messages(self, g: GraphContext, dests: np.ndarray, values: np.ndarray) -> None:
         # Labels survive the float64 round trip exactly (vertex IDs are
         # far below 2**53), so the truncation matches ``int(value)``.
         labels = values.astype(np.int64)
         better = labels < self.component[dests]
         self.component[dests[better]] = labels[better]
-        return better
+        g.activate_batch(dests[better], better)
 
     # -- async priority hook (see docs/execution_modes.md) ---------------
 

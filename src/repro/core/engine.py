@@ -39,7 +39,12 @@ from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.obs import registry as reg
 from repro.graph.builder import GraphImage
 from repro.graph.format import FORMAT_V2, HEADER_BYTES, decode_lists_v2
-from repro.graph.page_vertex import PageVertex, PageVertexBatch, gather_ranges, scatter_positions
+from repro.graph.page_vertex import (
+    DIRECTIONS as _DIRECTIONS,
+    PageVertexBatch,
+    gather_ranges,
+    scatter_positions,
+)
 from repro.graph.types import EdgeType
 from repro.safs.filesystem import SAFS
 from repro.safs.io_request import merge_request_arrays
@@ -51,8 +56,6 @@ from repro.sim.stats import StatsCollector
 #: Estimated bytes per buffered message (dest id + payload).
 MESSAGE_BYTES = 16
 
-#: A wave element's direction code indexes this tuple.
-_DIRECTIONS = (EdgeType.OUT, EdgeType.IN)
 #: The direction codes one ``request_self`` of each edge type fetches.
 _DIRECTION_CODES = {
     edge_type: np.array([_DIRECTIONS.index(d) for d in edge_type.directions()])
@@ -82,7 +85,7 @@ class _Wave:
     requesters: np.ndarray
     #: The vertex whose data the row reads.
     targets: np.ndarray
-    #: Index into ``_DIRECTIONS``.
+    #: Index into ``DIRECTIONS``.
     dirs: np.ndarray
     #: ``_EDGES``, ``_EDGES_WITH_ATTRS`` or ``_ATTRS``.
     kinds: np.ndarray
@@ -388,7 +391,6 @@ class GraphEngine:
         self.iteration = 0
         self._ctx = GraphContext(self)
         self._workers: List[_Worker] = []
-        self._current: Optional[_Worker] = None
         # The wave buffer: edge-list requests issued since the last wave
         # was serviced, as chunks of the four request columns of a _Wave.
         self._wave: List[Tuple[np.ndarray, ...]] = []
@@ -396,21 +398,20 @@ class GraphEngine:
         # Workers whose queue still holds unclaimed vertices this
         # iteration, in index order (what ``_pick_worker`` chooses among).
         self._queued: List[_Worker] = []
-        # What the ``run_on_vertices`` call in progress reported, one
-        # entry per delivered list: messages sent (``send_message_batch``),
-        # vertices activated (``activate_batch``) and extra edges of work
-        # (``charge_edges_batch``).  ``_deliver_batch`` replays the
-        # per-list charges from these.
-        self._batch_msg_counts: Optional[np.ndarray] = None
-        self._batch_act_counts: Optional[np.ndarray] = None
-        self._batch_extra_edges: Optional[np.ndarray] = None
+        # The charge log of the hook call in progress (see ``_replay``), in
+        # call order; extra edges are logged apart, by a wave stage only.
+        self._stage_items = 0
+        self._log_items: List[int] = []
+        self._log_charges: List[float] = []
+        self._log_columns: List[np.ndarray] = []
+        self._edge_items: Optional[List[int]] = None
+        self._edge_counts: Optional[List[int]] = None
         # file_id -> the file's bytes viewed as little-endian u32 words
         # (v1) or raw uint8 (v2): what a wave's edge lists decode from.
         self._file_arrays: Dict[int, np.ndarray] = {}
         self._activations: List[np.ndarray] = []
         self._messages: Optional[MessageBuffer] = None
         self._iteration_end_requested = False
-        self._extra_edge_charge = 0
         # Iteration-barrier checkpointing (see repro.core.checkpoint):
         # a manager plus interval arm capture; a pending resume state is
         # consumed by the next run() call.
@@ -542,7 +543,7 @@ class GraphEngine:
         self._wave.clear()
         self._part_queue.clear()
         self._activations.clear()
-        self._take_batch_slots()
+        self._log_items, self._log_charges, self._log_columns = [], [], []
         if self._messages is not None:
             self._messages.clear()
         if record_fault:
@@ -808,7 +809,7 @@ class GraphEngine:
                 batch = worker.take(batch_size)
                 if not worker.remaining:
                     self._queued.remove(worker)
-                self._process_batch(worker, batch, stolen=False)
+                self._process_batch(worker, batch)
             elif self._part_queue:
                 requester, targets, direction, with_attrs = self._part_queue.popleft()
                 self._process_part(worker, requester, targets, direction, with_attrs)
@@ -826,9 +827,7 @@ class GraphEngine:
                 self.stats.add(reg.ENGINE_STOLEN_VERTICES, stolen.size)
                 if self.numa.is_remote(worker.index, victim.index):
                     self.stats.add(reg.NUMA_REMOTE_STEALS, stolen.size)
-                self._process_batch(
-                    worker, stolen, stolen=True, victim=victim.index
-                )
+                self._process_batch(worker, stolen, victim.index)
             if priorities is not None and self._messages.flush_due(
                 config.message_flush_threshold
             ):
@@ -838,9 +837,9 @@ class GraphEngine:
         self._deliver_messages()
         if self._iteration_end_requested:
             self._iteration_end_requested = False
-            self._current = self._workers[0]
+            self._begin_stage(1, item=0)
             self.program.run_on_iteration_end(self._ctx)
-            self._charge(self.cost_model.cpu_per_vertex_run)
+            self._replay(self._workers[0], after=[self.cost_model.cpu_per_vertex_run])
         barrier = max(w.time for w in self._workers) + self.cost_model.iteration_barrier
         for worker in self._workers:
             worker.time = barrier
@@ -857,43 +856,19 @@ class GraphEngine:
         return min(self._queued, key=_CLOCK, default=None)
 
     def _process_batch(
-        self,
-        worker: _Worker,
-        batch: np.ndarray,
-        stolen: bool,
-        victim: Optional[int] = None,
+        self, worker: _Worker, batch: np.ndarray, victim: Optional[int] = None
     ) -> None:
-        self._current = worker
+        """``run_batch`` on vertices from ``worker``'s queue, or stolen
+        from ``victim``'s."""
         cm = self.cost_model
-        steal_cost = 0.0
-        if stolen:
+        run_cost = cm.cpu_per_vertex_run
+        if victim is not None:
             # Stolen vertex state lives on the victim's socket (§3.8.1):
             # the NUMA hop scales the base steal penalty.
-            factor = (
-                self.numa.remote_factor(worker.index, victim)
-                if victim is not None
-                else 1.0
-            )
-            steal_cost = cm.cpu_steal_penalty * factor
-        run_cost = cm.cpu_per_vertex_run + steal_cost
-        run_batch = self.program.run_batch
-        if run_batch is not None:
-            # The scalar path charges run_cost per vertex before each
-            # ``run`` call; the batch program performs no charged context
-            # calls inside ``run_batch``, so replaying the same sequence
-            # of float adds up front keeps the clocks bit-identical.
-            t = worker.time
-            b = worker.busy
-            for _ in range(batch.size):
-                t += run_cost
-                b += run_cost
-            worker.time = t
-            worker.busy = b
-            run_batch(self._ctx, batch)
-        else:
-            for vertex in batch:
-                self._charge(run_cost)
-                self.program.run(self._ctx, int(vertex))
+            run_cost += cm.cpu_steal_penalty * self.numa.remote_factor(worker.index, victim)
+        self._begin_stage(batch.size)
+        self.program.run_batch(self._ctx, batch)
+        self._replay(worker, before=[run_cost])
         self._service_request_waves(worker)
 
     def _process_part(
@@ -904,7 +879,6 @@ class GraphEngine:
         direction: EdgeType,
         with_attrs: bool = False,
     ) -> None:
-        self._current = worker
         self._append_wave(requester, targets, direction, with_attrs)
         self.stats.add(reg.ENGINE_VERTEX_PARTS)
         self._service_request_waves(worker)
@@ -995,7 +969,8 @@ class GraphEngine:
         span_done, cpu, span_issued, io_ids = safs.submit_spans(
             spans, files, worker.time, kernel_requests
         )
-        self._charge(cpu)
+        worker.time += cpu
+        worker.busy += cpu
         self.stats.add(reg.ENGINE_IO_REQUESTS, io.size)
 
         part_done = span_done[spans.span_of_part]
@@ -1047,155 +1022,43 @@ class GraphEngine:
         self._deliver_wave(worker, wave)
 
     def _deliver_wave(self, worker: _Worker, wave: _Wave) -> None:
-        """Hand one decoded wave to the program.
-
-        Two back ends, chosen by the hook the program defines: a wave of
-        attribute-free self-requests goes to ``run_on_vertices`` in one
-        call when there is one, anything else to ``run_on_vertex`` list by
-        list.  Either way each list costs the same clock updates in the
-        same order: the wait for its data, the charges made inside the
-        hook, the ``run_on_vertex`` charge and — under format v2 — the
-        per-byte decode charge.
-        """
+        """Hand one decoded wave to ``run_on_vertices``, then replay its
+        charges: per list, after the wait for its data and the charges the
+        hook logged, the ``run_on_vertex`` charge (its edges plus any
+        ``charge_edges``, at the mode's per-edge rate) and, under format
+        v2, the per-byte decode charge.  A list requested with attributes
+        is delivered once its attribute block arrived too."""
         cm = self.cost_model
-        if self.config.mode is ExecutionMode.IN_MEMORY:
-            edge_rate = cm.cpu_per_edge_mem
-        else:
-            edge_rate = cm.cpu_per_edge_sem
-        if (
-            self.program.run_on_vertices is not None
-            and not wave.kinds.any()
-            and np.array_equal(wave.requesters, wave.targets)
-        ):
-            self._deliver_batch(worker, wave, edge_rate)
-        else:
-            self._deliver_lists(worker, wave, edge_rate)
+        in_memory = self.config.mode is ExecutionMode.IN_MEMORY
+        edge_rate = cm.cpu_per_edge_mem if in_memory else cm.cpu_per_edge_sem
         if wave.decode_sizes is not None:
             self.stats.add(reg.GRAPH_DECODE_BYTES, int(wave.decode_sizes.sum()))
         self.stats.add(reg.ENGINE_EDGES_DELIVERED, int(wave.edges.size))
-
-    def _deliver_lists(self, worker: _Worker, wave: _Wave, edge_rate: float) -> None:
-        """The ``run_on_vertex`` back end of :meth:`_deliver_wave`."""
-        cm = self.cost_model
-        run_on_vertex = self.program.run_on_vertex
-        edges = wave.edges
-        ends = np.cumsum(wave.degrees).tolist()
-        requesters = wave.requesters.tolist()
-        targets = wave.targets.tolist()
-        dirs = wave.dirs.tolist()
-        kinds = wave.kinds.tolist()
-        degrees = wave.degrees.tolist()
-        times = wave.times.tolist() if wave.times is not None else None
-        mate = wave.mate.tolist() if wave.mate is not None else None
-        sizes = wave.decode_sizes.tolist() if wave.decode_sizes is not None else None
-        for row in range(len(targets)):
-            if times is not None and times[row] > worker.time:
-                # The worker waits for data; waiting is not busy time.
-                worker.time = times[row]
-            if mate is not None:
-                if mate[row] > row:
-                    continue  # the other half of the pair is still in flight
-                if kinds[row] == _ATTRS:
-                    row = mate[row]
-            direction = _DIRECTIONS[dirs[row]]
-            attrs = None
-            if kinds[row] == _EDGES_WITH_ATTRS:
-                attrs = self._attrs_of(direction, targets[row])
-            view = PageVertex.from_arrays(
-                targets[row], edges[ends[row] - degrees[row] : ends[row]], direction, attrs
-            )
-            self._extra_edge_charge = 0
-            run_on_vertex(self._ctx, requesters[row], view)
-            self._charge(
-                cm.cpu_per_vertex_run
-                + (degrees[row] + self._extra_edge_charge) * edge_rate
-            )
+        times, sizes, degrees, edges = wave.times, wave.decode_sizes, wave.degrees, wave.edges
+        if wave.mate is not None:
+            # Rows whose pair is complete; an attribute row stands for its list.
+            at = np.flatnonzero(wave.mate < np.arange(wave.mate.size))
+            rows = np.where(wave.kinds[at] == _ATTRS, wave.mate[at], at)
+            times = times[at]
+            edges = gather_ranges(edges, (np.cumsum(degrees) - degrees)[rows], degrees[rows])
+            degrees = degrees[rows]
             if sizes is not None:
-                self._charge(sizes[row] * cm.cpu_per_decode_byte)
-
-    def _deliver_batch(self, worker: _Worker, wave: _Wave, edge_rate: float) -> None:
-        """The ``run_on_vertices`` back end of :meth:`_deliver_wave`.
-
-        Runs the hook once, then replays the clock updates
-        ``run_on_vertex`` delivery makes per list — the hook's charges
-        being the multicast charge of the messages or activations each
-        list reported through ``send_message_batch`` / ``activate_batch``,
-        and ``charge_edges_batch``'s extra edges inside the run charge —
-        same values, same order, so worker clocks land on identical bits."""
-        num_lists = wave.targets.size
-        cm = self.cost_model
-        self._take_batch_slots()
-        self.program.run_on_vertices(
-            self._ctx, PageVertexBatch(wave.requesters, wave.degrees, wave.edges)
+                sizes = sizes[rows]
+            wave = wave.take(rows)
+        batch = PageVertexBatch(
+            wave.requesters, wave.targets, wave.dirs, degrees, edges,
+            *self._attrs_of(wave.targets, wave.dirs, wave.kinds, degrees),
         )
-        sent, activated, extra = self._take_batch_slots()
-        if sent is not None and activated is not None:
-            # The scalar hooks would make two float charges per list;
-            # one multicast slot cannot replay that.
-            raise ValueError(
-                "one run_on_vertices call may use send_message_batch or "
-                "activate_batch, not both"
-            )
-        counts = sent if sent is not None else activated
-        multicast = "send_message_batch" if activated is None else "activate_batch"
-        for name, slot in ((multicast, counts), ("charge_edges_batch", extra)):
-            if slot is not None and slot.size != num_lists:
-                raise ValueError(
-                    f"{name} counts must have one entry per delivered "
-                    f"list ({slot.size} != {num_lists})"
-                )
-        count_list = [0] * num_lists if counts is None else counts.tolist()
-        # Integer edge work per list, summed before the one multiply, as
-        # ``_deliver_lists`` does.
-        degree_list = (wave.degrees if extra is None else wave.degrees + extra).tolist()
-        time_list = wave.times.tolist() if wave.times is not None else None
-        size_list = (
-            wave.decode_sizes.tolist() if wave.decode_sizes is not None else None
-        )
-        rate = cm.cpu_per_multicast_recipient
-        base = cm.cpu_per_vertex_run
-        decode_rate = cm.cpu_per_decode_byte
-        send_charges: Dict[int, float] = {}
-        run_charges: Dict[int, float] = {}
-        decode_charges: Dict[int, float] = {}
-        t = worker.time
-        b = worker.busy
-        for i in range(num_lists):
-            if time_list is not None:
-                done = time_list[i]
-                if done > t:
-                    t = done
-            count = count_list[i]
-            charge = send_charges.get(count)
-            if charge is None:
-                charge = count * rate
-                send_charges[count] = charge
-            t += charge
-            b += charge
-            degree = degree_list[i]
-            charge = run_charges.get(degree)
-            if charge is None:
-                charge = base + degree * edge_rate
-                run_charges[degree] = charge
-            t += charge
-            b += charge
-            if size_list is not None:
-                size = size_list[i]
-                charge = decode_charges.get(size)
-                if charge is None:
-                    charge = size * decode_rate
-                    decode_charges[size] = charge
-                t += charge
-                b += charge
-        worker.time = t
-        worker.busy = b
-
-    def _take_batch_slots(self):
-        """Read and clear what ``run_on_vertices`` reported, so nothing
-        leaks into the next wave (or, after an abort, the next job)."""
-        slots = (self._batch_msg_counts, self._batch_act_counts, self._batch_extra_edges)
-        self._batch_msg_counts = self._batch_act_counts = self._batch_extra_edges = None
-        return slots
+        self._begin_stage(batch.num_lists, lists=True)
+        self.program.run_on_vertices(self._ctx, batch)
+        if self._edge_items:
+            # Integer edge work per list, summed before the one multiply.
+            degrees = degrees.copy()
+            np.add.at(degrees, self._edge_items, self._edge_counts)
+        after = [cm.cpu_per_vertex_run + degrees * edge_rate]
+        if sizes is not None:
+            after.append(sizes * cm.cpu_per_decode_byte)
+        self._replay(worker, after=after, times=times)
 
     def _file_array(self, file, dtype) -> np.ndarray:
         """The file's bytes as a cached zero-copy array of ``dtype``."""
@@ -1205,14 +1068,29 @@ class GraphEngine:
             self._file_arrays[file.file_id] = data
         return data
 
-    def _attrs_of(self, direction: EdgeType, vertex: int) -> np.ndarray:
-        """``vertex``'s edge attributes, one float32 per edge (zero-copy;
-        empty for a zero-degree vertex)."""
-        values = np.frombuffer(self.image.attr_bytes[direction], dtype="<f4")
-        indptr = self.image.csr(direction).indptr
-        return values[indptr[vertex] : indptr[vertex + 1]]
+    def _attrs_of(self, owners, dirs, kinds, degrees):
+        """Which lists were requested with attributes, and those lists'
+        attributes (one float32 per edge) laid out beside their edges,
+        NaN elsewhere; ``(None, None)`` when none was."""
+        has_attrs = kinds == _EDGES_WITH_ATTRS
+        if not has_attrs.any():
+            return None, None
+        starts = np.cumsum(degrees) - degrees
+        attrs = np.full(int(degrees.sum()), np.nan, dtype=np.float32)
+        for code, direction in enumerate(_DIRECTIONS):
+            lane = has_attrs & (dirs == code)
+            if lane.any():
+                values = np.frombuffer(self.image.attr_bytes[direction], dtype="<f4")
+                first = self.image.csr(direction).indptr[owners[lane]]
+                attrs[scatter_positions(starts[lane], degrees[lane])] = gather_ranges(
+                    values, first, degrees[lane]
+                )
+        return has_attrs, attrs
 
     def _deliver_messages(self) -> None:
+        """Hand each worker's share of the buffered messages to
+        ``run_on_messages``, then replay per delivery the receive charge
+        and the charges the hook logged for it."""
         dests, values, counts = self._messages.deliver()
         if dests.size == 0:
             return
@@ -1220,12 +1098,6 @@ class GraphEngine:
         # Group by owning worker, each group in delivery order.
         order, bounds = self.partitioner.group(dests)
         dests, values, counts = dests[order], values[order], counts[order]
-        # The batched receive hook needs unique destinations to update
-        # state with one vectorized scatter; only combiner programs
-        # guarantee that.
-        run_on_messages = (
-            self.program.run_on_messages if self.program.combiner is not None else None
-        )
         # Message *processing* is local by design: buffers are copied
         # once per thread (multicast, §3.4.1) and consumed on the
         # owner's socket.  Only the bundled copy crosses sockets, so
@@ -1238,63 +1110,83 @@ class GraphEngine:
             * self.numa.remote_penalty
             * remote_share
         )
+        # Receive cost is per *logical* message: the combiner saves buffer
+        # space, not the per-message processing (§3.4.1).
+        receive = counts * per_message
+        bounds = bounds.tolist()
         for p in np.flatnonzero(np.diff(bounds)).tolist():
-            worker = self._workers[p]
-            self._current = worker
             mine = slice(bounds[p], bounds[p + 1])
-            if run_on_messages is not None:
-                self._deliver_messages_batch(
-                    worker, dests[mine], values[mine], counts[mine], per_message
-                )
-                continue
-            for dest, value, count in zip(
-                dests[mine].tolist(), values[mine].tolist(), counts[mine].tolist()
-            ):
-                # Receive cost is per *logical* message: the combiner saves
-                # buffer space, not the per-message processing (§3.4.1).
-                self._charge(count * per_message)
-                self.program.run_on_message(self._ctx, dest, value)
+            self._begin_stage(bounds[p + 1] - bounds[p])
+            self.program.run_on_messages(self._ctx, dests[mine], values[mine])
+            self._replay(self._workers[p], before=[receive[mine]])
         self.stats.add(reg.MSG_DELIVERED, int(counts.sum()))
         self.stats.add(
             reg.NUMA_REMOTE_MESSAGE_SHARE,
             0.0 if self.numa.num_sockets == 1 else counts.sum() * (1.0 - 1.0 / self.numa.num_sockets),
         )
 
-    def _deliver_messages_batch(
-        self,
-        worker: _Worker,
-        dests: np.ndarray,
-        values: np.ndarray,
-        counts: np.ndarray,
-        per_message: float,
-    ) -> None:
-        """One partition's message round through ``run_on_messages``.
+    def _begin_stage(self, count: int, item: Optional[int] = None, lists: bool = False) -> None:
+        """Open a hook call over ``count`` items: batch calls report one
+        count per item, scalar calls charge ``item`` (the default batch
+        hooks move it), and ``lists`` (a wave) admits ``charge_edges``."""
+        self._stage_items = count
+        self._ctx._item = item
+        self._edge_items, self._edge_counts = ([], []) if lists else (None, None)
 
-        The hook updates state vectorized and returns the activation mask;
-        the engine then replays, per destination, the receive charge and —
-        when that destination activated — the scalar path's activation
-        charge, in the same interleaved order ``run_on_message`` +
-        ``g.activate`` would have produced."""
-        act = np.asarray(
-            self.program.run_on_messages(self._ctx, dests, values), dtype=bool
-        )
-        if act.shape != dests.shape:
-            raise ValueError("run_on_messages must return one flag per destination")
-        activated = dests[act]
-        if activated.size:
-            self._activations.append(activated)
-            self.stats.add(reg.MSG_ACTIVATIONS, activated.size)
-        # ``cumsum`` adds strictly left to right, so accumulating
-        # [clock, c0, a0, c1, a1, ...] lands on the bits of the scalar
-        # path's one-add-per-charge sequence; a destination that did not
-        # activate contributes a0 = +0.0, which leaves a clock unchanged.
-        steps = np.empty(1 + 2 * dests.size)
-        steps[1::2] = counts * per_message
-        steps[2::2] = np.where(act, self.cost_model.cpu_per_multicast_recipient, 0.0)
-        steps[0] = worker.time
-        worker.time = float(np.cumsum(steps)[-1])
-        steps[0] = worker.busy
-        worker.busy = float(np.cumsum(steps)[-1])
+    def _replay(self, worker: _Worker, before=(), after=(), times=None) -> None:
+        """Advance ``worker`` through the hook call's charges, item by item.
+
+        Each item waits for its data (``times``, completion-ordered), then
+        is charged the stage's ``before`` charges, the charges its hook
+        logged in call order, and the stage's ``after`` charges — each
+        column a float or an array of one per item.  Every charge is one
+        float add in the order charging it on the spot would have made,
+        so a batch hook and the scalar hooks it stands for land clocks on
+        the same bits.  A batch hook's calls are columns of their own; a
+        scalar hook's were logged item by item, in item order.
+        """
+        count = self._stage_items
+        items, charges = self._log_items, self._log_charges
+        before = [*before, *self._log_columns]
+        self._log_items, self._log_charges, self._log_columns = [], [], []
+        t, b = worker.time, worker.busy
+        if times is None and not items:
+            columns = before + list(after)
+            if all(isinstance(column, float) for column in columns):
+                for charge in columns * count:  # the same adds for every item
+                    t += charge
+                    b += charge
+                worker.time, worker.busy = t, b
+                return
+            # One sequence of adds, and ``cumsum`` adds strictly left to right.
+            steps = np.empty(1 + count * len(columns))
+            grid = steps[1:].reshape(count, len(columns))
+            for j, column in enumerate(columns):
+                grid[:, j] = column
+            steps[0] = t
+            worker.time = float(np.cumsum(steps)[-1])
+            steps[0] = b
+            worker.busy = float(np.cumsum(steps)[-1])
+            return
+        before = [c.tolist() if isinstance(c, np.ndarray) else [c] * count for c in before]
+        after = [c.tolist() if isinstance(c, np.ndarray) else [c] * count for c in after]
+        if times is not None:
+            times = times.tolist()
+        k, end = 0, len(items)
+        for i in range(count):
+            if times is not None and times[i] > t:
+                t = times[i]  # waiting for data is not busy time
+            for column in before:
+                t += column[i]
+                b += column[i]
+            while k < end and items[k] == i:
+                t += charges[k]
+                b += charges[k]
+                k += 1
+            for column in after:
+                t += column[i]
+                b += column[i]
+        worker.time, worker.busy = t, b
 
     def _drain_activations(self) -> np.ndarray:
         if not self._activations:
@@ -1356,59 +1248,65 @@ class GraphEngine:
         if with_attrs:
             self._wave.append((requesters, targets, dirs, np.full(targets.size, _ATTRS)))
 
-    def _buffer_message_batch(
-        self, dests: np.ndarray, values: np.ndarray, counts: np.ndarray
-    ) -> None:
-        """Buffer one delivered wave's messages in a single chunk.
-
-        List ``i`` multicasts ``values[i]`` to its ``counts[i]``
-        destinations; the engine replays the per-list send charges from
-        ``counts``, so no CPU is charged here.  The buffer holds the runs
-        the per-list ``send_message`` calls would have put there."""
+    def _item_counts(self, name: str, counts) -> np.ndarray:
+        """A batch call's ``counts``, checked to hold one per item."""
         counts = np.asarray(counts, dtype=np.int64)
-        self._batch_msg_counts = counts
+        if counts.shape != (self._stage_items,):
+            raise ValueError(
+                f"{name} counts must have one entry per item of the hook "
+                f"call ({counts.size} != {self._stage_items})"
+            )
+        return counts
+
+    def _buffer_message_batch(self, dests, values, counts) -> None:
+        """Buffer the runs per-item ``send_message`` calls would have."""
+        counts = self._item_counts("send_message_batch", counts)
         total = self._messages.send(dests, values, counts)
+        self._log_columns.append(counts * self.cost_model.cpu_per_multicast_recipient)
         if total:
             self.stats.add(reg.MSG_SENT, total)
 
     def _buffer_activation_batch(self, vertices, counts) -> None:
-        """Buffer one delivered wave's activations in a single chunk;
-        like :meth:`_buffer_message_batch`, charges nothing here."""
+        """Buffer a batch hook call's activations in one chunk."""
         vertices = np.asarray(vertices, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = self._item_counts("activate_batch", counts)
         total = int(counts.sum())
         if total != vertices.size:
             raise ValueError(
                 f"activate_batch counts sum to {total}, not the "
                 f"{vertices.size} vertices activated"
             )
-        self._batch_act_counts = counts
         self._activations.append(vertices)
+        self._log_columns.append(counts * self.cost_model.cpu_per_multicast_recipient)
         self.stats.add(reg.MSG_ACTIVATIONS, vertices.size)
 
-    def _buffer_activation(self, vertices: np.ndarray) -> None:
+    def _buffer_activation(self, item: int, vertices: np.ndarray) -> None:
         self._activations.append(vertices)
-        self._charge(vertices.size * self.cost_model.cpu_per_multicast_recipient)
+        self._log_items.append(item)
+        self._log_charges.append(vertices.size * self.cost_model.cpu_per_multicast_recipient)
         self.stats.add(reg.MSG_ACTIVATIONS, vertices.size)
 
-    def _buffer_message(self, dests: np.ndarray, values) -> None:
+    def _buffer_message(self, item: int, dests: np.ndarray, values) -> None:
         count = self._messages.send(dests, values)
-        self._charge(count * self.cost_model.cpu_per_multicast_recipient)
+        self._log_items.append(item)
+        self._log_charges.append(count * self.cost_model.cpu_per_multicast_recipient)
         self.stats.add(reg.MSG_SENT, count)
 
     def _request_iteration_end(self) -> None:
         self._iteration_end_requested = True
 
-    def _charge_edges(self, count: int) -> None:
-        self._extra_edge_charge += count
+    def _charge_edges(self, item: int, count: int) -> None:
+        if self._edge_items is None:
+            raise ValueError(
+                "charge_edges prices work on a delivered edge list: call it "
+                "from run_on_vertex (or charge_edges_batch from run_on_vertices)"
+            )
+        self._edge_items.append(item)
+        self._edge_counts.append(count)
 
     def _charge_edges_batch(self, counts) -> None:
-        self._batch_extra_edges = np.asarray(counts, dtype=np.int64)
-
-    def _charge(self, seconds: float) -> None:
-        worker = self._current
-        worker.time += seconds
-        worker.busy += seconds
+        for item, count in enumerate(self._item_counts("charge_edges_batch", counts).tolist()):
+            self._charge_edges(item, count)
 
     # ------------------------------------------------------------------
     # Accounting

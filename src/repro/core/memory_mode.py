@@ -2,51 +2,20 @@
 
 For the in-memory comparison the authors replace SAFS with in-memory data
 structures holding the edge lists; everything else — the engine, the
-programming interface, scheduling — is unchanged.  This store serves
-edge-list requests straight from the CSR adjacency with zero latency; the
-engine charges the (cheaper) in-memory per-edge CPU rate instead of the
-page-parsing SEM rate.
+programming interface, scheduling — is unchanged.  The engine serves
+edge-list requests straight from the CSR adjacency with zero latency and
+charges the (cheaper) in-memory per-edge CPU rate instead of the
+page-parsing SEM rate; this store accounts the RAM those arrays hold.
 """
 
-from typing import Optional
-
-import numpy as np
-
 from repro.graph.builder import GraphImage
-from repro.graph.page_vertex import PageVertex
-from repro.graph.types import EdgeType
 
 
 class InMemoryEdgeStore:
-    """Serves ``PageVertex`` views from RAM-resident adjacency arrays."""
+    """The RAM-resident adjacency arrays of an in-memory run."""
 
     def __init__(self, image: GraphImage) -> None:
         self.image = image
-        self._attrs: Optional[np.ndarray] = None
-
-    def fetch(
-        self, target: int, edge_type: EdgeType, with_attrs: bool = False
-    ) -> PageVertex:
-        """The edge list of ``target`` in one direction, zero-copy."""
-        if edge_type is EdgeType.BOTH:
-            raise ValueError("fetch one direction at a time")
-        csr = self.image.csr(edge_type)
-        attrs = self._attr_slice(target, edge_type) if with_attrs else None
-        return PageVertex.from_arrays(
-            target, csr.neighbors(target), edge_type, attrs=attrs
-        )
-
-    def _attr_slice(self, target: int, edge_type: EdgeType) -> np.ndarray:
-        if edge_type not in self.image.attr_bytes:
-            raise ValueError(
-                f"the graph has no {edge_type.value}-edge attributes"
-            )
-        if self._attrs is None:
-            self._attrs = np.frombuffer(
-                self.image.attr_bytes[edge_type], dtype="<f4"
-            )
-        indptr = self.image.csr(edge_type).indptr
-        return self._attrs[indptr[target] : indptr[target + 1]]
 
     def memory_bytes(self) -> int:
         """RAM held by the in-memory edge lists (both directions)."""

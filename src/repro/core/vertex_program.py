@@ -18,14 +18,15 @@ paper's:
 - ``run_on_iteration_end(g)`` — fires at the iteration barrier when the
   program asked for the notification (``g.notify_iteration_end()``).
 
-Data-parallel algorithms may additionally implement the **batch hooks**
-(``run_batch`` / ``run_on_vertices`` / ``run_on_messages``): the engine
-then hands whole scheduler batches, delivered waves and message rounds to
-the program as numpy arrays instead of making one Python call per vertex.
-The hooks are a wall-clock optimisation only — the engine replays every
-per-vertex CPU charge in the original order, so simulated results are
-bit-identical to the scalar hooks (see ``docs/architecture.md``, "The
-read path").
+The engine itself calls one **batch hook** per stage (``run_batch`` /
+``run_on_vertices`` / ``run_on_messages``), handing over a whole
+scheduler batch, delivered wave or message round.  The defaults loop
+over the scalar hooks above, so a program may define only those;
+data-parallel algorithms override a batch hook to touch numpy arrays
+instead of making one Python call per vertex.  Either way every charged
+context call is logged against its item and replayed in call order, so
+simulated results do not depend on which form ran (see
+``docs/architecture.md``, "The read path").
 
 Programs that also want the **async priority mode** declare a
 ``residuals`` hook (how much unpropagated work each vertex holds) and,
@@ -37,7 +38,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.page_vertex import PageVertex
+from repro.graph.page_vertex import PageVertex, PageVertexBatch
 from repro.graph.types import EdgeType
 
 #: Scalar types the default snapshot captures alongside numpy arrays.
@@ -63,29 +64,15 @@ class VertexProgram:
     #: (BFS needs 1 byte; most algorithms stay under 8).
     state_bytes_per_vertex: int = 8
 
-    #: Batch hooks; ``None`` keeps the per-vertex hook.  A program
-    #: overriding one of these promises the vectorized form is
-    #: observationally identical to its scalar twin, and that the scalar
-    #: twin performs no *charged* context call the batch form hides
-    #: (``run_batch`` may request I/O, which is free; ``run_on_vertices``
-    #: must route messages, activations and extra edge work through
-    #: ``g.send_message_batch`` / ``g.activate_batch`` /
-    #: ``g.charge_edges_batch`` so the engine can replay per-list charges;
-    #: ``run_on_messages`` must return the activation mask instead of
-    #: calling ``g.activate``).
-    run_batch = None  # run_batch(g, vertices: int64 array)
-    run_on_vertices = None  # run_on_vertices(g, batch: PageVertexBatch)
-    run_on_messages = None  # run_on_messages(g, dests, values) -> activation mask
-
     def __init_subclass__(cls, **kwargs) -> None:
         """A subclass that redefines a scalar hook without its batch twin
-        drops the inherited twin: the scalar hook is the definition, and
+        gets the default twin back: the scalar hook is the definition, and
         the twin it inherited vectorizes the *parent's* scalar hook."""
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         for scalar, batch in _HOOK_TWINS:
             if scalar in own and batch not in own:
-                setattr(cls, batch, None)
+                setattr(cls, batch, vars(VertexProgram)[batch])
 
     #: Async-mode hook (see :mod:`repro.core.execution`): ``None`` means
     #: the program only supports synchronous BSP execution.  A program
@@ -117,6 +104,31 @@ class VertexProgram:
 
     def run_on_iteration_end(self, g: "GraphContext") -> None:
         """Called at the barrier if ``g.notify_iteration_end()`` was set."""
+
+    # -- batch hooks: what the engine calls --------------------------------
+    #
+    # A program overriding one promises it is observationally identical
+    # to its scalar twin: same state changes, and the same charged context
+    # calls (``send_message`` / ``activate`` / ``charge_edges``) per item
+    # in the same order, made through their ``*_batch`` forms.
+
+    def run_batch(self, g: "GraphContext", vertices: np.ndarray) -> None:
+        """A scheduler batch of active vertices: ``run`` on each."""
+        run = self.run
+        for vertex in g._each(vertices.tolist()):
+            run(g, vertex)
+
+    def run_on_vertices(self, g: "GraphContext", batch: PageVertexBatch) -> None:
+        """A delivered wave of edge lists: ``run_on_vertex`` on each."""
+        run_on_vertex = self.run_on_vertex
+        for vertex, page_vertex in g._each(batch.page_vertices()):
+            run_on_vertex(g, vertex, page_vertex)
+
+    def run_on_messages(self, g: "GraphContext", dests: np.ndarray, values: np.ndarray) -> None:
+        """One worker's message round: ``run_on_message`` per delivery."""
+        run_on_message = self.run_on_message
+        for dest, value in g._each(zip(dests.tolist(), values.tolist())):
+            run_on_message(g, dest, value)
 
     def custom_order(self, active: np.ndarray, iteration: int) -> np.ndarray:
         """Ordering for ``ScheduleOrder.CUSTOM`` (override to use)."""
@@ -177,12 +189,16 @@ class VertexProgram:
 class GraphContext:
     """The ``graph_engine &g`` handle passed to every vertex method.
 
-    Thin facade over the engine: everything it does is buffered into the
-    engine's current worker, so CPU cost lands on the right virtual thread.
+    Thin facade over the engine: everything it does is buffered, and
+    every CPU charge is logged against the item it is for, so the cost
+    lands on the right virtual thread in the right order.
     """
 
     def __init__(self, engine) -> None:
         self._engine = engine
+        #: The item (vertex, list or delivery) the running scalar hook
+        #: was called for; ``None`` inside a batch hook.
+        self._item: Optional[int] = None
 
     # -- graph metadata -------------------------------------------------
 
@@ -242,40 +258,49 @@ class GraphContext:
             self._engine._buffer_batch_request(vertices, edge_type)
 
     # -- communication ---------------------------------------------------
+    #
+    # The charged calls.  A scalar hook's call is charged to the item the
+    # hook runs for; a batch hook's ``*_batch`` call reports every item of
+    # the hook call at once — ``counts[i]`` for item ``i`` (a vertex of
+    # ``run_batch``, a list of ``run_on_vertices``, a delivery of
+    # ``run_on_messages``).  Either kind of hook may make any sequence of
+    # its calls: the engine replays each item's charges in call order.
+    # ``run_on_iteration_end`` is a scalar hook of one item.
 
     def activate(self, vertices) -> None:
         """Activate ``vertices`` for the next iteration (multicast)."""
+        item = self._cursor("activate", "activate_batch")
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-        self._engine._buffer_activation(vertices)
+        self._engine._buffer_activation(item, vertices)
 
     def activate_batch(self, vertices, counts) -> None:
-        """Activate one delivered wave's vertices in a single call.
+        """Activate vertices for every item of a batch hook call at once.
 
-        The data-free-multicast twin of :meth:`send_message_batch`, only
-        valid inside ``run_on_vertices``: ``vertices`` holds every
-        activation of the wave concatenated in delivery order and
-        ``counts[i]`` is how many of them list ``i`` contributed.  The
-        engine replays the per-list multicast charges from ``counts``.
-        One ``run_on_vertices`` call may use this or
-        :meth:`send_message_batch`, not both."""
+        The data-free-multicast twin of :meth:`send_message_batch`:
+        ``vertices`` holds every activation concatenated in item order and
+        ``counts[i]`` is how many of them item ``i`` contributed (a
+        boolean mask counts 0 or 1).  Each item is charged as one
+        :meth:`activate` of its ``counts[i]`` vertices."""
+        self._whole_call("activate_batch", "activate")
         self._engine._buffer_activation_batch(vertices, counts)
 
     def send_message(self, dests, values) -> None:
         """Send ``values`` to ``dests`` (scalar value = multicast)."""
+        item = self._cursor("send_message", "send_message_batch")
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
-        self._engine._buffer_message(dests, values)
+        self._engine._buffer_message(item, dests, values)
 
     def send_message_batch(self, dests, values, counts) -> None:
-        """Send one delivered wave's messages in a single call.
+        """Send messages for every item of a batch hook call at once.
 
-        The batch twin of ``send_message(dests, scalar)``, only valid
-        inside ``run_on_vertices``: list ``i`` multicasts ``values[i]`` —
-        **one value per delivered list** — to its ``counts[i]``
-        destinations (zero for lists that send nothing), and ``dests``
-        holds every list's destinations concatenated in delivery order.
-        The engine replays the per-list send charges from ``counts``, so
-        the worker clocks match per-list ``send_message`` calls bit for
-        bit.  Lists with per-edge payloads keep the scalar hook."""
+        The batch twin of ``send_message(dests, scalar)``: item ``i``
+        multicasts ``values[i]`` — **one value per item** — to its
+        ``counts[i]`` destinations (zero for items that send nothing),
+        and ``dests`` holds every item's destinations concatenated in item
+        order.  Each item is charged as one :meth:`send_message`, so the
+        worker clocks match per-item calls bit for bit.  Lists with
+        per-edge payloads keep the scalar hook."""
+        self._whole_call("send_message_batch", "send_message")
         self._engine._buffer_message_batch(dests, values, counts)
 
     def notify_iteration_end(self) -> None:
@@ -285,17 +310,44 @@ class GraphContext:
     # -- accounting -------------------------------------------------------
 
     def charge_edges(self, count: int) -> None:
-        """Charge extra per-edge CPU work to the current worker (e.g.
-        triangle counting's neighbor-list intersections)."""
-        self._engine._charge_edges(count)
+        """Charge extra per-edge CPU work on a delivered edge list (e.g.
+        triangle counting's neighbor-list intersections): folded into the
+        list's run charge.  Only valid inside ``run_on_vertex``."""
+        item = self._cursor("charge_edges", "charge_edges_batch")
+        self._engine._charge_edges(item, count)
 
     def charge_edges_batch(self, counts) -> None:
         """Batched :meth:`charge_edges`, only valid inside
         ``run_on_vertices``: ``counts[i]`` extra edges of work for
-        delivered list ``i``, folded into that list's run charge."""
+        delivered list ``i``."""
+        self._whole_call("charge_edges_batch", "charge_edges")
         self._engine._charge_edges_batch(counts)
 
     # -- internals --------------------------------------------------------
+
+    def _each(self, values):
+        """Yield ``values``, making the i-th the item the scalar charged
+        calls are charged to: the loop of the default batch hooks."""
+        for self._item, value in enumerate(values):
+            yield value
+        self._item = None
+
+    def _cursor(self, method: str, twin: str) -> int:
+        """The item a scalar charged call is charged to."""
+        if self._item is None:
+            raise ValueError(
+                f"g.{method} is a scalar hook's call; a batch hook reports "
+                f"its items through g.{twin}"
+            )
+        return self._item
+
+    def _whole_call(self, method: str, twin: str) -> None:
+        """Refuse a batch charged call from inside a scalar hook."""
+        if self._item is not None:
+            raise ValueError(
+                f"g.{method} reports every item of a batch hook call; a "
+                f"scalar hook calls g.{twin}"
+            )
 
     def _program_edge_type(self) -> EdgeType:
         return self._engine.program.edge_type

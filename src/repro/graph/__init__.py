@@ -44,7 +44,7 @@ from repro.graph.generators import (
     web_graph,
 )
 from repro.graph.index import GraphIndex, GraphIndexV2, build_index_v2
-from repro.graph.page_vertex import PageVertex
+from repro.graph.page_vertex import PageVertex, PageVertexBatch
 from repro.graph.stats import degree_stats, degree_histogram, id_locality
 from repro.graph.transform import (
     edge_array,
@@ -82,6 +82,7 @@ __all__ = [
     "GraphIndexV2",
     "build_index_v2",
     "PageVertex",
+    "PageVertexBatch",
     "degree_stats",
     "degree_histogram",
     "id_locality",

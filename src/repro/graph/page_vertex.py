@@ -22,6 +22,7 @@ from repro.graph.format import (
 from repro.graph.types import EdgeType
 
 __all__ = [
+    "DIRECTIONS",
     "PageVertex",
     "PageVertexBatch",
     "gather_ranges",
@@ -107,22 +108,43 @@ class PageVertex:
 # import graph); they are re-exported here for existing callers.
 
 
+#: A list's direction code (:attr:`PageVertexBatch.directions`) indexes
+#: this tuple.
+DIRECTIONS = (EdgeType.OUT, EdgeType.IN)
+
+
 class PageVertexBatch:
     """Edge lists of a whole delivered wave, parsed as flat arrays.
 
-    The batched twin of :class:`PageVertex`: ``vertices[i]`` received a
-    list of ``degrees[i]`` neighbors, and every list sits concatenated in
-    delivery order inside one array.  Handed to
-    ``VertexProgram.run_on_vertices`` so data-parallel algorithms touch
-    numpy arrays instead of one ``PageVertex`` object per list.
+    The batched twin of :class:`PageVertex`: list ``i`` was requested by
+    ``vertices[i]`` and is the ``DIRECTIONS[directions[i]]`` edge list of
+    ``owners[i]``, holding ``degrees[i]`` neighbors.  Every list sits
+    concatenated in delivery order inside one array; so does every
+    list's attribute block, one float32 per edge, where ``has_attrs[i]``
+    (``None``: no list of the wave was requested with attributes).
+    Handed to ``VertexProgram.run_on_vertices`` so data-parallel
+    algorithms touch numpy arrays instead of one ``PageVertex`` per list.
     """
 
-    __slots__ = ("vertices", "degrees", "_edges")
+    __slots__ = ("vertices", "owners", "directions", "degrees", "has_attrs", "_edges", "_attrs")
 
-    def __init__(self, vertices: np.ndarray, degrees: np.ndarray, edges: np.ndarray) -> None:
+    def __init__(
+        self,
+        vertices: np.ndarray,
+        owners: np.ndarray,
+        directions: np.ndarray,
+        degrees: np.ndarray,
+        edges: np.ndarray,
+        has_attrs: Optional[np.ndarray] = None,
+        attrs: Optional[np.ndarray] = None,
+    ) -> None:
         self.vertices = vertices
+        self.owners = owners
+        self.directions = directions
         self.degrees = degrees
+        self.has_attrs = has_attrs
         self._edges = edges
+        self._attrs = attrs
 
     @property
     def num_lists(self) -> int:
@@ -137,7 +159,32 @@ class PageVertexBatch:
         """All neighbor IDs, list after list in delivery order."""
         return self._edges
 
+    def read_edge_attrs_concat(self) -> np.ndarray:
+        """Every edge's attribute, aligned with :meth:`read_edges_concat`
+        (NaN on the edges of a list delivered without attributes)."""
+        if self._attrs is None:
+            raise ValueError("edge attributes were not requested")
+        return self._attrs
+
     def repeat(self, per_list_values: np.ndarray) -> np.ndarray:
         """Expand one value per list to one value per edge (the batched
         form of multicasting a scalar message payload to every neighbor)."""
         return np.repeat(np.asarray(per_list_values), self.degrees)
+
+    def page_vertices(self):
+        """Each list as the ``(vertices[i], PageVertex)`` pair
+        ``run_on_vertex`` receives, in delivery order (zero-copy views)."""
+        edges, attrs, has_attrs = self._edges, self._attrs, self.has_attrs
+        with_attrs = [False] * self.num_lists if has_attrs is None else has_attrs.tolist()
+        start = 0
+        for vertex, owner, code, end, has in zip(
+            self.vertices.tolist(),
+            self.owners.tolist(),
+            self.directions.tolist(),
+            np.cumsum(self.degrees).tolist(),
+            with_attrs,
+        ):
+            yield vertex, PageVertex.from_arrays(
+                owner, edges[start:end], DIRECTIONS[code], attrs[start:end] if has else None
+            )
+            start = end

@@ -18,8 +18,8 @@ This package implements SAFS faithfully over the simulated SSD array:
   window), plus the object-based reference the property tests compare
   it against (:func:`merge_requests`).
 - :mod:`repro.safs.io_scheduler` — dispatch of merged page spans to the
-  per-device queues through the page cache.
-- :mod:`repro.safs.user_task` — the async user-task abstraction.
+  per-device queues through the page cache; each request's completion
+  time is when the engine runs the vertex program's task on its data.
 - :mod:`repro.safs.filesystem` — the SAFS facade the engine talks to.
 - :mod:`repro.safs.integrity` — per-page splitmix64 checksums verified on
   every device fetch when a fault plan or parity layout is attached
@@ -42,7 +42,6 @@ from repro.safs.io_request import (
 )
 from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
-from repro.safs.user_task import UserTask
 
 __all__ = [
     "SAFS",
@@ -59,5 +58,4 @@ __all__ = [
     "SAFSFile",
     "PageCache",
     "PageCacheConfig",
-    "UserTask",
 ]

@@ -13,27 +13,22 @@ are the readable reference the property tests compare the array merger
 against; nothing under ``src/`` calls them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.safs.page import SAFSFile
-from repro.safs.user_task import UserTask
 
 
 @dataclass
 class IORequest:
-    """A read of ``[offset, offset + length)`` from ``file``.
-
-    Carries the SAFS user task to run on completion.  The object form
-    of one element of a wave (see the module docstring).
-    """
+    """A read of ``[offset, offset + length)`` from ``file``: the object
+    form of one element of a wave (see the module docstring)."""
 
     file: SAFSFile
     offset: int
     length: int
-    task: UserTask = field(default_factory=UserTask)
 
     def __post_init__(self) -> None:
         if self.offset < 0:

@@ -1,4 +1,6 @@
-"""Shared fixtures: small graphs and engine factories."""
+"""Shared fixtures: small graphs, engine factories and hook stripping."""
+
+from contextlib import contextmanager
 
 import networkx as nx
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
+from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed, build_undirected
 from repro.graph.generators import erdos_renyi_graph, rmat_graph
 
@@ -79,3 +82,19 @@ def engine_for(image, mode=ExecutionMode.SEMI_EXTERNAL, cache_kib=None, **overri
 @pytest.fixture()
 def make_engine():
     return engine_for
+
+
+#: The hooks the engine calls, each defaulting to a loop over its scalar twin.
+BATCH_HOOKS = ("run_batch", "run_on_vertices", "run_on_messages")
+
+
+@contextmanager
+def scalar_hooks_only(*classes):
+    """Inside the block every batch hook of ``classes`` is the
+    ``VertexProgram`` default, so runs go through the scalar hooks — the
+    definition each native batch hook must reproduce bit for bit."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in classes:
+            for hook in BATCH_HOOKS:
+                patch.setattr(cls, hook, vars(VertexProgram)[hook])
+        yield

@@ -1,10 +1,13 @@
 """Batched-vs-scalar engine equivalence.
 
-Stripping the batch hooks off a program must leave every simulated number
-— worker clocks included — bit-identical, across execution modes and
-merge disciplines (the non-engine-merge discipline exercises the
-expansion fallback rather than the array fast path).
+Replacing a program's batch hooks with the defaults (which loop over the
+scalar hooks) must leave every simulated number — worker clocks included
+— bit-identical, across execution modes and merge disciplines (the
+non-engine-merge discipline exercises the expansion fallback rather than
+the array fast path).
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -23,9 +26,10 @@ from repro.graph.builder import build_directed, build_undirected
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 
+from tests.conftest import scalar_hooks_only
+
 SCALE = 9
 
-BATCH_HOOKS = ("run_batch", "run_on_vertices", "run_on_messages")
 SCALAR_HOOKS = ("run", "run_on_vertex", "run_on_message")
 
 #: name -> (program classes a run instantiates, state arrays compared).
@@ -82,20 +86,16 @@ def _execute(name, engine, source):
 
 
 def _run(name, image, mode, merge_in_engine, batched, source=None, num_threads=4):
-    """One run with the batch hooks on, or stripped off the classes (the
-    scalar hooks are each program's definition, hence the oracle).
-    Traversals start at ``source``, by default the largest hub."""
+    """One run with the native batch hooks, or with the scalar hooks only
+    (each program's definition, hence the oracle).  Traversals start at
+    ``source``, by default the largest hub."""
     if source is None:
         source = int(np.argmax(image.out_csr.degrees()))
     config = EngineConfig(
         mode=mode, num_threads=num_threads, merge_in_engine=merge_in_engine
     )
     engine = GraphEngine(image, config=config)
-    with pytest.MonkeyPatch.context() as patch:
-        if not batched:
-            for cls in PROGRAMS[name][0]:
-                for hook in BATCH_HOOKS:
-                    patch.setattr(cls, hook, None)
+    with nullcontext() if batched else scalar_hooks_only(*PROGRAMS[name][0]):
         result, state = _execute(name, engine, source)
     clocks = [(w.time, w.busy) for w in engine._workers]
     return result, state, clocks

@@ -1,7 +1,11 @@
 """Tests for the GraphContext API surface and the in-memory edge store."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.bfs import BFSProgram, DirectionOptimizingBFSProgram
 from repro.algorithms.pagerank import PageRankProgram
@@ -10,6 +14,9 @@ from repro.core.engine import JobCancelled
 from repro.core.memory_mode import InMemoryEdgeStore
 from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed
+from repro.graph.format import FORMAT_V1, FORMAT_V2
+from repro.graph.generators import rmat_graph
+from repro.graph.page_vertex import DIRECTIONS
 from repro.graph.types import EdgeType
 
 from tests.conftest import engine_for
@@ -85,6 +92,44 @@ class TestGraphContext:
         engine_for(image, mode=mode, range_shift=1).run(Weighted(), max_iterations=1)
         assert seen == {0: ("<f4", [1.0]), 1: ("<f4", [2.0]), 2: ("<f4", [])}
 
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_batch_carries_what_each_list_needs(self, image, mode):
+        # A wave mixing directions, foreign lists and attribute pairs: the
+        # batch columns describe each list as its PageVertex does.
+        def record(seen, vertex, owner, direction, edges, attrs):
+            seen.append((vertex, owner, direction, edges.tolist(), attrs))
+
+        class Mixed(VertexProgram):
+            def __init__(self):
+                self.seen = []
+
+            def run(self, g, vertex):
+                g.request_vertices(vertex, [vertex], EdgeType.OUT, with_attrs=True)
+                g.request_vertices(vertex, [(vertex + 1) % 4], EdgeType.IN)
+
+            def run_on_vertex(self, g, vertex, page_vertex):
+                attrs = page_vertex.read_edge_attrs().tolist() if page_vertex.has_attrs else None
+                record(self.seen, vertex, page_vertex.vertex_id, page_vertex.edge_type,
+                       page_vertex.read_edges(), attrs)
+
+        class MixedBatch(Mixed):
+            def run_on_vertices(self, g, batch):
+                ends = np.cumsum(batch.degrees)
+                edges, attrs = batch.read_edges_concat(), batch.read_edge_attrs_concat()
+                for i in range(batch.num_lists):
+                    span = slice(ends[i] - batch.degrees[i], ends[i])
+                    record(self.seen, batch.vertices[i], batch.owners[i],
+                           DIRECTIONS[batch.directions[i]], edges[span],
+                           attrs[span].tolist() if batch.has_attrs[i] else None)
+
+        runs = []
+        for program in (Mixed(), MixedBatch()):
+            engine_for(image, mode=mode, range_shift=1).run(program, max_iterations=1)
+            runs.append(program.seen)
+        assert runs[0] == runs[1]
+        assert (0, 0, EdgeType.OUT, [1, 2], [1.0, 2.0]) in runs[0]
+        assert (0, 1, EdgeType.IN, [0], None) in runs[0]
+
     def test_degrees_of_vectorised(self, image):
         engine = engine_for(image, range_shift=1)
 
@@ -142,8 +187,12 @@ class _SelfRequesting(VertexProgram):
         g.request_self_batch(vertices, EdgeType.OUT)
 
 
+def _clocks(engine):
+    return [(w.time, w.busy) for w in engine._workers]
+
+
 class TestBatchHookGuards:
-    """``_deliver_batch`` refuses reports it could not replay exactly."""
+    """The batch calls refuse reports the replay could not charge exactly."""
 
     def _run(self, image, hook):
         program = type("Reporting", (_SelfRequesting,), {"run_on_vertices": hook})()
@@ -167,9 +216,7 @@ class TestBatchHookGuards:
         scalar = engine_for(image, range_shift=1)
         expected = scalar.run(Scalar(), max_iterations=1)
         batched = self._run(image, hook)
-        assert [(w.time, w.busy) for w in batched._workers] == [
-            (w.time, w.busy) for w in scalar._workers
-        ]
+        assert _clocks(batched) == _clocks(scalar)
         assert expected.counters["msg.activations"] == 5
 
     def test_activation_counts_must_match_the_lists(self, image):
@@ -193,36 +240,152 @@ class TestBatchHookGuards:
         with pytest.raises(ValueError, match="counts sum to 0"):
             self._run(image, hook)
 
-    def test_one_multicast_slot_per_call(self, image):
+    def test_sends_and_activations_mix_in_one_call(self, image):
+        class Scalar(VertexProgram):
+            def run(self, g, vertex):
+                g.request_self(vertex, EdgeType.OUT)
+
+            def run_on_vertex(self, g, vertex, page_vertex):
+                g.send_message(page_vertex.read_edges(), 1.0)
+                g.activate(page_vertex.read_edges())
+
         def hook(self, g, batch):
             edges = batch.read_edges_concat()
             g.send_message_batch(edges, np.ones(batch.num_lists), batch.degrees)
             g.activate_batch(edges, batch.degrees)
 
-        with pytest.raises(ValueError, match="not both"):
-            self._run(image, hook)
+        scalar = engine_for(image, range_shift=1)
+        expected = scalar.run(Scalar(), max_iterations=1)
+        batched = self._run(image, hook)
+        assert _clocks(batched) == _clocks(scalar)
+        assert expected.counters["msg.sent"] == expected.counters["msg.activations"] == 5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, batch: g.send_message(batch.read_edges_concat(), 1.0),
+            lambda g, batch: g.activate(batch.read_edges_concat()),
+            lambda g, batch: g.charge_edges(3),
+        ],
+        ids=["send_message", "activate", "charge_edges"],
+    )
+    def test_a_scalar_call_in_a_batch_hook_names_its_twin(self, image, call, request):
+        # Such a call has no item to be charged to: it would be charged
+        # out of order or not at all.
+        name = request.node.callspec.id
+        with pytest.raises(ValueError, match=rf"g\.{name} .* g\.{name}_batch"):
+            self._run(image, lambda self, g, batch: call(g, batch))
+
+    def test_a_batch_call_in_a_scalar_hook_names_its_twin(self, image):
+        class Scalar(VertexProgram):
+            def run(self, g, vertex):
+                g.activate_batch([vertex], [1])
+
+        with pytest.raises(ValueError, match=r"g\.activate_batch .* g\.activate$"):
+            engine_for(image, range_shift=1).run(Scalar(), max_iterations=1)
+
+    def test_charge_edges_outside_a_wave_is_refused(self, image):
+        class Charging(VertexProgram):
+            def run(self, g, vertex):
+                g.charge_edges(1)
+
+        with pytest.raises(ValueError, match="delivered edge list"):
+            engine_for(image, range_shift=1).run(Charging(), max_iterations=1)
 
     def test_abort_clears_the_slots(self, image):
-        # An abort between a hook and its replay must not leak counts
+        # An abort between a hook and its replay must not leak charges
         # into the next job on the reused engine.
         engine = engine_for(image, range_shift=1)
         engine.program = _SelfRequesting()
+        engine._begin_stage(1)
         engine._ctx.activate_batch([1, 2], [2])
-        engine._ctx.charge_edges_batch([4])
         engine._abort_run(JobCancelled("test", 0.0), engine.stats.snapshot(), 0)
-        assert engine._take_batch_slots() == (None, None, None)
+        assert engine._log_items == engine._log_charges == engine._log_columns == []
         assert engine._activations == []
 
 
+class _Scripted(VertexProgram):
+    """Makes the drawn ``script`` of context calls on every delivered list."""
+
+    combiner = "sum"
+
+    def __init__(self, script, edge_type):
+        self.script = script
+        self.edge_type = edge_type
+
+    def run(self, g, vertex):
+        g.request_self(vertex)
+
+    def run_on_vertex(self, g, vertex, page_vertex):
+        edges = page_vertex.read_edges()
+        owner = page_vertex.vertex_id
+        for op in self.script:
+            if op == "send":
+                g.send_message(edges, float(owner % 7))
+            elif op == "activate":
+                g.activate(edges[::2])
+            elif op == "edges":
+                g.charge_edges(2 * edges.size + 1)
+            elif owner == vertex and g.iteration == 0:  # "request"
+                g.request_vertices(vertex, edges[edges != vertex][:2])
+
+
+class _ScriptedBatch(_Scripted):
+    """The same charged calls, in the same order, through the batch
+    methods; requests are free but order the next wave, so each list's
+    go out together, list after list."""
+
+    def run_on_vertices(self, g, batch):
+        edges, degrees = batch.read_edges_concat(), batch.degrees
+        starts = np.cumsum(degrees) - degrees
+        even = (np.arange(edges.size) - batch.repeat(starts)) % 2 == 0
+        for op in self.script:
+            if op == "send":
+                g.send_message_batch(edges, (batch.owners % 7).astype(float), degrees)
+            elif op == "activate":
+                g.activate_batch(edges[even], (degrees + 1) // 2)
+            elif op == "edges":
+                g.charge_edges_batch(2 * degrees + 1)
+        if g.iteration == 0:
+            for i in np.flatnonzero(batch.owners == batch.vertices).tolist():
+                vertex = int(batch.vertices[i])
+                mine = edges[starts[i] : starts[i] + degrees[i]]
+                for _ in range(self.script.count("request")):
+                    g.request_vertices(vertex, mine[mine != vertex][:2])
+
+
+@lru_cache(maxsize=None)
+def _script_image(fmt):
+    edges, n = rmat_graph(6, edge_factor=4, seed=3)
+    return build_directed(edges, n, name=f"script-{fmt}", fmt=fmt)
+
+
+@given(
+    script=st.lists(st.sampled_from(["send", "activate", "edges", "request"]), max_size=5),
+    edge_type=st.sampled_from([EdgeType.OUT, EdgeType.BOTH]),
+)
+@settings(max_examples=20, deadline=None)
+def test_batch_calls_replay_the_scalar_charges(script, edge_type):
+    for fmt in (FORMAT_V1, FORMAT_V2):
+        for mode in ExecutionMode:
+            runs = []
+            for program in (_Scripted(script, edge_type), _ScriptedBatch(script, edge_type)):
+                engine = engine_for(_script_image(fmt), mode=mode, range_shift=2)
+                result = engine.run(program, max_iterations=3)
+                runs.append((result.runtime, result.counters, _clocks(engine)))
+            assert runs[0] == runs[1], (fmt, mode)
+
+
 class TestHookTwins:
-    """A redefined scalar hook drops the batch twin it would inherit."""
+    """A redefined scalar hook gets the default batch twin back, not the
+    one it would inherit."""
 
     def test_overriding_run_drops_run_batch(self):
         class Tweaked(PageRankProgram):
             def run(self, g, vertex):
                 super().run(g, vertex)
 
-        assert Tweaked.run_batch is None
+        assert Tweaked.run_batch is VertexProgram.run_batch
         assert Tweaked.run_on_vertices is PageRankProgram.run_on_vertices
         assert Tweaked.run_on_messages is PageRankProgram.run_on_messages
 
@@ -232,39 +395,18 @@ class TestHookTwins:
                 pass
 
             def run_on_messages(self, g, dests, values):
-                return np.zeros(dests.size, dtype=bool)
+                pass
 
-        assert Both.run_on_messages is not None
+        assert Both.run_on_messages is not VertexProgram.run_on_messages
         assert Both.run_batch is PageRankProgram.run_batch
 
     def test_direction_optimizing_bfs_keeps_its_scalar_hooks(self):
-        assert BFSProgram.run_batch is not None
-        assert DirectionOptimizingBFSProgram.run_batch is None
-        assert DirectionOptimizingBFSProgram.run_on_vertices is None
+        assert BFSProgram.run_batch is not VertexProgram.run_batch
+        assert DirectionOptimizingBFSProgram.run_batch is VertexProgram.run_batch
+        assert DirectionOptimizingBFSProgram.run_on_vertices is VertexProgram.run_on_vertices
 
 
 class TestInMemoryEdgeStore:
-    def test_fetch_directions(self, image):
-        store = InMemoryEdgeStore(image)
-        out = store.fetch(0, EdgeType.OUT)
-        assert out.read_edges().tolist() == [1, 2]
-        inc = store.fetch(0, EdgeType.IN)
-        assert inc.read_edges().tolist() == [2, 3]
-
-    def test_both_rejected(self, image):
-        with pytest.raises(ValueError):
-            InMemoryEdgeStore(image).fetch(0, EdgeType.BOTH)
-
-    def test_attrs(self, image):
-        store = InMemoryEdgeStore(image)
-        view = store.fetch(0, EdgeType.OUT, with_attrs=True)
-        assert view.read_edge_attrs().tolist() == [1.0, 2.0]
-
-    def test_attrs_missing_direction(self, image):
-        store = InMemoryEdgeStore(image)
-        with pytest.raises(ValueError):
-            store.fetch(0, EdgeType.IN, with_attrs=True)
-
     def test_memory_accounting(self, image):
         store = InMemoryEdgeStore(image)
         # Both directions' indptr + indices arrays.

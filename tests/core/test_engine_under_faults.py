@@ -8,6 +8,8 @@ raises a clean :class:`IterationAborted` with partial-progress statistics,
 never a wrong answer and never a hang.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from repro.sim.faults import (
     TransientErrors,
 )
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
+
+from tests.conftest import scalar_hooks_only
 
 #: Recoverable chaos: flaky reads on one device, a latency-spiked device,
 #: a stuck queue and one whole-SSD failure mid-run — all survivable under
@@ -181,11 +185,8 @@ def test_scalar_and_batched_paths_agree_under_faults():
             config=EngineConfig(mode=ExecutionMode.SEMI_EXTERNAL, num_threads=4),
         )
         program = PageRankProgram(image.num_vertices)
-        if not batched:
-            program.run_batch = None
-            program.run_on_vertices = None
-            program.run_on_messages = None
-        result = engine.run(program, max_iterations=10)
+        with nullcontext() if batched else scalar_hooks_only(PageRankProgram):
+            result = engine.run(program, max_iterations=10)
         faults = {
             k: v
             for k, v in engine.safs.stats.snapshot().items()

@@ -6,6 +6,8 @@ drop, and the decode counters must appear in v2 runs only — a v1 run's
 counter stream stays exactly the legacy stream.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.graph.builder import build_directed
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 from repro.obs import registry as reg
+
+from tests.conftest import scalar_hooks_only
 
 SCALE = 9
 
@@ -45,11 +49,8 @@ def _run(name, fmt, batched=True):
         config=EngineConfig(mode=ExecutionMode.SEMI_EXTERNAL, num_threads=4),
     )
     program = _make_program(name, image)
-    if not batched:
-        program.run_batch = None
-        program.run_on_vertices = None
-        program.run_on_messages = None
-    result = engine.run(program, max_iterations=8)
+    with nullcontext() if batched else scalar_hooks_only(type(program)):
+        result = engine.run(program, max_iterations=8)
     return result, program
 
 

@@ -8,8 +8,15 @@ weighted PageRank), cross-vertex requests with ``charge_edges`` and
 scc), the batch hooks (pr, wcc, kcore) — under both on-SSD formats, both
 execution modes and all three Figure 12 merge disciplines, plus one
 vertically partitioned run and one run under a recoverable fault plan.
+The programs that only define scalar hooks get format v1 × both modes
+under engine merging: label propagation (no combiner, activations from
+``run_on_iteration_end``), Louvain, peeling, direction-optimizing BFS
+(its bottom-up phase) and SSSP under async execution (wave delivery
+interleaved with eager message flushes).
 Each case pins ``runtime``, the full ``RunResult.counters`` dict and
-every worker's ``(time, busy)`` with **exact** equality.
+every worker's ``(time, busy)`` with **exact** equality — for a
+multi-engine app (Louvain builds one engine per level), the last
+engine's workers.
 
 Regenerate (only when the simulation itself legitimately changes)::
 
@@ -26,7 +33,11 @@ import pytest
 from repro.algorithms import (
     betweenness_centrality,
     bfs,
+    bfs_direction_optimizing,
+    core_decomposition,
     kcore,
+    label_propagation,
+    louvain,
     pagerank,
     scan_statistics,
     scc,
@@ -36,7 +47,7 @@ from repro.algorithms import (
     weighted_pagerank,
 )
 from repro.bench.harness import default_source, make_engine
-from repro.core.config import ExecutionMode
+from repro.core.config import ExecutionKind, ExecutionMode
 from repro.graph.builder import build_directed, build_undirected
 from repro.graph.generators import rmat_graph
 from repro.sim.faults import (
@@ -52,18 +63,28 @@ FIXTURE = Path(__file__).resolve().parent / "golden_read_path.json"
 #: Eight pages: smaller than either edge file, so every run evicts.
 CACHE_BYTES = 32 * 1024
 
+#: app -> run(make, image): ``make(image)`` builds the case's engine.
 APPS = {
-    "bfs": lambda e: bfs(e, default_source(e.image))[-1],
-    "bc": lambda e: betweenness_centrality(e, default_source(e.image))[-1],
-    "sssp": lambda e: sssp(e, default_source(e.image))[-1],
-    "wpr": lambda e: weighted_pagerank(e, max_iterations=5)[-1],
-    "tc": lambda e: triangle_count(e)[-1],
-    "ss": lambda e: scan_statistics(e)[-1],
-    "scc": lambda e: scc(e)[-1],
-    "kcore": lambda e: kcore(e, 4)[-1],
-    "pr": lambda e: pagerank(e, max_iterations=5)[-1],
-    "wcc": lambda e: wcc(e)[-1],
+    "bfs": lambda make, image: bfs(make(image), default_source(image))[-1],
+    "bc": lambda make, image: betweenness_centrality(make(image), default_source(image))[-1],
+    "sssp": lambda make, image: sssp(make(image), default_source(image))[-1],
+    "wpr": lambda make, image: weighted_pagerank(make(image), max_iterations=5)[-1],
+    "tc": lambda make, image: triangle_count(make(image))[-1],
+    "ss": lambda make, image: scan_statistics(make(image))[-1],
+    "scc": lambda make, image: scc(make(image))[-1],
+    "kcore": lambda make, image: kcore(make(image), 4)[-1],
+    "pr": lambda make, image: pagerank(make(image), max_iterations=5)[-1],
+    "wcc": lambda make, image: wcc(make(image))[-1],
 }
+#: Programs that define only scalar hooks, pinned under format v1 and
+#: engine merging.
+SCALAR_ONLY = {
+    "lp": lambda make, image: label_propagation(make(image), max_rounds=5)[-1],
+    "louvain": lambda make, image: louvain(make, image, max_levels=3).run,
+    "peel": lambda make, image: core_decomposition(make(image))[-1],
+    "dobfs": lambda make, image: bfs_direction_optimizing(make(image), default_source(image))[-1],
+}
+UNDIRECTED = ("kcore", "louvain", "peel")
 
 MODES = {"sem": ExecutionMode.SEMI_EXTERNAL, "mem": ExecutionMode.IN_MEMORY}
 
@@ -91,7 +112,9 @@ CASES = [
     for fmt in ("v1", "v2")
     for mode in MODES
     for merge in MERGES
-] + ["tc-v1-sem-engine-vparts", "tc-v1-sem-fs-faults"]
+] + ["tc-v1-sem-engine-vparts", "tc-v1-sem-fs-faults"] + [
+    f"{app}-v1-{mode}-engine" for app in SCALAR_ONLY for mode in MODES
+] + [f"sssp-v1-{mode}-engine-async" for mode in MODES]
 
 
 @lru_cache(maxsize=None)
@@ -110,19 +133,30 @@ def run_case(case: str) -> dict:
         overrides.update(vertical_part_threshold=8, vertical_part_size=4)
     if "faults" in extra:
         overrides.update(fault_plan=FAULT_PLAN, fault_policy=FAULT_POLICY)
-    engine = make_engine(
-        _image(fmt, undirected=(app == "kcore")),
-        mode=MODES[mode],
-        cache_bytes=CACHE_BYTES,
-        num_threads=4,
-        range_shift=5,
-        **overrides,
-    )
-    result = APPS[app](engine)
+    if "async" in extra:
+        # A low flush threshold makes the eager flushes frequent.
+        overrides.update(execution=ExecutionKind.ASYNC, message_flush_threshold=64)
+    engines = []
+
+    def make(image):
+        engines.append(
+            make_engine(
+                image,
+                mode=MODES[mode],
+                cache_bytes=CACHE_BYTES,
+                num_threads=4,
+                range_shift=5,
+                **overrides,
+            )
+        )
+        return engines[-1]
+
+    run = APPS.get(app) or SCALAR_ONLY[app]
+    result = run(make, _image(fmt, undirected=app in UNDIRECTED))
     return {
         "runtime": result.runtime,
         "counters": result.counters,
-        "workers": [[w.time, w.busy] for w in engine._workers],
+        "workers": [[w.time, w.busy] for w in engines[-1]._workers],
     }
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.safs.io_request import merge_request_arrays
-from repro.safs.user_task import UserTask
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
 from tests.safs.reads import submit_reads
@@ -110,15 +109,6 @@ class TestSubmit:
         done, cpu = submit_reads(safs, [])
         assert done.size == 0
         assert cpu == 0.0
-
-    def test_user_task_runs_on_completion_data(self):
-        payload = b"A" * 50 + b"B" * 50 + bytes(PAGE)
-        seen = []
-        task = UserTask(
-            on_complete=lambda data, ctx, t: seen.append((bytes(data), ctx, t))
-        )
-        task.run(memoryview(payload)[50:100], 0.25)
-        assert seen == [(b"B" * 50, None, 0.25)]
 
 
 class TestMergeDisciplines:
