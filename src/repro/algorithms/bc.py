@@ -19,6 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.core.engine import GraphEngine, RunResult
+from repro.core.messages import check_vertex_ids
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.graph.page_vertex import PageVertex
 from repro.graph.types import EdgeType
@@ -32,6 +33,7 @@ class _ForwardProgram(VertexProgram):
     state_bytes_per_vertex = 12  # dist (i4) + sigma (f8)
 
     def __init__(self, num_vertices: int, source: int) -> None:
+        check_vertex_ids(np.asarray([source]), num_vertices, "source vertex")
         self.dist = np.full(num_vertices, -1, dtype=np.int64)
         self.sigma = np.zeros(num_vertices)
         self.dist[source] = 0

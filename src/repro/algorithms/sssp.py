@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.engine import GraphEngine, RunResult
+from repro.core.messages import check_vertex_ids
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.graph.page_vertex import PageVertex
 from repro.graph.types import EdgeType
@@ -26,6 +27,7 @@ class SSSPProgram(VertexProgram):
     state_bytes_per_vertex = 8  # the tentative distance
 
     def __init__(self, num_vertices: int, source: int) -> None:
+        check_vertex_ids(np.asarray([source]), num_vertices, "source vertex")
         self.dist = np.full(num_vertices, np.inf)
         self.dist[source] = 0.0
         # Distance each vertex last relaxed its out-edges at; ``inf``

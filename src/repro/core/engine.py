@@ -469,8 +469,15 @@ class GraphEngine:
         every span an armed observer records during the job's steps —
         the serving layer's end-to-end query tracing.
         One engine drives one job at a time — the job borrows the
-        engine's mutable state until it finishes.
+        engine's mutable state until it finishes.  An ``initial_active``
+        id that is not a vertex raises ``ValueError`` before any of that
+        state is touched.
         """
+        if initial_active is None:
+            frontier = np.arange(self.image.num_vertices, dtype=np.int64)
+        else:
+            ids = np.atleast_1d(np.asarray(initial_active, dtype=np.int64))
+            frontier = self._frontier_of(ids, "initial active vertex")
         if self.config.mode is ExecutionMode.SEMI_EXTERNAL:
             self._ensure_files_attached()
         self.program = program
@@ -492,10 +499,6 @@ class GraphEngine:
             custom = program.custom_order
         scheduler = make_scheduler(self.config, custom)
 
-        if initial_active is None:
-            frontier = np.arange(self.image.num_vertices, dtype=np.int64)
-        else:
-            frontier = np.unique(np.atleast_1d(np.asarray(initial_active, dtype=np.int64)))
         self.iteration = 0
         self._peak_messages = 0
         policy = make_execution_policy(self.config)
@@ -1193,13 +1196,18 @@ class GraphEngine:
             return np.zeros(0, dtype=np.int64)
         activated = np.concatenate(self._activations)
         self._activations.clear()
-        if activated.size == 0:
-            return activated
-        check_vertex_ids(activated, self.image.num_vertices, "activated vertex")
+        return self._frontier_of(activated, "activated vertex")
+
+    def _frontier_of(self, ids: np.ndarray, what: str) -> np.ndarray:
+        """The distinct vertex ids in ``ids``, ascending; a non-vertex id
+        raises ``ValueError`` naming it as ``what``."""
+        if ids.size == 0:
+            return ids
+        check_vertex_ids(ids, self.image.num_vertices, what)
         # One dense slot per vertex, as ``MessageBuffer.deliver`` keeps:
         # cheaper than the sort inside ``np.unique``.
         active = np.zeros(self.image.num_vertices, dtype=bool)
-        active[activated] = True
+        active[ids] = True
         return np.flatnonzero(active)
 
     # ------------------------------------------------------------------

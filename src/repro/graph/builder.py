@@ -23,7 +23,8 @@ from repro.graph.format import (
     FORMATS,
     EDGE_BYTES,
     HEADER_BYTES,
-    adjacency_from_edges,
+    check_endpoints,
+    csr_from_sorted_keys,
     serialize_adjacency,
     serialize_adjacency_v2,
     serialize_attributes,
@@ -154,9 +155,11 @@ class GraphImage:
 
 
 def _build_direction(
-    edges: np.ndarray, num_vertices: int, fmt: str = FORMAT_V1
+    indptr: np.ndarray, indices: np.ndarray, fmt: str = FORMAT_V1
 ) -> Tuple[CSR, bytes, GraphIndex]:
-    indptr, indices = adjacency_from_edges(edges, num_vertices)
+    """One direction's CSR, file and index.  Callers pass
+    ``*csr_from_sorted_keys(keys, n)`` so the keys are freed before the
+    serializer's temporaries are allocated."""
     if fmt == FORMAT_V2:
         data, offsets = serialize_adjacency_v2(indptr, indices)
         index = build_index_v2(np.diff(indptr), offsets)
@@ -183,13 +186,19 @@ def build_directed(
     Duplicate edges are dropped (FlashGraph's input graphs are simple).
     ``weights``, when given, become detached out-edge attributes.
     ``fmt`` picks the on-SSD edge-list layout (v1 default, v2 compressed).
+    Two sorts build it: the sort-reduce of :func:`_dedup` leaves the
+    edges in out-list order, and one transpose sort orders the in-lists.
     """
     _check_fmt(fmt)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    edges, weights = _dedup(edges, weights)
-    out_csr, out_bytes, out_index = _build_direction(edges, num_vertices, fmt)
-    reversed_edges = edges[:, ::-1]
-    in_csr, in_bytes, in_index = _build_direction(reversed_edges, num_vertices, fmt)
+    edges, weights = _dedup(edges, weights, num_vertices)
+    src, dst = edges[:, 0], edges[:, 1]
+    out_csr, out_bytes, out_index = _build_direction(
+        *csr_from_sorted_keys(src * num_vertices + dst, num_vertices), fmt
+    )
+    in_csr, in_bytes, in_index = _build_direction(
+        *csr_from_sorted_keys(np.sort(dst * num_vertices + src), num_vertices), fmt
+    )
     image = GraphImage(
         name=name,
         num_vertices=num_vertices,
@@ -204,7 +213,7 @@ def build_directed(
         fmt=fmt,
     )
     if weights is not None:
-        _attach_weights(image, edges, weights, num_vertices)
+        _attach_weights(image, weights)
     return image
 
 
@@ -224,13 +233,21 @@ def build_undirected(
     lo = edges.min(axis=1)
     hi = edges.max(axis=1)
     edges = np.stack([lo, hi], axis=1)
-    edges, weights = _dedup(edges, weights)
-    loops = edges[:, 0] == edges[:, 1]
-    sym = np.concatenate([edges, edges[~loops][:, ::-1]])
-    sym_weights = None
-    if weights is not None:
-        sym_weights = np.concatenate([weights, weights[~loops]])
-    csr, data, index = _build_direction(sym, num_vertices, fmt)
+    edges, weights = _dedup(edges, weights, num_vertices)
+    lo, hi = edges[:, 0], edges[:, 1]
+    mirrored = lo != hi
+    keys = np.concatenate(
+        [lo * num_vertices + hi, hi[mirrored] * num_vertices + lo[mirrored]]
+    )
+    # One sort of the symmetrised keys; the keys are distinct, so carrying
+    # the weights along with an argsort orders them like the lists.
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        weights = np.concatenate([weights, weights[mirrored]])[order]
+    csr, data, index = _build_direction(*csr_from_sorted_keys(keys, num_vertices), fmt)
     image = GraphImage(
         name=name,
         num_vertices=num_vertices,
@@ -244,31 +261,54 @@ def build_undirected(
         edge_count=int(edges.shape[0]),
         fmt=fmt,
     )
-    if sym_weights is not None:
-        _attach_weights(image, sym, sym_weights, num_vertices)
+    if weights is not None:
+        _attach_weights(image, weights)
     return image
 
 
 def _dedup(
-    edges: np.ndarray, weights: Optional[np.ndarray]
+    edges: np.ndarray, weights: Optional[np.ndarray], num_vertices: int
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Sort-reduce an int64 ``(m, 2)`` edge array to its distinct edges.
+
+    One sort of the keys ``src * n + dst`` puts equal edges next to each
+    other; the first key of each run survives and decodes back to
+    ``(key // n, key % n)``, so the edges come back in ``(src, dst)``
+    order.  With ``weights``, an argsort stands in for the sort and each
+    kept edge takes the weight of its first occurrence.  ``np.sort`` and
+    a run mask rather than ``np.unique``: since numpy 2.3, ``np.unique``
+    without ``return_*`` takes a hash path, over an order of magnitude
+    slower on these keys.
+    """
     if edges.size == 0:
         return edges, weights
-    keys = edges[:, 0] * (edges.max() + 1) + edges[:, 1]
-    _, unique_idx = np.unique(keys, return_index=True)
-    unique_idx.sort()
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float32)[unique_idx]
-    return edges[unique_idx], weights
+    check_endpoints(edges, num_vertices)
+    keys = edges[:, 0] * num_vertices + edges[:, 1]
+    if weights is None:
+        keys.sort()
+        keys = keys[_run_starts(keys)]
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(_run_starts(keys))
+        first = np.minimum.reduceat(order, starts)
+        weights = np.asarray(weights, dtype=np.float32)[first]
+        keys = keys[starts]
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, num_vertices, out=(edges[:, 0], edges[:, 1]))
+    return edges, weights
 
 
-def _attach_weights(
-    image: GraphImage, edges: np.ndarray, weights: np.ndarray, num_vertices: int
-) -> None:
-    # Attributes follow the CSR edge order: sort by (src, dst) like lexsort
-    # inside adjacency_from_edges.
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    ordered = np.asarray(weights, dtype=np.float32)[order]
-    data, offsets = serialize_attributes(image.out_csr.indptr, ordered)
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal ``sorted_keys``."""
+    starts = np.empty(sorted_keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
+def _attach_weights(image: GraphImage, weights: np.ndarray) -> None:
+    """Store ``weights``, already in out-CSR edge order, as out-attributes."""
+    data, offsets = serialize_attributes(image.out_csr.indptr, weights)
     image.attr_bytes[EdgeType.OUT] = data
     image.attr_offsets[EdgeType.OUT] = offsets

@@ -174,32 +174,48 @@ def parse_edge_list(data: memoryview, offset: int = 0) -> Tuple[int, np.ndarray]
     return vertex_id, neighbors
 
 
+def check_endpoints(edges: np.ndarray, num_vertices: int) -> None:
+    """Reject a non-empty edge array with an endpoint outside ``[0, n)``.
+
+    Run it before packing edges into ``src * n + dst`` keys: a key does
+    not remember an out-of-range endpoint (``(1, -1)`` packs to the key
+    of ``(0, n - 1)``).
+    """
+    if edges.min() < 0 or edges.max() >= num_vertices:
+        raise ValueError("edge endpoints must lie in [0, num_vertices)")
+
+
+def csr_from_sorted_keys(
+    keys: np.ndarray, num_vertices: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of ascending edge keys ``src * n + dst``.
+
+    Vertex ``v``'s list starts at the first key ``>= v * n``, and each
+    key's neighbor is ``key % n`` — lists come out sorted by neighbor.
+    """
+    list_starts = np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
+    indptr = np.searchsorted(keys, list_starts).astype(np.int64, copy=False)
+    return indptr, (keys % num_vertices).astype(np.uint32)
+
+
 def adjacency_from_edges(
-    edges: np.ndarray, num_vertices: int, sort_neighbors: bool = True
+    edges: np.ndarray, num_vertices: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build CSR ``(indptr, indices)`` from an ``(m, 2)`` edge array.
 
-    Parallel edges are kept (the generators may emit them deliberately);
-    callers wanting simple graphs deduplicate first.
+    One sort of the keys ``src * n + dst`` orders the edges by source,
+    then neighbor.  Parallel edges are kept (the generators may emit them
+    deliberately); callers wanting simple graphs deduplicate first.
     """
     edges = np.asarray(edges)
     if edges.size == 0:
         return np.zeros(num_vertices + 1, dtype=np.int64), np.zeros(0, dtype=np.uint32)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be an (m, 2) array")
-    if edges.min() < 0 or edges.max() >= num_vertices:
-        raise ValueError("edge endpoints must lie in [0, num_vertices)")
-    src = edges[:, 0].astype(np.int64)
-    dst = edges[:, 1].astype(np.uint32)
-    if sort_neighbors:
-        order = np.lexsort((dst, src))
-    else:
-        order = np.argsort(src, kind="stable")
-    indices = dst[order]
-    counts = np.bincount(src, minlength=num_vertices)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, indices
+    check_endpoints(edges, num_vertices)
+    edges = edges.astype(np.int64, copy=False)
+    keys = np.sort(edges[:, 0] * num_vertices + edges[:, 1])
+    return csr_from_sorted_keys(keys, num_vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ def web_graph(
     edge_factor: int,
     domain_size: int = 64,
     locality: float = 0.85,
-    global_fraction: float = 0.0,
     seed: int = 0,
 ) -> Tuple[np.ndarray, int]:
     """A domain-clustered web-like digraph (the page graph's profile).
@@ -88,15 +87,13 @@ def web_graph(
     Vertices are grouped into consecutive-ID *domains* of ``domain_size``
     pages.  A fraction ``locality`` of each page's links stays within its
     own domain (IDs adjacent on SSD → good merging and cache hits); the
-    rest jump to a power-law-popular remote page.  Sparse long chains of
+    rest hop to a page of a nearby domain.  Sparse long chains of
     domains give the large effective diameter the page graph exhibits.
     """
     if num_vertices <= domain_size:
         raise ValueError("need more vertices than one domain")
     if not 0.0 <= locality <= 1.0:
         raise ValueError("locality must lie in [0, 1]")
-    if not 0.0 <= global_fraction <= 1.0:
-        raise ValueError("global_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * edge_factor
     src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
@@ -110,18 +107,14 @@ def web_graph(
     local_dst = domain_base + rng.integers(0, domain_size, size=num_edges)
     to_home = rng.random(num_edges) < 0.35
     local_dst = np.where(to_home, domain_base, local_dst)
-    # Non-local links mostly hop to a *nearby* domain (sites link within
-    # their topical neighborhood); a sliver are Zipf-popular global pages.
-    # Keeping global shortcuts rare preserves the huge effective diameter
-    # the paper reports for the page graph (650).
+    # Non-local links hop to a *nearby* domain (sites link within their
+    # topical neighborhood).  Having no global shortcuts preserves the huge
+    # effective diameter the paper reports for the page graph (650).
     hop = (rng.geometric(0.7, size=num_edges).astype(np.int64)) * domain_size
     sign = rng.choice((-1, 1), size=num_edges)
     near_dst = domain_base + sign * hop + rng.integers(0, domain_size, size=num_edges)
     near_dst = np.clip(near_dst, 0, num_vertices - 1)
-    global_link = rng.random(num_edges) < global_fraction
-    ranks = rng.zipf(1.6, size=num_edges) % num_vertices
-    remote_dst = np.where(global_link, ranks.astype(np.int64), near_dst)
-    dst = np.where(local, local_dst, remote_dst)
+    dst = np.where(local, local_dst, near_dst)
     dst = np.minimum(dst, num_vertices - 1)
     chain_src = np.arange(0, num_vertices - domain_size, domain_size, dtype=np.int64)
     chain = np.stack([chain_src, chain_src + domain_size], axis=1)

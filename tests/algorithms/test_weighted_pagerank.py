@@ -8,7 +8,7 @@ from repro.algorithms.weighted_pagerank import (
     weighted_pagerank,
 )
 from repro.core.config import ExecutionMode
-from repro.graph.builder import _dedup, build_directed
+from repro.graph.builder import build_directed
 
 from tests.conftest import engine_for
 
@@ -66,7 +66,6 @@ class TestWeightedPageRankBehaviour:
     def test_uniform_weights_match_unweighted(self):
         rng = np.random.default_rng(3)
         edges = rng.integers(0, 50, size=(250, 2), dtype=np.int64)
-        deduped, _ = _dedup(np.asarray(edges), None)
         ones = np.ones(len(edges), dtype=np.float32)
         weighted = build_directed(edges, 50, name="wpr-u", weights=ones)
         plain = build_directed(edges, 50, name="wpr-p")

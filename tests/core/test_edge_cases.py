@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
+from repro.algorithms.sssp import sssp
 from repro.algorithms.triangle_count import triangle_count
 from repro.algorithms.wcc import wcc
 from repro.core.config import EngineConfig, ExecutionMode
@@ -212,3 +214,42 @@ class TestActivationRange:
         frontier = engine._drain_activations()
         assert frontier.dtype == np.int64 and frontier.tolist() == [0, 3, 9, 63]
         assert engine._drain_activations().size == 0
+
+    @pytest.mark.parametrize("app", ["bfs", "bc", "sssp"])
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_source_out_of_range_fails_alike_in_both_modes(self, app, bad):
+        ring = np.column_stack((np.arange(64), (np.arange(64) + 1) % 64))
+        image = build_directed(ring, 64, name="ring", weights=np.ones(64))
+        run = {"bfs": bfs, "bc": betweenness_centrality, "sssp": sssp}[app]
+        messages = []
+        for mode in ExecutionMode:
+            engine = engine_for(image, mode=mode)
+            before = engine.stats.snapshot()
+            with pytest.raises(ValueError, match=rf" {bad} is not a vertex id") as err:
+                run(engine, bad)
+            messages.append(str(err.value))
+            # Raised before the run touched a clock or a counter: the same
+            # engine then answers exactly as a fresh one does.
+            assert engine._workers == [] and engine.stats.snapshot() == before
+            got, _ = run(engine, 5)
+            want, _ = run(engine_for(image, mode=mode), 5)
+            assert np.array_equal(got, want)
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode))
+    def test_initial_frontier_is_checked_then_sorted_unique(self, mode):
+        engine = self._ring(mode)
+        with pytest.raises(ValueError, match=r"initial active vertex 64 "):
+            engine.run(VertexProgram(), initial_active=np.array([3, 64]))
+        assert engine._workers == []
+
+        class Record(VertexProgram):
+            def __init__(self):
+                self.ran = []
+
+            def run(self, g, vertex):
+                self.ran.append(vertex)
+
+        program = Record()
+        engine.run(program, initial_active=np.array([9, 3, 9, 63]))
+        assert sorted(program.ran) == [3, 9, 63]
