@@ -23,8 +23,8 @@ from repro.graph.format import (
     FORMATS,
     EDGE_BYTES,
     HEADER_BYTES,
-    check_endpoints,
     csr_from_sorted_keys,
+    edge_keys,
     serialize_adjacency,
     serialize_adjacency_v2,
     serialize_attributes,
@@ -219,6 +219,33 @@ def _check_fmt(fmt: str) -> None:
         raise ValueError(f"unknown graph format {fmt!r}; pick from {FORMATS}")
 
 
+def _as_edges(edges: np.ndarray) -> np.ndarray:
+    """``edges`` as an int64 ``(m, 2)`` array, copied only if it is not
+    one already.  Float endpoints must be finite integers: the cast
+    would truncate ``0.5`` to the vertex 0."""
+    edges = np.asarray(edges)
+    if edges.dtype.kind == "f" and not (
+        np.isfinite(edges).all() and (np.floor(edges) == edges).all()
+    ):
+        raise ValueError("edge endpoints must be integers")
+    return edges.astype(np.int64, copy=False).reshape(-1, 2)
+
+
+def _edge_weights(
+    weights: Optional[np.ndarray], num_edges: int
+) -> Optional[np.ndarray]:
+    """``weights`` as float32, one per input edge, or :class:`ValueError`."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=np.float32)
+    if weights.shape != (num_edges,):
+        raise ValueError(
+            f"weights must be 1-D with one entry per edge: got shape "
+            f"{weights.shape} for {num_edges} edges"
+        )
+    return weights
+
+
 def build_directed(
     edges: np.ndarray,
     num_vertices: int,
@@ -232,18 +259,24 @@ def build_directed(
     ``weights``, when given, become detached out-edge attributes.
     ``fmt`` picks the on-SSD edge-list layout (v1 default, v2 compressed).
     Two sorts build it: the sort-reduce of :func:`_dedup` leaves the
-    edges in out-list order, and one transpose sort orders the in-lists.
+    keys in out-list order, and one sort of the transposed keys orders
+    the in-lists.  Each key array is freed before the serializer runs.
     """
     _check_fmt(fmt)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    edges, weights = _dedup(edges, weights, num_vertices)
-    src, dst = edges[:, 0], edges[:, 1]
-    out_csr, out_bytes, out_index = _build_direction(
-        *csr_from_sorted_keys(src * num_vertices + dst, num_vertices), fmt
-    )
-    in_csr, in_bytes, in_index = _build_direction(
-        *csr_from_sorted_keys(np.sort(dst * num_vertices + src), num_vertices), fmt
-    )
+    edges = _as_edges(edges)
+    weights = _edge_weights(weights, edges.shape[0])
+    keys, weights = _dedup(edges, weights, num_vertices)
+    edge_count = keys.size
+    out_lists = csr_from_sorted_keys(keys, num_vertices)
+    del keys
+    out_csr, out_bytes, out_index = _build_direction(*out_lists, fmt)
+    # The in-lists' keys dst * n + src, from the out-CSR.
+    keys = np.multiply(out_csr.indices, num_vertices, dtype=np.int64)
+    keys += np.repeat(np.arange(num_vertices, dtype=np.uint32), out_csr.degrees())
+    keys.sort()
+    in_lists = csr_from_sorted_keys(keys, num_vertices)
+    del keys
+    in_csr, in_bytes, in_index = _build_direction(*in_lists, fmt)
     image = GraphImage(
         name=name,
         num_vertices=num_vertices,
@@ -254,7 +287,7 @@ def build_directed(
         in_bytes=in_bytes,
         out_index=out_index,
         in_index=in_index,
-        edge_count=int(edges.shape[0]),
+        edge_count=edge_count,
         fmt=fmt,
     )
     if weights is not None:
@@ -273,26 +306,36 @@ def build_undirected(
     lists, self-loops once.  A single edge-list file serves both
     directions (``in_*`` aliases ``out_*``)."""
     _check_fmt(fmt)
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    # Canonicalise (u <= v) then deduplicate.
-    lo = edges.min(axis=1)
-    hi = edges.max(axis=1)
-    edges = np.stack([lo, hi], axis=1)
-    edges, weights = _dedup(edges, weights, num_vertices)
-    lo, hi = edges[:, 0], edges[:, 1]
+    edges = _as_edges(edges)
+    weights = _edge_weights(weights, edges.shape[0])
+    # Canonical (u <= v) keys, deduplicated.
+    keys, weights = _dedup(edges, weights, num_vertices, canonical=True)
+    edge_count = keys.size
+    # Every non-loop key lo * n + hi gains its mirror hi * n + lo.
+    lo = np.empty(keys.size, dtype=np.uint32)
+    hi = np.empty(keys.size, dtype=np.uint32)
+    np.floor_divide(keys, num_vertices, out=lo, casting="unsafe")
+    np.remainder(keys, num_vertices, out=hi, casting="unsafe")
     mirrored = lo != hi
-    keys = np.concatenate(
-        [lo * num_vertices + hi, hi[mirrored] * num_vertices + lo[mirrored]]
-    )
+    symmetric = np.empty(edge_count + int(np.count_nonzero(mirrored)), dtype=np.int64)
+    symmetric[:edge_count] = keys
+    del keys
+    mirrors = symmetric[edge_count:]
+    np.multiply(hi[mirrored], num_vertices, out=mirrors, dtype=np.int64)
+    mirrors += lo[mirrored]
+    del lo, hi, mirrors
     # One sort of the symmetrised keys; the keys are distinct, so carrying
     # the weights along with an argsort orders them like the lists.
     if weights is None:
-        keys.sort()
+        symmetric.sort()
     else:
-        order = np.argsort(keys)
-        keys = keys[order]
+        order = np.argsort(symmetric)
+        symmetric = symmetric[order]
         weights = np.concatenate([weights, weights[mirrored]])[order]
-    csr, data, index = _build_direction(*csr_from_sorted_keys(keys, num_vertices), fmt)
+        del order
+    lists = csr_from_sorted_keys(symmetric, num_vertices)
+    del symmetric
+    csr, data, index = _build_direction(*lists, fmt)
     image = GraphImage(
         name=name,
         num_vertices=num_vertices,
@@ -303,7 +346,7 @@ def build_undirected(
         in_bytes=data,
         out_index=index,
         in_index=index,
-        edge_count=int(edges.shape[0]),
+        edge_count=edge_count,
         fmt=fmt,
     )
     if weights is not None:
@@ -312,36 +355,33 @@ def build_undirected(
 
 
 def _dedup(
-    edges: np.ndarray, weights: Optional[np.ndarray], num_vertices: int
+    edges: np.ndarray,
+    weights: Optional[np.ndarray],
+    num_vertices: int,
+    canonical: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Sort-reduce an int64 ``(m, 2)`` edge array to its distinct edges.
+    """Sort-reduce an int64 ``(m, 2)`` edge array to its distinct keys.
 
-    One sort of the keys ``src * n + dst`` puts equal edges next to each
-    other; the first key of each run survives and decodes back to
-    ``(key // n, key % n)``, so the edges come back in ``(src, dst)``
-    order.  With ``weights``, an argsort stands in for the sort and each
-    kept edge takes the weight of its first occurrence.  ``np.sort`` and
-    a run mask rather than ``np.unique``: since numpy 2.3, ``np.unique``
-    without ``return_*`` takes a hash path, over an order of magnitude
-    slower on these keys.
+    Returns the ascending distinct keys ``src * n + dst`` (``(min, max)``
+    with ``canonical``, see :func:`~repro.graph.format.edge_keys`) and,
+    with float32 ``weights``, each kept edge's first-occurrence weight.
+    One sort of the keys puts equal edges next to each other and the
+    first key of each run survives; with ``weights`` an argsort stands
+    in for the sort.  ``np.sort`` and a run mask rather than
+    ``np.unique``: since numpy 2.3, ``np.unique`` without ``return_*``
+    takes a hash path, over an order of magnitude slower on these keys.
     """
     if edges.size == 0:
-        return edges, weights
-    check_endpoints(edges, num_vertices)
-    keys = edges[:, 0] * num_vertices + edges[:, 1]
+        return np.empty(0, dtype=np.int64), weights
+    keys = edge_keys(edges, num_vertices, canonical)
     if weights is None:
         keys.sort()
-        keys = keys[_run_starts(keys)]
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(_run_starts(keys))
-        first = np.minimum.reduceat(order, starts)
-        weights = np.asarray(weights, dtype=np.float32)[first]
-        keys = keys[starts]
-    edges = np.empty((keys.size, 2), dtype=np.int64)
-    np.divmod(keys, num_vertices, out=(edges[:, 0], edges[:, 1]))
-    return edges, weights
+        return keys[_run_starts(keys)], None
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(_run_starts(keys))
+    first = np.minimum.reduceat(order, starts)
+    return keys[starts], weights[first]
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:

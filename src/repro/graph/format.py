@@ -92,6 +92,23 @@ def edge_list_size(degree: int) -> int:
     return HEADER_BYTES + degree * EDGE_BYTES
 
 
+def _check_csr(
+    indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, degrees)`` as int64/u32/int64, or
+    :class:`ValueError` when they do not form a CSR adjacency."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype="<u4")
+    if indptr.ndim != 1 or indptr.size < 1:
+        raise ValueError("indptr must be a 1-D array with at least one entry")
+    if indptr[0] != 0 or indptr[-1] != indices.size:
+        raise ValueError("indptr must start at 0 and end at len(indices)")
+    degrees = np.diff(indptr)
+    if np.any(degrees < 0):
+        raise ValueError("indptr must be non-decreasing")
+    return indptr, indices, degrees
+
+
 def serialize_adjacency(
     indptr: np.ndarray, indices: np.ndarray
 ) -> Tuple[bytes, np.ndarray]:
@@ -104,31 +121,21 @@ def serialize_adjacency(
     Returns ``(file_bytes, offsets)`` where ``offsets[v]`` is the byte
     offset of vertex ``v``'s edge list and ``offsets[n]`` the file size.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.uint32)
-    if indptr.ndim != 1 or indptr.size < 1:
-        raise ValueError("indptr must be a 1-D array with at least one entry")
-    if indptr[0] != 0 or indptr[-1] != indices.size:
-        raise ValueError("indptr must start at 0 and end at len(indices)")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("indptr must be non-decreasing")
-    num_vertices = indptr.size - 1
-    degrees = np.diff(indptr)
-    sizes = HEADER_BYTES + degrees * EDGE_BYTES
+    indptr, indices, degrees = _check_csr(indptr, indices)
+    num_vertices = degrees.size
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    np.cumsum(HEADER_BYTES + degrees * EDGE_BYTES, out=offsets[1:])
 
-    # Build the whole file as one u32 array: headers interleaved with edges.
+    # Build the whole file as one u32 array: headers interleaved with
+    # edges.  Every word that is not a header word holds the next
+    # neighbor id, so one boolean mask places them all in order.
     words = np.empty(offsets[-1] // 4, dtype="<u4")
-    word_offsets = offsets[:-1] // 4
-    words[word_offsets] = np.arange(num_vertices, dtype=np.uint32)
-    words[word_offsets + 1] = degrees.astype(np.uint32)
-    # Scatter the neighbor ids: target word index for each edge is its
-    # vertex's data start plus its rank within the vertex.
-    if indices.size:
-        edge_vertex = np.repeat(np.arange(num_vertices), degrees)
-        rank = np.arange(indices.size, dtype=np.int64) - indptr[edge_vertex]
-        words[word_offsets[edge_vertex] + 2 + rank] = indices
+    is_edge = np.ones(words.size, dtype=bool)
+    for k, field in enumerate((np.arange(num_vertices), degrees)):
+        word_index = offsets[:-1] // 4 + k
+        words[word_index] = field
+        is_edge[word_index] = False
+    words[is_edge] = indices
     return words.tobytes(), offsets
 
 
@@ -174,15 +181,28 @@ def parse_edge_list(data: memoryview, offset: int = 0) -> Tuple[int, np.ndarray]
     return vertex_id, neighbors
 
 
-def check_endpoints(edges: np.ndarray, num_vertices: int) -> None:
-    """Reject a non-empty edge array with an endpoint outside ``[0, n)``.
+def edge_keys(
+    edges: np.ndarray, num_vertices: int, canonical: bool = False
+) -> np.ndarray:
+    """The int64 keys ``src * n + dst`` of a non-empty ``(m, 2)`` edge array.
 
-    Run it before packing edges into ``src * n + dst`` keys: a key does
-    not remember an out-of-range endpoint (``(1, -1)`` packs to the key
-    of ``(0, n - 1)``).
+    ``canonical`` keys each edge as ``(min, max)``, the orientation of an
+    undirected edge.  The keys are built in place, one key-sized
+    temporary at most.  An endpoint outside ``[0, n)`` raises
+    :class:`ValueError`: a key does not remember it (``(1, -1)`` packs
+    to the key of ``(0, n - 1)``).
     """
     if edges.min() < 0 or edges.max() >= num_vertices:
         raise ValueError("edge endpoints must lie in [0, num_vertices)")
+    src, dst = edges[:, 0], edges[:, 1]
+    if canonical:
+        keys = np.minimum(src, dst).astype(np.int64, copy=False)
+        keys *= num_vertices
+        keys += np.maximum(src, dst)
+    else:
+        keys = np.multiply(src, num_vertices, dtype=np.int64)
+        keys += dst
+    return keys
 
 
 def csr_from_sorted_keys(
@@ -195,7 +215,9 @@ def csr_from_sorted_keys(
     """
     list_starts = np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
     indptr = np.searchsorted(keys, list_starts).astype(np.int64, copy=False)
-    return indptr, (keys % num_vertices).astype(np.uint32)
+    indices = np.empty(keys.size, dtype=np.uint32)
+    np.remainder(keys, num_vertices, out=indices, casting="unsafe")
+    return indptr, indices
 
 
 def adjacency_from_edges(
@@ -212,9 +234,8 @@ def adjacency_from_edges(
         return np.zeros(num_vertices + 1, dtype=np.int64), np.zeros(0, dtype=np.uint32)
     if edges.ndim != 2 or edges.shape[1] != 2:
         raise ValueError("edges must be an (m, 2) array")
-    check_endpoints(edges, num_vertices)
-    edges = edges.astype(np.int64, copy=False)
-    keys = np.sort(edges[:, 0] * num_vertices + edges[:, 1])
+    keys = edge_keys(edges, num_vertices)
+    keys.sort()
     return csr_from_sorted_keys(keys, num_vertices)
 
 
@@ -223,37 +244,38 @@ def adjacency_from_edges(
 # ---------------------------------------------------------------------------
 
 
-def _delta_values(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Per-vertex delta encoding of sorted neighbor lists, as int64.
+def _v2_lengths(
+    indptr: np.ndarray, indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(deltas, codes, payload_counts)`` of a CSR under format v2.
 
-    The first neighbor of each vertex is stored raw; every later one as
-    the difference from its predecessor.  Raises :class:`ValueError` when
-    any list is unsorted (a negative delta), since v2 cannot represent it.
+    ``deltas`` holds each list's first neighbor raw and every later one
+    as the difference from its predecessor (little-endian u32);
+    ``codes[i]`` is value ``i``'s 2-bit length code (``bytes - 1``, u8);
+    ``payload_counts[v]`` is vertex ``v``'s payload bytes.  Raises
+    :class:`ValueError` when any list is unsorted, since v2 cannot
+    represent a negative delta.
     """
-    values = indices.astype(np.int64)
-    if values.size:
-        deltas = np.empty_like(values)
-        deltas[0] = values[0]
-        deltas[1:] = values[1:] - values[:-1]
-        # List-leading positions keep the raw neighbor id.
-        starts = indptr[:-1][np.diff(indptr) > 0]
-        deltas[starts] = values[starts]
-        if deltas.min() < 0:
-            raise ValueError(
-                "format v2 requires per-vertex sorted neighbor lists"
-            )
-        values = deltas
-    return values
-
-
-def _value_byte_lengths(values: np.ndarray) -> np.ndarray:
-    """Encoded byte length (1-4) of each value under group varint."""
-    return (
-        1
-        + (values > 0xFF).astype(np.int64)
-        + (values > 0xFFFF).astype(np.int64)
-        + (values > 0xFFFFFF).astype(np.int64)
-    )
+    deltas = np.empty(indices.size, dtype="<u4")
+    degrees = np.diff(indptr)
+    starts = indptr[:-1][degrees > 0]
+    if indices.size:
+        descents = indices[1:] < indices[:-1]
+        # A list's first neighbor may sit below the previous list's last.
+        descents[starts[1:] - 1] = False
+        if descents.any():
+            raise ValueError("format v2 requires per-vertex sorted neighbor lists")
+        del descents
+        deltas[0] = indices[0]
+        np.subtract(indices[1:], indices[:-1], out=deltas[1:])
+        deltas[starts] = indices[starts]
+    codes = (deltas > 0xFF).view(np.uint8)
+    codes += deltas > 0xFFFF
+    codes += deltas > 0xFFFFFF
+    payload_counts = degrees.copy()
+    if starts.size:
+        payload_counts[degrees > 0] += np.add.reduceat(codes, starts, dtype=np.int64)
+    return deltas, codes, payload_counts
 
 
 def v2_edge_list_sizes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -263,12 +285,9 @@ def v2_edge_list_sizes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     cheap sizing pass `repro graph stats` uses to report compression
     ratios for images that were built as v1.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    degrees = np.diff(indptr)
+    indptr, indices, degrees = _check_csr(indptr, indices)
     tag_counts = (degrees + VALUES_PER_TAG - 1) // VALUES_PER_TAG
-    val_len = _value_byte_lengths(_delta_values(indptr, np.asarray(indices)))
-    payload_cum = np.concatenate(([0], np.cumsum(val_len)))
-    return HEADER_BYTES + tag_counts + np.diff(payload_cum[indptr])
+    return HEADER_BYTES + tag_counts + _v2_lengths(indptr, indices)[2]
 
 
 def serialize_adjacency_v2(
@@ -279,66 +298,56 @@ def serialize_adjacency_v2(
     Neighbor lists must be sorted per vertex (duplicates are fine — they
     encode as delta 0).  Returns ``(file_bytes, offsets)`` with
     ``offsets[v]`` the byte offset of vertex ``v``'s record and
-    ``offsets[n]`` the file size.  Encode is pure numpy: byte planes are
-    scattered with fancy indexing, tag bytes assembled with one bincount.
+    ``offsets[n]`` the file size.  Encode is pure numpy over u32 deltas
+    and u8 codes: the payload is one byte-plane mask over the deltas'
+    bytes, the tag stream one ``reduceat`` of the shifted codes.
     """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.uint32)
-    if indptr.ndim != 1 or indptr.size < 1:
-        raise ValueError("indptr must be a 1-D array with at least one entry")
-    if indptr[0] != 0 or indptr[-1] != indices.size:
-        raise ValueError("indptr must start at 0 and end at len(indices)")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("indptr must be non-decreasing")
-    num_vertices = indptr.size - 1
-    degrees = np.diff(indptr)
+    indptr, indices, degrees = _check_csr(indptr, indices)
+    num_vertices = degrees.size
     tag_counts = (degrees + VALUES_PER_TAG - 1) // VALUES_PER_TAG
-
-    values = _delta_values(indptr, indices)
-    val_len = _value_byte_lengths(values)
-    payload_cum = np.concatenate(([0], np.cumsum(val_len)))
-    payload_counts = np.diff(payload_cum[indptr])
-
-    sizes = HEADER_BYTES + tag_counts + payload_counts
+    deltas, codes, payload_counts = _v2_lengths(indptr, indices)
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    out = np.zeros(int(offsets[-1]), dtype=np.uint8)
+    np.cumsum(HEADER_BYTES + tag_counts + payload_counts, out=offsets[1:])
+    out = np.empty(int(offsets[-1]), dtype=np.uint8)
+    is_payload = np.ones(out.size, dtype=bool)
 
     # Headers: 8 little-endian byte planes scattered at each record start.
     vids = np.arange(num_vertices, dtype=np.int64)
     for k in range(4):
-        out[offsets[:-1] + k] = (vids >> (8 * k)) & 0xFF
-        out[offsets[:-1] + 4 + k] = (degrees >> (8 * k)) & 0xFF
+        for at, field in ((k, vids), (4 + k, degrees)):
+            out[offsets[:-1] + at] = (field >> (8 * k)) & 0xFF
+            is_payload[offsets[:-1] + at] = False
 
-    if values.size:
-        # Tag bytes: each value contributes its 2-bit code at bits
-        # 2*(rank % 4) of tag byte rank // 4 of its vertex.  All values of
-        # one tag byte sum disjoint bit ranges, so one bincount builds the
-        # whole tag stream exactly.
-        rank = _ramp(degrees, values.size)
-        vertex_of = np.repeat(vids, degrees)
-        tag_cum = np.concatenate(([0], np.cumsum(tag_counts)))
-        tag_idx = tag_cum[vertex_of] + rank // VALUES_PER_TAG
-        codes = val_len - 1
-        tags = np.bincount(
-            tag_idx,
-            weights=(codes << (2 * (rank % VALUES_PER_TAG))).astype(np.float64),
-            minlength=int(tag_cum[-1]),
-        ).astype(np.uint8)
-        out[scatter_positions(offsets[:-1] + HEADER_BYTES, tag_counts)] = tags
-
-        # Payload: values packed little-endian at 1-4 bytes each.  The
-        # concatenated payload stream is in file order, so one scatter per
-        # byte plane places every value.
-        payload = np.zeros(int(payload_cum[-1]), dtype=np.uint8)
+    if indices.size:
+        # Payload: byte plane k of a value is kept when the value is
+        # longer than k bytes.  Row by row, the kept bytes of the deltas'
+        # little-endian view are the payload stream in file order.
+        keep = np.empty((indices.size, 4), dtype=bool)
         for k in range(4):
-            mask = val_len > k
-            payload[payload_cum[:-1][mask] + k] = (values[mask] >> (8 * k)) & 0xFF
-        out[
-            scatter_positions(
-                offsets[:-1] + HEADER_BYTES + tag_counts, payload_counts
-            )
-        ] = payload
+            np.greater_equal(codes, k, out=keep[:, k])
+        payload = deltas.view(np.uint8)[keep.ravel()]
+        del deltas, keep
+        # Tag bytes: value ``rank`` of a list puts its code at bits
+        # 2*(rank % 4) of tag byte rank // 4.  ``rank % 4`` in u8 is the
+        # edge position mod 4 less the list start's, and a tag byte's
+        # values are a run from one rank divisible by 4; the shifted
+        # codes of a run fill disjoint bits, so a u8 sum ORs them.
+        phase = np.empty(indices.size, dtype=np.uint8)
+        for k in range(VALUES_PER_TAG):
+            phase[k::VALUES_PER_TAG] = k
+        phase -= np.repeat((indptr[:-1] % VALUES_PER_TAG).astype(np.uint8), degrees)
+        phase &= VALUES_PER_TAG - 1
+        runs = np.flatnonzero(phase == 0)
+        phase <<= 1
+        codes <<= phase
+        del phase
+        tags = np.add.reduceat(codes, runs, dtype=np.uint8)
+        del codes, runs
+        tag_positions = scatter_positions(offsets[:-1] + HEADER_BYTES, tag_counts)
+        out[tag_positions] = tags
+        is_payload[tag_positions] = False
+        del tags, tag_positions
+        out[is_payload] = payload
     return out.tobytes(), offsets
 
 

@@ -48,19 +48,29 @@ def rmat_graph(
     rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
     num_edges = edge_factor * num_vertices
-    src = np.zeros(num_edges, dtype=np.int64)
-    dst = np.zeros(num_edges, dtype=np.int64)
+    # Pre-permutation ids have ``scale <= 30`` bits: int32 builds them in
+    # place, one reused float64 buffer takes each bit's draws.
+    src = np.zeros(num_edges, dtype=np.int32)
+    dst = np.zeros(num_edges, dtype=np.int32)
+    r = np.empty(num_edges)
     for bit in range(scale):
-        r = rng.random(num_edges)
+        rng.random(out=r)
         # Quadrants in order a (0,0), b (0,1), c (1,0), d (1,1).
-        right = ((r >= a) & (r < a + b)) | (r >= a + b + c)
-        down = r >= a + b
-        src = (src << 1) | down
-        dst = (dst << 1) | right
+        right = r >= a
+        right &= r < a + b
+        right |= r >= a + b + c
+        src <<= 1
+        src |= r >= a + b
+        dst <<= 1
+        dst |= right
+    del r, right
     # Permute IDs so vertex ID carries no structural information, as in
     # natural social graphs where crawl order is arbitrary.
     perm = rng.permutation(num_vertices)
-    edges = np.stack([perm[src], perm[dst]], axis=1)
+    edges = np.empty((num_edges, 2), dtype=np.int64)
+    edges[:, 0] = perm[src]
+    del src
+    edges[:, 1] = perm[dst]
     return edges, num_vertices
 
 
@@ -96,29 +106,39 @@ def web_graph(
         raise ValueError("locality must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * edge_factor
-    src = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
+    # One (m + chain, 2) result; every step below writes into it or into
+    # one draw-sized temporary at a time, in the order the draws are made.
+    chain_src = np.arange(0, num_vertices - domain_size, domain_size, dtype=np.int64)
+    edges = np.empty((num_edges + chain_src.size, 2), dtype=np.int64)
+    src, dst = edges[:num_edges, 0], edges[:num_edges, 1]
+    src[:] = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
     local = rng.random(num_edges) < locality
     # Local links: another page of the same domain.  A third of them point
     # at the domain's first page — real sites funnel links to their home
     # page — giving each domain a hub and dense within-domain overlap
     # (cache reuse, triangle structure) without adding any long-range
     # shortcut that would shrink the diameter.
-    domain_base = (src // domain_size) * domain_size
-    local_dst = domain_base + rng.integers(0, domain_size, size=num_edges)
-    to_home = rng.random(num_edges) < 0.35
-    local_dst = np.where(to_home, domain_base, local_dst)
+    domain_base = src // domain_size
+    domain_base *= domain_size
+    dst[:] = rng.integers(0, domain_size, size=num_edges)
+    dst += domain_base
+    np.copyto(dst, domain_base, where=rng.random(num_edges) < 0.35)
+    del domain_base
     # Non-local links hop to a *nearby* domain (sites link within their
     # topical neighborhood).  Having no global shortcuts preserves the huge
     # effective diameter the paper reports for the page graph (650).
-    hop = (rng.geometric(0.7, size=num_edges).astype(np.int64)) * domain_size
-    sign = rng.choice((-1, 1), size=num_edges)
-    near_dst = domain_base + sign * hop + rng.integers(0, domain_size, size=num_edges)
-    near_dst = np.clip(near_dst, 0, num_vertices - 1)
-    dst = np.where(local, local_dst, near_dst)
-    dst = np.minimum(dst, num_vertices - 1)
-    chain_src = np.arange(0, num_vertices - domain_size, domain_size, dtype=np.int64)
-    chain = np.stack([chain_src, chain_src + domain_size], axis=1)
-    edges = np.concatenate([np.stack([src, dst], axis=1), chain])
+    near_dst = rng.geometric(0.7, size=num_edges)
+    near_dst *= domain_size
+    near_dst *= rng.choice((-1, 1), size=num_edges)
+    near_dst += src // domain_size * domain_size
+    near_dst += rng.integers(0, domain_size, size=num_edges)
+    np.clip(near_dst, 0, num_vertices - 1, out=near_dst)
+    np.copyto(dst, near_dst, where=~local)
+    del near_dst, local
+    np.minimum(dst, num_vertices - 1, out=dst)
+    edges[num_edges:, 0] = chain_src
+    chain_src += domain_size
+    edges[num_edges:, 1] = chain_src
     return edges, num_vertices
 
 

@@ -68,8 +68,9 @@ class TestSSSP:
         image = build_directed(edges, n, name="er-w", weights=weights)
         graph = nx.DiGraph()
         graph.add_nodes_from(range(n))
-        dedges, dweights = _dedup(np.asarray(edges, dtype=np.int64), weights, n)
-        for (u, v), w in zip(dedges.tolist(), dweights):
+        keys, dweights = _dedup(np.asarray(edges, dtype=np.int64), weights, n)
+        src, dst = np.divmod(keys, n)
+        for u, v, w in zip(src.tolist(), dst.tolist(), dweights):
             graph.add_edge(u, v, weight=float(np.float32(w)))
         return image, graph
 

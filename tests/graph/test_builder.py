@@ -141,3 +141,38 @@ class TestAttachToSAFS:
         )
         image.attach_to_safs(safs)
         assert "graph.out-attrs" in safs.file_names()
+
+
+@pytest.mark.parametrize("build", [build_directed, build_undirected])
+class TestInputValidation:
+    EDGES = np.array([[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [np.ones(1), np.arange(5.0), np.ones((2, 1)), np.ones((1, 2)), np.float32(1.0)],
+        ids=["short", "long", "column", "row", "scalar"],
+    )
+    def test_weights_need_one_entry_per_edge(self, build, weights):
+        with pytest.raises(ValueError, match="one entry per edge"):
+            build(self.EDGES, 3, weights=weights)
+
+    def test_weights_per_input_edge_not_per_distinct_edge(self, build):
+        edges = np.array([[0, 1], [0, 1], [1, 2]])
+        with pytest.raises(ValueError, match="one entry per edge"):
+            build(edges, 3, weights=np.ones(2))
+        image = build(edges, 3, weights=np.ones(3))
+        assert image.num_edges == 2
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[[0.5, 1.0]], [[0.0, np.nan]], [[np.inf, 1.0]], [[1.0, -np.inf]]],
+        ids=["fraction", "nan", "inf", "-inf"],
+    )
+    def test_non_integral_endpoints_rejected(self, build, edges):
+        with pytest.raises(ValueError, match="integers"):
+            build(np.array(edges), 2)
+
+    def test_integral_floats_build(self, build):
+        image = build(self.EDGES.astype(np.float64), 3)
+        assert image.out_csr.neighbors(0).tolist() == [1]
+        assert image.num_edges == 2
