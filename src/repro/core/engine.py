@@ -89,6 +89,9 @@ class _Wave:
     dirs: np.ndarray
     #: ``_EDGES``, ``_EDGES_WITH_ATTRS`` or ``_ATTRS``.
     kinds: np.ndarray
+    #: Each row's row of the image's list table, ``lane * n + target`` for
+    #: lane ``2 * dir + (kind == _ATTRS)`` (``None`` once served).
+    rows: Optional[np.ndarray] = None
     #: Neighbors per row (0 for an attribute block) ...
     degrees: Optional[np.ndarray] = None
     #: ... and every row's neighbors, row after row.
@@ -407,7 +410,7 @@ class GraphEngine:
         # The SAFS file behind each lane of the image's list table, by id
         # and by lane (-1: no file); set when the files are attached.
         self._lane_files: Dict[int, "SAFSFile"] = {}
-        self._lane_fids: Optional[np.ndarray] = None
+        self._lane_fids: Tuple[int, ...] = ()
         self._activations: List[np.ndarray] = []
         self._messages: Optional[MessageBuffer] = None
         self._iteration_end_requested = False
@@ -898,7 +901,10 @@ class GraphEngine:
             service = self._service_semi_external
         while self._wave:
             chunks, self._wave = self._wave, []
-            wave = _Wave(*(np.concatenate(column) for column in zip(*chunks)))
+            if len(chunks) == 1:
+                wave = _Wave(*chunks[0])
+            else:
+                wave = _Wave(*(np.concatenate(column) for column in zip(*chunks)))
             if wave.targets.size:
                 service(worker, wave)
 
@@ -924,30 +930,27 @@ class GraphEngine:
         """Read one wave through SAFS and deliver it in completion order.
 
         Every row of the wave is a row of the image's list table
-        (:meth:`GraphImage.list_table`), so one gather locates the whole
-        wave.  It is merged as arrays — over the whole wave with engine
-        merging, within SAFS's bounded queue window or not at all for the
-        two Figure 12 counterfactuals — then issued span by span.  Its
+        (:meth:`GraphImage.list_table`), which carries the merge key, so
+        one gather locates and keys the whole wave.  It is merged as
+        arrays — over the whole wave with engine merging, within SAFS's
+        bounded queue window or not at all for the two Figure 12
+        counterfactuals — then issued span by span.  Its
         elements complete with their span; they are delivered in the
         stable completion-time order, and the edge lists are read out of
         the image's edge files in one pass, in that order.
         """
         image, safs, config = self.image, self.safs, self.config
-        table, source = image.list_table()
-        lanes = 2 * wave.dirs + (wave.kinds == _ATTRS)
-        offsets, sizes, degrees, positions = table[:, lanes * image.num_vertices + wave.targets]
-        file_ids = self._lane_fids[lanes]
+        table, source, band = image.list_table(self._lane_fids, safs.page_size)
+        keys, last, sizes, degrees, positions = table[:, wave.rows]
 
         # A zero-degree vertex's attribute block is empty: nothing to read.
-        io = np.flatnonzero(sizes)
+        io = sizes.nonzero()[0]
         if config.merge_in_engine:
             window, kernel_requests = None, 0
         else:
             window = safs.config.fs_merge_window if config.merge_in_fs else 1
             kernel_requests = io.size
-        spans = merge_request_arrays(
-            file_ids[io], offsets[io], sizes[io], safs.page_size, window=window
-        )
+        spans = merge_request_arrays(keys[io], last[io], safs.page_size, band, window=window)
         span_done, cpu, span_issued, io_ids = safs.submit_spans(
             spans, self._lane_files, worker.time, kernel_requests
         )
@@ -956,7 +959,7 @@ class GraphEngine:
         self.stats.add(reg.ENGINE_IO_REQUESTS, io.size)
 
         part_done = span_done[spans.span_of_part]
-        by_completion = np.argsort(part_done, kind="stable")
+        by_completion = part_done.argsort(kind="stable")
         arrived = io[spans.order[by_completion]]
         mate = None
         if wave.kinds.any():
@@ -1201,13 +1204,15 @@ class GraphEngine:
         """Buffer a whole wave of self-requests from ``run_batch``:
         per-vertex ``request_self`` calls in ``vertices`` order, a vertex's
         directions adjacent."""
-        check_vertex_ids(vertices, self.image.num_vertices, "requested vertex")
+        n = self.image.num_vertices
+        check_vertex_ids(vertices, n, "requested vertex")
         codes = _DIRECTION_CODES[edge_type]
-        lists = np.repeat(vertices, codes.size)
+        lists = vertices.repeat(codes.size)
         dirs = np.empty((vertices.size, codes.size), dtype=np.int64)
         dirs[:] = codes
+        dirs = dirs.ravel()
         kinds = np.zeros(lists.size, dtype=np.int64)  # all ``_EDGES``
-        self._wave.append((lists, lists, dirs.ravel(), kinds))
+        self._wave.append((lists, lists, dirs, kinds, dirs * (2 * n) + lists))
 
     def _append_wave(
         self, requester: int, targets: np.ndarray, direction: EdgeType, with_attrs: bool
@@ -1216,12 +1221,14 @@ class GraphEngine:
         an attribute-block row per target — to the wave buffer."""
         if with_attrs and direction not in self.image.attr_offsets:
             raise ValueError(f"the graph has no {direction.value}-edge attributes")
+        code, n = _DIRECTIONS.index(direction), self.image.num_vertices
         requesters = np.full(targets.size, requester)
-        dirs = np.full(targets.size, _DIRECTIONS.index(direction))
+        dirs = np.full(targets.size, code)
         kinds = np.full(targets.size, _EDGES_WITH_ATTRS if with_attrs else _EDGES)
-        self._wave.append((requesters, targets, dirs, kinds))
+        rows = targets + 2 * code * n
+        self._wave.append((requesters, targets, dirs, kinds, rows))
         if with_attrs:
-            self._wave.append((requesters, targets, dirs, np.full(targets.size, _ATTRS)))
+            self._wave.append((requesters, targets, dirs, np.full(targets.size, _ATTRS), rows + n))
 
     def _item_counts(self, name: str, counts) -> np.ndarray:
         """A batch call's ``counts``, checked to hold one per item."""
@@ -1360,4 +1367,4 @@ class GraphEngine:
             files.append(safs.open_file(edges))
             files.append(safs.open_file(attrs) if direction in image.attr_offsets else None)
         self._lane_files = {file.file_id: file for file in files if file is not None}
-        self._lane_fids = np.array([-1 if file is None else file.file_id for file in files])
+        self._lane_fids = tuple(-1 if file is None else file.file_id for file in files)

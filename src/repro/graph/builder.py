@@ -73,26 +73,38 @@ class GraphImage:
     edge_count: int = 0
     #: On-SSD edge-list format ("v1" fixed u32, "v2" delta+varint).
     fmt: str = FORMAT_V1
-    _list_table: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+    _list_table: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def list_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(table, source)``: where every edge list and attribute block
-        lies, for the semi-external read path to locate a wave in one go.
+    def list_table(self, file_ids, page_size: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(table, source, band)``: where every edge list and attribute
+        block lies, keyed for the semi-external read path to locate and
+        merge a wave with one gather.
 
         ``table[:, lane * n + v]`` describes vertex ``v`` in lane ``2 * d +
         a``: the edge list (``a = 0``) or attribute block (``a = 1``) of
-        direction ``DIRECTIONS[d]``.  Its four entries are the byte offset
-        and size in the lane's file, the degree (0 for an attribute block)
-        and the list's position in ``source`` — the edge files end to end,
-        as u32 words at the first neighbor (v1) or bytes at the record
-        (v2).  Built on first use from the indexes' exact shortcut tables;
-        like them it is simulator speed, not modelled RAM.
+        direction ``DIRECTIONS[d]``, stored at a byte offset in the file
+        with SAFS id ``file_ids[lane]``.  Its five entries are the banded
+        byte key ``offset + file_ids[lane] * band * page_size`` and banded
+        last page that :func:`~repro.safs.io_request.merge_request_arrays`
+        takes, the size, the degree (0 for an attribute block) and the
+        list's position in ``source`` — the edge files end to end, as u32
+        words at the first neighbor (v1) or bytes at the record (v2).
+        ``band`` is the lane files' largest page count plus 3 (the merge's
+        adjacency gap of 1, plus 2), so sorting by key sorts by ``(file id,
+        offset)`` and no merged span crosses a file.
+
+        The table depends on the SAFS stack's file ids, so it is cached for
+        the last ``(file_ids, page_size)`` asked for.  Every engine on the
+        image reads that one table and copies none of it: it is 5 int64
+        per vertex and lane, the largest array the read path holds.  Like
+        the indexes' exact tables it is simulator speed, not modelled RAM.
         """
-        if self._list_table is None:
+        key = (tuple(file_ids), page_size)
+        if self._list_table is None or self._list_table[0] != key:
             n = self.num_vertices
-            table = np.zeros((4, 4 * n), dtype=np.int64)
+            table = np.zeros((5, 4 * n), dtype=np.int64)
             files = []
             for code, direction in enumerate(DIRECTIONS):
                 data = self.file_bytes(direction)
@@ -103,20 +115,26 @@ class GraphImage:
                 offsets = index._exact_offsets()
                 lists = table[:, 2 * code * n : (2 * code + 1) * n]
                 lists[0] = offsets[:-1]
-                lists[1] = np.diff(offsets)
-                lists[2] = index._full_degrees()
+                lists[2] = np.diff(offsets)
+                lists[3] = index._full_degrees()
                 if self.fmt == FORMAT_V2:
-                    lists[3] = base + lists[0]
+                    lists[4] = base + lists[0]
                 else:
-                    lists[3] = (base + lists[0] + HEADER_BYTES) // EDGE_BYTES
+                    lists[4] = (base + lists[0] + HEADER_BYTES) // EDGE_BYTES
                 blocks = self.attr_offsets.get(direction)
                 if blocks is not None:
                     attrs = table[:, (2 * code + 1) * n : (2 * code + 2) * n]
                     attrs[0] = blocks[:-1]
-                    attrs[1] = np.diff(blocks)
+                    attrs[2] = np.diff(blocks)
+            stored = (*files, *self.attr_bytes.values())
+            band = max(-(-len(data) // page_size) for data in stored) + 3
+            lift = np.repeat(np.asarray(key[0], dtype=np.int64) * band, n)
+            table[1] = (table[0] + table[2] - 1) // page_size + lift
+            table[0] += lift * page_size
             dtype = np.uint8 if self.fmt == FORMAT_V2 else "<u4"
-            self._list_table = table, np.frombuffer(b"".join(files), dtype=dtype)
-        return self._list_table
+            source = np.frombuffer(b"".join(files), dtype=dtype)
+            self._list_table = key, (table, source, band)
+        return self._list_table[1]
 
     @property
     def num_edges(self) -> int:

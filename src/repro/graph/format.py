@@ -66,23 +66,20 @@ def _ramp(lengths: np.ndarray, total: int) -> np.ndarray:
 def gather_ranges(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate ``source[starts[i] : starts[i] + lengths[i]]`` for all
     ``i`` with a single fancy-index gather (no per-range slicing)."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=source.dtype)
-    ramp = _ramp(lengths, total)
-    return source[np.repeat(starts, lengths) + ramp]
+    return source[scatter_positions(starts, lengths)]
 
 
 def scatter_positions(out_starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat output indices placing range ``i`` at ``out_starts[i]`` — the
     scatter-side twin of :func:`gather_ranges`, used when ranges from
-    several source arrays interleave into one concatenation."""
+    several source arrays interleave into one concatenation.  One
+    ``repeat`` of each range's shift, plus a ramp."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.repeat(out_starts, lengths) + _ramp(lengths, total)
+    stops = lengths.cumsum()
+    total = int(stops[-1]) if stops.size else 0
+    index = (out_starts - stops + lengths).repeat(lengths)
+    index += np.arange(total, dtype=np.int64)
+    return index
 
 
 def edge_list_size(degree: int) -> int:

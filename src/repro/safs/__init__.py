@@ -15,8 +15,9 @@ This package implements SAFS faithfully over the simulated SSD array:
 - :mod:`repro.safs.io_request` — FlashGraph's conservative merge rule
   (same or adjacent pages only) over parallel request arrays
   (:func:`merge_request_arrays`, optionally within a bounded queue
-  window), plus the object-based reference the property tests compare
-  it against (:func:`merge_requests`).
+  window, over requests keyed by :func:`band_requests`), plus the
+  object-based reference the property tests compare it against
+  (:func:`merge_requests`).
 - :mod:`repro.safs.io_scheduler` — dispatch of merged page spans to the
   per-device queues through the page cache; each request's completion
   time is when the engine runs the vertex program's task on its data.
@@ -37,6 +38,7 @@ from repro.safs.io_request import (
     IORequest,
     MergedRequest,
     MergedSpans,
+    band_requests,
     merge_request_arrays,
     merge_requests,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "IORequest",
     "MergedRequest",
     "MergedSpans",
+    "band_requests",
     "merge_request_arrays",
     "merge_requests",
     "SAFSFile",

@@ -6,8 +6,9 @@ request therefore never fetches a page no constituent asked for, yet one
 issued request can range from a single page to many megabytes — exactly the
 flexibility the paper credits for adapting to different access patterns.
 
-The engine holds a wave of requests as parallel arrays and merges it
-with :func:`merge_request_arrays`.  The per-request objects
+The engine holds a wave of requests as parallel arrays, keyed by file
+band (:func:`band_requests`), and merges it with
+:func:`merge_request_arrays`.  The per-request objects
 (:class:`IORequest`, :class:`MergedRequest`) and :func:`merge_requests`
 are the readable reference the property tests compare the array merger
 against; nothing under ``src/`` calls them.
@@ -158,29 +159,62 @@ class MergedSpans:
         return int(self.file_ids.size)
 
 
+def band_requests(
+    file_ids, offsets, lengths, page_size: int, band: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, last pages)`` of ``(file, offset, length)`` request arrays:
+    the banded form :func:`merge_request_arrays` takes.  Raises what
+    :class:`IORequest` raises, and for columns of different lengths, a
+    negative file id or a request reaching past page ``band`` of its file.
+    """
+    if page_size <= 0:
+        raise ValueError("page size must be positive")
+    file_ids, offsets, lengths = (
+        np.asarray(a, dtype=np.int64) for a in (file_ids, offsets, lengths)
+    )
+    if not file_ids.ndim == 1 or not file_ids.shape == offsets.shape == lengths.shape:
+        raise ValueError("file ids, offsets and lengths must be 1-D and of one length")
+    if (file_ids < 0).any():
+        raise ValueError("file ids cannot be negative")
+    if (offsets < 0).any():
+        raise ValueError("request offset cannot be negative")
+    if (lengths <= 0).any():
+        raise ValueError("request length must be positive")
+    last = (offsets + lengths - 1) // page_size
+    if (last >= band).any():
+        raise ValueError(f"request escapes its file's band of {band} pages")
+    lift = file_ids * band
+    return offsets + lift * page_size, last + lift
+
+
 def merge_request_arrays(
-    file_ids: np.ndarray,
-    offsets: np.ndarray,
-    lengths: np.ndarray,
+    keys: np.ndarray,
+    last_pages: np.ndarray,
     page_size: int,
+    band: int,
     adjacency_gap: int = 1,
     window: Optional[int] = None,
 ) -> MergedSpans:
-    """Vectorised :func:`merge_requests` over parallel request arrays.
+    """Vectorised :func:`merge_requests` over requests in banded form.
 
-    Implements the identical conservative rule without materialising
-    :class:`IORequest` objects: one stable argsort of a ``(file, offset)``
-    key — the reference's stable sort, ties included — then span breaks
-    wherever the file changes or the next request starts more
-    than ``adjacency_gap`` pages past the running span maximum.  A global
-    ``maximum.accumulate`` stands in for the per-span maximum: a span
-    break at ``i`` requires ``first[i] > cummax[i-1] + gap``, and firsts
-    are non-decreasing per file, so pages from earlier spans can never
-    reach far enough forward to cause a false merge.
+    Request ``i`` of file ``f`` reads from byte ``keys[i] - f * band *
+    page_size`` through page ``last_pages[i] - f * band``: each file's
+    pages are lifted into a band of ``band`` pages, which must exceed
+    every file's page count by more than ``adjacency_gap``.  The caller
+    lifts once, per request (:func:`band_requests`) or per image
+    (:meth:`~repro.graph.builder.GraphImage.list_table`), not per call.
+
+    One stable argsort of the keys sorts by ``(file, offset)`` — the
+    reference's stable sort, ties included — and a span breaks wherever
+    the next request starts more than ``adjacency_gap`` pages past the
+    running maximum of last pages.  That global ``maximum.accumulate``
+    stands in for the per-span maximum: firsts are non-decreasing, so
+    pages of earlier spans cannot reach far enough forward to cause a
+    false merge, nor into the next file's band.
 
     ``window`` reproduces the bounded-queue merging of
-    :func:`merge_requests` by restarting the sort-and-merge every
-    ``window`` elements of the *input* order.
+    :func:`merge_requests`: the sort is by window first, and window ``c``
+    is lifted ``c`` times past every page, so no span crosses windows.
     """
     if page_size <= 0:
         raise ValueError("page size must be positive")
@@ -188,62 +222,36 @@ def merge_request_arrays(
         raise ValueError("adjacency_gap cannot be negative")
     if window is not None and window <= 0:
         raise ValueError("window must be positive when given")
-    file_ids = np.asarray(file_ids, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    n = offsets.size
+    if keys.shape != last_pages.shape:
+        raise ValueError("keys and last_pages must be of one length")
+    n = keys.size
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         return MergedSpans(empty, empty, empty.copy(), empty.copy(), empty.copy())
-
-    # Lift each file into a disjoint band of pages, wider than any file's
-    # pages plus the gap: one key then sorts by (file, offset), and the
-    # running maximum cannot leak across a file boundary, where a break
-    # follows from the band width alone.
-    last = (offsets + lengths - 1) // page_size
-    lift = file_ids * (int(last.max()) + adjacency_gap + 2)
-    keys = offsets + lift * page_size
-    last += lift
-    if window is None or window >= n:
-        return _merge_banded(keys, last, lift, file_ids, page_size, adjacency_gap)
-    starts = range(0, n, window)
-    chunks = [
-        _merge_banded(
-            keys[lo : lo + window], last[lo : lo + window], lift[lo : lo + window],
-            file_ids[lo : lo + window], page_size, adjacency_gap,
-        )
-        for lo in starts
-    ]
-    bases = np.cumsum([0] + [chunk.num_spans for chunk in chunks[:-1]]).tolist()
-    return MergedSpans(
-        file_ids=np.concatenate([chunk.file_ids for chunk in chunks]),
-        first_pages=np.concatenate([chunk.first_pages for chunk in chunks]),
-        last_pages=np.concatenate([chunk.last_pages for chunk in chunks]),
-        order=np.concatenate([chunk.order + lo for chunk, lo in zip(chunks, starts)]),
-        span_of_part=np.concatenate(
-            [chunk.span_of_part + base for chunk, base in zip(chunks, bases)]
-        ),
-    )
-
-
-def _merge_banded(keys, last, lift, file_ids, page_size, adjacency_gap) -> MergedSpans:
-    """One sort-and-merge of :func:`merge_request_arrays` over requests
-    given as banded byte offsets ``keys``, banded last pages ``last`` and
-    the first page of their band ``lift``."""
-    order = np.argsort(keys, kind="stable")
-    first = keys[order] // page_size
-    last = last[order]
+    # Array methods, not ``np.`` wrappers: a wave is ~50 rows, so call
+    # overhead is most of its cost.
+    windowed = window is not None and window < n
+    if windowed:
+        chunk = np.arange(n) // window
+        order = np.lexsort((keys, chunk))
+        shift = chunk * (int(last_pages.max()) + adjacency_gap + 1)
+        first = keys[order] // page_size + shift
+        last = last_pages[order] + shift
+    else:
+        order = keys.argsort(kind="stable")
+        first = keys[order] // page_size
+        last = last_pages[order]
     cummax = np.maximum.accumulate(last)
-    breaks = np.empty(order.size, dtype=bool)
+    breaks = np.empty(n, dtype=bool)
     breaks[0] = True
     np.greater(first[1:], cummax[:-1] + adjacency_gap, out=breaks[1:])
-    span_starts = np.flatnonzero(breaks)
-    lead = order[span_starts]
-    band = lift[lead]
-    return MergedSpans(
-        file_ids=file_ids[lead],
-        first_pages=first[span_starts] - band,
-        last_pages=np.maximum.reduceat(last, span_starts) - band,
-        order=order,
-        span_of_part=np.cumsum(breaks) - 1,
-    )
+    span_starts = breaks.nonzero()[0]
+    first, last = first[span_starts], np.maximum.reduceat(last, span_starts)
+    if windowed:
+        first -= shift[span_starts]
+        last -= shift[span_starts]
+    file_ids = first // band
+    base = file_ids * band
+    span_of_part = breaks.cumsum()
+    span_of_part -= 1
+    return MergedSpans(file_ids, first - base, last - base, order, span_of_part)

@@ -436,8 +436,9 @@ class IOScheduler:
         attaches to an in-flight fetch of the same extent) and installs the
         run's page keys.  No page bytes are touched unless checksums are
         engaged (:attr:`integrity`), in which case every fetched page is
-        verified.  A span reaching past the file's last page raises
-        :class:`ValueError` before any counter moves.
+        verified.  A span that is inverted, starts before the file's first
+        page or reaches past its last raises :class:`ValueError` before any
+        counter moves.
         Returns ``(completion_time, cpu_cost, full_hit)``:
 
         - ``completion_time`` — when every page of the span is in the cache,
@@ -447,6 +448,8 @@ class IOScheduler:
         """
         if file.file_id not in self._file_bases:
             raise ValueError(f"file {file.name!r} was never registered")
+        if not 0 <= first_page <= last_page:
+            raise ValueError(f"span [{first_page}, {last_page}] is inverted or negative")
         if last_page >= file.num_pages(self.page_size):
             raise ValueError(f"page {last_page} is past EOF of {file.name!r}")
         cm = self.cost_model

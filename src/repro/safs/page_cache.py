@@ -100,6 +100,7 @@ class PageCache:
         # layer's rebalancer can move capacity between partitions; it
         # starts at the configured geometry.
         self._set_cap = self.config.set_capacity
+        self._num_sets = self.config.num_sets
         # Ghost LRU (opt-in via enable_ghost_tracking): recently evicted
         # keys, recency-ordered.  A miss that hits the ghost list would
         # have been a hit with more capacity — the marginal-benefit
@@ -210,7 +211,7 @@ class PageCache:
         # sequential scan does not thrash a single slot.
         file_id, page_no = key
         h = (page_no * 2654435761 + file_id * 40503) & 0xFFFFFFFF
-        return h % self.config.num_sets
+        return h % self._num_sets
 
     def lookup_range(
         self, file_id: int, first_page: int, last_page: int

@@ -92,12 +92,14 @@ def _assert_same(got, want) -> None:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
-def _check(image, merge, requests, attach=None) -> None:
+def _check(image, merge, requests, attach=None):
+    """Serve ``requests`` both ways and compare; returns the spans."""
     engine = _engine(image, merge, attach)
     oracle = _engine(image, merge, attach)
     got = _served(engine, _wave(engine, requests))
     want = reference_service(oracle, _Worker(0), _wave(oracle, requests))
     _assert_same(got, want)
+    return got[0]
 
 
 @st.composite
@@ -132,7 +134,10 @@ def test_list_table_path_matches_lane_by_lane_reference(case):
 @pytest.mark.parametrize("merge", list(MERGES))
 def test_file_ids_out_of_lane_order(fmt, merge):
     """Spans follow file ids, not lanes: here another image's files come
-    first and this image's files were created against lane order."""
+    first and this image's files were created against lane order.  The
+    image is served alternately through that stack and a plainly attached
+    one, whose ids run the other way: its list table, banded by file id,
+    must follow whichever stack reads it."""
     ring = np.column_stack((np.arange(48), (np.arange(48) * 7 + 1) % 48))
     image = build_directed(ring, 48, name="g", weights=np.ones(48), fmt=fmt)
     other = build_directed(ring[::-1], 48, name="other", fmt=fmt)
@@ -147,7 +152,12 @@ def test_file_ids_out_of_lane_order(fmt, merge):
         ("self", np.arange(0, 48, 3), EdgeType.BOTH),
         ("vertices", 5, np.arange(40, 8, -2), EdgeType.OUT, True),
     ]
-    fids = _engine(image, merge, attach)._lane_fids.tolist()
+    fids = list(_engine(image, merge, attach)._lane_fids)
     # out-edges, out-attrs, in-edges, in-attrs: ids descend over the lanes.
     assert fids == [4, 3, 2, -1]
-    _check(image, merge, requests, attach)
+    assert list(_engine(image, merge)._lane_fids) == [0, 2, 1, -1]
+    spans = [_check(image, merge, requests, stack) for stack in (attach, None, attach, None)]
+    assert set(spans[0].file_ids.tolist()) == {2, 3, 4}
+    assert set(spans[1].file_ids.tolist()) == {0, 1, 2}
+    for a, b in zip(spans, spans[2:]):
+        np.testing.assert_array_equal(a.file_ids, b.file_ids)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.safs.io_request import merge_request_arrays
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
-from tests.safs.reads import submit_reads
+from tests.safs.reads import merge_reads, submit_reads
 
 PAGE = 4096
 
@@ -53,9 +52,7 @@ class TestSubmit:
         safs = make_safs()
         file = safs.create_file("f", bytes(PAGE * 32))
         reads = [(file, p * PAGE, 16) for p in (30, 2, 17, 5)]
-        spans = merge_request_arrays(
-            [file.file_id] * 4, [o for _, o, _ in reads], [16] * 4, PAGE
-        )
+        spans = merge_reads(reads, PAGE)
         done, cpu, issued, io_ids = safs.submit_spans(
             spans, {file.file_id: file}, 0.0
         )

@@ -110,3 +110,20 @@ class TestDispatch:
             scheduler.dispatch_span(file, 2, 4, 1.0)
         assert scheduler.stats.snapshot() == before
         assert len(scheduler.cache) == 1
+
+    @pytest.mark.parametrize("first, last", [(2, 1), (-3, 0), (-1, -1)])
+    def test_inverted_or_negative_span_rejected_before_any_counter_moves(
+        self, scheduler, first, last
+    ):
+        # An inverted span would count as a zero-page full hit; a negative
+        # first page would read flash pages of the file laid out before.
+        before_file = SAFSFile("before", bytes(PAGE * 4))
+        file = SAFSFile("a", bytes(PAGE * 4))
+        scheduler.register_file(before_file)
+        scheduler.register_file(file)
+        dispatch_bytes(scheduler, file, 0, PAGE, 0.0)
+        before = scheduler.stats.snapshot()
+        with pytest.raises(ValueError, match="inverted or negative"):
+            scheduler.dispatch_span(file, first, last, 1.0)
+        assert scheduler.stats.snapshot() == before
+        assert len(scheduler.cache) == 1

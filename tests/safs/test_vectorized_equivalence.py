@@ -4,10 +4,12 @@ to its per-object reference implementations.
 Two invariants back the engine's read path (see ``docs/architecture.md``,
 "The read path"):
 
-- ``merge_request_arrays`` produces span-for-span the same merge as the
-  object-based ``merge_requests`` — same spans, same part-to-span
-  assignment, same stable ``(file, offset)`` order — for every
-  ``adjacency_gap`` and ``window``;
+- ``merge_request_arrays``, over requests banded by ``band_requests``
+  with a band fixed by the files alone (as the list table's is), produces
+  span-for-span the same merge as the object-based ``merge_requests`` —
+  same spans, same part-to-span assignment, same stable ``(file,
+  offset)`` order — for every ``adjacency_gap`` and ``window``, over
+  several files of different sizes and duplicate requests;
 - ``PageCache.lookup_range`` / ``insert_range`` return the miss runs and
   eviction counts, and leave every counter *and* the full recency state,
   exactly where the page-by-page walk of ``reference_page_cache.py``
@@ -20,50 +22,63 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
+from repro.safs.io_request import (
+    IORequest,
+    band_requests,
+    merge_request_arrays,
+    merge_requests,
+)
 from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.sim.stats import StatsCollector
 from tests.safs.reference_page_cache import ReferencePageCache
 
 PAGE = 512
-FILE_BYTES = PAGE * 64
+#: Three files of different sizes, the largest 64 pages.
+FILE_BYTES = (PAGE * 64, PAGE * 17 + 100, PAGE * 3)
 
 
-# One (offset, length) request against one of up to three files.
+# One (offset, length) request against one of the three files.
 request_strategy = st.tuples(
     st.integers(min_value=0, max_value=2),  # file slot
-    st.integers(min_value=0, max_value=FILE_BYTES - 1),  # offset
+    st.integers(min_value=0, max_value=FILE_BYTES[0] - 1),  # offset
     st.integers(min_value=1, max_value=PAGE * 3),  # length
 )
 
 
-def _clamp(offset, length):
-    return min(length, FILE_BYTES - offset)
-
-
 @given(
     raw=st.lists(request_strategy, min_size=0, max_size=40),
+    duplicates=st.lists(st.integers(min_value=0, max_value=39), max_size=8),
     adjacency_gap=st.integers(min_value=0, max_value=3),
     window=st.one_of(st.none(), st.integers(min_value=1, max_value=10)),
+    spare=st.sampled_from([0, 1, 1000]),
 )
-@settings(max_examples=200, deadline=None)
-def test_merge_arrays_matches_merge_requests(raw, adjacency_gap, window):
-    files = [SAFSFile(f"f{i}", bytes(FILE_BYTES)) for i in range(3)]
-    requests = [
-        IORequest(files[slot], offset, _clamp(offset, length))
-        for slot, offset, length in raw
-    ]
+@settings(max_examples=300, deadline=None)
+def test_merge_arrays_matches_merge_requests(raw, duplicates, adjacency_gap, window, spare):
+    files = [SAFSFile(f"f{i}", bytes(size)) for i, size in enumerate(FILE_BYTES)]
+    if raw:
+        # Duplicate rows: the same read requested again later in the wave.
+        raw = raw + [raw[i % len(raw)] for i in duplicates]
+    requests = []
+    for slot, offset, length in raw:
+        size = FILE_BYTES[slot]
+        offset %= size
+        requests.append(IORequest(files[slot], offset, min(length, size - offset)))
     merged = merge_requests(
         requests, PAGE, adjacency_gap=adjacency_gap, window=window
     )
-    spans = merge_request_arrays(
-        np.asarray([r.file.file_id for r in requests]),
-        np.asarray([r.offset for r in requests]),
-        np.asarray([r.length for r in requests]),
+    # The band depends on the files alone, never on the wave: the largest
+    # file's pages plus the gap plus 2 (the list table's rule), or wider.
+    band = files[0].num_pages(PAGE) + adjacency_gap + 2 + spare
+    keys, last = band_requests(
+        [r.file.file_id for r in requests],
+        [r.offset for r in requests],
+        [r.length for r in requests],
         PAGE,
-        adjacency_gap=adjacency_gap,
-        window=window,
+        band,
+    )
+    spans = merge_request_arrays(
+        keys, last, PAGE, band, adjacency_gap=adjacency_gap, window=window
     )
 
     assert spans.num_spans == len(merged)
@@ -80,6 +95,41 @@ def test_merge_arrays_matches_merge_requests(raw, adjacency_gap, window):
     # span_of_part is grouped: non-decreasing along the sorted elements.
     if spans.span_of_part.size:
         assert np.all(np.diff(spans.span_of_part) >= 0)
+
+
+@pytest.mark.parametrize(
+    "file_ids, offsets, lengths, message",
+    [
+        # The inverted span first_pages=[1], last_pages=[0] at the parent.
+        ([0], [4096], [0], "length must be positive"),
+        ([0], [4096], [-5], "length must be positive"),
+        ([0], [-1], [10], "offset cannot be negative"),
+        ([-1], [0], [10], "file ids cannot be negative"),
+        # A wrong-sized column broadcast silently at the parent.
+        ([0, 0], [0, 100], [10], "of one length"),
+        ([0], [0, 100], [10, 10], "of one length"),
+        ([[0]], [[0]], [[10]], "1-D"),
+        ([0], [7 * 4096], [4097], "escapes its file's band"),
+    ],
+)
+def test_band_requests_rejects_what_io_request_rejects(file_ids, offsets, lengths, message):
+    with pytest.raises(ValueError, match=message):
+        band_requests(file_ids, offsets, lengths, 4096, band=8)
+
+
+def test_banded_merge_rejects_bad_arguments():
+    keys, last = band_requests([0, 1], [0, 10], [5, 5], PAGE, band=4)
+    with pytest.raises(ValueError, match="page size"):
+        band_requests([0], [0], [1], 0, band=4)
+    with pytest.raises(ValueError, match="one length"):
+        merge_request_arrays(keys, last[:1], PAGE, 4)
+    with pytest.raises(ValueError, match="adjacency_gap"):
+        merge_request_arrays(keys, last, PAGE, 4, adjacency_gap=-1)
+    with pytest.raises(ValueError, match="window"):
+        merge_request_arrays(keys, last, PAGE, 4, window=0)
+    spans = merge_request_arrays(keys, last, PAGE, 4)
+    assert spans.file_ids.tolist() == [0, 1]
+    assert spans.first_pages.tolist() == spans.last_pages.tolist() == [0, 0]
 
 
 # A cache operation over a page span; ``invalidate`` drops the span's
