@@ -38,7 +38,7 @@ from repro.core.scheduler import make_scheduler
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.obs import registry as reg
 from repro.graph.builder import GraphImage
-from repro.graph.format import FORMAT_V2, decode_lists_v2
+from repro.graph.format import FORMAT_V2
 from repro.graph.page_vertex import (
     DIRECTIONS as _DIRECTIONS,
     PageVertexBatch,
@@ -936,8 +936,9 @@ class GraphEngine:
         bounded queue window or not at all for the two Figure 12
         counterfactuals — then issued span by span.  Its
         elements complete with their span; they are delivered in the
-        stable completion-time order, and the edge lists are read out of
-        the image's edge files in one pass, in that order.
+        stable completion-time order, and the edge lists are read in one
+        gather, in that order, out of the image's edge words (v2 files
+        decoded once per image, :meth:`GraphImage.edge_words`).
         """
         image, safs, config = self.image, self.safs, self.config
         table, source, band = image.list_table(self._lane_fids, safs.page_size)
@@ -994,9 +995,7 @@ class GraphEngine:
         # Attribute rows ride along: their degree is 0.
         if image.fmt == FORMAT_V2:
             wave.decode_sizes = sizes[arrived] * (wave.kinds != _ATTRS)
-            wave.edges = decode_lists_v2(source, positions[arrived], wave.degrees)
-        else:
-            wave.edges = gather_ranges(source, positions[arrived], wave.degrees)
+        wave.edges = gather_ranges(source, positions[arrived], wave.degrees)
         self._deliver_wave(worker, wave)
 
     def _deliver_wave(self, worker: _Worker, wave: _Wave) -> None:

@@ -24,6 +24,7 @@ from repro.graph.format import (
     EDGE_BYTES,
     HEADER_BYTES,
     csr_from_sorted_keys,
+    decode_lists_v2,
     edge_keys,
     serialize_adjacency,
     serialize_adjacency_v2,
@@ -32,6 +33,10 @@ from repro.graph.format import (
 from repro.graph.index import GraphIndex, build_index, build_index_v2
 from repro.graph.page_vertex import DIRECTIONS
 from repro.graph.types import EdgeType
+
+#: Edges per :func:`decode_lists_v2` call as an image decodes its v2 files
+#: (:meth:`GraphImage.edge_words`): it bounds the int64 temporaries to ~3 MiB.
+DECODE_CHUNK_EDGES = 1 << 15
 
 
 @dataclass
@@ -76,11 +81,14 @@ class GraphImage:
     _list_table: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _edge_words: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def list_table(self, file_ids, page_size: int) -> Tuple[np.ndarray, np.ndarray, int]:
         """``(table, source, band)``: where every edge list and attribute
-        block lies, keyed for the semi-external read path to locate and
-        merge a wave with one gather.
+        block lies, keyed for the semi-external read path to locate, merge
+        and read a wave with one gather each.
 
         ``table[:, lane * n + v]`` describes vertex ``v`` in lane ``2 * d +
         a``: the edge list (``a = 0``) or attribute block (``a = 1``) of
@@ -89,52 +97,67 @@ class GraphImage:
         byte key ``offset + file_ids[lane] * band * page_size`` and banded
         last page that :func:`~repro.safs.io_request.merge_request_arrays`
         takes, the size, the degree (0 for an attribute block) and the
-        list's position in ``source`` — the edge files end to end, as u32
-        words at the first neighbor (v1) or bytes at the record (v2).
-        ``band`` is the lane files' largest page count plus 3 (the merge's
-        adjacency gap of 1, plus 2), so sorting by key sorts by ``(file id,
-        offset)`` and no merged span crosses a file.
+        word position of the list's first neighbor in ``source``
+        (:meth:`edge_words`), so ``gather_ranges(source, positions,
+        degrees)`` reads a wave's lists in either format.  ``band`` is the
+        lane files' largest page count plus 3 (the merge's adjacency gap of
+        1, plus 2), so sorting by key sorts by ``(file id, offset)`` and no
+        merged span crosses a file.
 
-        The table depends on the SAFS stack's file ids, so it is cached for
-        the last ``(file_ids, page_size)`` asked for.  Every engine on the
-        image reads that one table and copies none of it: it is 5 int64
-        per vertex and lane, the largest array the read path holds.  Like
-        the indexes' exact tables it is simulator speed, not modelled RAM.
+        Only the keys depend on the SAFS stack's file ids, so the table is
+        cached for the last ``(file_ids, page_size)`` asked for, while
+        ``source`` is built once per image.  Every engine on the image
+        reads that one table and copies none of it: it is 5 int64 per
+        vertex and lane, the largest array the read path holds.  Like the
+        indexes' exact tables, both are simulator speed, not modelled RAM.
         """
         key = (tuple(file_ids), page_size)
         if self._list_table is None or self._list_table[0] != key:
+            source = self.edge_words()
             n = self.num_vertices
             table = np.zeros((5, 4 * n), dtype=np.int64)
-            files = []
             for code, direction in enumerate(DIRECTIONS):
-                data = self.file_bytes(direction)
-                if not files or data is not files[-1]:  # undirected: one file
-                    base = sum(map(len, files))
-                    files.append(data)
                 index = self.index(direction)
                 offsets = index._exact_offsets()
                 lists = table[:, 2 * code * n : (2 * code + 1) * n]
                 lists[0] = offsets[:-1]
                 lists[2] = np.diff(offsets)
                 lists[3] = index._full_degrees()
+                # A directed image's in-file follows its out-file, which
+                # holds as many words; an undirected image has one file.
+                base = source.size // 2 if code and self.directed else 0
                 if self.fmt == FORMAT_V2:
-                    lists[4] = base + lists[0]
+                    lists[4] = base + lists[3].cumsum() - lists[3]
                 else:
-                    lists[4] = (base + lists[0] + HEADER_BYTES) // EDGE_BYTES
+                    lists[4] = base + (lists[0] + HEADER_BYTES) // EDGE_BYTES
                 blocks = self.attr_offsets.get(direction)
                 if blocks is not None:
                     attrs = table[:, (2 * code + 1) * n : (2 * code + 2) * n]
                     attrs[0] = blocks[:-1]
                     attrs[2] = np.diff(blocks)
-            stored = (*files, *self.attr_bytes.values())
+            stored = (self.out_bytes, self.in_bytes, *self.attr_bytes.values())
             band = max(-(-len(data) // page_size) for data in stored) + 3
             lift = np.repeat(np.asarray(key[0], dtype=np.int64) * band, n)
             table[1] = (table[0] + table[2] - 1) // page_size + lift
             table[0] += lift * page_size
-            dtype = np.uint8 if self.fmt == FORMAT_V2 else "<u4"
-            source = np.frombuffer(b"".join(files), dtype=dtype)
             self._list_table = key, (table, source, band)
         return self._list_table[1]
+
+    def edge_words(self) -> np.ndarray:
+        """The edge files end to end as u32 words: v1's as stored, v2's
+        neighbor ids decoded list after list, once per image and in chunks
+        of lists, so a corrupt v2 list raises ``decode_lists_v2``'s
+        ``ValueError`` at the first wave that reads the image."""
+        if self._edge_words is None:
+            files = (self.out_bytes, self.in_bytes)[: 1 + self.directed]
+            if self.fmt == FORMAT_V2:
+                words = np.empty(len(files) * self.out_csr.num_edges, dtype=np.uint32)
+                for direction, data, part in zip(DIRECTIONS, files, np.split(words, len(files))):
+                    _decode_file_v2(data, self.index(direction), part)
+            else:
+                words = np.frombuffer(b"".join(files), dtype="<u4")
+            self._edge_words = words
+        return self._edge_words
 
     @property
     def num_edges(self) -> int:
@@ -215,6 +238,21 @@ class GraphImage:
             f"GraphImage(name={self.name!r}, {kind}, "
             f"V={self.num_vertices}, E={self.num_edges})"
         )
+
+
+def _decode_file_v2(data: bytes, index: GraphIndex, out: np.ndarray) -> None:
+    """Decode every list of one v2 edge file into ``out``: one
+    :func:`decode_lists_v2` call per run of lists that start within the
+    same :data:`DECODE_CHUNK_EDGES` edges."""
+    offsets, degrees = index._exact_offsets(), index._full_degrees()
+    starts = degrees.cumsum() - degrees
+    cuts = np.searchsorted(starts, np.arange(0, out.size, DECODE_CHUNK_EDGES)).tolist()
+    data = np.frombuffer(data, dtype=np.uint8)
+    for a, b in zip(cuts, cuts[1:] + [degrees.size]):
+        if a < b:
+            out[starts[a] : starts[a] + degrees[a:b].sum()] = decode_lists_v2(
+                data, offsets[a:b], degrees[a:b]
+            )
 
 
 def _build_direction(

@@ -355,9 +355,11 @@ def decode_lists_v2(
 
     ``file_bytes`` is the whole edge file as a ``uint8`` array;
     ``offsets[i]``/``degrees[i]`` locate list ``i``.  Returns all neighbor
-    ids concatenated in list order as ``uint32`` — the batched decode the
-    engine's vectorized SEM path runs once per delivered wave.  No Python
-    loop touches an edge.
+    ids concatenated in list order as ``uint32``; raises ``ValueError``
+    when a neighbor id overflows u32.  A :class:`GraphImage
+    <repro.graph.builder.GraphImage>` runs it once per v2 edge file, over
+    chunks of lists (``GraphImage.edge_words``), not once per wave.  No
+    Python loop touches an edge.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)

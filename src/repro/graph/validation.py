@@ -5,8 +5,8 @@ three representations a :class:`~repro.graph.builder.GraphImage` carries —
 serialized edge-list files, compact index, CSR adjacency — against each
 other and reports every inconsistency:
 
-- every edge list parses at exactly the offset the index computes, with
-  the vertex ID and degree the index promises;
+- every edge list parses, in the image's format, at exactly the offset
+  the index computes, with the vertex ID and degree the index promises;
 - file sizes match the index's computed layout;
 - for directed graphs, the in-edge file is the exact transpose of the
   out-edge file;
@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from repro.graph.builder import GraphImage
-from repro.graph.format import parse_edge_list
+from repro.graph.format import FORMAT_V2, parse_edge_list, parse_edge_list_v2
 from repro.graph.types import EdgeType
 
 
@@ -59,9 +59,10 @@ def _validate_direction(image: GraphImage, direction: EdgeType, report: Validati
         return
     num_vertices = image.num_vertices
     offsets, sizes = index.locate_many(np.arange(num_vertices))
+    parse = parse_edge_list_v2 if image.fmt == FORMAT_V2 else parse_edge_list
     for vertex in range(num_vertices):
         try:
-            vid, neighbors = parse_edge_list(data, int(offsets[vertex]))
+            vid, neighbors = parse(data, int(offsets[vertex]))
         except ValueError as exc:
             report.add(f"{direction.value}: vertex {vertex} unparseable: {exc}")
             continue

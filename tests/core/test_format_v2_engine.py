@@ -6,19 +6,23 @@ drop, and the decode counters must appear in v2 runs only — a v1 run's
 counter stream stays exactly the legacy stream.
 """
 
+import sys
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.wcc import WCCProgram
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
-from repro.graph.builder import build_directed
+from repro.graph import format as graph_format
+from repro.graph.builder import GraphImage, _build_direction, build_directed
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 from repro.obs import registry as reg
+from repro.safs.filesystem import SAFS
 
 from tests.conftest import scalar_hooks_only
 
@@ -127,3 +131,80 @@ def test_format_mismatch_on_attach_rejected():
     )
     with pytest.raises(ValueError, match="format"):
         clash.run(_make_program("wcc", v2_image), max_iterations=1)
+
+
+@pytest.fixture()
+def decode_calls(monkeypatch):
+    """Calls of ``decode_lists_v2`` under every name a ``repro`` module
+    binds it to, so a caller in any module is counted."""
+    calls = []
+    original = graph_format.decode_lists_v2
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _sem_engine(image, safs=None):
+    config = EngineConfig(mode=ExecutionMode.SEMI_EXTERNAL, num_threads=4)
+    return GraphEngine(image, safs=safs, config=config)
+
+
+def test_v2_image_is_decoded_once(decode_calls):
+    """The first semi-external wave decodes the image's files; no later
+    wave, run or SAFS stack decodes them again."""
+    image = _image(FORMAT_V2)
+    first = _sem_engine(image)
+    levels, _ = bfs(first)
+    assert decode_calls
+    decode_calls.clear()
+    again, _ = bfs(_sem_engine(image))
+    assert not decode_calls
+    # Another image's files first: this image's files get other ids.
+    safs = SAFS()
+    build_directed(np.array([[0, 1]]), 2, name="first", fmt=FORMAT_V2).attach_to_safs(safs)
+    second = _sem_engine(image, safs)
+    other, _ = bfs(second)
+    assert not decode_calls
+    ids_a, ids_b = first._lane_fids, second._lane_fids
+    assert ids_a != ids_b
+    page_size = safs.page_size
+    assert image.list_table(ids_a, page_size)[1] is image.list_table(ids_b, page_size)[1]
+    np.testing.assert_array_equal(levels, again)
+    np.testing.assert_array_equal(levels, other)
+
+
+def test_v1_image_is_never_decoded(decode_calls):
+    image = _image(FORMAT_V1)
+    bfs(_sem_engine(image))
+    bfs(_sem_engine(image))
+    assert not decode_calls
+
+
+@pytest.mark.parametrize("source", [0, 1])
+def test_u32_overflow_raises_at_the_first_wave(source):
+    """Vertex 0's first delta grows by one, so its second neighbor id
+    passes 2**32 - 1.  The decode checks every list of the file, so the
+    first wave raises whichever list it reads."""
+    indptr = np.array([0, 2, 3, 3])
+    indices = np.array([1, 0xFFFFFFFF, 0], dtype=np.uint32)
+    csr, data, index = _build_direction(indptr, indices, FORMAT_V2)
+    data = bytearray(data)
+    data[index.locate(0)[0] + 9] += 1  # first delta 1 -> 2, so 2 + (2**32 - 2)
+    data = bytes(data)
+    image = GraphImage(
+        name="overflow", num_vertices=3, directed=False,
+        out_csr=csr, in_csr=csr, out_bytes=data, in_bytes=data,
+        out_index=index, in_index=index, edge_count=3, fmt=FORMAT_V2,
+    )
+    engine = _sem_engine(image)
+    with pytest.raises(ValueError, match="corrupt v2 edge list"):
+        bfs(engine, source=source)
+    assert engine.stats.get(reg.ENGINE_EDGES_DELIVERED) == 0

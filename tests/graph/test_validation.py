@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.graph.builder import build_directed, build_undirected
+from repro.graph.generators import rmat_graph
 from repro.graph.validation import ValidationReport, validate_image
+
+BUILDS = {"directed": build_directed, "undirected": build_undirected}
 
 
 class TestCleanImages:
@@ -28,6 +31,30 @@ class TestCleanImages:
     def test_transpose_check_optional(self, er_image):
         report = validate_image(er_image, check_transpose=False)
         assert report.ok
+
+
+@pytest.mark.parametrize("fmt", ["v1", "v2"])
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+class TestEveryFormat:
+    """Each list is parsed in its image's format (a v2 image used to be
+    parsed as v1 and fail on every nonempty list)."""
+
+    def test_clean_image_validates(self, fmt, kind):
+        edges, n = rmat_graph(8, 8)
+        image = BUILDS[kind](edges, n, name="v-fmt", fmt=fmt)
+        report = validate_image(image)
+        assert report.ok, report.errors[:3]
+        directions = 2 if image.directed else 1
+        assert report.vertices_checked == directions * n
+        assert report.edges_checked == directions * image.out_csr.num_edges
+
+    def test_corrupted_neighbor_reported(self, fmt, kind):
+        image = BUILDS[kind](np.array([[0, 1], [0, 2], [1, 2]]), 3, name="v-fmt-c", fmt=fmt)
+        data = bytearray(image.out_bytes)
+        data[image.out_index.locate(0)[0] + 8 + (fmt == "v2")] += 1  # vertex 0's first neighbor
+        image.out_bytes = bytes(data)
+        report = validate_image(image)
+        assert any("vertex 0 neighbors differ" in e for e in report.errors), report.errors
 
 
 class TestCorruptionDetection:
