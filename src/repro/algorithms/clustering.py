@@ -12,22 +12,16 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.algorithms.triangle_count import TriangleCountProgram
+from repro.algorithms.triangle_count import triangle_count
 from repro.core.engine import GraphEngine, RunResult
 from repro.graph.builder import GraphImage
+from repro.graph.sets import union_segments
 
 
 def undirected_degrees(image: GraphImage) -> np.ndarray:
     """Distinct-neighbor counts on the undirected projection, self-loops
     excluded."""
-    num_vertices = image.num_vertices
-    degrees = np.zeros(num_vertices, dtype=np.int64)
-    for vertex in range(num_vertices):
-        merged = np.union1d(
-            image.out_csr.neighbors(vertex), image.in_csr.neighbors(vertex)
-        )
-        degrees[vertex] = int((merged != vertex).sum())
-    return degrees
+    return union_segments(image).degrees()
 
 
 def clustering_coefficients(
@@ -39,12 +33,11 @@ def clustering_coefficients(
     than two neighbors have coefficient 0 (the networkx convention).
     """
     image = engine.image
-    program = TriangleCountProgram(image.num_vertices, image.directed)
-    result = engine.run(program)
+    triangles, result = triangle_count(engine)
     degrees = undirected_degrees(image)
     pairs = degrees * (degrees - 1)
     coefficients = np.zeros(image.num_vertices)
     valid = pairs > 0
-    coefficients[valid] = 2.0 * program.triangles[valid] / pairs[valid]
+    coefficients[valid] = 2.0 * triangles[valid] / pairs[valid]
     average = float(coefficients.mean()) if image.num_vertices else 0.0
     return coefficients, average, result

@@ -19,7 +19,9 @@ import numpy as np
 from repro.core.engine import GraphEngine, RunResult
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.graph.builder import GraphImage
+from repro.graph.format import run_starts
 from repro.graph.page_vertex import PageVertex
+from repro.graph.sets import union_segments
 from repro.graph.types import EdgeType
 
 
@@ -97,31 +99,17 @@ def modularity(image: GraphImage, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if labels.size != image.num_vertices:
         raise ValueError("one label per vertex is required")
-    # Undirected projection: union of out- and in-neighbors, each
-    # undirected edge counted once.
-    edges = set()
-    for direction in (EdgeType.OUT, EdgeType.IN):
-        csr = image.csr(direction)
-        for v in range(image.num_vertices):
-            for u in csr.neighbors(v):
-                u = int(u)
-                if u != v:
-                    edges.add((min(v, u), max(v, u)))
-        if not image.directed:
-            break
-    m = len(edges)
+    # Each undirected edge appears twice in the projection, once per end.
+    csr = union_segments(image)
+    m = csr.num_edges // 2
     if m == 0:
         return 0.0
-    degrees = np.zeros(image.num_vertices, dtype=np.int64)
-    internal = 0
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-        if labels[u] == labels[v]:
-            internal += 1
-    # Sum of (community degree)^2 via bincount on label ids.
-    unique, inverse = np.unique(labels, return_inverse=True)
-    community_degree = np.zeros(unique.size, dtype=np.float64)
-    np.add.at(community_degree, inverse, degrees)
+    degrees = csr.degrees()
+    rows = np.repeat(np.arange(image.num_vertices), degrees)
+    internal = int(np.count_nonzero(labels[rows] == labels[csr.indices])) // 2
+    # Sum of (community degree)^2: sort the labels, reduce each run.
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(run_starts(labels[order]))
+    community_degree = np.add.reduceat(degrees[order], starts).astype(np.float64)
     expected = float((community_degree**2).sum()) / (4.0 * m * m)
     return internal / m - expected

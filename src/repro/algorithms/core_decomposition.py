@@ -18,6 +18,7 @@ from repro.algorithms.bc import merge_results
 from repro.core.engine import GraphEngine, RunResult
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.graph.page_vertex import PageVertex
+from repro.graph.sets import loopless_degrees
 from repro.graph.types import EdgeType
 
 
@@ -59,12 +60,8 @@ def core_decomposition(engine: GraphEngine) -> Tuple[np.ndarray, RunResult]:
     if image.directed:
         raise ValueError("core decomposition expects an undirected image")
     num_vertices = image.num_vertices
-    degrees = image.out_csr.degrees().astype(np.int64)
     # Self-loops do not contribute to core degree.
-    for vertex in range(num_vertices):
-        neighbors = image.out_csr.neighbors(vertex)
-        if neighbors.size and np.any(neighbors == vertex):
-            degrees[vertex] -= 1
+    degrees = loopless_degrees(image.out_csr)
 
     core = np.zeros(num_vertices, dtype=np.int64)
     alive = np.ones(num_vertices, dtype=bool)

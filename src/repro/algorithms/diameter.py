@@ -13,47 +13,23 @@ from typing import Tuple
 import numpy as np
 
 from repro.graph.builder import CSR, GraphImage
-
-
-def _undirected_csr(image: GraphImage) -> CSR:
-    if not image.directed:
-        return image.out_csr
-    num_vertices = image.num_vertices
-    out_csr, in_csr = image.out_csr, image.in_csr
-    degrees = np.diff(out_csr.indptr) + np.diff(in_csr.indptr)
-    indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.uint32)
-    cursor = indptr[:-1].copy()
-    for vertex in range(num_vertices):
-        for csr in (out_csr, in_csr):
-            neighbors = csr.neighbors(vertex)
-            end = cursor[vertex] + neighbors.size
-            indices[cursor[vertex] : end] = neighbors
-            cursor[vertex] = end
-    return CSR(indptr, indices)
+from repro.graph.sets import rows_union, union_segments
 
 
 def _bfs_eccentricity(csr: CSR, source: int) -> Tuple[int, int]:
     """``(eccentricity, farthest_vertex)`` from ``source`` via frontier BFS."""
-    num_vertices = csr.indptr.size - 1
-    visited = np.zeros(num_vertices, dtype=bool)
+    visited = np.zeros(csr.indptr.size - 1, dtype=bool)
     visited[source] = True
     frontier = np.asarray([source], dtype=np.int64)
     level = 0
     last = source
     while True:
-        chunks = [csr.neighbors(int(v)) for v in frontier]
-        if chunks:
-            nxt = np.unique(np.concatenate(chunks).astype(np.int64))
-            nxt = nxt[~visited[nxt]]
-        else:
-            nxt = np.zeros(0, dtype=np.int64)
-        if nxt.size == 0:
+        frontier = rows_union(csr, frontier)
+        frontier = frontier[~visited[frontier]]
+        if frontier.size == 0:
             return level, last
-        visited[nxt] = True
-        frontier = nxt
-        last = int(nxt[0])
+        visited[frontier] = True
+        last = int(frontier[0])
         level += 1
 
 
@@ -61,7 +37,7 @@ def estimate_diameter(image: GraphImage, num_sweeps: int = 8, seed: int = 0) -> 
     """A double-sweep lower bound on the diameter, ignoring direction."""
     if num_sweeps <= 0:
         raise ValueError("need at least one sweep")
-    csr = _undirected_csr(image)
+    csr = union_segments(image)
     rng = np.random.default_rng(seed)
     best = 0
     start = int(rng.integers(0, image.num_vertices))

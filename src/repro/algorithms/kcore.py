@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.engine import GraphEngine, RunResult
 from repro.core.vertex_program import GraphContext, VertexProgram
 from repro.graph.page_vertex import PageVertex
+from repro.graph.sets import loopless_degrees
 from repro.graph.types import EdgeType
 
 
@@ -76,11 +77,7 @@ def kcore(engine: GraphEngine, k: int) -> Tuple[np.ndarray, RunResult]:
     if image.directed:
         raise ValueError("k-core peeling expects an undirected image")
     # Self-loops do not contribute to core degree.
-    degrees = image.out_csr.degrees().astype(np.int64)
-    for vertex in range(image.num_vertices):
-        neighbors = image.out_csr.neighbors(vertex)
-        if neighbors.size and np.any(neighbors == vertex):
-            degrees[vertex] -= 1
+    degrees = loopless_degrees(image.out_csr)
     program = KCoreProgram(image.num_vertices, k, degrees)
     result = engine.run(program)
     return program.alive, result

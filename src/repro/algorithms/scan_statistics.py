@@ -10,45 +10,31 @@ largest-degree vertices first, and every vertex whose upper bound
 computation entirely — on power-law graphs almost every vertex is pruned.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.algorithms.neighborhood import NeighborhoodProgram
 from repro.core.config import ScheduleOrder
 from repro.core.engine import GraphEngine, RunResult
-from repro.core.vertex_program import GraphContext, VertexProgram
-from repro.graph.page_vertex import PageVertex
+from repro.core.vertex_program import GraphContext
 from repro.graph.types import EdgeType
 
 
-class ScanStatisticsProgram(VertexProgram):
+class ScanStatisticsProgram(NeighborhoodProgram):
     """Maximal locality statistic with degree-descending pruning."""
 
     combiner = None
-    state_bytes_per_vertex = 8
+    drop_neighbor_loops = False
 
     def __init__(self, num_vertices: int, directed: bool) -> None:
-        self.directed = directed
-        self.edge_type = EdgeType.BOTH if directed else EdgeType.OUT
+        super().__init__(directed)
         #: Locality statistic per vertex; -1 where pruning skipped it.
         self.scan = np.full(num_vertices, -1, dtype=np.int64)
         self.max_scan = 0
         self.argmax = -1
         self.pruned = 0
-        self._own_parts: Dict[int, List[np.ndarray]] = {}
-        self._neighborhood: Dict[int, np.ndarray] = {}
-        self._nbr_parts: Dict[Tuple[int, int], List[np.ndarray]] = {}
         self._among: Dict[int, int] = {}
-        self._outstanding: Dict[int, int] = {}
-
-    def _lists_per_vertex(self) -> int:
-        return 2 if self.directed else 1
-
-    def _undirected_degree(self, g: GraphContext, vertex: int) -> int:
-        degree = g.degree(vertex, EdgeType.OUT)
-        if self.directed:
-            degree += g.degree(vertex, EdgeType.IN)
-        return degree
 
     def custom_order(self, active: np.ndarray, iteration: int) -> np.ndarray:
         """Largest-degree first — the paper's custom scheduler."""
@@ -60,66 +46,27 @@ class ScanStatisticsProgram(VertexProgram):
         self._order_degrees = degrees
 
     def run(self, g: GraphContext, vertex: int) -> None:
-        degree = self._undirected_degree(g, vertex)
+        degree = g.degree(vertex, EdgeType.OUT)
+        if self.directed:
+            degree += g.degree(vertex, EdgeType.IN)
         bound = degree + degree * (degree - 1) // 2
         if bound <= self.max_scan:
             self.pruned += 1
             return
         g.request_self(vertex, self.edge_type)
 
-    def run_on_vertex(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
-        owner = page_vertex.vertex_id
-        if owner == vertex:
-            self._on_own_list(g, vertex, page_vertex)
-        else:
-            self._on_neighbor_list(g, vertex, owner, page_vertex)
+    def neighbors_to_request(self, vertex: int, neighborhood: np.ndarray) -> np.ndarray:
+        return neighborhood
 
-    def _on_own_list(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
-        parts = self._own_parts.setdefault(vertex, [])
-        parts.append(page_vertex.read_edges())
-        if len(parts) < self._lists_per_vertex():
-            return
-        del self._own_parts[vertex]
-        merged = np.unique(np.concatenate(parts))
-        neighborhood = merged[merged != vertex].astype(np.int64)
-        if neighborhood.size == 0:
-            self._finish(vertex, 0, 0)
-            return
-        self._neighborhood[vertex] = neighborhood
-        self._among[vertex] = 0
-        self._outstanding[vertex] = neighborhood.size * self._lists_per_vertex()
-        g.request_vertices(vertex, neighborhood, self.edge_type)
-
-    def _on_neighbor_list(
-        self, g: GraphContext, vertex: int, owner: int, page_vertex: PageVertex
+    def on_common(
+        self, g: GraphContext, vertex: int, owner: int, closing: np.ndarray
     ) -> None:
-        key = (vertex, owner)
-        parts = self._nbr_parts.setdefault(key, [])
-        parts.append(page_vertex.read_edges())
-        if len(parts) == self._lists_per_vertex():
-            del self._nbr_parts[key]
-            mine = self._neighborhood[vertex]
-            # Union the owner's directions first: a reciprocal pair of
-            # directed edges is one edge of the undirected projection.
-            others = (
-                np.unique(np.concatenate(parts))
-                if len(parts) > 1
-                else np.unique(parts[0])
-            ).astype(np.int64)
-            g.charge_edges(mine.size + others.size)
-            common = np.intersect1d(mine, others, assume_unique=True)
-            # Each neighbor-neighbor edge is visible from both endpoints;
-            # count it at the lower-ID one only.
-            self._among[vertex] += int((common > owner).sum())
-        self._outstanding[vertex] -= 1
-        if self._outstanding[vertex] == 0:
-            neighborhood = self._neighborhood.pop(vertex)
-            among = self._among.pop(vertex)
-            del self._outstanding[vertex]
-            self._finish(vertex, neighborhood.size, among)
+        # Each neighbor-neighbor edge is visible from both endpoints;
+        # count it at the lower-ID one only.
+        self._among[vertex] = self._among.get(vertex, 0) + int(closing.size)
 
-    def _finish(self, vertex: int, degree: int, among: int) -> None:
-        statistic = degree + among
+    def on_done(self, vertex: int, neighborhood: np.ndarray) -> None:
+        statistic = neighborhood.size + self._among.pop(vertex, 0)
         self.scan[vertex] = statistic
         if statistic > self.max_scan:
             self.max_scan = statistic
@@ -129,19 +76,21 @@ class ScanStatisticsProgram(VertexProgram):
 def scan_statistics(engine: GraphEngine) -> Tuple[int, int, RunResult]:
     """The maximal locality statistic and its vertex.
 
-    Returns ``(max_scan, argmax_vertex, result)``.  Installs the paper's
-    degree-descending custom scheduler; the engine's config should use
-    ``ScheduleOrder.CUSTOM`` to benefit (the helper forces it).
+    Returns ``(max_scan, argmax_vertex, result)``.  Runs under the
+    paper's degree-descending custom scheduler (``ScheduleOrder.CUSTOM``)
+    whatever the engine's config says, and gives the engine its own config
+    back afterwards, so the next program on it runs as configured.
     """
-    if engine.config.schedule_order is not ScheduleOrder.CUSTOM:
-        engine.config = engine.config.with_overrides(
-            schedule_order=ScheduleOrder.CUSTOM
-        )
     image = engine.image
     program = ScanStatisticsProgram(image.num_vertices, image.directed)
     degrees = image.out_csr.degrees().astype(np.int64)
     if image.directed:
         degrees = degrees + image.in_csr.degrees()
     program.attach_degrees(degrees)
-    result = engine.run(program)
+    config = engine.config
+    engine.config = config.with_overrides(schedule_order=ScheduleOrder.CUSTOM)
+    try:
+        result = engine.run(program)
+    finally:
+        engine.config = config
     return program.max_scan, program.argmax, result

@@ -13,80 +13,28 @@ request for thousands of neighbor lists splits into parts other threads
 can execute.
 """
 
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.algorithms.neighborhood import NeighborhoodProgram
 from repro.core.engine import GraphEngine, RunResult
-from repro.core.vertex_program import GraphContext, VertexProgram
-from repro.graph.page_vertex import PageVertex
-from repro.graph.types import EdgeType
+from repro.core.vertex_program import GraphContext
 
 
-class TriangleCountProgram(VertexProgram):
+class TriangleCountProgram(NeighborhoodProgram):
     """Per-vertex triangle counts over the undirected projection."""
 
-    combiner = "sum"
-    state_bytes_per_vertex = 8
-
     def __init__(self, num_vertices: int, directed: bool) -> None:
-        self.directed = directed
-        self.edge_type = EdgeType.BOTH if directed else EdgeType.OUT
+        super().__init__(directed)
         self.triangles = np.zeros(num_vertices, dtype=np.int64)
-        # Transient per-vertex buffers while requests are in flight.
-        self._own_parts: Dict[int, List[np.ndarray]] = {}
-        self._neighborhood: Dict[int, np.ndarray] = {}
-        self._nbr_parts: Dict[Tuple[int, int], List[np.ndarray]] = {}
-        self._outstanding: Dict[int, int] = {}
 
-    def _lists_per_vertex(self) -> int:
-        return 2 if self.directed else 1
+    def neighbors_to_request(self, vertex: int, neighborhood: np.ndarray) -> np.ndarray:
+        return neighborhood[neighborhood > vertex]
 
-    def run(self, g: GraphContext, vertex: int) -> None:
-        g.request_self(vertex, self.edge_type)
-
-    def run_on_vertex(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
-        owner = page_vertex.vertex_id
-        if owner == vertex:
-            self._on_own_list(g, vertex, page_vertex)
-        else:
-            self._on_neighbor_list(g, vertex, owner, page_vertex)
-
-    def _on_own_list(self, g: GraphContext, vertex: int, page_vertex: PageVertex) -> None:
-        parts = self._own_parts.setdefault(vertex, [])
-        parts.append(page_vertex.read_edges())
-        if len(parts) < self._lists_per_vertex():
-            return
-        del self._own_parts[vertex]
-        neighborhood = _union_without(parts, vertex)
-        higher = neighborhood[neighborhood > vertex]
-        if higher.size == 0:
-            return
-        self._neighborhood[vertex] = neighborhood
-        self._outstanding[vertex] = higher.size * self._lists_per_vertex()
-        g.request_vertices(vertex, higher, self.edge_type)
-
-    def _on_neighbor_list(
-        self, g: GraphContext, vertex: int, owner: int, page_vertex: PageVertex
+    def on_common(
+        self, g: GraphContext, vertex: int, owner: int, closing: np.ndarray
     ) -> None:
-        key = (vertex, owner)
-        parts = self._nbr_parts.setdefault(key, [])
-        parts.append(page_vertex.read_edges())
-        if len(parts) == self._lists_per_vertex():
-            del self._nbr_parts[key]
-            self._count_with(g, vertex, owner, _union_without(parts, owner))
-        self._outstanding[vertex] -= 1
-        if self._outstanding[vertex] == 0:
-            del self._outstanding[vertex]
-            del self._neighborhood[vertex]
-
-    def _count_with(
-        self, g: GraphContext, vertex: int, owner: int, neighbor_set: np.ndarray
-    ) -> None:
-        mine = self._neighborhood[vertex]
-        g.charge_edges(mine.size + neighbor_set.size)
-        common = np.intersect1d(mine, neighbor_set, assume_unique=True)
-        closing = common[common > owner]
         if closing.size == 0:
             return
         # One triangle (vertex, owner, w) per closing w: count locally,
@@ -103,11 +51,6 @@ class TriangleCountProgram(VertexProgram):
     def total_triangles(self) -> int:
         """Triangles in the graph (each contributes 3 corner counts)."""
         return int(self.triangles.sum()) // 3
-
-
-def _union_without(parts: List[np.ndarray], vertex: int) -> np.ndarray:
-    merged = np.unique(np.concatenate(parts)) if len(parts) > 1 else np.unique(parts[0])
-    return merged[merged != vertex].astype(np.int64)
 
 
 def triangle_count(engine: GraphEngine) -> Tuple[np.ndarray, RunResult]:

@@ -14,7 +14,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.graph.builder import GraphImage
+from repro.graph.builder import CSR, GraphImage
+from repro.graph.format import gather_ranges
+from repro.graph.sets import intersect_count_segments, rows_union, union_segments
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class BaselineReport:
 
 def bfs_trace(image: GraphImage, source: int) -> Tuple[np.ndarray, WorkloadTrace]:
     """Top-down BFS levels plus its per-iteration workload."""
-    indptr, indices = image.out_csr.indptr, image.out_csr.indices
+    indptr = image.out_csr.indptr
     n = image.num_vertices
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
@@ -71,12 +73,7 @@ def bfs_trace(image: GraphImage, source: int) -> Tuple[np.ndarray, WorkloadTrace
     while frontier.size:
         edges = int((indptr[frontier + 1] - indptr[frontier]).sum())
         trace.iterations.append(IterationStats(int(frontier.size), edges))
-        chunks = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-        neighbors = (
-            np.unique(np.concatenate(chunks)).astype(np.int64)
-            if chunks
-            else np.zeros(0, dtype=np.int64)
-        )
+        neighbors = rows_union(image.out_csr, frontier)
         frontier = neighbors[levels[neighbors] == -1]
         level += 1
         levels[frontier] = level
@@ -110,9 +107,7 @@ def pagerank_trace(
         trace.iterations.append(IterationStats(int(active.size), edges))
         if senders.size:
             per_edge = np.repeat(push[sending] / out_deg[senders], out_deg[senders])
-            dests = np.concatenate(
-                [indices[indptr[v] : indptr[v + 1]] for v in senders]
-            ).astype(np.int64)
+            dests = gather_ranges(indices, indptr[senders], out_deg[senders]).astype(np.int64)
             np.add.at(pending, dests, per_edge)
     return rank + pending, trace
 
@@ -120,34 +115,20 @@ def pagerank_trace(
 def wcc_trace(image: GraphImage) -> Tuple[np.ndarray, WorkloadTrace]:
     """Min-label propagation components plus workload."""
     n = image.num_vertices
-    out_indptr, out_indices = image.out_csr.indptr, image.out_csr.indices
-    in_indptr, in_indices = image.in_csr.indptr, image.in_csr.indices
     labels = np.arange(n, dtype=np.int64)
     active = np.arange(n, dtype=np.int64)
     trace = WorkloadTrace("wcc")
     while active.size:
-        edges = int(
-            (out_indptr[active + 1] - out_indptr[active]).sum()
-            + (in_indptr[active + 1] - in_indptr[active]).sum()
-        )
-        trace.iterations.append(IterationStats(int(active.size), edges))
+        edges = 0
         proposals = labels.copy()
-        for indptr, indices in ((out_indptr, out_indices), (in_indptr, in_indices)):
-            if active.size == n:
-                dests = indices.astype(np.int64)
-                values = np.repeat(labels, np.diff(indptr))
-            else:
-                dests = np.concatenate(
-                    [indices[indptr[v] : indptr[v + 1]] for v in active]
-                ).astype(np.int64)
-                values = np.repeat(
-                    labels[active], (indptr[active + 1] - indptr[active])
-                )
-            if dests.size:
-                np.minimum.at(proposals, dests, values)
-        changed = np.nonzero(proposals < labels)[0]
+        for csr in (image.out_csr, image.in_csr):
+            degrees = csr.indptr[active + 1] - csr.indptr[active]
+            edges += int(degrees.sum())
+            dests = gather_ranges(csr.indices, csr.indptr[active], degrees).astype(np.int64)
+            np.minimum.at(proposals, dests, np.repeat(labels[active], degrees))
+        trace.iterations.append(IterationStats(int(active.size), edges))
+        active = np.nonzero(proposals < labels)[0]
         labels = proposals
-        active = changed
     return labels, trace
 
 
@@ -169,54 +150,45 @@ def bc_trace(image: GraphImage, source: int) -> Tuple[np.ndarray, WorkloadTrace]
     return levels, trace
 
 
+def _projection_pairs(image: GraphImage) -> Tuple[CSR, np.ndarray, np.ndarray]:
+    """The undirected projection ``N`` and a pair ``(v, u)`` per ``u`` in ``N(v)``."""
+    csr = union_segments(image)
+    return csr, np.repeat(np.arange(image.num_vertices), csr.degrees()), csr.indices
+
+
 def triangle_trace(image: GraphImage) -> Tuple[int, WorkloadTrace]:
     """Exact triangle count plus intersection workload.
 
     Workload counts, for every vertex, the sizes of the adjacency lists it
-    must intersect — the same work every engine has to do.
+    must intersect — the same work every engine has to do.  Each edge
+    ``v < u`` of the projection ``N`` intersects ``N(v)`` with ``N(u)``,
+    and its common members above ``u`` close one triangle each; the work,
+    ``|N(v)| + |N(u)|`` over those edges, is the sum of squared degrees.
     """
-    n = image.num_vertices
-    neighbor_sets = []
-    out = image.out_csr
-    inc = image.in_csr
-    for v in range(n):
-        merged = np.union1d(out.neighbors(v), inc.neighbors(v)).astype(np.int64)
-        neighbor_sets.append(merged[merged != v])
-    total = 0
-    work = 0
-    for v in range(n):
-        mine = neighbor_sets[v]
-        higher = mine[mine > v]
-        for u in higher:
-            other = neighbor_sets[int(u)]
-            work += mine.size + other.size
-            common = np.intersect1d(mine, other, assume_unique=True)
-            total += int((common > u).sum())
+    csr, v, u = _projection_pairs(image)
+    higher = u > v
+    v, u = v[higher], u[higher]
+    total = int(intersect_count_segments(csr, v, u, u).sum())
+    degrees = csr.degrees()
     trace = WorkloadTrace("triangle_count")
-    trace.iterations.append(IterationStats(n, work))
+    trace.iterations.append(IterationStats(image.num_vertices, int(degrees @ degrees)))
     return total, trace
 
 
 def scan_trace(image: GraphImage) -> Tuple[int, WorkloadTrace]:
     """Exact maximum locality statistic plus workload (no pruning — the
-    unpruned cost generic engines pay)."""
-    n = image.num_vertices
-    out, inc = image.out_csr, image.in_csr
-    neighbor_sets = []
-    for v in range(n):
-        merged = np.union1d(out.neighbors(v), inc.neighbors(v)).astype(np.int64)
-        neighbor_sets.append(merged[merged != v])
-    best = 0
-    work = 0
-    for v in range(n):
-        mine = neighbor_sets[v]
-        among = 0
-        for u in mine:
-            other = neighbor_sets[int(u)]
-            work += mine.size + other.size
-            common = np.intersect1d(mine, other, assume_unique=True)
-            among += int((common > u).sum())
-        best = max(best, int(mine.size) + among)
+    unpruned cost generic engines pay).
+
+    Every vertex ``v`` intersects ``N(v)`` with each neighbor's ``N(u)``
+    and counts the common members above ``u``; its statistic is its
+    degree plus those counts.  The work, ``|N(v)| + |N(u)|`` over every
+    ``(v, u)``, is twice the sum of squared degrees.
+    """
+    csr, v, u = _projection_pairs(image)
+    degrees = csr.degrees()
+    closing = intersect_count_segments(csr, v, u, u)
+    among = np.bincount(v, weights=closing, minlength=degrees.size).astype(np.int64)
+    best = int((degrees + among).max(initial=0))
     trace = WorkloadTrace("scan_statistics")
-    trace.iterations.append(IterationStats(n, work))
+    trace.iterations.append(IterationStats(image.num_vertices, 2 * int(degrees @ degrees)))
     return best, trace

@@ -28,6 +28,8 @@ from repro.baselines.common import (
     wcc_trace,
 )
 from repro.graph.builder import GraphImage
+from repro.graph.format import gather_ranges, run_starts
+from repro.graph.sets import rows_union
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def direction_optimizing_trace(
 ) -> Tuple[np.ndarray, WorkloadTrace]:
     """Exact edges-examined trace of a Beamer-style BFS."""
     n = image.num_vertices
-    out_indptr, out_indices = image.out_csr.indptr, image.out_csr.indices
+    out_indptr = image.out_csr.indptr
     in_indptr, in_indices = image.in_csr.indptr, image.in_csr.indices
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
@@ -75,28 +77,21 @@ def direction_optimizing_trace(
             bottom_up = True
         if bottom_up:
             unvisited = np.nonzero(levels == -1)[0]
-            examined = 0
-            adopted = []
-            for v in unvisited:
-                parents = in_indices[in_indptr[v] : in_indptr[v + 1]]
-                hits = np.nonzero(levels[parents] == level)[0]
-                if hits.size:
-                    # Beamer's early exit: stop at the first found parent.
-                    examined += int(hits[0]) + 1
-                    adopted.append(v)
-                else:
-                    examined += parents.size
-            trace.iterations.append(IterationStats(int(unvisited.size), examined))
-            frontier = np.asarray(adopted, dtype=np.int64)
+            starts = in_indptr[unvisited]
+            examined = in_indptr[unvisited + 1] - starts
+            parents = gather_ranges(in_indices, starts, examined)
+            hits = np.nonzero(levels[parents] == level)[0]
+            owners = np.repeat(np.arange(unvisited.size), examined)[hits]
+            # Beamer's early exit: a vertex stops at its first found parent.
+            first = run_starts(owners)
+            adopters = owners[first]
+            examined[adopters] = hits[first] - (examined.cumsum() - examined)[adopters] + 1
+            trace.iterations.append(IterationStats(int(unvisited.size), int(examined.sum())))
+            frontier = unvisited[adopters]
         else:
             examined = int((out_indptr[frontier + 1] - out_indptr[frontier]).sum())
             trace.iterations.append(IterationStats(int(frontier.size), examined))
-            chunks = [out_indices[out_indptr[v] : out_indptr[v + 1]] for v in frontier]
-            neighbors = (
-                np.unique(np.concatenate(chunks)).astype(np.int64)
-                if chunks
-                else np.zeros(0, dtype=np.int64)
-            )
+            neighbors = rows_union(image.out_csr, frontier)
             frontier = neighbors[levels[neighbors] == -1]
         level += 1
         levels[frontier] = level

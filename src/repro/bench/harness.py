@@ -26,7 +26,7 @@ from repro.baselines import (
     PowerGraphEngine,
     XStreamEngine,
 )
-from repro.core.config import EngineConfig, ExecutionMode, ScheduleOrder
+from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine, RunResult
 from repro.obs import registry as reg
 from repro.graph.builder import GraphImage
@@ -126,9 +126,6 @@ def run_algorithm(
     elif app == "tc":
         _, result = triangle_count(engine)
     elif app == "ss":
-        engine.config = engine.config.with_overrides(
-            schedule_order=ScheduleOrder.CUSTOM
-        )
         _, _, result = scan_statistics(engine)
     else:
         raise ValueError(f"unknown app {app!r}; pick from {PAPER_APPS}")

@@ -24,8 +24,10 @@ from repro.graph.format import (
     EDGE_BYTES,
     HEADER_BYTES,
     csr_from_sorted_keys,
+    csr_keys,
     decode_lists_v2,
     edge_keys,
+    run_starts,
     serialize_adjacency,
     serialize_adjacency_v2,
     serialize_attributes,
@@ -327,8 +329,7 @@ def build_directed(
     del keys
     out_csr, out_bytes, out_index = _build_direction(*out_lists, fmt)
     # The in-lists' keys dst * n + src, from the out-CSR.
-    keys = np.multiply(out_csr.indices, num_vertices, dtype=np.int64)
-    keys += np.repeat(np.arange(num_vertices, dtype=np.uint32), out_csr.degrees())
+    keys = csr_keys(out_csr.indptr, out_csr.indices, num_vertices, transpose=True)
     keys.sort()
     in_lists = csr_from_sorted_keys(keys, num_vertices)
     del keys
@@ -432,20 +433,12 @@ def _dedup(
     keys = edge_keys(edges, num_vertices, canonical)
     if weights is None:
         keys.sort()
-        return keys[_run_starts(keys)], None
+        return keys[run_starts(keys)], None
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(_run_starts(keys))
+    starts = np.flatnonzero(run_starts(keys))
     first = np.minimum.reduceat(order, starts)
     return keys[starts], weights[first]
-
-
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Mask of the first key of each run of equal ``sorted_keys``."""
-    starts = np.empty(sorted_keys.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-    return starts
 
 
 def _attach_weights(image: GraphImage, weights: np.ndarray) -> None:

@@ -217,6 +217,34 @@ def csr_from_sorted_keys(
     return indptr, indices
 
 
+def csr_keys(
+    indptr: np.ndarray, indices: np.ndarray, num_vertices: int, transpose: bool = False
+) -> np.ndarray:
+    """The int64 keys ``row * n + neighbor`` of a CSR's edges — the inverse
+    of :func:`csr_from_sorted_keys` — or, with ``transpose``, the keys
+    ``neighbor * n + row`` of the reversed edges."""
+    degrees = np.diff(indptr)
+    if transpose:
+        # The keys before the row temporary: the other order leaves a
+        # 4 B/edge higher heap high-water mark behind after the builder.
+        keys = np.multiply(indices, num_vertices, dtype=np.int64)
+        keys += np.repeat(np.arange(num_vertices, dtype=np.uint32), degrees)
+    else:
+        keys = np.repeat(np.arange(num_vertices, dtype=np.int64) * num_vertices, degrees)
+        keys += indices
+    return keys
+
+
+def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal ``sorted_keys``: with
+    ``np.sort`` it is the sort-reduce that stands in for ``np.unique``
+    (see ``docs/graph_format.md``)."""
+    starts = np.empty(sorted_keys.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    return starts
+
+
 def adjacency_from_edges(
     edges: np.ndarray, num_vertices: int
 ) -> Tuple[np.ndarray, np.ndarray]:

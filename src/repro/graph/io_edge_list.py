@@ -127,9 +127,6 @@ def image_to_networkx(image: GraphImage) -> nx.Graph:
     """Rebuild a networkx graph from a :class:`GraphImage` (for tests)."""
     graph = nx.DiGraph() if image.directed else nx.Graph()
     graph.add_nodes_from(range(image.num_vertices))
-    indptr = image.out_csr.indptr
-    indices = image.out_csr.indices
-    for v in range(image.num_vertices):
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            graph.add_edge(v, int(u))
+    sources = np.repeat(np.arange(image.num_vertices), image.out_csr.degrees())
+    graph.add_edges_from(zip(sources.tolist(), image.out_csr.indices.tolist()))
     return graph

@@ -20,7 +20,7 @@ from typing import List
 import numpy as np
 
 from repro.graph.builder import GraphImage
-from repro.graph.format import FORMAT_V2, parse_edge_list, parse_edge_list_v2
+from repro.graph.format import FORMAT_V2, csr_keys, parse_edge_list, parse_edge_list_v2
 from repro.graph.types import EdgeType
 
 
@@ -99,14 +99,10 @@ def _validate_direction(image: GraphImage, direction: EdgeType, report: Validati
 
 
 def _validate_transpose(image: GraphImage, report: ValidationReport) -> None:
-    out_edges = set()
-    for vertex in range(image.num_vertices):
-        for neighbor in image.out_csr.neighbors(vertex):
-            out_edges.add((vertex, int(neighbor)))
-    in_edges = set()
-    for vertex in range(image.num_vertices):
-        for neighbor in image.in_csr.neighbors(vertex):
-            in_edges.add((int(neighbor), vertex))
+    # Both directions keyed src * n + dst, the in-edges transposed back.
+    n, out_csr, in_csr = image.num_vertices, image.out_csr, image.in_csr
+    out_edges = set(csr_keys(out_csr.indptr, out_csr.indices, n).tolist())
+    in_edges = set(csr_keys(in_csr.indptr, in_csr.indices, n, transpose=True).tolist())
     missing = out_edges - in_edges
     extra = in_edges - out_edges
     if missing:

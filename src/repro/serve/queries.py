@@ -22,6 +22,7 @@ from repro.algorithms.pagerank import (
 from repro.algorithms.wcc import WCCProgram
 from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import GraphImage
+from repro.graph.sets import loopless_degrees
 from repro.serve.results import image_digest
 
 #: k for "kcore" queries.
@@ -197,12 +198,7 @@ class QueryFactory:
         if self._kcore_degrees is None:
             # Self-loops do not contribute to core degree (the same
             # correction repro.algorithms.kcore.kcore applies per run).
-            degrees = image.out_csr.degrees().astype(np.int64)
-            for vertex in range(image.num_vertices):
-                neighbors = image.out_csr.neighbors(vertex)
-                if neighbors.size and np.any(neighbors == vertex):
-                    degrees[vertex] -= 1
-            self._kcore_degrees = degrees
+            self._kcore_degrees = loopless_degrees(image.out_csr)
         program = KCoreProgram(
             image.num_vertices, KCORE_K, self._kcore_degrees.copy()
         )

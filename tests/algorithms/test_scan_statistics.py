@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bfs import bfs
 from repro.algorithms.scan_statistics import ScanStatisticsProgram, scan_statistics
 from repro.core.config import ExecutionMode, ScheduleOrder
 from repro.graph.builder import build_directed, build_undirected
@@ -89,8 +90,27 @@ class TestScanBehaviour:
 
     def test_helper_forces_custom_order(self, er_image):
         engine = engine_for(er_image)  # BY_ID config
-        max_scan, _, _ = scan_statistics(engine)
-        assert engine.config.schedule_order is ScheduleOrder.CUSTOM
+        max_scan, argmax, result = scan_statistics(engine)
+        custom = scan_statistics(
+            engine_for(er_image, schedule_order=ScheduleOrder.CUSTOM)
+        )
+        assert (max_scan, argmax, result.runtime) == (
+            custom[0], custom[1], custom[2].runtime
+        )
+        # ... for the run only: the caller's config comes back.
+        assert engine.config.schedule_order is ScheduleOrder.BY_ID
+
+    def test_engine_runs_as_configured_after_the_helper(self, rmat_image):
+        # In memory, so no page cache warmed by the scan reaches the BFS.
+        engine = engine_for(rmat_image, mode=ExecutionMode.IN_MEMORY)
+        scan_statistics(engine)
+        levels, result = bfs(engine, 0)
+        fresh_levels, fresh = bfs(
+            engine_for(rmat_image, mode=ExecutionMode.IN_MEMORY), 0
+        )
+        assert np.array_equal(levels, fresh_levels)
+        assert result.runtime == fresh.runtime
+        assert result.counters == fresh.counters
 
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=12, deadline=None)
