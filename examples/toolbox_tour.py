@@ -18,10 +18,10 @@ import numpy as np
 
 from repro.algorithms import bfs
 from repro.core import EngineConfig, GraphEngine
-from repro.core.tracing import IterationTracer
 from repro.graph import degree_stats, id_locality, validate_image
 from repro.graph.construction import GraphConstructor
 from repro.graph.generators import twitter_sim
+from repro.obs import arm, write_iteration_csv
 from repro.sim import measured_envelope, profile_random_reads
 
 
@@ -62,15 +62,14 @@ def main() -> None:
     # 5. Trace an engine run.
     engine = GraphEngine(image, config=EngineConfig(num_threads=16, range_shift=6))
     source = int(np.argmax(image.out_csr.degrees()))
-    tracer = IterationTracer(engine)
-    with tracer:
-        levels, result = bfs(engine, source)
+    observer = arm(engine)
+    levels, result = bfs(engine, source)
     print(f"\nBFS trace ({result.iterations} iterations):")
     print("  iter  frontier  pages_fetched  cache_hits")
-    for record in tracer.records:
-        print(f"  {record.iteration:>4}  {record.active_vertices:>8,}  "
-              f"{record.pages_fetched:>13,}  {record.cache_hits:>10,}")
-    tracer.write_csv("/tmp/bfs_trace.csv")
+    for row in observer.iterations:
+        print(f"  {row['iteration']:>4}  {row['frontier']:>8,}  "
+              f"{row['pages_fetched']:>13,}  {row['cache_hits']:>10,}")
+    write_iteration_csv(observer, "/tmp/bfs_trace.csv")
     print("  full trace -> /tmp/bfs_trace.csv")
 
 

@@ -33,8 +33,7 @@ from repro.bench.harness import PAPER_APPS, make_engine, result_row, run_algorit
 from repro.bench.reporting import format_table
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import ExecutionKind, ExecutionMode
-from repro.core.engine import IterationAborted
-from repro.core.tracing import IterationTracer
+from repro.core.engine import IterationAborted, RunResult
 from repro.obs import (
     Observer,
     TimelineSampler,
@@ -46,6 +45,7 @@ from repro.obs import (
     validate_profile,
     validate_slo_report,
     write_chrome,
+    write_iteration_csv,
     write_jsonl,
 )
 from repro.serve import (
@@ -340,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--trace-chrome", help="also write a Chrome trace_event JSON here"
     )
+    prof.set_defaults(trace=None)
     return parser
 
 
@@ -373,6 +374,42 @@ def cmd_generate(args) -> int:
         f"{len(edges):,} edges ({args.graph_format}) -> {args.out}"
     )
     return 0
+
+
+def _run_traced(engine, args, observer) -> Optional[RunResult]:
+    """Run ``args.algorithm`` on ``engine`` and write every trace file
+    ``args`` names from the armed ``observer`` (``None`` when none is
+    named).  An abort is reported, the iterations that completed before
+    it are still written, and ``None`` is returned."""
+    try:
+        result = run_algorithm(
+            engine, args.algorithm, source=args.source,
+            max_iterations=args.max_iterations,
+        )
+    except IterationAborted as aborted:
+        print(
+            f"run aborted at iteration {aborted.iteration}: {aborted.cause}",
+            file=sys.stderr,
+        )
+        result = None
+    if observer is None:
+        return result
+    if args.trace:
+        rows = write_iteration_csv(observer, args.trace)
+        if result is None:
+            print(
+                f"wrote partial {rows}-iteration trace -> {args.trace}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"wrote {rows}-iteration trace -> {args.trace}")
+    if args.trace_spans:
+        write_jsonl(observer, args.trace_spans)
+        print(f"wrote span trace -> {args.trace_spans}")
+    if args.trace_chrome:
+        write_chrome(observer, args.trace_chrome)
+        print(f"wrote Chrome trace -> {args.trace_chrome}")
+    return result
 
 
 def cmd_run(args) -> int:
@@ -418,57 +455,16 @@ def cmd_run(args) -> int:
         iteration = engine.resume_from(manager)
         print(f"resuming from the iteration-{iteration} checkpoint")
     observer = None
-    if args.trace_spans or args.trace_chrome:
+    if args.trace or args.trace_spans or args.trace_chrome:
         observer = arm(engine)
-    tracer = IterationTracer(engine) if args.trace else None
-
-    def write_span_traces() -> None:
-        if observer is None:
-            return
-        if args.trace_spans:
-            write_jsonl(observer, args.trace_spans)
-            print(f"wrote span trace -> {args.trace_spans}")
-        if args.trace_chrome:
-            write_chrome(observer, args.trace_chrome)
-            print(f"wrote Chrome trace -> {args.trace_chrome}")
-
-    try:
-        if tracer:
-            with tracer:
-                result = run_algorithm(
-                    engine, args.algorithm, source=args.source,
-                    max_iterations=args.max_iterations,
-                )
-            tracer.write_csv(args.trace)
-            print(f"wrote {tracer.num_iterations}-iteration trace -> {args.trace}")
-        else:
-            result = run_algorithm(
-                engine, args.algorithm, source=args.source,
-                max_iterations=args.max_iterations,
-            )
-    except IterationAborted as aborted:
-        print(
-            f"run aborted at iteration {aborted.iteration}: {aborted.cause}",
-            file=sys.stderr,
-        )
-        if tracer is not None and tracer.num_iterations:
-            # The tracer's __exit__ already ran (the `with` block above
-            # propagates the abort), so its hook is gone but its records
-            # survive: salvage what completed before the abort.
-            tracer.write_csv(args.trace)
-            print(
-                f"wrote partial {tracer.num_iterations}-iteration trace "
-                f"-> {args.trace}",
-                file=sys.stderr,
-            )
-        write_span_traces()
+    result = _run_traced(engine, args, observer)
+    if result is None:
         if manager is not None and manager.latest() is not None:
             print(
                 f"latest checkpoint: {manager.latest()} (re-run with --resume)",
                 file=sys.stderr,
             )
         return 1
-    write_span_traces()
     label = mode.value
     if execution is not ExecutionKind.SYNC:
         label = f"{mode.value}+{execution.value}"
@@ -755,10 +751,8 @@ def cmd_profile(args) -> int:
         num_threads=args.threads,
     )
     observer = arm(engine)
-    run_algorithm(
-        engine, args.algorithm, source=args.source,
-        max_iterations=args.max_iterations,
-    )
+    if _run_traced(engine, args, observer) is None:
+        return 1
     label = f"{args.algorithm}@{args.dataset}"
     profile = build_profile(observer, label=label)
     problems = validate_profile(profile)
@@ -769,10 +763,6 @@ def cmd_profile(args) -> int:
     with open(args.out, "w") as f:
         json.dump(profile, f, indent=2, sort_keys=True)
         f.write("\n")
-    if args.trace_spans:
-        write_jsonl(observer, args.trace_spans)
-    if args.trace_chrome:
-        write_chrome(observer, args.trace_chrome)
     print(format_profile(profile))
     print(f"wrote profile -> {args.out}")
     return 0

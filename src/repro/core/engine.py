@@ -543,7 +543,8 @@ class GraphEngine:
         an :class:`~repro.sim.faults.UnrecoverableIOError` or a
         :class:`JobCancelled`; cancellations pass ``record_fault=False``
         because they are policy decisions, not faults, and the fault
-        counter must not move.
+        counter must not move.  An armed observer's open iteration row
+        closes at the abort time.
         """
         self._wave.clear()
         self._part_queue.clear()
@@ -555,6 +556,8 @@ class GraphEngine:
             self.stats.add(reg.FAULTS_ABORTED_ITERATIONS)
         barrier = max((w.time for w in self._workers), default=start_time)
         barrier = max(barrier, cause.time)
+        if self.obs is not None:
+            self.obs.abort_iteration(barrier, self._workers, self.stats)
         busy = sum(w.busy for w in self._workers)
         partial = self._make_result(barrier - start_time, busy, base, peak_messages)
         return IterationAborted(self.iteration, cause, partial)
@@ -795,7 +798,8 @@ class GraphEngine:
         obs = self.obs
         if obs is not None:
             obs.begin_iteration(
-                self.iteration, int(frontier.size), start, self._workers
+                self.iteration, int(frontier.size), start, self._workers,
+                self.stats,
             )
 
         # A batch is atomic in the simulation, so cap it at a quarter of

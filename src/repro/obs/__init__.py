@@ -44,6 +44,7 @@ from repro.obs.spans import (
     to_chrome,
     to_jsonl,
     write_chrome,
+    write_iteration_csv,
     write_jsonl,
 )
 from repro.obs.timeline import TimelineSampler
@@ -69,5 +70,6 @@ __all__ = [
     "validate_profile",
     "validate_slo_report",
     "write_chrome",
+    "write_iteration_csv",
     "write_jsonl",
 ]

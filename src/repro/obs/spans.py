@@ -22,11 +22,13 @@ Everything is deterministic: ids are sequence numbers, times are
 simulated floats, and exports sort keys — two runs of the same seeded
 simulation produce byte-identical traces.
 
-Exports: :func:`to_jsonl` (one JSON object per line) and
+Exports: :func:`to_jsonl` (one JSON object per line),
 :func:`to_chrome` (Chrome ``trace_event`` JSON loadable in
-``chrome://tracing`` / Perfetto, one track per device and stack layer).
+``chrome://tracing`` / Perfetto, one track per device and stack layer)
+and :func:`write_iteration_csv` (one CSV row per iteration).
 """
 
+import csv
 import json
 from heapq import heappop, heappush
 from typing import Dict, List, Optional
@@ -42,6 +44,16 @@ _TID_ENGINE = 1
 _TID_SAFS = 2
 _TID_QUERIES = 3
 _TID_DEVICE_BASE = 100
+
+#: The counters each iteration row reports as per-iteration deltas:
+#: ``(row key, counter name)``, in CSV column order.
+_ITERATION_COUNTERS = (
+    ("edges_delivered", registry.ENGINE_EDGES_DELIVERED),
+    ("io_requests", registry.ENGINE_IO_REQUESTS),
+    ("pages_fetched", registry.IO_PAGES_FETCHED),
+    ("cache_hits", registry.CACHE_HITS),
+    ("messages", registry.MSG_DELIVERED),
+)
 
 
 def _jsonable(value):
@@ -63,7 +75,8 @@ class Observer:
     """
 
     def __init__(self) -> None:
-        #: One row per iteration (wall span, busy deltas, stall weights).
+        #: One row per iteration (wall span, busy deltas, stall weights,
+        #: and the deltas of the counters in ``_ITERATION_COUNTERS``).
         self.iterations: List[dict] = []
         #: One record per merged request dispatched through SAFS.
         self.io_spans: List[dict] = []
@@ -91,6 +104,7 @@ class Observer:
         # arrival is the number of earlier attempts still in the queue.
         self._outstanding: Dict[int, list] = {}
         self._busy_base: List[float] = []
+        self._counter_base: List[float] = []
         self._engine = None
 
     # ------------------------------------------------------------------
@@ -150,7 +164,9 @@ class Observer:
     # Engine hooks
     # ------------------------------------------------------------------
 
-    def begin_iteration(self, iteration: int, frontier: int, start: float, workers) -> None:
+    def begin_iteration(
+        self, iteration: int, frontier: int, start: float, workers, stats
+    ) -> None:
         self._iter = {
             "type": "iteration",
             "iteration": int(iteration),
@@ -164,16 +180,25 @@ class Observer:
             "recovery_s": 0.0,
         }
         self._busy_base = [w.busy for w in workers]
+        self._counter_base = [stats.get(name) for _, name in _ITERATION_COUNTERS]
         self.iterations.append(self._tag_query(self._iter))
 
-    def end_iteration(self, barrier: float, workers, engine) -> None:
+    def _close_iteration(self, end: float, workers, stats) -> dict:
+        """Stamp the open row's end, busy and counter deltas; return it."""
         row = self._iter
-        if row is None:
-            return
-        row["end"] = barrier
+        row["end"] = end
         row["busy_sum"] = sum(
             w.busy - b for w, b in zip(workers, self._busy_base)
         )
+        for (key, name), base in zip(_ITERATION_COUNTERS, self._counter_base):
+            row[key] = int(stats.get(name) - base)
+        self._iter = None
+        return row
+
+    def end_iteration(self, barrier: float, workers, engine) -> None:
+        if self._iter is None:
+            return
+        row = self._close_iteration(barrier, workers, engine.stats)
         stats = self.stats
         if stats is not None:
             stats.sample(registry.GAUGE_FRONTIER_SIZE, barrier, row["frontier"])
@@ -191,7 +216,14 @@ class Observer:
             for heap in self._outstanding.values():
                 in_flight += sum(1 for done in heap if done > barrier)
             stats.sample(registry.GAUGE_IN_FLIGHT, barrier, in_flight)
-        self._iter = None
+
+    def abort_iteration(self, time: float, workers, stats) -> None:
+        """Close the open row at an abort: it ends at ``time`` and is
+        marked ``aborted``; no barrier was reached, so no gauge is
+        sampled.  A no-op when no row is open (a cancellation between
+        iterations)."""
+        if self._iter is not None:
+            self._close_iteration(time, workers, stats)["aborted"] = True
 
     # ------------------------------------------------------------------
     # SAFS hooks (filesystem + scheduler)
@@ -469,6 +501,28 @@ def write_jsonl(observer: Observer, path) -> None:
     """Write :func:`to_jsonl` to ``path``."""
     with open(path, "w") as f:
         f.write(to_jsonl(observer))
+
+
+def write_iteration_csv(observer: Observer, path) -> int:
+    """Write the per-iteration trace as CSV; returns the row count.
+
+    A view of :attr:`Observer.iterations`: one row per completed
+    iteration (aborted ones are left out).  The columns are the row's
+    ``iteration``, its ``frontier`` as ``active_vertices``, the counter
+    deltas, and its barrier ``end`` as ``end_time``.
+    """
+    counters = [key for key, _ in _ITERATION_COUNTERS]
+    rows = [row for row in observer.iterations if not row.get("aborted")]
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["iteration", "active_vertices", *counters, "end_time"])
+        for row in rows:
+            writer.writerow(
+                [row["iteration"], row["frontier"]]
+                + [row[key] for key in counters]
+                + [row["end"]]
+            )
+    return len(rows)
 
 
 def _thread_name(tid: int, name: str) -> dict:

@@ -11,7 +11,6 @@ of the SAFS page size, reading one SAFS page costs
 smaller than 4KB does not increase the I/O rate of SSDs).
 """
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.sim.ssd import FLASH_PAGE_SIZE
@@ -88,16 +87,3 @@ class SAFSFile:
 
     def __repr__(self) -> str:
         return f"SAFSFile(name={self.name!r}, size={self.size})"
-
-
-@dataclass(frozen=True)
-class Page:
-    """The identity of one SAFS page (the cache holds keys, never bytes)."""
-
-    file_id: int
-    page_no: int
-
-    @property
-    def key(self) -> tuple:
-        """Cache key identifying this page."""
-        return (self.file_id, self.page_no)

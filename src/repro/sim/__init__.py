@@ -9,8 +9,6 @@ here.
 
 Public surface:
 
-- :class:`~repro.sim.clock.VirtualClock` and
-  :class:`~repro.sim.clock.EventQueue` — virtual-time bookkeeping.
 - :class:`~repro.sim.cost_model.CostModel` — calibrated per-operation CPU
   costs and machine geometry (32 worker threads, as in the paper).
 - :class:`~repro.sim.ssd.SSD` — a single device with an IOPS-limited service
@@ -28,7 +26,6 @@ Public surface:
   (see ``docs/recovery.md``).
 """
 
-from repro.sim.clock import EventQueue, VirtualClock
 from repro.sim.cost_model import CostModel
 from repro.sim.faults import (
     DeviceCompletion,
@@ -62,8 +59,6 @@ from repro.sim.calibration import (
 from repro.sim.stats import StatsCollector
 
 __all__ = [
-    "EventQueue",
-    "VirtualClock",
     "CostModel",
     "SSD",
     "SSDConfig",

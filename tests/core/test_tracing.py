@@ -1,37 +1,43 @@
-"""Tests for the per-iteration tracer."""
+"""Per-iteration tracing: the armed Observer's iteration rows and their
+CSV view (:func:`repro.obs.write_iteration_csv`)."""
 
 import csv
 
 import numpy as np
-import pytest
 
 from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
-from repro.core.config import EngineConfig, ExecutionMode
-from repro.core.engine import GraphEngine, IterationAborted
-from repro.core.tracing import IterationTracer
-from repro.safs.filesystem import SAFS, SAFSConfig
-from repro.sim.faults import DeviceFailure, FaultPlan
-from repro.sim.ssd_array import SSDArray, SSDArrayConfig
+from repro.obs import arm, write_iteration_csv
 
 from tests.conftest import engine_for
+
+#: Each row's counter-delta key and the counter it is a delta of.
+COUNTERS = {
+    "edges_delivered": "engine.edges_delivered",
+    "io_requests": "engine.io_requests",
+    "pages_fetched": "io.pages_fetched",
+    "cache_hits": "cache.hits",
+    "messages": "msg.delivered",
+}
+
+
+def frontier_sizes(observer):
+    return [row["frontier"] for row in observer.iterations]
 
 
 class TestIterationTracer:
     def test_records_one_row_per_iteration(self, rmat_image):
         engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            _, result = bfs(engine, 0)
-        assert tracer.num_iterations == result.iterations
+        observer = arm(engine)
+        _, result = bfs(engine, 0)
+        assert len(observer.iterations) == result.iterations
 
     def test_frontier_curve_matches_bfs_levels(self, rmat_image):
         engine = engine_for(rmat_image)
         source = int(np.argmax(rmat_image.out_csr.degrees()))
-        tracer = IterationTracer(engine)
-        with tracer:
-            levels, _ = bfs(engine, source)
-        for level, size in enumerate(tracer.frontier_sizes()):
+        observer = arm(engine)
+        levels, _ = bfs(engine, source)
+        for level, size in enumerate(frontier_sizes(observer)):
             # The frontier at iteration i contains the level-i vertices
             # plus re-activated already-visited ones; at minimum it covers
             # the level-i set.
@@ -39,92 +45,48 @@ class TestIterationTracer:
 
     def test_first_frontier_is_the_source(self, rmat_image):
         engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            bfs(engine, 0)
-        assert tracer.frontier_sizes()[0] == 1
+        observer = arm(engine)
+        bfs(engine, 0)
+        assert frontier_sizes(observer)[0] == 1
 
     def test_end_times_monotonic(self, rmat_image):
         engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            pagerank(engine, max_iterations=5)
-        times = [r.end_time for r in tracer.records]
+        observer = arm(engine)
+        pagerank(engine, max_iterations=5)
+        times = [row["end"] for row in observer.iterations]
         assert times == sorted(times)
 
-    def test_hook_restored_after_exit(self, rmat_image):
+    def test_counter_deltas_sum_to_the_run(self, rmat_image):
         engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            # The hook shadows the class method via an instance attribute.
-            assert "_run_iteration" in engine.__dict__
-        assert "_run_iteration" not in engine.__dict__
-
-    def test_hook_restored_when_traced_run_raises(self, rmat_image):
-        # Regression: __exit__ must pop the hook even when the body
-        # raises — a stale hook would silently re-trace (and append to
-        # a dead tracer) on every later run of the engine.
-        engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with pytest.raises(ZeroDivisionError):
-            with tracer:
-                bfs(engine, 0)
-                raise ZeroDivisionError
-        assert "_run_iteration" not in engine.__dict__
-        records_after_exit = tracer.num_iterations
-        bfs(engine, 0)  # untraced: must not grow the tracer
-        assert tracer.num_iterations == records_after_exit
-
-    def test_hook_restored_after_fault_aborted_run(self, rmat_image):
-        # The realistic raiser: every device fails at t=0, so the first
-        # semi-external iteration aborts with IterationAborted from
-        # inside the traced hook.
-        array = SSDArray(
-            SSDArrayConfig(),
-            fault_plan=FaultPlan(
-                [DeviceFailure(device=d, at=0.0) for d in range(15)], seed=1
-            ),
-        )
-        safs = SAFS(array, SAFSConfig(cache_bytes=1 << 20), stats=array.stats)
-        engine = GraphEngine(
-            rmat_image,
-            safs=safs,
-            config=EngineConfig(
-                mode=ExecutionMode.SEMI_EXTERNAL, num_threads=4, range_shift=5
-            ),
-        )
-        tracer = IterationTracer(engine)
-        with pytest.raises(IterationAborted):
-            with tracer:
-                bfs(engine, 0)
-        assert "_run_iteration" not in engine.__dict__
-
-    def test_exit_is_idempotent(self, rmat_image):
-        engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            bfs(engine, 0)
-        tracer.__exit__(None, None, None)  # double exit: no error
-        IterationTracer(engine).__exit__(None, None, None)  # exit sans enter
-        assert "_run_iteration" not in engine.__dict__
+        observer = arm(engine)
+        _, result = pagerank(engine, max_iterations=5)
+        for key, name in COUNTERS.items():
+            total = sum(row[key] for row in observer.iterations)
+            assert total == int(result.counters.get(name, 0)), key
+        assert sum(row["pages_fetched"] for row in observer.iterations) > 0
 
     def test_csv_roundtrip(self, rmat_image, tmp_path):
         engine = engine_for(rmat_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            bfs(engine, 0)
+        observer = arm(engine)
+        bfs(engine, 0)
         path = tmp_path / "trace.csv"
-        tracer.write_csv(path)
+        assert write_iteration_csv(observer, path) == len(observer.iterations)
         with open(path) as f:
             rows = list(csv.DictReader(f))
-        assert len(rows) == tracer.num_iterations
+        assert list(rows[0]) == (
+            ["iteration", "active_vertices"] + list(COUNTERS) + ["end_time"]
+        )
+        assert len(rows) == len(observer.iterations)
         assert int(rows[0]["active_vertices"]) == 1
+        for row, traced in zip(rows, observer.iterations):
+            assert int(row["iteration"]) == traced["iteration"]
+            assert int(row["edges_delivered"]) == traced["edges_delivered"]
+            assert float(row["end_time"]) == traced["end"]
 
     def test_pagerank_frontier_shrinks(self, er_image):
         engine = engine_for(er_image)
-        tracer = IterationTracer(engine)
-        with tracer:
-            pagerank(engine, max_iterations=30)
-        sizes = tracer.frontier_sizes()
+        observer = arm(engine)
+        pagerank(engine, max_iterations=30)
+        sizes = frontier_sizes(observer)
         assert sizes[0] == er_image.num_vertices
         assert sizes[-1] < sizes[0]

@@ -80,3 +80,52 @@ class TestReportCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main([str(path)]) == 1
+
+
+class TestAbortedRun:
+    """An abort mid-iteration closes the open row at the abort time."""
+
+    @pytest.fixture(scope="class")
+    def aborted(self):
+        from repro.algorithms.pagerank import pagerank
+        from repro.core.engine import IterationAborted
+        from repro.graph.builder import build_directed
+        from repro.graph.generators import rmat_graph
+        from repro.sim.faults import default_chaos_plan
+
+        edges, n = rmat_graph(10, 8, seed=1)
+        engine = make_engine(
+            build_directed(edges, n, name="rmat"),
+            num_threads=4,
+            range_shift=5,
+            fault_plan=default_chaos_plan(4),
+        )
+        observer = arm(engine)
+        with pytest.raises(IterationAborted) as info:
+            pagerank(engine)
+        return observer, info.value
+
+    def test_row_closes_at_the_abort(self, aborted):
+        observer, exc = aborted
+        row = observer.iterations[-1]
+        assert row["aborted"] is True
+        assert row["iteration"] == exc.iteration
+        assert row["end"] == exc.partial.runtime > row["start"]
+        assert all("aborted" not in r for r in observer.iterations[:-1])
+
+    def test_profile_tiles_the_partial_runtime(self, aborted):
+        observer, exc = aborted
+        profile = build_profile(observer)
+        assert validate_profile(profile) == []
+        assert profile["runtime_s"] == exc.partial.runtime
+        grand = sum(profile["totals"][f"{layer}_s"] for layer in LAYERS)
+        ticks = TICK_SECONDS * (len(profile["iterations"]) + 1)
+        assert abs(grand - exc.partial.runtime) <= ticks
+
+    def test_csv_view_leaves_the_aborted_row_out(self, aborted, tmp_path):
+        from repro.obs import write_iteration_csv
+
+        observer, _ = aborted
+        path = tmp_path / "trace.csv"
+        assert write_iteration_csv(observer, path) == len(observer.iterations) - 1
+        assert len(path.read_text().splitlines()) == len(observer.iterations)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.safs.page import (
     DEFAULT_PAGE_SIZE,
-    Page,
     SAFSFile,
     flash_pages_per_safs_page,
 )
@@ -77,9 +76,3 @@ class TestSAFSFile:
         a = SAFSFile("a", b"x")
         b = SAFSFile("b", b"x")
         assert a.file_id != b.file_id
-
-
-class TestPage:
-    def test_key(self):
-        page = Page(3, 7)
-        assert page.key == (3, 7)

@@ -86,6 +86,37 @@ class TestRun:
         assert trace.exists()
         assert trace.read_text().startswith("iteration,")
 
+    @pytest.mark.parametrize(
+        "algorithm, flags",
+        [
+            ("pr", ["--mode", "in-memory", "--max-iterations", "4"]),
+            ("wcc", ["--execution", "async"]),
+        ],
+        ids=["in-memory", "async"],
+    )
+    def test_run_with_trace_mode(self, tmp_path, capsys, algorithm, flags):
+        graph = tmp_path / "g.txt"
+        trace = tmp_path / "trace.csv"
+        rng = np.random.default_rng(2)
+        save_edges_text(graph, rng.integers(0, 32, size=(128, 2)), 32)
+        rc = cli.main(
+            [
+                "run", "--algorithm", algorithm, "--edges", str(graph),
+                "--threads", "2", "--trace", str(trace),
+            ]
+            + flags
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        lines = trace.read_text().splitlines()
+        assert lines[0].startswith("iteration,active_vertices,")
+        rows = len(lines) - 1
+        assert rows > 0
+        assert f"wrote {rows}-iteration trace" in out
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            str(i) for i in range(rows)
+        ]
+
     def test_run_without_input_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["run", "--algorithm", "bfs"])

@@ -59,7 +59,6 @@ class TestCrossPackageConsistency:
     def test_top_level_modules_importable(self):
         for module in (
             "repro.cli",
-            "repro.core.tracing",
             "repro.graph.construction",
             "repro.graph.validation",
             "repro.graph.transform",
