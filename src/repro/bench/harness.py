@@ -83,7 +83,7 @@ def make_engine(
 
     The robustness knobs (``fault_plan``/``fault_policy``/
     ``health_policy``/``parity``) only apply in semi-external mode; all
-    default to off, which keeps the array on the exact legacy fast path.
+    default to off: a fault-free array without parity or health monitor.
     """
     config = EngineConfig(
         mode=mode,

@@ -58,8 +58,8 @@ class SAFS:
         health_policy: Optional[HealthPolicy] = None,
     ) -> None:
         """``fault_policy`` governs retries, timeouts and degraded-mode
-        rerouting when ``array`` carries a fault plan; the default policy
-        is inert on a fault-free array.  ``health_policy`` attaches a
+        rerouting of every device read; the default policy is inert on a
+        fault-free array.  ``health_policy`` attaches a
         device health monitor (see :mod:`repro.sim.health`) that
         quarantines flapping devices and declares repeat offenders
         failed; without one, no device is ever benched."""

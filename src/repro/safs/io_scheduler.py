@@ -19,6 +19,7 @@ from repro.safs.page import SAFSFile, flash_pages_per_safs_page
 from repro.safs.page_cache import PageCache
 from repro.sim.cost_model import CostModel
 from repro.sim.faults import DEFAULT_FAULT_POLICY, FaultPolicy, UnrecoverableIOError
+from repro.sim.ssd import FLASH_PAGE_SIZE
 from repro.sim.ssd_array import SSDArray
 from repro.sim.stats import StatsCollector
 
@@ -96,11 +97,12 @@ class InflightReadRegistry:
 class IOScheduler:
     """Routes page reads to per-device queues and maintains the cache.
 
-    When the array carries a :class:`~repro.sim.faults.FaultPlan`, every
-    fetch :meth:`dispatch_span` issues runs through the recovery
+    Every fetch :meth:`dispatch_span` issues runs through the recovery
     machinery: per-run retries with exponential backoff in simulated
     time, per-attempt timeouts, and degraded-mode rerouting around dead
     devices, all governed by the :class:`~repro.sim.faults.FaultPolicy`.
+    Without a fault plan no device reports an error, so only a finite
+    ``request_timeout`` can make a run retry.
     """
 
     def __init__(
@@ -189,16 +191,13 @@ class IOScheduler:
     def _fetch_extent(self, issue_time: float, flash_first: int, flash_count: int) -> float:
         """Read one flash extent, recovering from device faults.
 
-        On a fault-free array this is exactly ``array.submit`` — same
-        arithmetic, same counters.  With a fault plan attached, each
-        per-device run is driven individually through :meth:`_fetch_run`
-        so a failed run retries alone: the runs that already succeeded
-        are never resubmitted, which is what keeps retried requests from
-        double-charging device busy time.
+        Each per-device run is driven individually through
+        :meth:`_fetch_run`, so a failed run retries alone: the runs that
+        already succeeded are never resubmitted, which is what keeps
+        retried requests from double-charging device busy time.  The
+        extent completes when its latest run does.
         """
         array = self.array
-        if array.fault_plan is None:
-            return array.submit(issue_time, flash_first, flash_count)
         completion = issue_time
         for device, run_first, run_pages in array.split_extent_runs(
             flash_first, flash_count
@@ -206,7 +205,10 @@ class IOScheduler:
             done = self._fetch_run(device, run_first, run_pages, issue_time)
             if done > completion:
                 completion = done
-        array.count_extent(flash_count)
+        stats = array.stats
+        stats.add(reg.ARRAY_REQUESTS)
+        stats.add(reg.ARRAY_PAGES_READ, flash_count)
+        stats.add(reg.ARRAY_BYTES_READ, flash_count * FLASH_PAGE_SIZE)
         return completion
 
     def _record_device_error(self, device: int, time: float) -> None:

@@ -587,13 +587,21 @@ class GraphService:
         into the shared stats at the end (never mid-run, so per-job
         counter diffs stay unperturbed), and the quota, busy-time and
         cache state a run leaves behind would leak into a second run's
-        report — so a second call raises :class:`RuntimeError`.
+        report — so a second call raises :class:`RuntimeError`.  A trace
+        with an arrival time that is not finite and ``>= 0``, or out of
+        order, raises :class:`ValueError` before any state moves, so the
+        service can still serve a valid trace.
         """
         if self.telemetry is not None:
             raise RuntimeError(
                 "GraphService.serve() runs once per service instance; "
                 "build a new service to serve another trace"
             )
+        for arrival in trace:
+            if not 0.0 <= arrival.time < math.inf:
+                raise ValueError(
+                    f"arrival times must be finite and >= 0, got {arrival.time!r}"
+                )
         for earlier, later in zip(trace, trace[1:]):
             if later.time < earlier.time:
                 raise ValueError("the trace must be sorted by arrival time")

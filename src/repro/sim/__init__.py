@@ -45,8 +45,6 @@ from repro.sim.parity import (
     ParityConfig,
     ParityLayout,
     RebuildState,
-    reconstruct_block,
-    xor_parity,
 )
 from repro.sim.ssd import SSD, SSDConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
@@ -85,6 +83,4 @@ __all__ = [
     "ParityConfig",
     "ParityLayout",
     "RebuildState",
-    "reconstruct_block",
-    "xor_parity",
 ]

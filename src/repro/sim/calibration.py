@@ -52,7 +52,11 @@ def profile_random_reads(
         completions = []
         for i in range(requests_per_point):
             first = (i * stride) % (1 << 30)
-            completions.append(device.submit(0.0, first, pages))
+            # A request completes when its slowest per-device run does.
+            completion = 0.0
+            for index, _, run_pages in device.split_extent_runs(first, pages):
+                completion = max(completion, device.submit_run(index, 0.0, run_pages).time)
+            completions.append(completion)
         drain = device.drain_time()
         iops = requests_per_point / drain
         bandwidth = iops * pages * FLASH_PAGE_SIZE

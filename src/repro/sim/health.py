@@ -104,18 +104,6 @@ class HealthMonitor:
         """Whether the scheduler should route around ``device`` at ``time``."""
         return self.is_failed(device) or self.is_quarantined(device, time)
 
-    def unhealthy_fraction(self, time: float) -> float:
-        """Fraction of the array failed or quarantined at ``time``.
-
-        This is the health signal the serving layer's overload detector
-        folds into its pressure estimate: a half-dead array should trip
-        brownout sooner than a healthy one at the same queue depth.
-        """
-        benched = sum(
-            1 for device in range(self.num_devices) if self.avoid(device, time)
-        )
-        return benched / self.num_devices
-
     def quarantine_release(self, device: int) -> float:
         """End of the device's most recent quarantine window."""
         if not 0 <= device < self.num_devices:

@@ -37,9 +37,7 @@ share of that row are served by the spare's queue at normal cost.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.obs import registry as reg
 from repro.sim.stats import StatsCollector
@@ -155,29 +153,6 @@ class ParityLayout:
             return 0
         units = -(-total_pages // self.stripe_pages)
         return -(-units // self.data_per_row)
-
-
-def xor_parity(blocks: Sequence[bytes]) -> bytes:
-    """XOR parity of equal-length data blocks (the row's parity unit)."""
-    if not blocks:
-        raise ValueError("parity needs at least one data block")
-    arrays = [np.frombuffer(b, dtype=np.uint8) for b in blocks]
-    length = arrays[0].size
-    if any(a.size != length for a in arrays):
-        raise ValueError("all blocks in a parity row must be the same length")
-    return np.bitwise_xor.reduce(arrays, axis=0).tobytes()
-
-
-def reconstruct_block(survivors: Sequence[bytes], parity: bytes) -> bytes:
-    """Recover one lost block from the row's survivors plus parity.
-
-    XOR is its own inverse, so the lost block is simply the XOR of
-    everything that survived.  With ``N - 1`` data blocks per row this
-    recovers any *single* loss exactly; losing two blocks of one row is
-    detected upstream (a dead or rotted peer) and reported, never
-    silently wrong.
-    """
-    return xor_parity(list(survivors) + [parity])
 
 
 class RebuildState:

@@ -69,9 +69,9 @@ class SSD:
     """One simulated device with a FIFO service queue.
 
     SAFS deploys a dedicated I/O thread per SSD; this class *is* that
-    thread's view of the device.  :meth:`submit` is the only operation —
-    writes never happen during computation because the semi-external model
-    avoids writing to SSDs (§3, "Minimize write").
+    thread's view of the device.  :meth:`submit_request` is the only
+    operation — writes never happen during computation because the
+    semi-external model avoids writing to SSDs (§3, "Minimize write").
     """
 
     def __init__(
@@ -87,8 +87,7 @@ class SSD:
         self.name = name
         self.fault_plan = fault_plan
         self.device_index = device_index
-        #: Armed observer (see :mod:`repro.obs`); ``None`` keeps the
-        #: device on the exact legacy fast path.
+        #: Armed observer (see :mod:`repro.obs`); ``None`` = no tracing.
         self.obs = None
         #: Busy-time attribution callback ``(device_index, service)``,
         #: fired for every service charge; the serve layer's tenant
@@ -102,11 +101,6 @@ class SSD:
         # must be cleared by :meth:`reset`.
         self._attempts = 0
         self._stall_time = 0.0
-
-    @property
-    def attempts(self) -> int:
-        """Attempts accepted so far (ordinal of the next attempt minus 1)."""
-        return self._attempts
 
     @property
     def stall_time(self) -> float:
@@ -130,105 +124,65 @@ class SSD:
         cfg = self.config
         return cfg.fixed_overhead + num_pages * cfg.page_transfer_time
 
-    def submit(self, arrival_time: float, num_pages: int) -> float:
-        """Enqueue a read of ``num_pages`` pages at ``arrival_time``.
-
-        Returns the virtual completion time.  The device services requests
-        in arrival order; completion additionally includes the pipelined
-        ``read_latency``.  Only valid on a fault-free device — callers
-        that attached a :class:`~repro.sim.faults.FaultPlan` must use
-        :meth:`submit_request` and handle error completions.
-        """
-        outcome = self.submit_request(arrival_time, num_pages)
-        if not outcome.ok:
-            raise RuntimeError(
-                f"{self.name}: submit() cannot surface a "
-                f"{outcome.error!r} fault; use submit_request()"
-            )
-        return outcome.time
-
     def submit_request(self, arrival_time: float, num_pages: int) -> DeviceCompletion:
         """Enqueue a read and return its :class:`DeviceCompletion`.
 
-        The fault-aware twin of :meth:`submit`: a dead device rejects the
-        attempt immediately (no service charged); stuck-queue windows
-        delay the effective arrival; latency spikes inflate the service
-        time; transient-error windows complete the attempt — charging its
-        full service — but flag the data bad so the SAFS layer retries.
-
-        Without a fault plan the arithmetic is exactly the historical
-        happy path, bit for bit.
+        The device services requests in arrival order; completion
+        additionally includes the pipelined ``read_latency``.  Under a
+        fault plan a dead device rejects the attempt immediately (no
+        service charged); stuck-queue windows delay the effective
+        arrival; latency spikes inflate the service time; transient-error
+        windows complete the attempt — charging its full service — but
+        flag the data bad so the SAFS layer retries.  Without a plan none
+        of those steps runs and the attempt ordinal does not move.
         """
-        if arrival_time < 0.0:
-            raise ValueError("arrival_time cannot be negative")
+        if not arrival_time >= 0.0:
+            raise ValueError(f"arrival_time must be >= 0, got {arrival_time!r}")
+        if num_pages < 1:
+            raise ValueError("a read request must cover at least one page")
         plan = self.fault_plan
-        if plan is None:
-            service = self.service_time(num_pages)
-            start = max(arrival_time, self._busy_until)
-            self._busy_until = start + service
-            self._busy_time += service
-            if self.tenant_sink is not None:
-                self.tenant_sink(self.device_index, service)
-            self.stats.add(reg.SSD_REQUESTS)
-            self.stats.add(reg.SSD_PAGES_READ, num_pages)
-            self.stats.add(reg.SSD_BYTES_READ, num_pages * FLASH_PAGE_SIZE)
-            done = self._busy_until + self.config.read_latency
-            if self.obs is not None:
-                self.obs.device_span(
-                    self, arrival_time, start, service, num_pages, "ok", done
-                )
-            return DeviceCompletion(
-                done,
-                True,
-                None,
-                service,
-                self.device_index,
-            )
-
         device = self.device_index
-        if plan.is_dead(device, arrival_time):
-            self.stats.add(reg.FAULTS_DEAD_REQUESTS)
-            if self.obs is not None:
-                self.obs.device_span(
-                    self, arrival_time, arrival_time, 0.0, num_pages,
-                    "dead", arrival_time,
-                )
-            return DeviceCompletion(arrival_time, False, "dead", 0.0, device)
-        effective_arrival = plan.stall_release(device, arrival_time)
-        if effective_arrival > arrival_time:
-            stalled = effective_arrival - arrival_time
-            self._stall_time += stalled
-            self.stats.add(reg.FAULTS_STALLED_REQUESTS)
-            self.stats.add(reg.FAULTS_STALL_TIME, stalled)
-        self._attempts += 1
-        ordinal = self._attempts
+        start = arrival_time
+        if plan is not None:
+            if plan.is_dead(device, arrival_time):
+                self.stats.add(reg.FAULTS_DEAD_REQUESTS)
+                if self.obs is not None:
+                    self.obs.device_span(
+                        self, arrival_time, arrival_time, 0.0, num_pages,
+                        "dead", arrival_time,
+                    )
+                return DeviceCompletion(arrival_time, False, "dead", 0.0, device)
+            start = plan.stall_release(device, arrival_time)
+            if start > arrival_time:
+                stalled = start - arrival_time
+                self._stall_time += stalled
+                self.stats.add(reg.FAULTS_STALLED_REQUESTS)
+                self.stats.add(reg.FAULTS_STALL_TIME, stalled)
+            self._attempts += 1
         service = self.service_time(num_pages)
-        start = max(effective_arrival, self._busy_until)
-        factor = plan.service_factor(device, start)
-        if factor != 1.0:
-            service *= factor
-            self.stats.add(reg.FAULTS_SPIKED_REQUESTS)
+        start = max(start, self._busy_until)
+        if plan is not None:
+            factor = plan.service_factor(device, start)
+            if factor != 1.0:
+                service *= factor
+                self.stats.add(reg.FAULTS_SPIKED_REQUESTS)
         self._busy_until = start + service
         self._busy_time += service
         if self.tenant_sink is not None:
-            self.tenant_sink(self.device_index, service)
+            self.tenant_sink(device, service)
         self.stats.add(reg.SSD_REQUESTS)
         self.stats.add(reg.SSD_PAGES_READ, num_pages)
         self.stats.add(reg.SSD_BYTES_READ, num_pages * FLASH_PAGE_SIZE)
         done = self._busy_until + self.config.read_latency
-        if plan.read_error(device, ordinal, start):
+        error = None
+        if plan is not None and plan.read_error(device, self._attempts, start):
             self.stats.add(reg.FAULTS_TRANSIENT_ERRORS)
-            if self.obs is not None:
-                self.obs.device_span(
-                    self, arrival_time, start, service, num_pages,
-                    "transient", done,
-                )
-            return DeviceCompletion(done, False, "transient", service, device)
+            error = "transient"
         if self.obs is not None:
             self.obs.device_span(
-                self, arrival_time, start, service, num_pages, "ok", done
+                self, arrival_time, start, service, num_pages, error or "ok", done
             )
-        return DeviceCompletion(done, True, None, service, device)
+        return DeviceCompletion(done, error is None, error, service, device)
 
     def media_rotted(self, first_page: int, num_pages: int, time: float) -> int:
         """Rotted flash pages among ``[first_page, first_page+num_pages)``.

@@ -3,8 +3,10 @@
 The paper's testbed attaches 15 SSDs that together deliver ~900,000 reads
 per second.  SAFS stripes file pages across the devices and drives each one
 from a dedicated I/O thread; here each :class:`~repro.sim.ssd.SSD` carries
-its own queue, and a request that spans a stripe boundary is split into
-per-device sub-requests whose completion is the latest sub-completion.
+its own queue: :meth:`SSDArray.split_extent_runs` splits a request at
+stripe boundaries into per-device runs, each submitted through
+:meth:`SSDArray.submit_run`, and the SAFS scheduler completes the request
+when its latest run completes.
 
 With a :class:`~repro.sim.parity.ParityConfig` attached the array lays
 pages out in rotating-parity rows instead of plain round-robin: a lost
@@ -131,30 +133,19 @@ class SSDArray:
             return self.layout.device_for_page(page_no)
         return (page_no // self.config.stripe_pages) % self.config.num_ssds
 
-    def split_extent(self, first_page: int, num_pages: int) -> List[Tuple[int, int]]:
-        """Split a page extent into maximal per-device runs.
-
-        Returns ``(device_index, run_pages)`` tuples in page order.  Runs on
-        the same device separated by other devices' stripes are *not*
-        coalesced: each stripe crossing is a distinct sub-request, which is
-        exactly why FlashGraph's conservative merging only joins requests on
-        the same or adjacent pages (§3.6).
-        """
-        return [
-            (device, run_pages)
-            for device, _, run_pages in self.split_extent_runs(first_page, num_pages)
-        ]
-
     def split_extent_runs(
         self, first_page: int, num_pages: int
     ) -> List[Tuple[int, int, int]]:
-        """Like :meth:`split_extent`, keeping each run's page identity.
+        """Split a page extent into maximal per-device runs.
 
-        Returns ``(device_index, run_first_page, run_pages)`` tuples: the
-        fault-recovering dispatch path needs the page numbers to check
-        silent rot and to locate the parity row of a failed run.  Runs
-        never cross a stripe-unit boundary, so each one lies in exactly
-        one parity row.
+        Returns ``(device_index, run_first_page, run_pages)`` tuples in
+        page order.  Runs on the same device separated by other devices'
+        stripes are *not* coalesced: each stripe crossing is a distinct
+        sub-request, which is exactly why FlashGraph's conservative
+        merging only joins requests on the same or adjacent pages (§3.6).
+        The read path needs the page numbers to check silent rot and to
+        locate the parity row of a failed run; runs never cross a
+        stripe-unit boundary, so each one lies in exactly one parity row.
         """
         if num_pages <= 0:
             raise ValueError("an extent must cover at least one page")
@@ -171,44 +162,18 @@ class SSDArray:
             remaining -= run
         return runs
 
-    def submit(self, arrival_time: float, first_page: int, num_pages: int) -> float:
-        """Read ``num_pages`` pages starting at ``first_page``.
-
-        Each stripe-aligned run goes to its owning device's queue; the
-        request completes when the slowest run completes.
-        """
-        completion = arrival_time
-        for device, run_pages in self.split_extent(first_page, num_pages):
-            done = self._ssds[device].submit(arrival_time, run_pages)
-            if done > completion:
-                completion = done
-        self.stats.add(reg.ARRAY_REQUESTS)
-        self.stats.add(reg.ARRAY_PAGES_READ, num_pages)
-        self.stats.add(reg.ARRAY_BYTES_READ, num_pages * FLASH_PAGE_SIZE)
-        return completion
-
     def submit_run(
         self, device: int, arrival_time: float, num_pages: int
     ) -> DeviceCompletion:
         """Submit one per-device run and return its outcome.
 
-        The fault-aware building block the SAFS scheduler drives: it
-        touches exactly one device queue and reports errors instead of
-        raising, so the caller can retry, back off or re-route.
-        ``device`` may name a hot spare (indices past ``num_ssds``).
+        The array's one read entry, driven by the SAFS scheduler once per
+        run of :meth:`split_extent_runs`: it touches exactly one device
+        queue and reports errors instead of raising, so the caller can
+        retry, back off or re-route.  ``device`` may name a hot spare
+        (indices past ``num_ssds``).
         """
         return self.device(device).submit_request(arrival_time, num_pages)
-
-    def count_extent(self, num_pages: int) -> None:
-        """Record the array-level counters for one submitted extent.
-
-        Split out of :meth:`submit` so the fault-recovering dispatch path
-        can drive runs individually while keeping the counter stream
-        identical to the happy path.
-        """
-        self.stats.add(reg.ARRAY_REQUESTS)
-        self.stats.add(reg.ARRAY_PAGES_READ, num_pages)
-        self.stats.add(reg.ARRAY_BYTES_READ, num_pages * FLASH_PAGE_SIZE)
 
     # ------------------------------------------------------------------
     # Degraded mode: reroute, parity reconstruction, rebuild

@@ -13,6 +13,7 @@ from repro.algorithms.pagerank import PageRankProgram
 from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
 from repro.graph.builder import build_directed, build_undirected
+from repro.graph.generators import rmat_graph
 from repro.serve import (
     GraphService,
     ServiceConfig,
@@ -154,6 +155,43 @@ class TestOneServePerInstance:
         # The refused call changed nothing.
         assert service.stats.snapshot() == counters
         assert first.completed == len(trace)
+
+
+class TestArrivalValidation:
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [0.0, float("nan"), 0.001],
+            [-0.5, 0.0, 0.001],
+            [0.0, 0.001, float("inf")],
+            [0.001, 0.0, 0.002],
+        ],
+        ids=["nan", "negative", "inf", "unsorted"],
+    )
+    def test_bad_trace_rejected_before_any_state_moves(self, times):
+        # A NaN arrival used to hang the loop, a negative one to fail
+        # inside the device after the first job started (leaving the
+        # service unusable), and an infinite one to report a completed
+        # query with a finite makespan.
+        edges, n = rmat_graph(8, 8, seed=1)
+        image = build_directed(edges, n, name="serve-arrivals")
+        service = GraphService(
+            image, [TenantSpec(name="solo")], ServiceConfig(policy="fifo")
+        )
+        bad = [
+            Arrival(time=t, tenant="solo", app="bfs", index=i)
+            for i, t in enumerate(times)
+        ]
+        counters = service.stats.snapshot()
+        with pytest.raises(ValueError, match="arrival time"):
+            service.serve(bad)
+        assert service.stats.snapshot() == counters
+        good = [
+            Arrival(time=t, tenant="solo", app="bfs", index=i)
+            for i, t in enumerate([0.0, 0.0005, 0.001])
+        ]
+        report = service.serve(good)
+        assert report.completed == len(good)
 
 
 class TestQueryFactory:

@@ -17,6 +17,7 @@ from repro.sim.faults import (
 from repro.sim.ssd import SSD, SSDConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from tests.safs.reads import submit_reads
+from tests.sim.reference_device import read_extent
 
 
 class TestSSDPhysics:
@@ -31,7 +32,7 @@ class TestSSDPhysics:
     def test_fifo_completions_monotone(self, arrivals):
         # A FIFO device completes requests in submission order.
         ssd = SSD()
-        completions = [ssd.submit(t, 1) for t in sorted(arrivals)]
+        completions = [ssd.submit_request(t, 1).time for t in sorted(arrivals)]
         assert completions == sorted(completions)
 
     @given(
@@ -48,7 +49,7 @@ class TestSSDPhysics:
     def test_completion_never_before_arrival_plus_service(self, requests):
         ssd = SSD()
         for arrival, pages in sorted(requests):
-            done = ssd.submit(arrival, pages)
+            done = ssd.submit_request(arrival, pages).time
             floor = arrival + ssd.service_time(pages) + ssd.config.read_latency
             assert done >= floor - 1e-15
 
@@ -73,8 +74,8 @@ class TestSSDPhysics:
         busy = []
         for gap in (0.0, later):
             ssd = SSD()
-            ssd.submit(0.0, 4)
-            ssd.submit(gap, 4)
+            ssd.submit_request(0.0, 4)
+            ssd.submit_request(gap, 4)
             busy.append(ssd.busy_time)
         assert busy[0] == pytest.approx(busy[1])
 
@@ -89,10 +90,11 @@ class TestArrayPhysics:
     @settings(max_examples=60, deadline=None)
     def test_split_extent_preserves_pages(self, num_ssds, stripe, first, pages):
         array = SSDArray(SSDArrayConfig(num_ssds=num_ssds, stripe_pages=stripe))
-        runs = array.split_extent(first, pages)
-        assert sum(count for _, count in runs) == pages
+        runs = array.split_extent_runs(first, pages)
+        assert sum(count for _, _, count in runs) == pages
         page = first
-        for device, count in runs:
+        for device, run_first, count in runs:
+            assert run_first == page
             assert device == array.device_for_page(page)
             page += count
 
@@ -101,7 +103,8 @@ class TestArrayPhysics:
     def test_wider_array_never_slower(self, pages):
         narrow = SSDArray(SSDArrayConfig(num_ssds=2, stripe_pages=4))
         wide = SSDArray(SSDArrayConfig(num_ssds=8, stripe_pages=4))
-        assert wide.submit(0.0, 0, pages) <= narrow.submit(0.0, 0, pages) + 1e-12
+        wide_done = read_extent(wide, 0.0, 0, pages)
+        assert wide_done <= read_extent(narrow, 0.0, 0, pages) + 1e-12
 
 
 @st.composite

@@ -21,9 +21,11 @@ from repro.sim.faults import (
     UnrecoverableIOError,
     fault_coin,
 )
-from repro.sim.ssd import SSD
+from repro.sim.ssd import SSD, SSDConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
+from repro.sim.stats import StatsCollector
 from tests.safs.reads import lookup, submit_reads
+from tests.sim.reference_device import OracleSSD
 
 
 def _faulty_safs(plan, policy=None, num_ssds=4, stripe_pages=2, cache_bytes=1 << 20):
@@ -165,20 +167,21 @@ class TestSSDFaults:
         assert outcome.time == ssd.busy_until + ssd.config.read_latency
         assert ssd.busy_time == outcome.service
 
-    def test_submit_raises_on_fault(self):
+    @pytest.mark.parametrize("pages", [0, -3])
+    def test_dead_device_rejects_empty_reads_like_a_live_one(self, pages):
         plan = FaultPlan([DeviceFailure(device=0, at=0.0)])
-        ssd = SSD(fault_plan=plan, device_index=0)
-        with pytest.raises(RuntimeError, match="submit_request"):
-            ssd.submit(0.0, 1)
+        for ssd in (SSD(fault_plan=plan, device_index=0), SSD()):
+            with pytest.raises(ValueError, match="at least one page"):
+                ssd.submit_request(0.0, pages)
 
     def test_no_plan_is_bit_identical_to_legacy(self):
-        plain = SSD()
-        wrapped = SSD(fault_plan=None)
+        oracle = OracleSSD(SSDConfig(), StatsCollector())
+        ssd = SSD(fault_plan=None)
         seq = [(0.0, 1), (0.0001, 7), (0.01, 3), (0.010001, 64)]
         for arrival, pages in seq:
-            assert plain.submit(arrival, pages) == wrapped.submit_request(arrival, pages).time
-        assert plain.busy_time == wrapped.busy_time
-        assert plain.busy_until == wrapped.busy_until
+            assert oracle.submit(arrival, pages) == ssd.submit_request(arrival, pages).time
+        assert oracle.busy_time == ssd.busy_time
+        assert oracle.busy_until == ssd.busy_until
 
     def test_reset_clears_all_fault_state(self):
         """Regression: reset() must clear *every* mutable field — a stale

@@ -8,21 +8,15 @@ the engine keeps running — with every scrub and peer read visible in the
 counters (no free I/O).
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.faults import DeviceFailure, FaultPlan
-from repro.sim.parity import (
-    ParityConfig,
-    ParityLayout,
-    RebuildState,
-    reconstruct_block,
-    xor_parity,
-)
+from repro.sim.parity import ParityConfig, ParityLayout, RebuildState
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
+from tests.sim.reference_device import read_extent
 
 
 class TestParityLayout:
@@ -81,30 +75,6 @@ class TestParityLayout:
         assert layout.rows_for_pages(1) == 1
         assert layout.rows_for_pages(6) == 1
         assert layout.rows_for_pages(7) == 2
-
-
-class TestXorAlgebra:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=8),
-        st.integers(min_value=1, max_value=64),
-        st.data(),
-    )
-    def test_single_loss_reconstructs_exactly(self, blocks, length, draw):
-        """Losing any one data block of a row recovers bit for bit."""
-        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
-        data = [
-            rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
-            for _ in range(blocks)
-        ]
-        parity = xor_parity(data)
-        lost = draw.draw(st.integers(min_value=0, max_value=blocks - 1))
-        survivors = [b for i, b in enumerate(data) if i != lost]
-        assert reconstruct_block(survivors, parity) == data[lost]
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            xor_parity([b"ab", b"abc"])
 
 
 class TestRebuildState:
@@ -237,7 +207,7 @@ class TestDegradedArray:
     def test_export_restore_round_trip(self):
         plan = FaultPlan([DeviceFailure(device=0, at=1.0)])
         array = _parity_array(plan)
-        array.submit(0.0, 0, 16)
+        read_extent(array, 0.0, 0, 16)
         array.start_rebuild(0, 1.001)
         state = array.export_state()
         twin = _parity_array(plan)

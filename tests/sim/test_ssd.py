@@ -30,8 +30,8 @@ class TestSSDConfig:
 class TestSSDSubmit:
     def test_sequential_requests_queue_fifo(self):
         ssd = SSD()
-        t1 = ssd.submit(0.0, 1)
-        t2 = ssd.submit(0.0, 1)
+        t1 = ssd.submit_request(0.0, 1).time
+        t2 = ssd.submit_request(0.0, 1).time
         service = ssd.service_time(1)
         latency = ssd.config.read_latency
         assert t1 == pytest.approx(service + latency)
@@ -39,14 +39,14 @@ class TestSSDSubmit:
 
     def test_idle_device_starts_at_arrival(self):
         ssd = SSD()
-        done = ssd.submit(1.0, 1)
+        done = ssd.submit_request(1.0, 1).time
         assert done == pytest.approx(1.0 + ssd.service_time(1) + ssd.config.read_latency)
 
     def test_large_request_approaches_seq_bandwidth(self):
         cfg = SSDConfig()
         ssd = SSD(cfg)
         pages = 10_000
-        done = ssd.submit(0.0, pages)
+        done = ssd.submit_request(0.0, pages).time
         effective_bw = pages * FLASH_PAGE_SIZE / (done - cfg.read_latency)
         assert effective_bw > 0.95 * cfg.seq_bandwidth
 
@@ -55,36 +55,45 @@ class TestSSDSubmit:
         ssd = SSD(cfg)
         last = 0.0
         for _ in range(100):
-            last = ssd.submit(0.0, 1)
+            last = ssd.submit_request(0.0, 1).time
         achieved_iops = 100 / (last - cfg.read_latency)
         assert achieved_iops == pytest.approx(10_000.0)
 
     def test_zero_pages_rejected(self):
         with pytest.raises(ValueError):
-            SSD().submit(0.0, 0)
+            SSD().submit_request(0.0, 0)
 
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError):
-            SSD().submit(-1.0, 1)
+            SSD().submit_request(-1.0, 1)
+
+    def test_nan_arrival_rejected_without_poisoning_the_queue(self):
+        ssd = SSD()
+        with pytest.raises(ValueError):
+            ssd.submit_request(float("nan"), 1)
+        assert ssd.busy_until == 0.0
+        ssd.submit_request(0.0, 1)
+        done = ssd.submit_request(0.0, 1).time
+        assert done == pytest.approx(2 * ssd.service_time(1) + ssd.config.read_latency)
 
     def test_stats_accumulate(self):
         stats = StatsCollector()
         ssd = SSD(stats=stats)
-        ssd.submit(0.0, 3)
-        ssd.submit(0.0, 2)
+        ssd.submit_request(0.0, 3)
+        ssd.submit_request(0.0, 2)
         assert stats.get("ssd.requests") == 2
         assert stats.get("ssd.pages_read") == 5
         assert stats.get("ssd.bytes_read") == 5 * FLASH_PAGE_SIZE
 
     def test_busy_time_tracks_service_only(self):
         ssd = SSD()
-        ssd.submit(0.0, 1)
-        ssd.submit(100.0, 1)
+        ssd.submit_request(0.0, 1)
+        ssd.submit_request(100.0, 1)
         assert ssd.busy_time == pytest.approx(2 * ssd.service_time(1))
 
     def test_reset_clears_queue(self):
         ssd = SSD()
-        ssd.submit(0.0, 10)
+        ssd.submit_request(0.0, 10)
         ssd.reset()
         assert ssd.busy_until == 0.0
         assert ssd.busy_time == 0.0
@@ -96,7 +105,7 @@ class TestSSDSubmit:
         to its construction value."""
         ssd = SSD()
         for i in range(5):
-            ssd.submit(i * 1e-4, 3)
+            ssd.submit_request(i * 1e-4, 3)
         ssd.reset()
         pristine = {
             k: v

@@ -5,10 +5,19 @@ import pytest
 from repro.sim.ssd import FLASH_PAGE_SIZE, SSDConfig
 from repro.sim.ssd_array import SSDArray, SSDArrayConfig
 from repro.sim.stats import StatsCollector
+from tests.sim.reference_device import read_extent
 
 
 def small_array(num_ssds=4, stripe_pages=2):
     return SSDArray(SSDArrayConfig(num_ssds=num_ssds, stripe_pages=stripe_pages))
+
+
+def split(array, first_page, num_pages):
+    """``(device, run_pages)`` of each per-device run of an extent."""
+    return [
+        (device, pages)
+        for device, _, pages in array.split_extent_runs(first_page, num_pages)
+    ]
 
 
 class TestGeometry:
@@ -37,27 +46,27 @@ class TestGeometry:
 class TestSplitExtent:
     def test_within_one_stripe(self):
         array = small_array(num_ssds=3, stripe_pages=4)
-        assert array.split_extent(1, 2) == [(0, 2)]
+        assert split(array, 1, 2) == [(0, 2)]
 
     def test_crossing_one_boundary(self):
         array = small_array(num_ssds=3, stripe_pages=4)
-        assert array.split_extent(2, 4) == [(0, 2), (1, 2)]
+        assert split(array, 2, 4) == [(0, 2), (1, 2)]
 
     def test_spanning_many_stripes(self):
         array = small_array(num_ssds=2, stripe_pages=2)
-        runs = array.split_extent(0, 7)
+        runs = split(array, 0, 7)
         assert runs == [(0, 2), (1, 2), (0, 2), (1, 1)]
         assert sum(pages for _, pages in runs) == 7
 
     def test_empty_extent_rejected(self):
         with pytest.raises(ValueError):
-            small_array().split_extent(0, 0)
+            split(small_array(), 0, 0)
 
     def test_runs_cover_extent_exactly(self):
         array = small_array(num_ssds=5, stripe_pages=3)
         for start in range(10):
             for length in range(1, 20):
-                runs = array.split_extent(start, length)
+                runs = split(array, start, length)
                 assert sum(pages for _, pages in runs) == length
                 page = start
                 for device, pages in runs:
@@ -71,13 +80,13 @@ class TestSubmit:
         array = small_array(num_ssds=4, stripe_pages=stripe)
         single = SSDArray(SSDArrayConfig(num_ssds=1, stripe_pages=stripe))
         # 4 pages across 4 devices complete faster than on one device.
-        parallel_done = array.submit(0.0, 0, 4)
-        serial_done = single.submit(0.0, 0, 4)
+        parallel_done = read_extent(array, 0.0, 0, 4)
+        serial_done = read_extent(single, 0.0, 0, 4)
         assert parallel_done < serial_done
 
     def test_completion_is_max_of_subrequests(self):
         array = small_array(num_ssds=2, stripe_pages=1)
-        done = array.submit(0.0, 0, 2)
+        done = read_extent(array, 0.0, 0, 2)
         ssd = array.ssds[0]
         # Each device serviced one page starting at t=0.
         assert done == pytest.approx(ssd.service_time(1) + ssd.config.read_latency)
@@ -85,7 +94,7 @@ class TestSubmit:
     def test_stats_aggregate(self):
         stats = StatsCollector()
         array = SSDArray(SSDArrayConfig(num_ssds=2, stripe_pages=1), stats)
-        array.submit(0.0, 0, 3)
+        read_extent(array, 0.0, 0, 3)
         assert stats.get("array.requests") == 1
         assert stats.get("array.pages_read") == 3
         assert stats.get("array.bytes_read") == 3 * FLASH_PAGE_SIZE
@@ -94,7 +103,7 @@ class TestSubmit:
 
     def test_utilization_bounds(self):
         array = small_array()
-        array.submit(0.0, 0, 8)
+        read_extent(array, 0.0, 0, 8)
         wall = array.drain_time()
         util = array.utilization(wall)
         assert 0.0 < util <= 1.0
@@ -102,7 +111,7 @@ class TestSubmit:
 
     def test_reset(self):
         array = small_array()
-        array.submit(0.0, 0, 8)
+        read_extent(array, 0.0, 0, 8)
         array.reset()
         assert array.drain_time() == 0.0
         assert array.busy_time() == 0.0
@@ -115,7 +124,7 @@ class TestThroughputShape:
         four = SSDArray(SSDArrayConfig(num_ssds=4, stripe_pages=1, ssd_config=cfg))
         # Issue 400 independent one-page reads spread over the address space.
         for page in range(400):
-            one.submit(0.0, page, 1)
-            four.submit(0.0, page, 1)
+            read_extent(one, 0.0, page, 1)
+            read_extent(four, 0.0, page, 1)
         speedup = one.drain_time() / four.drain_time()
         assert speedup == pytest.approx(4.0, rel=0.05)
