@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.core.config import EngineConfig, ExecutionMode, PartitionStrategy, ScheduleOrder
 from repro.core.execution import make_execution_policy
-from repro.core.memory_mode import InMemoryEdgeStore
 from repro.core.messages import MessageBuffer, check_vertex_ids
 from repro.core.partition import HashPartitioner, RangePartitioner, split_into_parts
 from repro.core.scheduler import make_scheduler
@@ -109,22 +108,6 @@ class _Wave:
         return _Wave(
             self.requesters[rows], self.targets[rows], self.dirs[rows], self.kinds[rows]
         )
-
-    def concat_lists(self, lanes) -> None:
-        """Fill :attr:`edges` from one source array per lane: ``lanes``
-        holds ``(row mask, source, position of each masked row's list)``."""
-        degrees = self.degrees
-        if len(lanes) == 1:
-            # One source serves every row: nothing to interleave.
-            self.edges = gather_ranges(lanes[0][1], lanes[0][2], degrees)
-            return
-        starts = np.zeros(degrees.size, dtype=np.int64)
-        np.cumsum(degrees[:-1], out=starts[1:])
-        self.edges = np.empty(int(degrees.sum()), dtype=np.uint32)
-        for lane, source, positions in lanes:
-            self.edges[scatter_positions(starts[lane], degrees[lane])] = gather_ranges(
-                source, positions, degrees[lane]
-            )
 
 
 class IterationAborted(RuntimeError):
@@ -373,10 +356,8 @@ class GraphEngine:
                     "the engine and its SAFS must share one StatsCollector"
                 )
             self.safs = safs
-            self.memory_store = None
         else:
             self.safs = None
-            self.memory_store = InMemoryEdgeStore(image)
 
         self.numa = NumaTopology(
             num_sockets=min(self.config.num_sockets, self.config.num_threads),
@@ -899,10 +880,6 @@ class GraphEngine:
         which is what gives the engine its global view for merging (§3.6);
         requests issued from the delivery hooks feed the next wave.
         """
-        if self.config.mode is ExecutionMode.IN_MEMORY:
-            service = self._service_in_memory
-        else:
-            service = self._service_semi_external
         while self._wave:
             chunks, self._wave = self._wave, []
             if len(chunks) == 1:
@@ -910,44 +887,46 @@ class GraphEngine:
             else:
                 wave = _Wave(*(np.concatenate(column) for column in zip(*chunks)))
             if wave.targets.size:
-                service(worker, wave)
+                self._service_wave(worker, wave)
 
-    def _service_in_memory(self, worker: _Worker, wave: _Wave) -> None:
-        """Serve one wave from the CSR adjacency, in request order."""
-        if wave.kinds.any():
-            # Attribute blocks need no read of their own here.
-            wave = wave.take(wave.kinds != _ATTRS)
-        wave.degrees = np.empty(wave.targets.size, dtype=np.int64)
-        lanes = []
-        for code, direction in enumerate(_DIRECTIONS):
-            lane = wave.dirs == code
-            if lane.any():
-                csr = self.image.csr(direction)
-                targets = wave.targets[lane]
-                first = csr.indptr[targets]
-                wave.degrees[lane] = csr.indptr[targets + 1] - first
-                lanes.append((lane, csr.indices, first))
-        wave.concat_lists(lanes)
-        self._deliver_wave(worker, wave)
-
-    def _service_semi_external(self, worker: _Worker, wave: _Wave) -> None:
-        """Read one wave through SAFS and deliver it in completion order.
+    def _service_wave(self, worker: _Worker, wave: _Wave) -> None:
+        """Read one wave and deliver it, in either execution mode.
 
         Every row of the wave is a row of the image's list table
-        (:meth:`GraphImage.list_table`), which carries the merge key, so
-        one gather locates and keys the whole wave.  It is merged as
-        arrays — over the whole wave with engine merging, within SAFS's
-        bounded queue window or not at all for the two Figure 12
-        counterfactuals — then issued span by span.  Its
-        elements complete with their span; they are delivered in the
-        stable completion-time order, and the edge lists are read in one
-        gather, in that order, out of the image's edge words (v2 files
-        decoded once per image, :meth:`GraphImage.edge_words`).
+        (:meth:`GraphImage.list_rows`), so one gather locates the whole
+        wave.  In memory the lists are delivered in request order, at
+        zero latency, and an attribute block needs no read of its own;
+        semi-externally they are read through SAFS
+        (:meth:`_submit_wave`) and delivered in completion order.  Either
+        way they are read in one gather, in delivery order, out of the
+        image's one neighbor array (:meth:`GraphImage.edge_words`).
+        """
+        source = self.image.edge_words()
+        sizes, degrees, positions = self.image.list_rows()[:, wave.rows]
+        if self.safs is not None:
+            wave, arrived = self._submit_wave(worker, wave, sizes)
+            degrees, positions = degrees[arrived], positions[arrived]
+        elif wave.kinds.any():
+            keep = (wave.kinds != _ATTRS).nonzero()[0]
+            wave, degrees, positions = wave.take(keep), degrees[keep], positions[keep]
+        wave.degrees = degrees
+        wave.edges = gather_ranges(source, positions, degrees)
+        self._deliver_wave(worker, wave)
+
+    def _submit_wave(self, worker: _Worker, wave: _Wave, sizes: np.ndarray):
+        """Merge and issue one wave through SAFS; returns the wave's rows
+        in completion order and their indices in ``wave``.
+
+        The wave is keyed by its rows of :meth:`GraphImage.list_keys` and
+        merged as arrays — over the whole wave with engine merging,
+        within SAFS's bounded queue window or not at all for the two
+        Figure 12 counterfactuals — then issued span by span.  Its
+        elements complete with their span and are put in the stable
+        completion-time order.
         """
         image, safs, config = self.image, self.safs, self.config
-        table, source, band = image.list_table(self._lane_fids, safs.page_size)
-        keys, last, sizes, degrees, positions = table[:, wave.rows]
-
+        keyed, band = image.list_keys(self._lane_fids, safs.page_size)
+        keys, last = keyed[:, wave.rows]
         # A zero-degree vertex's attribute block is empty: nothing to read.
         io = sizes.nonzero()[0]
         if config.merge_in_engine:
@@ -982,7 +961,6 @@ class GraphEngine:
         wave = wave.take(arrived)
         wave.mate = mate
         wave.times = part_done[by_completion]
-        wave.degrees = degrees[arrived]
         if io_ids is not None:
             span = spans.span_of_part[by_completion].tolist()
             issued = span_issued.tolist()
@@ -999,8 +977,7 @@ class GraphEngine:
         # Attribute rows ride along: their degree is 0.
         if image.fmt == FORMAT_V2:
             wave.decode_sizes = sizes[arrived] * (wave.kinds != _ATTRS)
-        wave.edges = gather_ranges(source, positions[arrived], wave.degrees)
-        self._deliver_wave(worker, wave)
+        return wave, arrived
 
     def _deliver_wave(self, worker: _Worker, wave: _Wave) -> None:
         """Hand one decoded wave to ``run_on_vertices``, then replay its
@@ -1050,13 +1027,14 @@ class GraphEngine:
             return None, None
         starts = np.cumsum(degrees) - degrees
         attrs = np.full(int(degrees.sum()), np.nan, dtype=np.float32)
+        # Each list's attribute block: its row in the attribute lane.
+        first = self.image.list_rows()[2, (2 * dirs + 1) * self.image.num_vertices + owners]
         for code, direction in enumerate(_DIRECTIONS):
             lane = has_attrs & (dirs == code)
             if lane.any():
                 values = np.frombuffer(self.image.attr_bytes[direction], dtype="<f4")
-                first = self.image.csr(direction).indptr[owners[lane]]
                 attrs[scatter_positions(starts[lane], degrees[lane])] = gather_ranges(
-                    values, first, degrees[lane]
+                    values, first[lane], degrees[lane]
                 )
         return has_attrs, attrs
 
@@ -1325,7 +1303,11 @@ class GraphEngine:
             "messages": buffered * MESSAGE_BYTES,
         }
         if self.config.mode is ExecutionMode.IN_MEMORY:
-            memory["edge_lists"] = self.memory_store.memory_bytes()
+            # The one neighbor array and each direction's list starts.
+            csrs = (self.image.out_csr, self.image.in_csr)[: 1 + self.image.directed]
+            memory["edge_lists"] = self.image.words.nbytes + sum(
+                csr.indptr.nbytes for csr in csrs
+            )
             memory["graph_index"] = 0
             memory["page_cache"] = 0
         else:

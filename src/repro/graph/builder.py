@@ -5,7 +5,8 @@ A :class:`GraphImage` bundles everything one graph needs:
 - the serialized on-SSD edge-list files (out-edges, and in-edges for a
   directed graph) plus optional detached attribute files,
 - one compact :class:`~repro.graph.index.GraphIndex` per direction,
-- the CSR adjacency kept for in-memory mode and for verification.
+- the CSR adjacency of each direction, whose neighbors are one array
+  (:attr:`GraphImage.words`) that both execution modes read.
 
 The paper amortises construction cost by using a single external-memory
 structure for every algorithm; likewise one image serves BFS through scan
@@ -36,7 +37,7 @@ from repro.graph.index import GraphIndex, build_index, build_index_v2
 from repro.graph.page_vertex import DIRECTIONS
 from repro.graph.types import EdgeType
 
-#: Edges per :func:`decode_lists_v2` call as an image decodes its v2 files
+#: Edges per :func:`decode_lists_v2` call as an image checks its v2 files
 #: (:meth:`GraphImage.edge_words`): it bounds the int64 temporaries to ~3 MiB.
 DECODE_CHUNK_EDGES = 1 << 15
 
@@ -80,86 +81,108 @@ class GraphImage:
     edge_count: int = 0
     #: On-SSD edge-list format ("v1" fixed u32, "v2" delta+varint).
     fmt: str = FORMAT_V1
-    _list_table: Optional[tuple] = field(
+    #: Every neighbor id, one u32 each: the out-lists, then a directed
+    #: image's in-lists.  Both CSRs' ``indices`` are views into it.
+    words: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _list_rows: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _edge_words: Optional[np.ndarray] = field(
+    _list_keys: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
-    def list_table(self, file_ids, page_size: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """``(table, source, band)``: where every edge list and attribute
-        block lies, keyed for the semi-external read path to locate, merge
-        and read a wave with one gather each.
+    def __post_init__(self) -> None:
+        if self.words is None:
+            # A hand-built image: lay its CSRs' neighbors out as one array.
+            csrs = (self.out_csr, self.in_csr)[: 1 + self.directed]
+            words = np.concatenate([csr.indices for csr in csrs])
+            self.words = words.astype(np.uint32, copy=False)
+            self.out_csr.indices = self.words[: self.out_csr.num_edges]
+            self.in_csr.indices = self.words[self.words.size - self.in_csr.num_edges :]
 
-        ``table[:, lane * n + v]`` describes vertex ``v`` in lane ``2 * d +
-        a``: the edge list (``a = 0``) or attribute block (``a = 1``) of
-        direction ``DIRECTIONS[d]``, stored at a byte offset in the file
-        with SAFS id ``file_ids[lane]``.  Its five entries are the banded
-        byte key ``offset + file_ids[lane] * band * page_size`` and banded
-        last page that :func:`~repro.safs.io_request.merge_request_arrays`
-        takes, the size, the degree (0 for an attribute block) and the
-        word position of the list's first neighbor in ``source``
-        (:meth:`edge_words`), so ``gather_ranges(source, positions,
-        degrees)`` reads a wave's lists in either format.  ``band`` is the
-        lane files' largest page count plus 3 (the merge's adjacency gap of
-        1, plus 2), so sorting by key sorts by ``(file id, offset)`` and no
-        merged span crosses a file.
+    def list_rows(self) -> np.ndarray:
+        """``rows[:, lane * n + v]``: where vertex ``v``'s edge list or
+        attribute block lies, for the engine to read a wave with one
+        gather in either execution mode.
 
-        Only the keys depend on the SAFS stack's file ids, so the table is
-        cached for the last ``(file_ids, page_size)`` asked for, while
-        ``source`` is built once per image.  Every engine on the image
-        reads that one table and copies none of it: it is 5 int64 per
-        vertex and lane, the largest array the read path holds.  Like the
-        indexes' exact tables, both are simulator speed, not modelled RAM.
+        Lane ``2 * d + a`` holds the edge lists (``a = 0``) or attribute
+        blocks (``a = 1``) of direction ``DIRECTIONS[d]``.  The three rows
+        are the size in bytes in its file, the degree (0 for an attribute
+        block) and the position: of the list's first neighbor in
+        :attr:`words`, ``base + cumsum(degree) - degree``, or of the
+        block's first attribute in its file's float32 values.  So
+        ``gather_ranges(words, positions, degrees)`` reads a wave's lists.
+        Built once per image; like the indexes' exact tables, it is
+        simulator speed, not modelled RAM.
         """
-        key = (tuple(file_ids), page_size)
-        if self._list_table is None or self._list_table[0] != key:
-            source = self.edge_words()
+        if self._list_rows is None:
             n = self.num_vertices
-            table = np.zeros((5, 4 * n), dtype=np.int64)
+            rows = np.zeros((3, 4, n), dtype=np.int64)
+            sizes, degrees, positions = rows
             for code, direction in enumerate(DIRECTIONS):
                 index = self.index(direction)
-                offsets = index._exact_offsets()
-                lists = table[:, 2 * code * n : (2 * code + 1) * n]
-                lists[0] = offsets[:-1]
-                lists[2] = np.diff(offsets)
-                lists[3] = index._full_degrees()
-                # A directed image's in-file follows its out-file, which
-                # holds as many words; an undirected image has one file.
-                base = source.size // 2 if code and self.directed else 0
-                if self.fmt == FORMAT_V2:
-                    lists[4] = base + lists[3].cumsum() - lists[3]
-                else:
-                    lists[4] = base + (lists[0] + HEADER_BYTES) // EDGE_BYTES
+                degree = index._full_degrees()
+                first = degree.cumsum() - degree
+                sizes[2 * code] = np.diff(index._exact_offsets())
+                degrees[2 * code] = degree
+                # A directed image's in-lists follow its out-lists.
+                base = self.out_csr.num_edges if code and self.directed else 0
+                positions[2 * code] = base + first
                 blocks = self.attr_offsets.get(direction)
                 if blocks is not None:
-                    attrs = table[:, (2 * code + 1) * n : (2 * code + 2) * n]
-                    attrs[0] = blocks[:-1]
-                    attrs[2] = np.diff(blocks)
-            stored = (self.out_bytes, self.in_bytes, *self.attr_bytes.values())
-            band = max(-(-len(data) // page_size) for data in stored) + 3
-            lift = np.repeat(np.asarray(key[0], dtype=np.int64) * band, n)
-            table[1] = (table[0] + table[2] - 1) // page_size + lift
-            table[0] += lift * page_size
-            self._list_table = key, (table, source, band)
-        return self._list_table[1]
+                    sizes[2 * code + 1] = np.diff(blocks)
+                    positions[2 * code + 1] = first
+            self._list_rows = rows.reshape(3, 4 * n)
+        return self._list_rows
+
+    def list_keys(self, file_ids, page_size: int) -> Tuple[np.ndarray, int]:
+        """``(keys, band)``: the merge keys of every :meth:`list_rows` row
+        for a SAFS stack whose lane ``l`` file has id ``file_ids[l]``.
+
+        ``keys[:, row]`` is the banded byte key ``offset + file_ids[lane] *
+        band * page_size`` and banded last page that
+        :func:`~repro.safs.io_request.merge_request_arrays` takes.
+        ``band`` is the lane files' largest page count plus 3 (the merge's
+        adjacency gap of 1, plus 2), so sorting by key sorts by ``(file
+        id, offset)`` and no merged span crosses a file.  Only these rows
+        depend on the stack, so they are cached for the last ``(file_ids,
+        page_size)`` asked for.  Every engine on the image reads the one
+        cache and copies none of it: with :meth:`list_rows` it is 5 int64
+        per vertex and lane, the largest array the read path holds.
+        """
+        key = (tuple(file_ids), page_size)
+        if self._list_keys is None or self._list_keys[0] != key:
+            n = self.num_vertices
+            sizes = self.list_rows()[0].reshape(4, n)
+            # Every lane's lists and blocks lie end to end in vertex order.
+            ends = sizes.cumsum(axis=1)
+            band = -(-int(sizes.sum(axis=1).max()) // page_size) + 3
+            lift = np.asarray(key[0], dtype=np.int64)[:, None] * band
+            keys = np.empty((2, 4, n), dtype=np.int64)
+            keys[0] = ends - sizes + lift * page_size
+            keys[1] = (ends - 1) // page_size + lift
+            self._list_keys = key, (keys.reshape(2, 4 * n), band)
+        return self._list_keys[1]
 
     def edge_words(self) -> np.ndarray:
-        """The edge files end to end as u32 words: v1's as stored, v2's
-        neighbor ids decoded list after list, once per image and in chunks
-        of lists, so a corrupt v2 list raises ``decode_lists_v2``'s
-        ``ValueError`` at the first wave that reads the image."""
-        if self._edge_words is None:
-            files = (self.out_bytes, self.in_bytes)[: 1 + self.directed]
+        """:attr:`words`, once a v2 image's files were checked against it.
+
+        The check decodes each v2 edge file once per image, in chunks of
+        lists, and compares it with the words, so a corrupt v2 list
+        raises ``ValueError`` at the first wave that reads the image.  A
+        v1 file is the words plus headers by construction.
+        """
+        if not self._checked:
             if self.fmt == FORMAT_V2:
-                words = np.empty(len(files) * self.out_csr.num_edges, dtype=np.uint32)
-                for direction, data, part in zip(DIRECTIONS, files, np.split(words, len(files))):
-                    _decode_file_v2(data, self.index(direction), part)
-            else:
-                words = np.frombuffer(b"".join(files), dtype="<u4")
-            self._edge_words = words
-        return self._edge_words
+                for direction in DIRECTIONS[: 1 + self.directed]:
+                    _decode_file_v2(
+                        self.file_bytes(direction),
+                        self.index(direction),
+                        self.csr(direction).indices,
+                    )
+            self._checked = True
+        return self.words
 
     @property
     def num_edges(self) -> int:
@@ -242,19 +265,23 @@ class GraphImage:
         )
 
 
-def _decode_file_v2(data: bytes, index: GraphIndex, out: np.ndarray) -> None:
-    """Decode every list of one v2 edge file into ``out``: one
-    :func:`decode_lists_v2` call per run of lists that start within the
-    same :data:`DECODE_CHUNK_EDGES` edges."""
+def _decode_file_v2(data: bytes, index: GraphIndex, lists: np.ndarray) -> None:
+    """Decode every list of one v2 edge file and compare it with ``lists``,
+    the direction's neighbors: one :func:`decode_lists_v2` call per run
+    of lists that start within the same :data:`DECODE_CHUNK_EDGES` edges.
+    A list that decodes to other ids raises ``ValueError``."""
     offsets, degrees = index._exact_offsets(), index._full_degrees()
     starts = degrees.cumsum() - degrees
-    cuts = np.searchsorted(starts, np.arange(0, out.size, DECODE_CHUNK_EDGES)).tolist()
+    cuts = np.searchsorted(starts, np.arange(0, lists.size, DECODE_CHUNK_EDGES)).tolist()
     data = np.frombuffer(data, dtype=np.uint8)
     for a, b in zip(cuts, cuts[1:] + [degrees.size]):
         if a < b:
-            out[starts[a] : starts[a] + degrees[a:b].sum()] = decode_lists_v2(
-                data, offsets[a:b], degrees[a:b]
-            )
+            span = lists[starts[a] : starts[a] + degrees[a:b].sum()]
+            if not np.array_equal(decode_lists_v2(data, offsets[a:b], degrees[a:b]), span):
+                raise ValueError(
+                    f"corrupt v2 edge list: vertices {a}..{b - 1} decode to "
+                    "other neighbors than the image holds"
+                )
 
 
 def _build_direction(
@@ -325,13 +352,15 @@ def build_directed(
     weights = _edge_weights(weights, edges.shape[0])
     keys, weights = _dedup(edges, weights, num_vertices)
     edge_count = keys.size
-    out_lists = csr_from_sorted_keys(keys, num_vertices)
+    # Each direction's neighbors go straight into its half of one array.
+    words = np.empty(2 * edge_count, dtype=np.uint32)
+    out_lists = csr_from_sorted_keys(keys, num_vertices, out=words[:edge_count])
     del keys
     out_csr, out_bytes, out_index = _build_direction(*out_lists, fmt)
     # The in-lists' keys dst * n + src, from the out-CSR.
     keys = csr_keys(out_csr.indptr, out_csr.indices, num_vertices, transpose=True)
     keys.sort()
-    in_lists = csr_from_sorted_keys(keys, num_vertices)
+    in_lists = csr_from_sorted_keys(keys, num_vertices, out=words[edge_count:])
     del keys
     in_csr, in_bytes, in_index = _build_direction(*in_lists, fmt)
     image = GraphImage(
@@ -346,6 +375,7 @@ def build_directed(
         in_index=in_index,
         edge_count=edge_count,
         fmt=fmt,
+        words=words,
     )
     if weights is not None:
         _attach_weights(image, weights)
@@ -405,6 +435,7 @@ def build_undirected(
         in_index=index,
         edge_count=edge_count,
         fmt=fmt,
+        words=csr.indices,
     )
     if weights is not None:
         _attach_weights(image, weights)

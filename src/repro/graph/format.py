@@ -13,9 +13,8 @@ ordering (one fixed-width value per edge), so algorithms that do not need
 attributes never read them — the column-store trick the paper borrows from
 database systems.
 
-Everything is little-endian and 4-byte aligned, so a
-:class:`~repro.graph.page_vertex.PageVertex` can be parsed zero-copy from
-cached SAFS pages with ``numpy.frombuffer``.
+Everything is little-endian and 4-byte aligned, so an edge list parses
+zero-copy with ``numpy.frombuffer`` (:func:`parse_edge_list`).
 
 Format **v2** keeps the 8-byte header but stores the neighbors of each
 vertex as sorted deltas under a stream-split group-varint codec::
@@ -35,7 +34,7 @@ and a running sum, so both encode and decode vectorise with numpy and
 never loop per edge.  See ``docs/graph_format.md`` for worked layouts.
 """
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -203,16 +202,17 @@ def edge_keys(
 
 
 def csr_from_sorted_keys(
-    keys: np.ndarray, num_vertices: int
+    keys: np.ndarray, num_vertices: int, out: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, indices)`` of ascending edge keys ``src * n + dst``.
 
     Vertex ``v``'s list starts at the first key ``>= v * n``, and each
     key's neighbor is ``key % n`` — lists come out sorted by neighbor.
+    The neighbors are written into ``out`` (u32, one per key) when given.
     """
     list_starts = np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
     indptr = np.searchsorted(keys, list_starts).astype(np.int64, copy=False)
-    indices = np.empty(keys.size, dtype=np.uint32)
+    indices = np.empty(keys.size, dtype=np.uint32) if out is None else out
     np.remainder(keys, num_vertices, out=indices, casting="unsafe")
     return indptr, indices
 
@@ -386,8 +386,9 @@ def decode_lists_v2(
     ids concatenated in list order as ``uint32``; raises ``ValueError``
     when a neighbor id overflows u32.  A :class:`GraphImage
     <repro.graph.builder.GraphImage>` runs it once per v2 edge file, over
-    chunks of lists (``GraphImage.edge_words``), not once per wave.  No
-    Python loop touches an edge.
+    chunks of lists, to check the file against its neighbors
+    (``GraphImage.edge_words``), not once per wave.  No Python loop
+    touches an edge.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     degrees = np.asarray(degrees, dtype=np.int64)

@@ -110,9 +110,9 @@ class GraphIndex:
         offset table purely as a CPython-speed shortcut.  The *modelled*
         memory cost in :meth:`memory_bytes` remains the compact index —
         the shortcut table is simulator overhead, not simulated RAM.  The
-        same exact tables feed :meth:`GraphImage.list_table
-        <repro.graph.builder.GraphImage.list_table>`, which the engine's
-        semi-external read path gathers a whole wave's locations from.
+        same exact tables feed :meth:`GraphImage.list_rows
+        <repro.graph.builder.GraphImage.list_rows>`, which the engine's
+        read path gathers a whole wave's locations from.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size and (vertices.min() < 0 or vertices.max() >= self._num_vertices):

@@ -1,24 +1,18 @@
 """Zero-copy edge-list views handed to vertex programs.
 
-When an I/O request completes, the SAFS user task runs against the page
-cache and parses the vertex's edge list in place: this is the
-``page_vertex`` argument of ``run_on_vertex`` in the paper's API
-(Figure 3).  No edge data is ever copied into per-vertex buffers.
+When an I/O request completes, the vertex program reads the vertex's
+edge list in place: this is the ``page_vertex`` argument of
+``run_on_vertex`` in the paper's API (Figure 3).  A delivered wave is one
+:class:`PageVertexBatch`; each of its lists is a :class:`PageVertex` view
+of the wave's one neighbor array, so no edge data is copied into
+per-vertex buffers.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from repro.graph.format import (
-    FORMAT_V1,
-    FORMAT_V2,
-    _ramp,
-    gather_ranges,
-    parse_edge_list,
-    parse_edge_list_v2,
-    scatter_positions,
-)
+from repro.graph.format import gather_ranges, scatter_positions
 from repro.graph.types import EdgeType
 
 __all__ = [
@@ -31,23 +25,9 @@ __all__ = [
 
 
 class PageVertex:
-    """A vertex's edge list parsed out of cached SAFS pages."""
+    """A vertex's edge list, a view of a delivered wave's arrays."""
 
     __slots__ = ("_vertex_id", "_edges", "_edge_type", "_attrs")
-
-    def __init__(
-        self,
-        data: memoryview,
-        edge_type: EdgeType = EdgeType.OUT,
-        attrs: Optional[np.ndarray] = None,
-        fmt: str = FORMAT_V1,
-    ) -> None:
-        if fmt == FORMAT_V2:
-            self._vertex_id, self._edges = parse_edge_list_v2(data)
-        else:
-            self._vertex_id, self._edges = parse_edge_list(data)
-        self._edge_type = edge_type
-        self._attrs = attrs
 
     @classmethod
     def from_arrays(
@@ -57,7 +37,7 @@ class PageVertex:
         edge_type: EdgeType = EdgeType.OUT,
         attrs: Optional[np.ndarray] = None,
     ) -> "PageVertex":
-        """Build a view directly from in-memory arrays (in-memory mode)."""
+        """A view of ``edges`` (and ``attrs``), built without ``__init__``."""
         view = cls.__new__(cls)
         view._vertex_id = int(vertex_id)
         view._edges = np.asarray(edges, dtype=np.uint32)
@@ -103,9 +83,9 @@ class PageVertex:
         )
 
 
-# _ramp / gather_ranges / scatter_positions now live in
-# repro.graph.format (the v2 codec needs them below PageVertex in the
-# import graph); they are re-exported here for existing callers.
+# gather_ranges / scatter_positions live in repro.graph.format (the v2
+# codec needs them below PageVertex in the import graph); they are
+# re-exported here for existing callers.
 
 
 #: A list's direction code (:attr:`PageVertexBatch.directions`) indexes

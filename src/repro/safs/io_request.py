@@ -202,7 +202,7 @@ def merge_request_arrays(
     pages are lifted into a band of ``band`` pages, which must exceed
     every file's page count by more than ``adjacency_gap``.  The caller
     lifts once, per request (:func:`band_requests`) or per image
-    (:meth:`~repro.graph.builder.GraphImage.list_table`), not per call.
+    (:meth:`~repro.graph.builder.GraphImage.list_keys`), not per call.
 
     One stable argsort of the keys sorts by ``(file, offset)`` — the
     reference's stable sort, ties included — and a span breaks wherever

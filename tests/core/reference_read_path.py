@@ -1,5 +1,5 @@
 """Reference semi-external read path: the oracle the list-table path of
-``GraphEngine._service_semi_external`` is tested against.
+``GraphEngine._service_wave`` is tested against.
 
 The wave is located lane by lane — per (direction, kind) lane a mask,
 a file opened by name, one ``GraphIndex.locate_many`` and one

@@ -1,4 +1,4 @@
-"""Tests for the GraphContext API surface and the in-memory edge store."""
+"""Tests for the GraphContext API surface and in-memory edge-list accounting."""
 
 from functools import lru_cache
 
@@ -11,9 +11,8 @@ from repro.algorithms.bfs import BFSProgram, DirectionOptimizingBFSProgram
 from repro.algorithms.pagerank import PageRankProgram
 from repro.core.config import ExecutionMode
 from repro.core.engine import JobCancelled
-from repro.core.memory_mode import InMemoryEdgeStore
 from repro.core.vertex_program import VertexProgram
-from repro.graph.builder import build_directed
+from repro.graph.builder import build_directed, build_undirected
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 from repro.graph.page_vertex import DIRECTIONS
@@ -406,9 +405,12 @@ class TestHookTwins:
         assert DirectionOptimizingBFSProgram.run_on_vertices is VertexProgram.run_on_vertices
 
 
-class TestInMemoryEdgeStore:
+class TestInMemoryEdgeLists:
+    """An in-memory run's ``memory["edge_lists"]``: the image's neighbor
+    arrays and list starts, counted once however many runs read them."""
+
     def test_memory_accounting(self, image):
-        store = InMemoryEdgeStore(image)
+        result = engine_for(image, mode=ExecutionMode.IN_MEMORY).run(Probe(), max_iterations=1)
         # Both directions' indptr + indices arrays.
         expected = (
             image.out_csr.indptr.nbytes
@@ -416,4 +418,12 @@ class TestInMemoryEdgeStore:
             + image.in_csr.indptr.nbytes
             + image.in_csr.indices.nbytes
         )
-        assert store.memory_bytes() == expected
+        assert result.memory["edge_lists"] == expected
+
+    def test_undirected_counts_one_copy(self):
+        edges = np.array([[0, 1], [0, 2], [1, 2], [2, 3], [3, 3]])
+        image = build_undirected(edges, 4, name="ctx-u")
+        result = engine_for(image, mode=ExecutionMode.IN_MEMORY).run(Probe(), max_iterations=1)
+        # Both directions are one CSR: 9 neighbor ids (the loop once), 5 list starts.
+        assert image.in_csr is image.out_csr
+        assert result.memory["edge_lists"] == 9 * 4 + 5 * 8

@@ -158,8 +158,8 @@ def _sem_engine(image, safs=None):
 
 
 def test_v2_image_is_decoded_once(decode_calls):
-    """The first semi-external wave decodes the image's files; no later
-    wave, run or SAFS stack decodes them again."""
+    """The first wave checks the image's files; no later wave, run, SAFS
+    stack or execution mode decodes them again."""
     image = _image(FORMAT_V2)
     first = _sem_engine(image)
     levels, _ = bfs(first)
@@ -175,10 +175,11 @@ def test_v2_image_is_decoded_once(decode_calls):
     assert not decode_calls
     ids_a, ids_b = first._lane_fids, second._lane_fids
     assert ids_a != ids_b
-    page_size = safs.page_size
-    assert image.list_table(ids_a, page_size)[1] is image.list_table(ids_b, page_size)[1]
+    in_memory, _ = bfs(_engine(image, ExecutionMode.IN_MEMORY))
+    assert not decode_calls
     np.testing.assert_array_equal(levels, again)
     np.testing.assert_array_equal(levels, other)
+    np.testing.assert_array_equal(levels, in_memory)
 
 
 def test_v1_image_is_never_decoded(decode_calls):
@@ -188,23 +189,57 @@ def test_v1_image_is_never_decoded(decode_calls):
     assert not decode_calls
 
 
-@pytest.mark.parametrize("source", [0, 1])
-def test_u32_overflow_raises_at_the_first_wave(source):
-    """Vertex 0's first delta grows by one, so its second neighbor id
-    passes 2**32 - 1.  The decode checks every list of the file, so the
-    first wave raises whichever list it reads."""
+def _corrupt_image(indices, byte, value):
+    """An undirected v2 image of the lists ``[indices[0:2], indices[2:3],
+    []]`` whose file has byte ``byte`` of vertex 0's list set to
+    ``value``; its CSR keeps ``indices``."""
     indptr = np.array([0, 2, 3, 3])
-    indices = np.array([1, 0xFFFFFFFF, 0], dtype=np.uint32)
-    csr, data, index = _build_direction(indptr, indices, FORMAT_V2)
+    csr, data, index = _build_direction(indptr, np.array(indices, dtype=np.uint32), FORMAT_V2)
     data = bytearray(data)
-    data[index.locate(0)[0] + 9] += 1  # first delta 1 -> 2, so 2 + (2**32 - 2)
+    data[index.locate(0)[0] + byte] = value
     data = bytes(data)
-    image = GraphImage(
-        name="overflow", num_vertices=3, directed=False,
+    return GraphImage(
+        name="corrupt", num_vertices=3, directed=False,
         out_csr=csr, in_csr=csr, out_bytes=data, in_bytes=data,
         out_index=index, in_index=index, edge_count=3, fmt=FORMAT_V2,
     )
-    engine = _sem_engine(image)
+
+
+def _engine(image, mode):
+    return GraphEngine(image, config=EngineConfig(mode=mode, num_threads=4))
+
+
+#: BFS sources and execution modes; the semi-external cases keep the ids
+#: they had before the in-memory ones were added.
+FIRST_WAVE_CASES = [
+    pytest.param(0, ExecutionMode.SEMI_EXTERNAL, id="0"),
+    pytest.param(1, ExecutionMode.SEMI_EXTERNAL, id="1"),
+    pytest.param(0, ExecutionMode.IN_MEMORY, id="in-memory-0"),
+    pytest.param(1, ExecutionMode.IN_MEMORY, id="in-memory-1"),
+]
+
+
+@pytest.mark.parametrize("source, mode", FIRST_WAVE_CASES)
+def test_u32_overflow_raises_at_the_first_wave(source, mode):
+    """Vertex 0's first delta grows by one, so its second neighbor id
+    passes 2**32 - 1.  The check decodes every list of the file, so the
+    first wave raises whichever list it reads, in either mode."""
+    # The tag byte, then the first delta: 1 -> 2, so 2 + (2**32 - 2).
+    image = _corrupt_image([1, 0xFFFFFFFF, 0], 9, 2)
+    engine = _engine(image, mode)
+    with pytest.raises(ValueError, match="corrupt v2 edge list"):
+        bfs(engine, source=source)
+    assert engine.stats.get(reg.ENGINE_EDGES_DELIVERED) == 0
+
+
+@pytest.mark.parametrize("source, mode", FIRST_WAVE_CASES)
+def test_in_range_mismatch_raises_at_the_first_wave(source, mode):
+    """Vertex 0's second delta drops from 1 to 0, so its list decodes to
+    ``[1, 1]``, every id a vertex, where the image holds ``[1, 2]``.  The
+    check compares the decode with the image's neighbors, so neither mode
+    delivers either list."""
+    image = _corrupt_image([1, 2, 0], 10, 0)
+    engine = _engine(image, mode)
     with pytest.raises(ValueError, match="corrupt v2 edge list"):
         bfs(engine, source=source)
     assert engine.stats.get(reg.ENGINE_EDGES_DELIVERED) == 0

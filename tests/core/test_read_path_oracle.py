@@ -1,4 +1,4 @@
-"""The semi-external read path, row for row against its lane-by-lane
+"""The wave reader, row for row against the lane-by-lane semi-external
 reference (``tests/core/reference_read_path.py``).
 
 ``golden_read_path.json`` pins the simulated numbers a wave produces;
@@ -10,6 +10,8 @@ the other through the reference.  Both must issue the same merged spans
 pairing, decode sizes) — over out-, in- and both-direction requests,
 attribute reads, duplicate targets, zero-degree vertices, directed and
 undirected images, formats v1 and v2 and all three merge disciplines.
+An in-memory engine, served the same wave, must hand the program the
+reference's lists with their attributes, in request order.
 """
 
 import numpy as np
@@ -18,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig, ExecutionMode
-from repro.core.engine import GraphEngine, _Wave, _Worker
+from repro.core.engine import _ATTRS, _EDGES_WITH_ATTRS, GraphEngine, _Wave, _Worker
+from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed, build_undirected
+from repro.graph.page_vertex import DIRECTIONS
 from repro.graph.types import EdgeType
 from repro.safs.filesystem import SAFS, SAFSConfig
 from tests.core.reference_read_path import reference_service
@@ -35,8 +39,10 @@ SAFS_CONFIG = SAFSConfig(page_size=128, fs_merge_window=4)
 
 
 def _engine(image, merge, attach=None) -> GraphEngine:
-    """A one-thread SEM engine over a fresh SAFS; ``attach(safs)`` creates
-    the files first when given."""
+    """A one-thread engine: in memory for ``merge=None``, else semi-external
+    over a fresh SAFS; ``attach(safs)`` creates the files first when given."""
+    if merge is None:
+        return GraphEngine(image, config=EngineConfig(mode=ExecutionMode.IN_MEMORY, num_threads=1))
     safs = SAFS(config=SAFS_CONFIG)
     if attach is not None:
         attach(safs)
@@ -74,7 +80,7 @@ def _served(engine, wave):
 
     engine.safs.submit_spans = record
     engine._deliver_wave = lambda worker, served: delivered.append(served)
-    engine._service_semi_external(_Worker(0), wave)
+    engine._service_wave(_Worker(0), wave)
     return spans[0], delivered[0]
 
 
@@ -92,13 +98,65 @@ def _assert_same(got, want) -> None:
             np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+class _Recorder(VertexProgram):
+    """Keeps every list ``run_on_vertices`` is handed, as a row tuple
+    ``(requester, target, direction, edges, attributes or None)``."""
+
+    def __init__(self):
+        self.rows = []
+
+    def run_on_vertices(self, g, batch):
+        edges = batch.read_edges_concat()
+        has_attrs = [False] * batch.num_lists if batch.has_attrs is None else batch.has_attrs
+        start = 0
+        for i, end in enumerate(np.cumsum(batch.degrees).tolist()):
+            attrs = batch.read_edge_attrs_concat()[start:end].tobytes() if has_attrs[i] else None
+            self.rows.append((
+                int(batch.vertices[i]), int(batch.owners[i]), int(batch.directions[i]),
+                edges[start:end].tobytes(), attrs,
+            ))
+            start = end
+
+
+def _reference_rows(image, wave) -> list:
+    """The lists of a reference-served wave as :class:`_Recorder` rows,
+    each list's attributes read through its CSR's ``indptr``."""
+    rows, start = [], 0
+    for i, end in enumerate(np.cumsum(wave.degrees).tolist()):
+        direction = DIRECTIONS[wave.dirs[i]]
+        attrs = None
+        if wave.kinds[i] == _EDGES_WITH_ATTRS:
+            first = image.csr(direction).indptr[wave.targets[i]]
+            values = np.frombuffer(image.attr_bytes[direction], dtype="<f4")
+            attrs = values[first : first + end - start].tobytes()
+        if wave.kinds[i] != _ATTRS:
+            rows.append((
+                int(wave.requesters[i]), int(wave.targets[i]), int(wave.dirs[i]),
+                wave.edges[start:end].tobytes(), attrs,
+            ))
+        start = end
+    return rows
+
+
 def _check(image, merge, requests, attach=None):
-    """Serve ``requests`` both ways and compare; returns the spans."""
+    """Serve ``requests`` both ways and compare; returns the spans.  An
+    in-memory engine delivers the reference's lists in request order."""
     engine = _engine(image, merge, attach)
     oracle = _engine(image, merge, attach)
     got = _served(engine, _wave(engine, requests))
     want = reference_service(oracle, _Worker(0), _wave(oracle, requests))
     _assert_same(got, want)
+
+    memory = _engine(image, None)
+    memory.program = _Recorder()
+    wave = _wave(memory, requests)
+    memory._service_wave(_Worker(0), wave)
+    rows = memory.program.rows
+    lists = wave.kinds != _ATTRS
+    assert [row[:3] for row in rows] == list(zip(
+        wave.requesters[lists].tolist(), wave.targets[lists].tolist(), wave.dirs[lists].tolist()
+    ))
+    assert sorted(rows, key=repr) == sorted(_reference_rows(image, want[1]), key=repr)
     return got[0]
 
 

@@ -1,11 +1,12 @@
-"""The image's edge words against its CSR.
+"""The image's one neighbor array against its CSRs and list table.
 
-The semi-external read path reads every wave, in both formats, as one
-``gather_ranges(source, positions, degrees)`` over
-:meth:`GraphImage.edge_words` — v1's files as stored, v2's decoded once
-per image in chunks of lists.  For every lane, that gather over all
-vertices must be the direction's CSR ``indices``, however the decode
-chunks cut the lists.
+Both execution modes read every wave, in both formats, as one
+``gather_ranges(words, positions, degrees)`` over
+:meth:`GraphImage.edge_words`: the builder writes each direction's
+neighbors into its half of that one array, and both CSRs' ``indices``
+are views into it.  For every lane, the gather over all vertices must be
+the direction's CSR ``indices``; a v2 image's check of its files must
+pass however the decode chunks cut the lists.
 """
 
 from unittest import mock
@@ -27,23 +28,26 @@ PAGE_SIZE = 128
 
 
 def _check_source(image):
-    """Every edge lane of the list table gathers its CSR out of the source."""
-    table, source, _ = image.list_table(FILE_IDS, PAGE_SIZE)
+    """The words are the CSRs' one array, and every edge lane of the list
+    table gathers its CSR out of them."""
+    source = image.edge_words()
+    sizes, degrees, positions = image.list_rows()
     n = image.num_vertices
     assert source.dtype == np.uint32
-    positions = []
+    assert source is image.words
+    assert source.size == (1 + image.directed) * image.out_csr.num_edges
     for code, direction in enumerate(DIRECTIONS):
-        rows = table[:, 2 * code * n : (2 * code + 1) * n]
+        lane = slice(2 * code * n, (2 * code + 1) * n)
         csr = image.csr(direction)
-        np.testing.assert_array_equal(rows[3], csr.degrees())
-        np.testing.assert_array_equal(gather_ranges(source, rows[4], rows[3]), csr.indices)
-        positions.append(rows[4])
+        assert np.shares_memory(csr.indices, source) or csr.num_edges == 0
+        np.testing.assert_array_equal(degrees[lane], csr.degrees())
+        offsets = image.index(direction)._exact_offsets()
+        np.testing.assert_array_equal(sizes[lane], np.diff(offsets))
+        lists = gather_ranges(source, positions[lane], degrees[lane])
+        np.testing.assert_array_equal(lists, csr.indices)
     if not image.directed:
-        # One file serves both directions: one region of the source.
-        np.testing.assert_array_equal(positions[0], positions[1])
-    if image.fmt == "v2":
-        files = 2 if image.directed else 1
-        assert source.size == files * image.out_csr.num_edges
+        # One file serves both directions: one region of the words.
+        np.testing.assert_array_equal(positions[: n], positions[2 * n : 3 * n])
 
 
 @st.composite
@@ -94,11 +98,33 @@ def test_lists_cross_the_default_chunk_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("build", [build_directed, build_undirected])
+def test_csrs_share_the_one_array(fmt, build):
+    """No build copies the neighbors: both CSRs' ``indices`` are views of
+    the words, the out half first."""
+    edges, n = rmat_graph(6, 4, seed=1)
+    image = build(edges, n, name="one", fmt=fmt)
+    words = image.edge_words()
+    m = image.out_csr.num_edges
+    assert np.shares_memory(image.out_csr.indices, words)
+    assert np.shares_memory(image.in_csr.indices, words)
+    np.testing.assert_array_equal(words[:m], image.out_csr.indices)
+    if image.directed:
+        assert words.size == 2 * m
+        assert not np.shares_memory(image.out_csr.indices, image.in_csr.indices)
+        np.testing.assert_array_equal(words[m:], image.in_csr.indices)
+    else:
+        assert image.in_csr is image.out_csr and words.size == m
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_source_is_built_once_per_image(fmt):
-    """Other file ids or another page size rebuild the keys, not the words."""
+    """Other file ids or another page size rebuild the keys, not the rows
+    or the words."""
     edges, n = rmat_graph(6, 4, seed=1)
     image = build_directed(edges, n, name="once", fmt=fmt)
-    first = image.list_table(FILE_IDS, PAGE_SIZE)
-    other = image.list_table((3, -1, 2, -1), 4 * PAGE_SIZE)
-    assert other[1] is first[1] is image.edge_words()
-    assert not np.array_equal(other[0][0], first[0][0])
+    rows, words = image.list_rows(), image.edge_words()
+    first = image.list_keys(FILE_IDS, PAGE_SIZE)[0]
+    other = image.list_keys((3, -1, 2, -1), 4 * PAGE_SIZE)[0]
+    assert image.list_rows() is rows and image.edge_words() is words
+    assert not np.array_equal(other[0], first[0])

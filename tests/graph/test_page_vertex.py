@@ -3,25 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.graph.format import serialize_adjacency
 from repro.graph.page_vertex import PageVertex
 from repro.graph.types import EdgeType
 
 
-def serialized_vertex(neighbors):
-    indptr = np.array([0, len(neighbors)])
-    data, _ = serialize_adjacency(indptr, np.asarray(neighbors, dtype=np.uint32))
-    return memoryview(data)
-
-
 class TestPageVertex:
-    def test_parse_from_bytes(self):
-        view = PageVertex(serialized_vertex([3, 5, 8]), EdgeType.OUT)
-        assert view.vertex_id == 0
-        assert view.num_edges == 3
-        assert view.read_edges().tolist() == [3, 5, 8]
-        assert view.edge_type is EdgeType.OUT
-
     def test_from_arrays(self):
         view = PageVertex.from_arrays(7, np.array([1, 2]), EdgeType.IN)
         assert view.vertex_id == 7
@@ -29,7 +15,7 @@ class TestPageVertex:
         assert view.edge_type is EdgeType.IN
 
     def test_empty_edge_list(self):
-        view = PageVertex(serialized_vertex([]))
+        view = PageVertex.from_arrays(0, np.array([], dtype=np.uint32))
         assert view.num_edges == 0
         assert view.read_edges().size == 0
 
@@ -40,7 +26,7 @@ class TestPageVertex:
         assert view.read_edge_attrs().tolist() == [0.5, 1.5]
 
     def test_missing_attrs_raise(self):
-        view = PageVertex(serialized_vertex([1]))
+        view = PageVertex.from_arrays(0, np.array([1]))
         assert not view.has_attrs
         with pytest.raises(ValueError):
             view.read_edge_attrs()
