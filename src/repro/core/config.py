@@ -18,7 +18,7 @@ class ExecutionKind(enum.Enum):
 
     ``SYNC`` is the classic BSP superstep loop: every active vertex runs
     once per iteration and messages buffer to the global barrier.  It is
-    the default and stays bit-identical to the pre-policy engine.
+    the default.
 
     ``ASYNC`` is the priority-driven mode (ACGraph-style): each *round*
     schedules the vertices whose residual is above the program's floor,

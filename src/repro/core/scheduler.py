@@ -51,6 +51,14 @@ class VertexScheduler:
         self.block_shift = block_shift
         self._rng = np.random.default_rng(seed)
 
+    def export_state(self) -> dict:
+        """The random order's RNG state, for a checkpoint."""
+        return self._rng.bit_generator.state
+
+    def restore_state(self, state: dict) -> None:
+        """Reinstate :meth:`export_state` output."""
+        self._rng.bit_generator.state = state
+
     def schedule(
         self,
         active: np.ndarray,
@@ -103,7 +111,7 @@ class VertexScheduler:
         if priorities.shape != active.shape:
             raise ValueError("priorities must align with the active set")
         # frexp is undefined for non-finite values; clamp first (the
-        # execution policies only hand finite, non-negative residuals).
+        # async residuals are finite and non-negative already).
         bucket = np.frexp(np.clip(priorities, 0.0, np.finfo(np.float64).max))[1]
         blocks, inverse = np.unique(active >> self.block_shift, return_inverse=True)
         block_bucket = np.full(blocks.size, np.iinfo(np.int64).min)

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.graph.page_vertex import PageVertex, PageVertexBatch
 from repro.graph.types import EdgeType
+from repro.obs import registry as reg
 
 #: Scalar types the default snapshot captures alongside numpy arrays.
 _SNAPSHOT_SCALARS = (bool, int, float, str)
@@ -80,7 +81,7 @@ class VertexProgram:
     #: a non-negative, finite measure of how much unpropagated work the
     #: vertex holds (PageRank's pending delta, WCC's label improvement
     #: since the last broadcast, SSSP's distance improvement).  The
-    #: async policy schedules high-residual vertices first and declares
+    #: async mode schedules high-residual vertices first and declares
     #: convergence when every residual falls to :attr:`async_floor` (and
     #: the optional global threshold is met).  The program must drive
     #: its own residual to the floor when it runs (push the delta,
@@ -88,7 +89,7 @@ class VertexProgram:
     residuals = None  # residuals(vertices: int64 array) -> float64 array
 
     #: Residuals at or below this value are not worth scheduling: the
-    #: async policy never runs such a vertex (PageRank mirrors its sync
+    #: async mode never runs such a vertex (PageRank mirrors its sync
     #: drop rule ``push <= tolerance`` here; monotone algorithms like
     #: WCC/SSSP keep 0.0 — any improvement must eventually propagate).
     async_floor: float = 0.0
@@ -189,16 +190,16 @@ class VertexProgram:
 class GraphContext:
     """The ``graph_engine &g`` handle passed to every vertex method.
 
-    Thin facade over the engine: everything it does is buffered, and
-    every CPU charge is logged against the item it is for, so the cost
-    lands on the right virtual thread in the right order.
+    Thin facade over the engine: every request is buffered in its wave
+    reader, every message and activation in the run's buffers, and every
+    CPU charge is logged in its charge log against the item it is for,
+    so the cost lands on the right virtual thread in the right order.
     """
 
     def __init__(self, engine) -> None:
         self._engine = engine
-        #: The item (vertex, list or delivery) the running scalar hook
-        #: was called for; ``None`` inside a batch hook.
-        self._item: Optional[int] = None
+        self._reader = engine.reader
+        self._charges = engine.charges
 
     # -- graph metadata -------------------------------------------------
 
@@ -241,7 +242,7 @@ class GraphContext:
         edge_type = edge_type or self._program_edge_type()
         targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
         for direction in edge_type.directions():
-            self._engine._buffer_request(requester, targets, direction, with_attrs)
+            self._reader.request(requester, targets, direction, with_attrs)
 
     def request_self(self, vertex: int, edge_type: Optional[EdgeType] = None) -> None:
         """Shorthand for requesting the vertex's own edge list(s)."""
@@ -255,7 +256,7 @@ class GraphContext:
         edge_type = edge_type or self._program_edge_type()
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
         if vertices.size:
-            self._engine._buffer_batch_request(vertices, edge_type)
+            self._reader.request_self(vertices, edge_type)
 
     # -- communication ---------------------------------------------------
     #
@@ -271,7 +272,10 @@ class GraphContext:
         """Activate ``vertices`` for the next iteration (multicast)."""
         item = self._cursor("activate", "activate_batch")
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-        self._engine._buffer_activation(item, vertices)
+        engine = self._engine
+        engine.activations.append(vertices)
+        self._charges.log(item, vertices.size * engine.cost_model.cpu_per_multicast_recipient)
+        engine.stats.add(reg.MSG_ACTIVATIONS, vertices.size)
 
     def activate_batch(self, vertices, counts) -> None:
         """Activate vertices for every item of a batch hook call at once.
@@ -282,13 +286,27 @@ class GraphContext:
         boolean mask counts 0 or 1).  Each item is charged as one
         :meth:`activate` of its ``counts[i]`` vertices."""
         self._whole_call("activate_batch", "activate")
-        self._engine._buffer_activation_batch(vertices, counts)
+        engine = self._engine
+        vertices = np.asarray(vertices, dtype=np.int64)
+        counts = self._charges.item_counts("activate_batch", counts)
+        total = int(counts.sum())
+        if total != vertices.size:
+            raise ValueError(
+                f"activate_batch counts sum to {total}, not the "
+                f"{vertices.size} vertices activated"
+            )
+        engine.activations.append(vertices)
+        self._charges.log_column(counts * engine.cost_model.cpu_per_multicast_recipient)
+        engine.stats.add(reg.MSG_ACTIVATIONS, vertices.size)
 
     def send_message(self, dests, values) -> None:
         """Send ``values`` to ``dests`` (scalar value = multicast)."""
         item = self._cursor("send_message", "send_message_batch")
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
-        self._engine._buffer_message(item, dests, values)
+        engine = self._engine
+        count = engine.messages.send(dests, values)
+        self._charges.log(item, count * engine.cost_model.cpu_per_multicast_recipient)
+        engine.stats.add(reg.MSG_SENT, count)
 
     def send_message_batch(self, dests, values, counts) -> None:
         """Send messages for every item of a batch hook call at once.
@@ -301,11 +319,16 @@ class GraphContext:
         worker clocks match per-item calls bit for bit.  Lists with
         per-edge payloads keep the scalar hook."""
         self._whole_call("send_message_batch", "send_message")
-        self._engine._buffer_message_batch(dests, values, counts)
+        engine = self._engine
+        counts = self._charges.item_counts("send_message_batch", counts)
+        total = engine.messages.send(dests, values, counts)
+        self._charges.log_column(counts * engine.cost_model.cpu_per_multicast_recipient)
+        if total:
+            engine.stats.add(reg.MSG_SENT, total)
 
     def notify_iteration_end(self) -> None:
         """Request a ``run_on_iteration_end`` callback at this barrier."""
-        self._engine._request_iteration_end()
+        self._engine.iteration_end_requested = True
 
     # -- accounting -------------------------------------------------------
 
@@ -314,36 +337,38 @@ class GraphContext:
         triangle counting's neighbor-list intersections): folded into the
         list's run charge.  Only valid inside ``run_on_vertex``."""
         item = self._cursor("charge_edges", "charge_edges_batch")
-        self._engine._charge_edges(item, count)
+        self._charges.log_edges(item, count)
 
     def charge_edges_batch(self, counts) -> None:
         """Batched :meth:`charge_edges`, only valid inside
         ``run_on_vertices``: ``counts[i]`` extra edges of work for
         delivered list ``i``."""
         self._whole_call("charge_edges_batch", "charge_edges")
-        self._engine._charge_edges_batch(counts)
+        self._charges.log_edges_batch(counts)
 
     # -- internals --------------------------------------------------------
 
     def _each(self, values):
         """Yield ``values``, making the i-th the item the scalar charged
         calls are charged to: the loop of the default batch hooks."""
-        for self._item, value in enumerate(values):
+        charges = self._charges
+        for charges.item, value in enumerate(values):
             yield value
-        self._item = None
+        charges.item = None
 
     def _cursor(self, method: str, twin: str) -> int:
         """The item a scalar charged call is charged to."""
-        if self._item is None:
+        item = self._charges.item
+        if item is None:
             raise ValueError(
                 f"g.{method} is a scalar hook's call; a batch hook reports "
                 f"its items through g.{twin}"
             )
-        return self._item
+        return item
 
     def _whole_call(self, method: str, twin: str) -> None:
         """Refuse a batch charged call from inside a scalar hook."""
-        if self._item is not None:
+        if self._charges.item is not None:
             raise ValueError(
                 f"g.{method} reports every item of a batch hook call; a "
                 f"scalar hook calls g.{twin}"

@@ -1,5 +1,5 @@
 """Reference semi-external read path: the oracle the list-table path of
-``GraphEngine._service_wave`` is tested against.
+``WaveReader.read`` is tested against.
 
 The wave is located lane by lane — per (direction, kind) lane a mask,
 a file opened by name, one ``GraphIndex.locate_many`` and one
@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.engine import _ATTRS, _EDGES_WITH_ATTRS, _Wave
+from repro.core.reader import _ATTRS, _EDGES_WITH_ATTRS, _Wave
 from repro.graph.format import (
     FORMAT_V2,
     HEADER_BYTES,

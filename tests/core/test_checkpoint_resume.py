@@ -247,6 +247,11 @@ class TestResumeValidation:
         with pytest.raises(CheckpointError):
             make_engine().resume_from(CheckpointManager(tmp_path))
 
+    def test_resuming_from_a_missing_path_writes_nothing(self, tmp_path):
+        with pytest.raises(CheckpointError):
+            make_engine().resume_from(tmp_path / "missing" / "ckpt_iter_00000001.pkl")
+        assert not (tmp_path / "missing").exists()
+
     def test_bad_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             make_engine().enable_checkpoints(CheckpointManager(tmp_path), every=0)

@@ -296,11 +296,14 @@ class TestBatchHookGuards:
         # into the next job on the reused engine.
         engine = engine_for(image, range_shift=1)
         engine.program = _SelfRequesting()
-        engine._begin_stage(1)
+        engine.charges.begin(1)
         engine._ctx.activate_batch([1, 2], [2])
-        engine._abort_run(JobCancelled("test", 0.0), engine.stats.snapshot(), 0)
-        assert engine._log_items == engine._log_charges == engine._log_columns == []
-        assert engine._activations == []
+        engine._ctx.notify_iteration_end()
+        engine._abort_run(JobCancelled("test", 0.0), engine.stats.snapshot())
+        charges = engine.charges
+        assert charges._items == charges._charges == charges._columns == []
+        assert engine.activations == []
+        assert not engine.iteration_end_requested
 
 
 class _Scripted(VertexProgram):

@@ -208,7 +208,7 @@ class TestActivationRange:
         engine.run(program, initial_active=np.array([5]))
         assert sorted(program.ran) == [(0, 5), (1, 0), (1, 3), (1, 9), (1, 63)]
         # The frontier itself, as the barrier builds it.
-        engine._activations.extend(
+        engine.activations.extend(
             [np.array([9, 3, 9]), np.zeros(0, dtype=np.int64), np.array([63, 3, 0])]
         )
         frontier = engine._drain_activations()

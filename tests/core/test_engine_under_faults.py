@@ -147,7 +147,7 @@ def test_total_device_loss_aborts_cleanly():
     assert engine.safs.stats.get("faults.aborted_iterations") == 1
     assert engine.safs.stats.get("faults.retries") > 0
     # The abort left no half-delivered messages behind.
-    assert engine._messages.pending == 0
+    assert engine.messages.pending == 0
 
 
 def test_scalar_and_batched_paths_agree_under_faults():

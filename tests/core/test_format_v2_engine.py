@@ -173,7 +173,7 @@ def test_v2_image_is_decoded_once(decode_calls):
     second = _sem_engine(image, safs)
     other, _ = bfs(second)
     assert not decode_calls
-    ids_a, ids_b = first._lane_fids, second._lane_fids
+    ids_a, ids_b = first.reader.lane_fids, second.reader.lane_fids
     assert ids_a != ids_b
     in_memory, _ = bfs(_engine(image, ExecutionMode.IN_MEMORY))
     assert not decode_calls

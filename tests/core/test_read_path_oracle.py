@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EngineConfig, ExecutionMode
-from repro.core.engine import _ATTRS, _EDGES_WITH_ATTRS, GraphEngine, _Wave, _Worker
+from repro.core.engine import GraphEngine, _Worker
+from repro.core.reader import _ATTRS, _EDGES_WITH_ATTRS, _Wave
 from repro.core.vertex_program import VertexProgram
 from repro.graph.builder import build_directed, build_undirected
 from repro.graph.page_vertex import DIRECTIONS
@@ -48,7 +49,7 @@ def _engine(image, merge, attach=None) -> GraphEngine:
         attach(safs)
     config = EngineConfig(mode=ExecutionMode.SEMI_EXTERNAL, num_threads=1, **MERGES[merge])
     engine = GraphEngine(image, safs=safs, config=config)
-    engine._ensure_files_attached()
+    engine.reader.open_files()
     return engine
 
 
@@ -57,21 +58,20 @@ def _wave(engine, requests) -> _Wave:
     as the one wave the engine would service next."""
     for request in requests:
         if request[0] == "self":
-            engine._buffer_batch_request(np.asarray(request[1], dtype=np.int64), request[2])
+            engine.reader.request_self(np.asarray(request[1], dtype=np.int64), request[2])
             continue
         _, requester, targets, edge_type, with_attrs = request
         for direction in edge_type.directions():
-            engine._buffer_request(
+            engine.reader.request(
                 requester, np.asarray(targets, dtype=np.int64), direction, with_attrs
             )
-    chunks, engine._wave = engine._wave, []
-    return _Wave(*(np.concatenate(column) for column in zip(*chunks)))
+    return engine.reader.take()
 
 
 def _served(engine, wave):
     """The spans the list-table path issues for ``wave`` and the wave it
     delivers."""
-    spans, delivered = [], []
+    spans = []
     submit = engine.safs.submit_spans
 
     def record(merged, *args):
@@ -79,9 +79,8 @@ def _served(engine, wave):
         return submit(merged, *args)
 
     engine.safs.submit_spans = record
-    engine._deliver_wave = lambda worker, served: delivered.append(served)
-    engine._service_wave(_Worker(0), wave)
-    return spans[0], delivered[0]
+    delivered = engine.reader.read(_Worker(0), wave)
+    return spans[0], delivered
 
 
 def _assert_same(got, want) -> None:
@@ -150,7 +149,7 @@ def _check(image, merge, requests, attach=None):
     memory = _engine(image, None)
     memory.program = _Recorder()
     wave = _wave(memory, requests)
-    memory._service_wave(_Worker(0), wave)
+    memory._deliver_wave(_Worker(0), memory.reader.read(_Worker(0), wave))
     rows = memory.program.rows
     lists = wave.kinds != _ATTRS
     assert [row[:3] for row in rows] == list(zip(
@@ -210,10 +209,10 @@ def test_file_ids_out_of_lane_order(fmt, merge):
         ("self", np.arange(0, 48, 3), EdgeType.BOTH),
         ("vertices", 5, np.arange(40, 8, -2), EdgeType.OUT, True),
     ]
-    fids = list(_engine(image, merge, attach)._lane_fids)
+    fids = list(_engine(image, merge, attach).reader.lane_fids)
     # out-edges, out-attrs, in-edges, in-attrs: ids descend over the lanes.
     assert fids == [4, 3, 2, -1]
-    assert list(_engine(image, merge)._lane_fids) == [0, 2, 1, -1]
+    assert list(_engine(image, merge).reader.lane_fids) == [0, 2, 1, -1]
     spans = [_check(image, merge, requests, stack) for stack in (attach, None, attach, None)]
     assert set(spans[0].file_ids.tolist()) == {2, 3, 4}
     assert set(spans[1].file_ids.tolist()) == {0, 1, 2}

@@ -69,14 +69,14 @@ def _scan_pick(engine):
     """The worker pick as two Python scans over all workers — the
     reference ``GraphEngine._pick_worker`` must agree with at every step."""
     workers = engine._workers
-    work_exists = any(w.remaining for w in workers) or engine._part_queue
+    work_exists = any(w.remaining for w in workers) or engine.reader.parts
     if not work_exists:
         return None
     best = None
     for worker in workers:
         eligible = (
             worker.remaining
-            or engine._part_queue
+            or engine.reader.parts
             or (engine.config.load_balance and work_exists)
         )
         if eligible and (best is None or worker.time < best.time):
@@ -101,7 +101,7 @@ def _shadow_picks(engine, seed):
         engine._workers[a].time = engine._workers[b].time
         picked = pick()
         assert picked is _scan_pick(engine)
-        log.append((getattr(picked, "index", None), bool(engine._part_queue)))
+        log.append((getattr(picked, "index", None), bool(engine.reader.parts)))
         return picked
 
     engine._pick_worker = checked
