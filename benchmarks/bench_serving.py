@@ -36,8 +36,8 @@ reruns the full-brownout chaos point and asserts the shed/abort/
 brownout event stream is byte-identical.
 
 The **sharing rows** drive the *overlap* mix — two partitioned tenants
-issuing the same pr/wcc repeats — at a fixed QPS under four I/O-sharing
-levels (``off``, ``dedup``, ``dedup+rcache``, ``full``; see
+issuing the same pr/wcc repeats — at a fixed QPS under three I/O-sharing
+levels (``off``, ``dedup``, ``dedup+rcache``; see
 ``docs/io_sharing.md``), clean and under chaos.  Each row records
 ``bytes_read``, the page-accounting quadruple, and a digest of every
 completed query's output vector.  ``--check`` gates: dedup fires
@@ -46,7 +46,7 @@ completed query's output vector.  ``--check`` gates: dedup fires
 holds exactly on every row, sharing strictly reduces clean
 ``bytes_read`` vs ``off``, outputs are digest-identical across clean
 levels (sharing never changes answers), and a same-seed rerun of the
-``full`` chaos point reproduces its row byte for byte.
+``dedup+rcache`` chaos point reproduces its row byte for byte.
 ``--sharing-smoke`` runs only the sharing rows at half duration (the CI
 ``io-sharing-smoke`` job).
 """
@@ -198,15 +198,12 @@ def _overload_mix(total_qps):
 #: high enough that pr/wcc repeats overlap in flight.
 SHARING_QPS = 120.0
 
-#: The four I/O-sharing levels of the overlap rows, weakest to
+#: The three I/O-sharing levels of the overlap rows, weakest to
 #: strongest (ServiceConfig knobs; ``off`` is the PR-9 baseline).
 SHARING_LEVELS = {
     "off": {},
     "dedup": dict(share_reads=True),
     "dedup+rcache": dict(share_reads=True, result_cache=True),
-    "full": dict(
-        share_reads=True, result_cache=True, cache_rebalance=True
-    ),
 }
 
 
@@ -263,7 +260,6 @@ def run_sharing_point(image, level, chaos, duration_s=DURATION_S):
     cache_hits = stats.get(registry.CACHE_HITS)
     sharing = report.sharing or {}
     result_cache = sharing.get("result_cache") or {}
-    rebalancer = sharing.get("rebalancer") or {}
     return {
         "mix": "overlap",
         "variant": "chaos" if chaos else "clean",
@@ -285,7 +281,6 @@ def run_sharing_point(image, level, chaos, duration_s=DURATION_S):
         "cache_hits": cache_hits,
         "dedup_waits": stats.get(registry.SAFS_DEDUP_WAITS),
         "result_cache_hits": result_cache.get("hits", 0),
-        "rebalance_moves": rebalancer.get("moves", 0),
         # The page-accounting conservation law: every requested page is
         # served by exactly one of cache hit / fresh fetch / dedup
         # attach.  Exact float equality — these are integer-valued
@@ -499,10 +494,7 @@ def _check_sharing(rows):
                 file=sys.stderr,
             )
             failed = True
-        if (
-            row["sharing"] in ("dedup+rcache", "full")
-            and row["result_cache_hits"] <= 0
-        ):
+        if row["sharing"] == "dedup+rcache" and row["result_cache_hits"] <= 0:
             print(
                 f"FAIL {label}: repeat queries never hit the result cache",
                 file=sys.stderr,
@@ -541,11 +533,11 @@ def _check_sharing(rows):
                 failed = True
     # Byte-identical replay: rerun the strongest chaos point and compare
     # the whole row (digest, byte counts, page accounting, tails).
-    recorded = by_key.get(("chaos", "full"))
+    recorded = by_key.get(("chaos", "dedup+rcache"))
     if recorded is not None:
         image = load_dataset("twitter-sim")
         rerun = run_sharing_point(
-            image, "full", True, recorded["duration_s"]
+            image, "dedup+rcache", True, recorded["duration_s"]
         )
         if rerun != recorded:
             diff = sorted(

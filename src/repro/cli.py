@@ -31,7 +31,7 @@ from repro.bench import extra_experiments
 from repro.bench.datasets import DATASETS, load_dataset
 from repro.bench.harness import PAPER_APPS, make_engine, result_row, run_algorithm
 from repro.bench.reporting import format_table
-from repro.core.checkpoint import CheckpointManager
+from repro.core.checkpoint import CheckpointError, CheckpointManager
 from repro.core.config import ExecutionKind, ExecutionMode
 from repro.core.engine import IterationAborted, RunResult
 from repro.obs import (
@@ -175,18 +175,6 @@ def _add_serve_arguments(p) -> None:
         "--result-cache-ttl", type=float, default=None, metavar="SECONDS",
         help="result-cache entry lifetime on the simulated clock "
         "(default: never expires)",
-    )
-    p.add_argument(
-        "--cache-rebalance", action="store_true",
-        help="adaptively move page-cache capacity between tenant "
-        "cache-kb partitions toward the best marginal hit rate "
-        "(needs at least two tenants with cache-kb=)",
-    )
-    p.add_argument(
-        "--cache-rebalance-interval", type=float, default=0.01,
-        metavar="SECONDS",
-        help="rebalance decision interval in simulated seconds "
-        "(default: %(default)s)",
     )
     p.add_argument(
         "--timeline", metavar="PATH",
@@ -452,7 +440,10 @@ def cmd_run(args) -> int:
     if args.resume:
         if manager is None:
             raise SystemExit("--resume needs --checkpoint-dir")
-        iteration = engine.resume_from(manager)
+        try:
+            iteration = engine.resume_from(manager)
+        except CheckpointError as exc:
+            raise SystemExit(f"cannot resume: {exc}") from None
         print(f"resuming from the iteration-{iteration} checkpoint")
     observer = None
     if args.trace or args.trace_spans or args.trace_chrome:
@@ -555,34 +546,32 @@ def _make_service(args, timeline: bool = False):
     fault_plan = None
     if args.fault_seed is not None:
         fault_plan = default_chaos_plan(args.fault_seed)
-    overload = None
-    if args.overload:
-        overload = OverloadConfig(
-            tenant_queue_cap=args.queue_cap,
-            global_queue_cap=args.global_queue_cap,
-            shed_policy=args.shed_policy,
-            enforce_deadlines=args.enforce_deadlines,
-            brownout=args.brownout,
-            brownout_pr_iterations=args.brownout_pr_iterations,
-        )
-    elif args.enforce_deadlines or args.brownout:
+    if not args.overload and (args.enforce_deadlines or args.brownout):
         raise SystemExit(
             "--enforce-deadlines/--brownout need --overload to arm "
             "overload control"
         )
-    config = ServiceConfig(
-        cache_bytes=int(args.cache_mb * (1 << 20)),
-        num_threads=args.threads,
-        policy=args.policy,
-        pr_iterations=args.pr_iterations,
-        overload=overload,
-        share_reads=args.share_reads,
-        result_cache=args.result_cache,
-        result_cache_ttl_s=args.result_cache_ttl,
-        cache_rebalance=args.cache_rebalance,
-        cache_rebalance_interval_s=args.cache_rebalance_interval,
-    )
     try:
+        overload = None
+        if args.overload:
+            overload = OverloadConfig(
+                tenant_queue_cap=args.queue_cap,
+                global_queue_cap=args.global_queue_cap,
+                shed_policy=args.shed_policy,
+                enforce_deadlines=args.enforce_deadlines,
+                brownout=args.brownout,
+                brownout_pr_iterations=args.brownout_pr_iterations,
+            )
+        config = ServiceConfig(
+            cache_bytes=int(args.cache_mb * (1 << 20)),
+            num_threads=args.threads,
+            policy=args.policy,
+            pr_iterations=args.pr_iterations,
+            overload=overload,
+            share_reads=args.share_reads,
+            result_cache=args.result_cache,
+            result_cache_ttl_s=args.result_cache_ttl,
+        )
         service = GraphService(
             image,
             tenants,
@@ -596,7 +585,7 @@ def _make_service(args, timeline: bool = False):
                 else None
             ),
         )
-    except ValueError as exc:  # e.g. --cache-rebalance without two cache-kb=
+    except ValueError as exc:  # e.g. --result-cache-ttl 0 or --queue-cap 0
         raise SystemExit(f"bad service configuration: {exc}") from None
     return service, trace
 
@@ -643,11 +632,6 @@ def cmd_serve(args) -> int:
             rc = sharing["result_cache"]
             parts.append(
                 f"result-cache hits={rc['hits']}/{rc['hits'] + rc['misses']}"
-            )
-        if sharing["rebalancer"] is not None:
-            rb = sharing["rebalancer"]
-            parts.append(
-                f"rebalance moves={rb['moves']} pages={rb['pages_moved']}"
             )
         print(f"io sharing: {' '.join(parts)}")
     header = (

@@ -59,12 +59,12 @@ class CheckpointManager:
     One manager owns one directory; checkpoints are named by the
     iteration they capture (``ckpt_iter_00000007.pkl``), so ``latest()``
     is a pure directory listing and a re-run with ``--resume`` needs no
-    side-channel metadata.
+    side-channel metadata.  Only :meth:`save` writes: the first save
+    creates the directory, and a manager that only reads creates nothing.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, iteration: int) -> Path:
         """Where the checkpoint of ``iteration`` lives."""
@@ -85,6 +85,7 @@ class CheckpointManager:
                 f"{state.get('version')!r} (expected {CHECKPOINT_VERSION})"
             )
         path = self.path_for(int(state["iteration"]))
+        self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(self.directory), prefix=".ckpt_tmp_", suffix=".pkl"
         )
@@ -105,7 +106,10 @@ class CheckpointManager:
         return load_checkpoint(self.path_for(source) if isinstance(source, int) else source)
 
     def iterations(self) -> List[int]:
-        """Iterations with a checkpoint on disk, ascending."""
+        """Iterations with a checkpoint on disk, ascending (none when the
+        directory does not exist yet)."""
+        if not self.directory.is_dir():
+            return []
         found = []
         for entry in self.directory.iterdir():
             match = _CHECKPOINT_NAME.match(entry.name)

@@ -140,12 +140,6 @@ SERVE_RESULT_CACHE_HITS_TOTAL = "serve.result_cache_hits_total"
 SERVE_RESULT_CACHE_MISSES_TOTAL = "serve.result_cache_misses_total"
 SERVE_RESULT_CACHE_INSERTIONS_TOTAL = "serve.result_cache_insertions_total"
 SERVE_RESULT_CACHE_EXPIRATIONS_TOTAL = "serve.result_cache_expirations_total"
-#: Adaptive tenant cache sizing: rebalance decisions that moved capacity,
-#: cache pages transferred between partitions, and pages evicted from
-#: donors while shrinking.
-SERVE_CACHE_REBALANCES = "serve.cache_rebalances"
-SERVE_CACHE_PAGES_MOVED = "serve.cache_pages_moved"
-SERVE_CACHE_REBALANCE_EVICTIONS = "serve.cache_rebalance_evictions"
 
 #: Every counter name the stack may legitimately touch.
 KNOWN_COUNTERS = frozenset(
@@ -275,11 +269,9 @@ GAUGE_SERVE_WINDOW_P99 = "serve.window_latency_p99_s"
 GAUGE_SERVE_QUEUE_DEPTH = "serve.queue_depth"
 GAUGE_SERVE_QUOTA_OCCUPANCY = "serve.quota_occupancy"
 
-#: Per-tenant cache-partition families (``<family>.<tenant>``), sampled
-#: at timeline windows and by the cache rebalancer after each decision:
-#: the tenant's share of total partitioned cache capacity and its
-#: partition-level cumulative hit rate (see docs/io_sharing.md).
-GAUGE_SERVE_CACHE_SHARE = "serve.cache_share"
+#: Per-tenant cache-partition family (``<family>.<tenant>``), sampled at
+#: timeline windows: the tenant partition's cumulative hit rate (see
+#: docs/io_sharing.md).
 GAUGE_SERVE_CACHE_HIT_RATE = "serve.cache_hit_rate"
 
 KNOWN_GAUGE_FAMILIES = frozenset(
@@ -290,7 +282,6 @@ KNOWN_GAUGE_FAMILIES = frozenset(
         GAUGE_SERVE_WINDOW_P99,
         GAUGE_SERVE_QUEUE_DEPTH,
         GAUGE_SERVE_QUOTA_OCCUPANCY,
-        GAUGE_SERVE_CACHE_SHARE,
         GAUGE_SERVE_CACHE_HIT_RATE,
     }
 )

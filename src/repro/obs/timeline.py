@@ -161,15 +161,10 @@ class TimelineSampler:
             level = 0.0
         unhealthy = service._unhealthy_fraction(end)
         stats = service.stats
-        # Partition-level cache gauges: each partitioned tenant's share
-        # of the total partitioned capacity (which the serve-layer
-        # rebalancer moves mid-run) and its own cumulative hit rate —
-        # the per-instance tallies, not the shared counters, which
-        # aggregate every cache on the collector.
+        # Partition-level cache gauge: each partitioned tenant's own
+        # cumulative hit rate — the per-instance tallies, not the shared
+        # counters, which aggregate every cache on the collector.
         partitions = service.cache_partitions
-        total_pages = sum(
-            cache.set_capacity_pages for cache in partitions.values()
-        )
         stats.sample(registry.GAUGE_SERVE_BROWNOUT_STATE, end, level)
         stats.sample(registry.GAUGE_SERVE_UNHEALTHY_FRACTION, end, unhealthy)
         stats.sample(
@@ -208,14 +203,9 @@ class TimelineSampler:
             ]
             partition = partitions.get(name)
             if partition is not None:
-                pages = partition.set_capacity_pages
-                gauges += [
-                    (
-                        registry.GAUGE_SERVE_CACHE_SHARE,
-                        pages / total_pages if total_pages else 0.0,
-                    ),
-                    (registry.GAUGE_SERVE_CACHE_HIT_RATE, partition.hit_rate()),
-                ]
+                gauges.append(
+                    (registry.GAUGE_SERVE_CACHE_HIT_RATE, partition.hit_rate())
+                )
             for gauge, value in gauges:
                 stats.sample(f"{gauge}.{name}", end, value)
         self._window += 1

@@ -96,18 +96,9 @@ class PageCache:
         # touching the bit-identical counter stream.
         self.lookups = 0
         self.hits = 0
-        # Per-set capacity is instance state (not config) so the serve
-        # layer's rebalancer can move capacity between partitions; it
-        # starts at the configured geometry.
+        # The geometry, cached off the frozen config for the per-page loops.
         self._set_cap = self.config.set_capacity
         self._num_sets = self.config.num_sets
-        # Ghost LRU (opt-in via enable_ghost_tracking): recently evicted
-        # keys, recency-ordered.  A miss that hits the ghost list would
-        # have been a hit with more capacity — the marginal-benefit
-        # signal the rebalancer sizes partitions by.
-        self._ghost: Optional["OrderedDict[PageKey, None]"] = None
-        self._ghost_cap = 0
-        self.ghost_hits = 0
         # Per set, the resident keys in recency order (values unused).
         self._sets: Dict[int, "OrderedDict[PageKey, None]"] = {}
         # All resident keys, mirrored across sets: bulk lookups answer the
@@ -152,60 +143,6 @@ class PageCache:
         rates = self._set_hits[probed] / self._set_lookups[probed]
         return {int(i): float(r) for i, r in zip(probed, rates)}
 
-    def enable_ghost_tracking(self, capacity_pages: Optional[int] = None) -> None:
-        """Start remembering evicted keys in a ghost LRU list.
-
-        ``capacity_pages`` bounds the list (default: the cache's own
-        configured capacity — "would doubling help?").  Idempotent;
-        :attr:`ghost_hits` counts misses whose key was on the list, the
-        shadow signal the serve-layer rebalancer reads.  Purely local
-        state: never touches the shared stats.
-        """
-        if self._ghost is None:
-            self._ghost = OrderedDict()
-            self._ghost_cap = max(
-                1,
-                self.config.capacity_pages
-                if capacity_pages is None
-                else capacity_pages,
-            )
-
-    def _ghost_remember(self, key: PageKey) -> None:
-        ghost = self._ghost
-        if ghost is None:
-            return
-        ghost[key] = None
-        ghost.move_to_end(key)
-        if len(ghost) > self._ghost_cap:
-            ghost.popitem(last=False)
-
-    @property
-    def set_capacity_pages(self) -> int:
-        """Current total capacity: per-set capacity × number of sets
-        (diverges from the configured geometry after rebalancing)."""
-        return self._set_cap * self.config.num_sets
-
-    def resize_set_capacity(self, set_capacity: int) -> int:
-        """Grow or shrink every set to hold ``set_capacity`` pages.
-
-        Shrinking evicts overflow pages per set (via the configured
-        policy, remembered in the ghost list when tracking is on)
-        without touching the shared stats — capacity reassignment is a
-        policy action, not workload traffic.  Returns the number of
-        pages evicted (0 on grow).
-        """
-        if set_capacity < 1:
-            raise ValueError("set_capacity must be at least 1")
-        evicted_count = 0
-        if set_capacity < self._set_cap:
-            for index in sorted(self._sets):
-                cache_set = self._sets[index]
-                while len(cache_set) > set_capacity:
-                    self._evict_one(index, cache_set)
-                    evicted_count += 1
-        self._set_cap = set_capacity
-        return evicted_count
-
     def _set_index(self, key: PageKey) -> int:
         # A multiplicative hash keeps adjacent pages in different sets so a
         # sequential scan does not thrash a single slot.
@@ -220,14 +157,12 @@ class PageCache:
 
         Returns the runs of missing pages as ``[(first_page, count), ...]``
         — empty on a full hit.  A hit refreshes the page's recency and
-        counts one ``cache.hits``; a miss counts one ``cache.misses`` and
-        (under ghost tracking) probes the ghost list, touching nothing
-        else.
+        counts one ``cache.hits``; a miss counts one ``cache.misses``,
+        touching nothing else.
         """
         resident = self._resident
         lru = self.config.eviction == "lru"
         tracking = self._set_lookups is not None
-        ghost = self._ghost
         runs: List[Tuple[int, int]] = []
         run_start = -1
         for page_no in range(first_page, last_page + 1):
@@ -249,10 +184,6 @@ class PageCache:
                     run_start = page_no
                 if tracking:
                     self._set_lookups[self._set_index(key)] += 1
-                if ghost is not None and key in ghost:
-                    # It would have hit with more capacity: count and retire.
-                    del ghost[key]
-                    self.ghost_hits += 1
         if run_start >= 0:
             runs.append((run_start, last_page + 1 - run_start))
         n = last_page - first_page + 1
@@ -276,10 +207,11 @@ class PageCache:
 
         Each page evicts its set's victim when the set is full (pages of
         one run may evict each other); a page already resident is only
-        refreshed.  Evicted keys feed the ghost list; ``cache.evictions``
-        and ``cache.insertions`` are added once per call.
+        refreshed.  ``cache.evictions`` and ``cache.insertions`` are
+        added once per call.
         """
         gclock = self.config.eviction == "gclock"
+        resident = self._resident
         evictions = 0
         insertions = 0
         for page_no in range(first_page, first_page + count):
@@ -299,10 +231,13 @@ class PageCache:
                     cache_set.move_to_end(key)
                 continue
             if len(cache_set) >= self._set_cap:
-                self._evict_one(index, cache_set)
+                if gclock:
+                    resident.discard(self._gclock_evict(index, cache_set))
+                else:
+                    resident.discard(cache_set.popitem(last=False)[0])
                 evictions += 1
             cache_set[key] = None
-            self._resident.add(key)
+            resident.add(key)
             if gclock:
                 # New pages start unreferenced; a hit sets the bit, so pages
                 # touched since the last sweep outlive ones merely loaded.
@@ -314,16 +249,6 @@ class PageCache:
         if insertions:
             self.stats.add(reg.CACHE_INSERTIONS, insertions)
         return evictions
-
-    def _evict_one(self, index: int, cache_set) -> None:
-        """Evict the set's victim under the configured policy and remember
-        it on the ghost list."""
-        if self.config.eviction == "lru":
-            evicted, _ = cache_set.popitem(last=False)
-        else:
-            evicted = self._gclock_evict(index, cache_set)
-        self._resident.discard(evicted)
-        self._ghost_remember(evicted)
 
     def _gclock_evict(self, index: int, cache_set) -> PageKey:
         """Sweep the set's clock hand, clearing reference bits, until an
@@ -460,5 +385,5 @@ class PageCache:
         cfg = self.config
         return (
             f"PageCache(pages={len(self)}/{cfg.capacity_pages}, "
-            f"sets={cfg.num_sets}x{self._set_cap})"
+            f"sets={cfg.num_sets}x{cfg.set_capacity})"
         )

@@ -16,8 +16,6 @@ concurrency SAFS's asynchronous user-task interface was designed for
   brownout state machine (see ``docs/overload.md``),
 - :mod:`repro.serve.results` — the cross-query result cache answering
   repeat queries at admission time (see ``docs/io_sharing.md``),
-- :mod:`repro.serve.cache_sizing` — the ghost-LRU driven rebalancer
-  adaptively sizing tenant cache partitions,
 - :mod:`repro.serve.service` — :class:`GraphService`, the event loop
   interleaving jobs by smallest virtual clock under fair-share, FIFO or
   deadline (EDF) scheduling.
@@ -26,7 +24,6 @@ See ``docs/serving.md`` for the architecture.
 """
 
 from repro.serve.admission import AdmissionController, QuotaExceeded
-from repro.serve.cache_sizing import CacheRebalancer
 from repro.serve.overload import (
     OverloadConfig,
     OverloadController,
@@ -48,7 +45,6 @@ from repro.serve.traffic import Arrival, TenantTraffic, generate_trace
 __all__ = [
     "AdmissionController",
     "Arrival",
-    "CacheRebalancer",
     "CachedResult",
     "GraphService",
     "OverloadConfig",

@@ -164,7 +164,7 @@ class OverloadController:
     One controller per :class:`~repro.serve.service.GraphService` run.
     The service's event loop calls :meth:`note_time` whenever its
     frontier crosses :attr:`next_boundary_s` (the clocked-subscriber
-    shape the timeline sampler and cache rebalancer share); a due
+    shape it shares with the timeline sampler); a due
     sample reads ``signal(now)`` — ``(queue_depth, mean_wait,
     health_fraction)`` — into :meth:`observe`.  The service also
     consults the controller for shed victims, deadline verdicts and the

@@ -47,7 +47,6 @@ from repro.safs.filesystem import SAFS, SAFSConfig
 from repro.safs.io_scheduler import InflightReadRegistry
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.serve.admission import AdmissionController
-from repro.serve.cache_sizing import CacheRebalancer
 from repro.serve.overload import (
     BROWNOUT_TOLERANCE_FACTOR,
     OverloadConfig,
@@ -92,7 +91,7 @@ class ServiceConfig:
     #: Overload control (bounded queues, shedding, deadline enforcement,
     #: brownout); ``None`` keeps the exact pre-overload event loop.
     overload: Optional[OverloadConfig] = None
-    #: Cross-query I/O sharing (see docs/io_sharing.md).  All three
+    #: Cross-query I/O sharing (see docs/io_sharing.md).  Both
     #: default off, which keeps the exact legacy event loop and the
     #: single-tenant batch bit-identity contract.
     #: In-flight read dedup: overlapping dispatches from sharing tenants
@@ -104,12 +103,6 @@ class ServiceConfig:
     #: Result-cache entry lifetime on the simulated clock; ``None``
     #: never expires.
     result_cache_ttl_s: Optional[float] = None
-    #: Adaptive tenant cache sizing: periodically move set capacity
-    #: between tenant cache partitions toward the best marginal hit
-    #: rate (requires at least two tenants with ``cache_bytes``).
-    cache_rebalance: bool = False
-    #: Rebalance decision interval (simulated seconds).
-    cache_rebalance_interval_s: float = 0.01
 
     def __post_init__(self) -> None:
         if self.policy not in SCHEDULING_POLICIES:
@@ -121,8 +114,6 @@ class ServiceConfig:
             raise ValueError("pr_iterations must be at least 1")
         if self.result_cache_ttl_s is not None and self.result_cache_ttl_s <= 0.0:
             raise ValueError("result_cache_ttl_s must be positive")
-        if self.cache_rebalance_interval_s <= 0.0:
-            raise ValueError("cache_rebalance_interval_s must be positive")
 
 
 @dataclass
@@ -275,8 +266,8 @@ class ServiceReport:
     #: objectives (see ``repro.obs.slo``).
     slo: Optional[dict] = None
     #: Cross-query I/O sharing outcome — dedup totals plus the result
-    #: cache's and rebalancer's summaries; ``None`` when every sharing
-    #: feature was off (see docs/io_sharing.md).
+    #: cache's summary; ``None`` when both sharing features were off
+    #: (see docs/io_sharing.md).
     sharing: Optional[dict] = None
 
     @property
@@ -493,26 +484,12 @@ class GraphService:
                 for t in tenants
                 if t.result_cache != "off"
             }
-        self.rebalancer: Optional[CacheRebalancer] = None
-        if config.cache_rebalance:
-            if len(self.cache_partitions) < 2:
-                raise ValueError(
-                    "cache_rebalance needs at least two tenants with "
-                    "cache_bytes partitions to move capacity between"
-                )
-            self.rebalancer = CacheRebalancer(
-                self.cache_partitions,
-                config.cache_rebalance_interval_s,
-                stats=self.stats,
-            )
         #: The clocked subscribers, in stage order: each exposes
         #: ``next_boundary_s`` and ``note_time(now)``.
-        self._clocked = [
-            c for c in (detector, self.timeline, self.rebalancer) if c is not None
-        ]
+        self._clocked = [c for c in (detector, self.timeline) if c is not None]
         #: The armed features that own ``serve.*`` counters, each
         #: exposing ``counters(tenants)``, in flush order.
-        parts = (self.result_cache, self.rebalancer, self.overload)
+        parts = (self.result_cache, self.overload)
         self._counted = [p for p in parts if p is not None]
         self._sinks = self._build_sinks()
 
@@ -684,11 +661,11 @@ class GraphService:
         """The cross-query sharing outcome, ``None`` when all off.
 
         Reads the (already flushed) dedup counters and the result
-        cache's / rebalancer's local tallies; pure reads, so the
-        bit-identical counter snapshot is untouched.
+        cache's local tallies; pure reads, so the bit-identical counter
+        snapshot is untouched.
         """
-        cache, rebalancer = self.result_cache, self.rebalancer
-        if self.inflight is None and cache is None and rebalancer is None:
+        cache = self.result_cache
+        if self.inflight is None and cache is None:
             return None
         stats = self.stats
         return {
@@ -697,7 +674,6 @@ class GraphService:
             "dedup_waits": stats.get(reg.SAFS_DEDUP_WAITS),
             "dedup_wait_seconds": stats.get(reg.SAFS_DEDUP_WAIT_SECONDS),
             "result_cache": None if cache is None else cache.summary(),
-            "rebalancer": None if rebalancer is None else rebalancer.summary(),
         }
 
     # ------------------------------------------------------------------

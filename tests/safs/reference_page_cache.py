@@ -3,8 +3,8 @@
 ``PageCache.lookup_range`` / ``insert_range`` serve a whole span per call
 and batch their stats updates.  :class:`ReferencePageCache` adds the
 one-page-at-a-time ``lookup`` / ``insert`` they replaced — every counter
-bumped per page, every policy branch (LRU, gclock, ghost list, per-set
-tallies) spelled out — so the property tests can drive the same operations
+bumped per page, every policy branch (LRU, gclock, per-set tallies)
+spelled out — so the property tests can drive the same operations
 through both and require identical miss runs, counters and recency state.
 """
 
@@ -25,9 +25,6 @@ class ReferencePageCache(PageCache):
         if key not in self._resident:
             if self._set_lookups is not None:
                 self._set_lookups[self._set_index(key)] += 1
-            if self._ghost is not None and key in self._ghost:
-                del self._ghost[key]
-                self.ghost_hits += 1
             self.stats.add(reg.CACHE_MISSES)
             return False
         self.hits += 1
@@ -67,7 +64,6 @@ class ReferencePageCache(PageCache):
             else:
                 evicted = self._gclock_evict(index, cache_set)
             self._resident.discard(evicted)
-            self._ghost_remember(evicted)
             self.stats.add(reg.CACHE_EVICTIONS)
         cache_set[key] = None
         self._resident.add(key)

@@ -13,8 +13,7 @@ Two invariants back the engine's read path (see ``docs/architecture.md``,
 - ``PageCache.lookup_range`` / ``insert_range`` return the miss runs and
   eviction counts, and leave every counter *and* the full recency state,
   exactly where the page-by-page walk of ``reference_page_cache.py``
-  would — interleaved with ``invalidate`` and ``resize_set_capacity``,
-  with ghost and per-set tracking on.
+  would — interleaved with ``invalidate``, with per-set tracking on.
 """
 
 import numpy as np
@@ -133,9 +132,9 @@ def test_banded_merge_rejects_bad_arguments():
 
 
 # A cache operation over a page span; ``invalidate`` drops the span's
-# first page and ``resize`` takes the span length as the new set capacity.
+# first page.
 op_strategy = st.tuples(
-    st.sampled_from(["lookup", "lookup", "insert", "insert", "invalidate", "resize"]),
+    st.sampled_from(["lookup", "lookup", "insert", "insert", "invalidate"]),
     st.integers(min_value=0, max_value=1),  # file id
     st.integers(min_value=0, max_value=40),  # first page
     st.integers(min_value=1, max_value=12),  # span length
@@ -168,9 +167,7 @@ def _apply(cache, op, per_page):
         if per_page:
             return sum(cache.insert(file_id, p) is not None for p in pages)
         return cache.insert_range(file_id, first, count)
-    if kind == "invalidate":
-        return cache.invalidate(file_id, first)
-    return cache.resize_set_capacity(count)
+    return cache.invalidate(file_id, first)
 
 
 @pytest.mark.parametrize("eviction", ["lru", "gclock"])
@@ -184,15 +181,12 @@ def test_bulk_cache_ops_match_per_page(eviction, ops):
     cache = PageCache(config, StatsCollector())
     for c in (oracle, cache):
         c.enable_set_tracking()
-        c.enable_ghost_tracking(capacity_pages=8)
 
     for op in ops:
         assert _apply(cache, op, per_page=False) == _apply(oracle, op, per_page=True)
 
     assert cache.stats.snapshot() == oracle.stats.snapshot()
     assert (cache.lookups, cache.hits) == (oracle.lookups, oracle.hits)
-    assert cache.ghost_hits == oracle.ghost_hits
-    assert list(cache._ghost) == list(oracle._ghost)
     assert cache.set_hit_rate_samples() == oracle.set_hit_rate_samples()
     assert cache.export_state() == oracle.export_state()
     assert cache._resident == oracle._resident

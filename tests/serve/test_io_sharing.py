@@ -183,7 +183,6 @@ class TestPartitionHitRates:
         service.serve(overlap_trace())
         for name in ("ridge", "vale"):
             assert service.stats.series(f"serve.cache_hit_rate.{name}")
-            assert service.stats.series(f"serve.cache_share.{name}")
 
 
 class TestTenantOptOut:

@@ -3,11 +3,11 @@
 Sixteen served runs — clean and under a recoverable fault plan, times
 four overload-control levels (none, shed-only, shed + deadline
 enforcement, full brownout), times two I/O-sharing levels (off; in-flight
-dedup + result cache + cache rebalancing) — with the span observer, the
+dedup + result cache) — with the span observer, the
 timeline sampler and SLO objectives armed on some of them.  Each case
 pins the sha256 of what the run emitted: ``report.to_dict()``, every
 job record and shed record, the overload event log, the SLO summary,
-the timeline snapshots, the rebalancer log, the span JSONL, and the
+the timeline snapshots, the span JSONL, and the
 final counter, histogram and gauge snapshot.
 
 Regenerate (only when serving behaviour itself legitimately changes)::
@@ -76,12 +76,7 @@ CONTROLS = {
 
 SHARING = {
     "off": {},
-    "on": dict(
-        share_reads=True,
-        result_cache=True,
-        cache_rebalance=True,
-        cache_rebalance_interval_s=0.002,
-    ),
+    "on": dict(share_reads=True, result_cache=True),
 }
 
 CASES = [
@@ -193,9 +188,6 @@ def run_case(case: str) -> dict:
         "overload_events": (report.overload or {}).get("events"),
         "slo": report.slo,
         "timeline": timeline.snapshots if timeline is not None else None,
-        "rebalancer": (
-            service.rebalancer.log if service.rebalancer is not None else None
-        ),
         "spans": to_jsonl(observer) if observer is not None else None,
         "counters": metrics["counters"],
         "histograms": metrics["histograms"],

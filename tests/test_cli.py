@@ -151,6 +151,19 @@ class TestRobustnessFlags:
                 ["run", "--algorithm", "pr", "--edges", str(graph), "--resume"]
             )
 
+    def test_resume_from_missing_dir_writes_nothing(self, tmp_path):
+        graph = self._graph(tmp_path)
+        missing = tmp_path / "nope" / "deeper"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "run", "--algorithm", "pr", "--edges", str(graph),
+                    "--checkpoint-dir", str(missing), "--resume",
+                ]
+            )
+        assert "no checkpoint to resume from" in str(exc.value.code)
+        assert not (tmp_path / "nope").exists()
+
     def test_fault_seed_runs_chaos(self, tmp_path, capsys):
         graph = self._graph(tmp_path)
         rc = cli.main(
@@ -312,6 +325,26 @@ class TestSlo:
                     "--out", str(tmp_path / "slo.json"),
                 ]
             )
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--result-cache", "--result-cache-ttl", "0"], "result_cache_ttl_s"),
+            (["--overload", "--queue-cap", "0"], "tenant_queue_cap"),
+        ],
+    )
+    def test_bad_service_configuration_is_a_one_line_error(self, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    "serve", "--dataset", "twitter-sim", "--duration", "0.01",
+                    "--tenant", "name=acme,rate=10", *flags,
+                ]
+            )
+        assert str(exc.value.code).startswith("bad service configuration")
+        assert message in str(exc.value.code)
 
 
 class TestGraphFormat:

@@ -5,7 +5,10 @@ every ``def`` and ``class`` under ``src/repro`` and fails, listing them, on
 any name that occurs nowhere else as a word in ``src/``, ``benchmarks/``,
 ``examples/``, ``tests/`` or ``docs/`` — not called, not imported, not
 exported, not tested, not documented.  Dunder methods are exempt (the
-interpreter calls them).
+interpreter calls them).  The metrics registry gets a stricter check of
+its own: every metric-name constant must be used by some module of the
+program besides ``registry.py``, so a deleted feature cannot leave its
+counters declared as "known".
 """
 
 import ast
@@ -44,3 +47,24 @@ def test_every_definition_is_mentioned_somewhere():
         for where in sites
     ]
     assert not orphans, "defined but mentioned nowhere else:\n" + "\n".join(orphans)
+
+
+def test_every_registry_name_is_used_by_the_program():
+    registry = ROOT / "src" / "repro" / "obs" / "registry.py"
+    constants = [
+        target.id
+        for node in ast.parse(registry.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        # The aggregate sets only gather the names below.
+        and not target.id.startswith("KNOWN_")
+        and target.id != "ENGINE_GAUGES"
+    ]
+    used = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        if path != registry:
+            used.update(WORD.findall(path.read_text()))
+    unused = [name for name in constants if name not in used]
+    assert constants
+    assert not unused, "registry names no module uses:\n" + "\n".join(unused)
