@@ -85,6 +85,22 @@ def erdos_renyi_graph(
     return edges, num_vertices
 
 
+def _scratch_dtype(bound: int) -> type:
+    """int32 when every value a scratch array takes lies in ``[-bound,
+    bound]`` and ``bound`` fits int32, else int64: the width guard that
+    keeps narrow arithmetic exact."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
+def _domain_base(src: np.ndarray, domain_size: int, dtype: type) -> np.ndarray:
+    """``src // domain_size * domain_size`` in one ``dtype`` array (the
+    ufunc casts through its small buffer, not an int64 copy)."""
+    base = np.empty(src.size, dtype=dtype)
+    np.floor_divide(src, domain_size, out=base)
+    base *= domain_size
+    return base
+
+
 def web_graph(
     num_vertices: int,
     edge_factor: int,
@@ -100,14 +116,20 @@ def web_graph(
     rest hop to a page of a nearby domain.  Sparse long chains of
     domains give the large effective diameter the page graph exhibits.
     """
+    if edge_factor <= 0:
+        raise ValueError("edge_factor must be positive")
+    if domain_size <= 0:
+        raise ValueError("domain_size must be positive")
     if num_vertices <= domain_size:
         raise ValueError("need more vertices than one domain")
     if not 0.0 <= locality <= 1.0:
         raise ValueError("locality must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * edge_factor
-    # One (m + chain, 2) result; every step below writes into it or into
-    # one draw-sized temporary at a time, in the order the draws are made.
+    # One (m + chain, 2) result.  No two draw-sized temporaries are alive
+    # at once: beside the result and the ``local`` mask, each draw meets
+    # at most one scratch array, of the narrowest width that is exact.
+    # The draws' order and stream are fixed: the output is pinned byte for byte.
     chain_src = np.arange(0, num_vertices - domain_size, domain_size, dtype=np.int64)
     edges = np.empty((num_edges + chain_src.size, 2), dtype=np.int64)
     src, dst = edges[:num_edges, 0], edges[:num_edges, 1]
@@ -118,22 +140,33 @@ def web_graph(
     # page — giving each domain a hub and dense within-domain overlap
     # (cache reuse, triangle structure) without adding any long-range
     # shortcut that would shrink the diameter.
-    domain_base = src // domain_size
-    domain_base *= domain_size
     dst[:] = rng.integers(0, domain_size, size=num_edges)
-    dst += domain_base
-    np.copyto(dst, domain_base, where=rng.random(num_edges) < 0.35)
-    del domain_base
+    home = rng.random(num_edges) < 0.35
+    base = _domain_base(src, domain_size, _scratch_dtype(num_vertices))
+    dst += base
+    np.copyto(dst, base, where=home)
+    del base, home
     # Non-local links hop to a *nearby* domain (sites link within their
     # topical neighborhood).  Having no global shortcuts preserves the huge
     # effective diameter the paper reports for the page graph (650).
-    near_dst = rng.geometric(0.7, size=num_edges)
-    near_dst *= domain_size
-    near_dst *= rng.choice((-1, 1), size=num_edges)
-    near_dst += src // domain_size * domain_size
+    # The hop ``±geometric * domain_size + base + offset`` lies within
+    # ``num_vertices + (max geometric + 1) * domain_size`` of zero.
+    hops = rng.geometric(0.7, size=num_edges)
+    width = _scratch_dtype(num_vertices + (int(hops.max()) + 1) * domain_size)
+    near_dst = np.empty(num_edges, dtype=width)
+    np.multiply(hops, domain_size, out=near_dst)
+    del hops
+    # The stream ``choice((-1, 1))`` draws, without its gather of a copy.
+    sign = rng.integers(0, 2, size=num_edges)
+    sign *= 2
+    sign -= 1
+    near_dst *= sign
+    del sign
+    near_dst += _domain_base(src, domain_size, width)
     near_dst += rng.integers(0, domain_size, size=num_edges)
     np.clip(near_dst, 0, num_vertices - 1, out=near_dst)
-    np.copyto(dst, near_dst, where=~local)
+    np.logical_not(local, out=local)
+    np.copyto(dst, near_dst, where=local)
     del near_dst, local
     np.minimum(dst, num_vertices - 1, out=dst)
     edges[num_edges:, 0] = chain_src

@@ -8,12 +8,18 @@ began and so is not counted.  The ratios do not depend on scale, so small
 graphs stand in for the benchmark's.  The ceilings hold the stages to
 in-place arithmetic on temporaries at their narrowest exact width; the
 int64 per-edge scatter encoders they replaced peaked at 114 B
-(``build_directed`` v2) and 211 B (``build_undirected`` v2) per edge,
-and ``page_sim`` at 92 B per raw edge.
+(``build_directed`` v2) and 211 B (``build_undirected`` v2) per edge.
+``page_sim`` peaked at 92 B per raw edge, then 41 B with one
+preallocated result, and now 29 B: no two draw-sized temporaries
+are alive at once.  R-MAT generation peaks at 33 B (``twitter_sim(11)``;
+43.5 B when traced first in a fresh process, before numpy.random loads).
 """
 
 import tracemalloc
 
+# numpy loads numpy.random on first use: import it here, so its module
+# objects (~0.8 MiB) are not charged to the first generator traced.
+import numpy.random  # noqa: F401
 import pytest
 
 from repro.graph.builder import build_directed, build_undirected
@@ -23,6 +29,8 @@ GENERATORS = {
     "page_sim": lambda: page_sim(1 << 13),
     "rmat": lambda: twitter_sim(11),
 }
+# Bytes per raw edge, the 16 B result included.
+GENERATION_CEILINGS = {"page_sim": 32, "rmat": 64}
 
 
 def _peak_bytes(call):
@@ -45,7 +53,7 @@ def graph(request):
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_generation_peak(name):
     (edges, _), peak = _peak_bytes(GENERATORS[name])
-    assert peak / edges.shape[0] <= 64
+    assert peak / edges.shape[0] <= GENERATION_CEILINGS[name]
 
 
 @pytest.mark.parametrize("fmt", ["v1", "v2"])

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.graph import generators
 from repro.graph.builder import build_directed
 from repro.graph.generators import (
     erdos_renyi_graph,
@@ -12,6 +15,7 @@ from repro.graph.generators import (
     twitter_sim,
     web_graph,
 )
+from tests.graph import reference_generators
 
 
 class TestRMAT:
@@ -82,6 +86,75 @@ class TestWebGraph:
             web_graph(10, edge_factor=2, domain_size=64)
         with pytest.raises(ValueError):
             web_graph(1000, edge_factor=2, locality=1.5)
+
+    @pytest.mark.parametrize("edge_factor", [0, -3])
+    def test_invalid_edge_factor(self, edge_factor):
+        with pytest.raises(ValueError, match="edge_factor"):
+            web_graph(1000, edge_factor=edge_factor)
+
+    @pytest.mark.parametrize("domain_size", [0, -64])
+    def test_invalid_domain_size(self, domain_size):
+        with pytest.raises(ValueError, match="domain_size"):
+            web_graph(1000, edge_factor=2, domain_size=domain_size)
+
+
+@st.composite
+def web_graph_args(draw):
+    n = draw(st.integers(min_value=2, max_value=4096))
+    return dict(
+        num_vertices=n,
+        edge_factor=draw(st.integers(min_value=1, max_value=8)),
+        domain_size=draw(st.integers(min_value=1, max_value=n - 1)),
+        locality=draw(
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+        ),
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+    )
+
+
+def _assert_same_bytes(args):
+    edges, n = web_graph(**args)
+    expected, expected_n = reference_generators.web_graph(**args)
+    assert n == expected_n
+    assert edges.dtype == expected.dtype and edges.shape == expected.shape
+    assert edges.tobytes() == expected.tobytes()
+
+
+class TestWebGraphMatchesOracle:
+    """The one-temporary generator against its old int64 body."""
+
+    @given(args=web_graph_args())
+    @settings(max_examples=150, deadline=None)
+    def test_byte_identical(self, args):
+        _assert_same_bytes(args)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    @pytest.mark.parametrize("num_vertices", [1 << 12, 5000])
+    def test_page_sim_profile(self, num_vertices, seed):
+        _assert_same_bytes(
+            dict(num_vertices=num_vertices, edge_factor=52, domain_size=64, seed=seed)
+        )
+
+    def test_width_guard(self):
+        assert generators._scratch_dtype(2**31 - 1) is np.int32
+        assert generators._scratch_dtype(2**31) is np.int64
+
+    @pytest.mark.parametrize("locality", [0.0, 0.85, 1.0])
+    def test_int64_fallback(self, monkeypatch, locality):
+        bounds = []
+
+        def guard(bound):
+            bounds.append(bound)
+            return np.int64
+
+        monkeypatch.setattr(generators, "_scratch_dtype", guard)
+        _assert_same_bytes(
+            dict(num_vertices=3000, edge_factor=5, domain_size=50, locality=locality, seed=7)
+        )
+        # The domain base's bound, then the near hop's: a geometric draw
+        # is at least 1, so the hop reaches two domains past the last page.
+        assert bounds[0] == 3000
+        assert bounds[1] >= 3000 + 2 * 50
 
 
 class TestDatasetStandIns:
