@@ -6,7 +6,7 @@ exercises the ones this library provides:
 
 1. device-model calibration (fio-style: measure the simulated array's
    IOPS/bandwidth curve and check it against the paper's numbers),
-2. graph construction with external-sort accounting and SSD wear,
+2. graph construction with external-sort accounting and flash writes,
 3. image integrity checking (fsck for the on-SSD format),
 4. dataset statistics (degree skew, ID locality) for the generators,
 5. per-iteration tracing of an engine run, exported to CSV.

@@ -8,73 +8,45 @@ The six applications the paper evaluates, spanning its three I/O classes:
 3. vertices reading many *other* vertices' edge lists — :mod:`triangle_count`,
    :mod:`scan_statistics`.
 
-Extensions beyond the paper's evaluation set: :mod:`kcore`, :mod:`sssp`,
-:mod:`diameter` (used to report Table 1's diameter column), and
-direction-optimizing BFS (:mod:`bfs`, discussed in §5.2).
+Extensions beyond the paper's evaluation set, each run by an example or
+a bench row: :mod:`sssp`, :mod:`communities` (label propagation),
+:mod:`louvain` and :mod:`diameter` (Table 1's diameter column).
 """
 
 from repro.algorithms.bc import BetweennessCentralityProgram, betweenness_centrality
-from repro.algorithms.bc_full import (
-    betweenness_centrality_full,
-    betweenness_centrality_sampled,
-)
-from repro.algorithms.clustering import clustering_coefficients
 from repro.algorithms.communities import (
     LabelPropagationProgram,
     label_propagation,
     modularity,
 )
-from repro.algorithms.core_decomposition import core_decomposition
-from repro.algorithms.bfs import (
-    BFSProgram,
-    DirectionOptimizingBFSProgram,
-    bfs,
-    bfs_direction_optimizing,
-)
+from repro.algorithms.bfs import BFSProgram, bfs
 from repro.algorithms.diameter import estimate_diameter
-from repro.algorithms.kcore import KCoreProgram, kcore
 from repro.algorithms.louvain import LouvainResult, louvain
 from repro.algorithms.pagerank import PageRankProgram, pagerank
 from repro.algorithms.scan_statistics import ScanStatisticsProgram, scan_statistics
-from repro.algorithms.scc import scc
 from repro.algorithms.sssp import SSSPProgram, sssp
 from repro.algorithms.triangle_count import TriangleCountProgram, triangle_count
 from repro.algorithms.wcc import WCCProgram, wcc
-from repro.algorithms.weighted_pagerank import (
-    WeightedPageRankProgram,
-    weighted_pagerank,
-)
 
 __all__ = [
     "BetweennessCentralityProgram",
     "betweenness_centrality",
-    "betweenness_centrality_full",
-    "betweenness_centrality_sampled",
-    "clustering_coefficients",
     "LabelPropagationProgram",
     "label_propagation",
     "modularity",
-    "core_decomposition",
     "BFSProgram",
-    "DirectionOptimizingBFSProgram",
     "bfs",
-    "bfs_direction_optimizing",
     "estimate_diameter",
-    "KCoreProgram",
-    "kcore",
     "LouvainResult",
     "louvain",
     "PageRankProgram",
     "pagerank",
     "ScanStatisticsProgram",
     "scan_statistics",
-    "scc",
     "SSSPProgram",
     "sssp",
     "TriangleCountProgram",
     "triangle_count",
     "WCCProgram",
     "wcc",
-    "WeightedPageRankProgram",
-    "weighted_pagerank",
 ]

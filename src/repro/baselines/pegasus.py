@@ -8,15 +8,12 @@ computations and terribly for traversals — every iteration pays the full
 scan-shuffle-materialise cost no matter how small the frontier, plus the
 per-job scheduling latency Hadoop is famous for.
 
-The actual numerics run through ``scipy.sparse`` (a genuine GIM-V
-implementation); only job times come from the MapReduce model.
+Only job times are modelled: the traces come from
+:mod:`repro.baselines.common`, the costs from the MapReduce model.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
-import scipy.sparse as sp
+from typing import Optional
 
 from repro.baselines.common import (
     BaselineReport,
@@ -58,54 +55,6 @@ class PegasusEngine:
     ) -> None:
         self.image = image
         self.cost = cost_model or PegasusCostModel()
-        self._matrix = self._build_matrix()
-
-    def _build_matrix(self) -> sp.csr_matrix:
-        csr = self.image.out_csr
-        n = self.image.num_vertices
-        indptr = np.asarray(csr.indptr, dtype=np.int64)
-        indices = np.asarray(csr.indices, dtype=np.int64)
-        data = np.ones(indices.size)
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-    # -- genuine GIM-V numerics ----------------------------------------
-
-    def gimv_pagerank(
-        self, damping: float = 0.85, max_iterations: int = 30
-    ) -> Tuple[np.ndarray, int]:
-        """PageRank as iterated matrix-vector products (no dangling
-        redistribution, matching the engine's delta formulation)."""
-        n = self.image.num_vertices
-        out_deg = np.asarray(self._matrix.sum(axis=1)).ravel()
-        inv = np.zeros(n)
-        nonzero = out_deg > 0
-        inv[nonzero] = 1.0 / out_deg[nonzero]
-        scaled = sp.diags(inv) @ self._matrix
-        rank = np.full(n, 1.0 - damping)
-        for iteration in range(max_iterations):
-            updated = (1.0 - damping) + damping * (scaled.T @ rank)
-            converged = np.abs(updated - rank).max() < 1e-12
-            rank = updated
-            if converged:
-                return rank, iteration + 1
-        return rank, max_iterations
-
-    def gimv_wcc(self) -> Tuple[np.ndarray, int]:
-        """Connected components as iterated min-plus products."""
-        n = self.image.num_vertices
-        undirected = self._matrix + self._matrix.T
-        labels = np.arange(n, dtype=np.int64)
-        iterations = 0
-        while True:
-            iterations += 1
-            proposals = labels.copy()
-            coo = undirected.tocoo()
-            np.minimum.at(proposals, coo.col, labels[coo.row])
-            if np.array_equal(proposals, labels):
-                return labels, iterations
-            labels = proposals
-
-    # -- timing ----------------------------------------------------------
 
     def run(self, algorithm: str, source: int = 0, max_iterations: int = 30) -> BaselineReport:
         """Execute ``algorithm`` and report MapReduce-cluster time."""

@@ -24,8 +24,6 @@ import json
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from repro.bench import experiments
 from repro.bench import extra_experiments
 from repro.bench.datasets import DATASETS, load_dataset
@@ -57,6 +55,7 @@ from repro.serve import (
     generate_trace,
 )
 from repro.serve.overload import SHED_POLICIES
+from repro.serve.queries import APPS
 from repro.serve.service import SCHEDULING_POLICIES
 from repro.sim.faults import default_chaos_plan
 from repro.sim.health import HealthPolicy
@@ -400,9 +399,38 @@ def _run_traced(engine, args, observer) -> Optional[RunResult]:
     return result
 
 
+def _check_run_args(args, image) -> None:
+    """Reject a traversal source that is not a vertex and a negative
+    iteration cap before anything runs."""
+    if args.source is not None and not 0 <= args.source < image.num_vertices:
+        raise SystemExit(
+            f"--source {args.source} is not a vertex of {image.name} "
+            f"({image.num_vertices:,} vertices)"
+        )
+    if args.max_iterations < 0:
+        raise SystemExit(
+            f"--max-iterations must be non-negative, got {args.max_iterations}"
+        )
+
+
+def _make_engine(image, args, **kwargs):
+    """:func:`make_engine` from the shared flags; a configuration the
+    engine rejects is a one-line error, not a traceback."""
+    try:
+        return make_engine(
+            image,
+            cache_bytes=int(args.cache_mb * (1 << 20)),
+            num_threads=args.threads,
+            **kwargs,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bad run configuration: {exc}") from None
+
+
 def cmd_run(args) -> int:
     fmt = _resolve_format(args)
     image = _load_image(args, fmt)
+    _check_run_args(args, image)
     mode = ExecutionMode(args.mode)
     if mode is not ExecutionMode.SEMI_EXTERNAL:
         if args.fault_seed is not None:
@@ -422,11 +450,10 @@ def cmd_run(args) -> int:
     fault_plan = None
     if args.fault_seed is not None:
         fault_plan = default_chaos_plan(args.fault_seed)
-    engine = make_engine(
+    engine = _make_engine(
         image,
+        args,
         mode=mode,
-        cache_bytes=int(args.cache_mb * (1 << 20)),
-        num_threads=args.threads,
         execution=execution,
         async_threshold=args.async_threshold,
         fault_plan=fault_plan,
@@ -436,7 +463,10 @@ def cmd_run(args) -> int:
     manager = None
     if args.checkpoint_dir:
         manager = CheckpointManager(args.checkpoint_dir)
-        engine.enable_checkpoints(manager, every=args.checkpoint_every)
+        try:
+            engine.enable_checkpoints(manager, every=args.checkpoint_every)
+        except ValueError as exc:
+            raise SystemExit(f"bad run configuration: {exc}") from None
     if args.resume:
         if manager is None:
             raise SystemExit("--resume needs --checkpoint-dir")
@@ -482,6 +512,12 @@ def _parse_tenant(spec: str):
     weight = float(fields.pop("weight", 1.0))
     quota = int(fields.pop("quota", 2))
     apps = tuple(fields.pop("apps", "pr+bfs+wcc").split("+"))
+    for app in apps:
+        if app not in APPS:
+            raise SystemExit(
+                f"bad tenant {name!r}: unsupported app {app!r} "
+                f"(supported: {', '.join(APPS)})"
+            )
     deadline = fields.pop("deadline", None)
     cache_kb = fields.pop("cache-kb", None)
     queue_cap = fields.pop("queue-cap", None)
@@ -728,12 +764,8 @@ def cmd_graph_stats(args) -> int:
 
 def cmd_profile(args) -> int:
     image = load_dataset(args.dataset)
-    engine = make_engine(
-        image,
-        mode=ExecutionMode.SEMI_EXTERNAL,
-        cache_bytes=int(args.cache_mb * (1 << 20)),
-        num_threads=args.threads,
-    )
+    _check_run_args(args, image)
+    engine = _make_engine(image, args, mode=ExecutionMode.SEMI_EXTERNAL)
     observer = arm(engine)
     if _run_traced(engine, args, observer) is None:
         return 1

@@ -124,9 +124,6 @@ class CheckpointManager:
             return None
         return self.path_for(iterations[-1])
 
-    def __repr__(self) -> str:
-        return f"CheckpointManager({str(self.directory)!r})"
-
 
 def load_checkpoint(path: Union[str, Path]) -> Dict:
     """Load the checkpoint at ``path``; reading never writes anything."""

@@ -393,9 +393,11 @@ class GraphEngine:
         the serving layer's end-to-end query tracing.
         One engine drives one job at a time — the job borrows the
         engine's mutable state until it finishes.  An ``initial_active``
-        id that is not a vertex raises ``ValueError`` before any of that
-        state is touched.
+        id that is not a vertex, or a negative ``max_iterations``, raises
+        ``ValueError`` before any of that state is touched.
         """
+        if max_iterations is not None and max_iterations < 0:
+            raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
         if initial_active is None:
             frontier = np.arange(self.image.num_vertices, dtype=np.int64)
         else:

@@ -9,7 +9,7 @@ data-free multicast.  The buffer keeps a multicast as it was sent — a
 barrier handles one value per edge list, not one per edge.
 
 Most algorithms' messages are commutative aggregations, so the buffer
-supports *combiners* (sum/min/max): logical messages are counted and
+supports *combiners* (sum/min): logical messages are counted and
 charged individually, but deliveries to the same destination are combined
 before ``run_on_message`` fires — the same trick Pregel-style systems use
 to keep buffers small.
@@ -22,7 +22,7 @@ recovered one.  The contract, per combiner:
 
 - ``sum``: each destination's values are added one at a time in
   ascending value order, starting from ``+0.0``;
-- ``min`` / ``max``: exact and order-free (up to the sign of a zero:
+- ``min``: exact and order-free (up to the sign of a zero:
   ``0.0`` and ``-0.0`` compare equal);
 - no combiner: deliveries are grouped by destination, ascending, and
   each destination's values are ascending.
@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 #: Supported combiners: how concurrent messages to one vertex collapse.
-COMBINERS = ("sum", "min", "max")
+COMBINERS = ("sum", "min")
 
 
 def check_vertex_ids(ids: np.ndarray, num_vertices: Optional[int], what: str) -> None:
@@ -181,12 +181,9 @@ class MessageBuffer:
                 weights=np.repeat(values[order], sorted_counts),
                 minlength=dense_counts.size,
             )
-        elif self.combiner == "min":
+        else:  # min
             dense = np.full(dense_counts.size, np.inf)
             np.minimum.at(dense, dests, values)
-        else:  # max
-            dense = np.full(dense_counts.size, -np.inf)
-            np.maximum.at(dense, dests, values)
         return unique, dense[unique], dense_counts[unique]
 
     def restore_peak(self, peak: int) -> None:

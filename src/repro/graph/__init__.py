@@ -46,13 +46,6 @@ from repro.graph.generators import (
 from repro.graph.index import GraphIndex, GraphIndexV2, build_index_v2
 from repro.graph.page_vertex import PageVertex, PageVertexBatch
 from repro.graph.stats import degree_stats, degree_histogram, id_locality
-from repro.graph.transform import (
-    edge_array,
-    largest_wcc,
-    reverse,
-    subgraph,
-    to_undirected,
-)
 from repro.graph.types import EdgeType, INVALID_VERTEX, VertexID
 from repro.graph.validation import ValidationReport, validate_image
 
@@ -86,11 +79,6 @@ __all__ = [
     "degree_stats",
     "degree_histogram",
     "id_locality",
-    "edge_array",
-    "largest_wcc",
-    "reverse",
-    "subgraph",
-    "to_undirected",
     "EdgeType",
     "INVALID_VERTEX",
     "VertexID",

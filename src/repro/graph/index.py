@@ -182,13 +182,6 @@ class GraphIndex:
                 f"vertex {vertex} out of range [0, {self._num_vertices})"
             )
 
-    def __repr__(self) -> str:
-        return (
-            f"GraphIndex(vertices={self._num_vertices}, "
-            f"edges={self._total_edges}, "
-            f"memory={self.memory_bytes()}B)"
-        )
-
 
 class GraphIndexV2(GraphIndex):
     """The index for compressed (format v2) edge files.
@@ -260,14 +253,6 @@ class GraphIndexV2(GraphIndex):
             super().memory_bytes()
             + 2 * self._num_vertices
             + 32 * len(self._large_sizes)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"GraphIndexV2(vertices={self._num_vertices}, "
-            f"edges={self._total_edges}, "
-            f"file={self._file_size}B, "
-            f"memory={self.memory_bytes()}B)"
         )
 
 

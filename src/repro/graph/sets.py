@@ -74,11 +74,3 @@ def intersect_count_segments(
             stops = chunk.cumsum()
             counts[lo:hi] = found[stops] - found[stops - chunk]
     return counts
-
-
-def loopless_degrees(csr: CSR) -> np.ndarray:
-    """Each row's length less its self-loop, as int64."""
-    degrees = csr.degrees().astype(np.int64)
-    rows = np.repeat(np.arange(degrees.size), degrees)
-    degrees -= np.bincount(rows[csr.indices == rows], minlength=degrees.size)
-    return degrees

@@ -37,8 +37,13 @@ def build_profile(observer, label: str = "") -> dict:
     """A :data:`PROFILE_SCHEMA` document from an armed run's observer."""
     iterations: List[dict] = []
     totals = {layer: 0.0 for layer in LAYERS}
-    runtime = 0.0
+    runtime = offset = 0.0
     for row in observer.iterations:
+        if row["start"] < runtime - offset:
+            # A multi-run driver (bc's two sweeps) starts each run's clock
+            # at 0; its runtime is the sum of the runs', as its
+            # RunResult's is.
+            offset = runtime
         span = row["end"] - row["start"]
         workers = row["workers"]
         compute = row["busy_sum"] / workers if workers else 0.0
@@ -72,7 +77,7 @@ def build_profile(observer, label: str = "") -> dict:
         totals["queue"] += queue
         totals["service"] += service
         totals["recovery"] += recovery
-        runtime = row["end"]
+        runtime = offset + row["end"]
     return {
         "schema": PROFILE_SCHEMA,
         "label": label,

@@ -15,7 +15,7 @@ This package implements SAFS faithfully over the simulated SSD array:
 - :mod:`repro.safs.io_request` — FlashGraph's conservative merge rule
   (same or adjacent pages only) over parallel request arrays
   (:func:`merge_request_arrays`, optionally within a bounded queue
-  window, over requests keyed by :func:`band_requests`), plus the
+  window, over banded request keys), plus the
   object-based reference the property tests compare it against
   (:func:`merge_requests`).
 - :mod:`repro.safs.io_scheduler` — dispatch of merged page spans to the
@@ -38,7 +38,6 @@ from repro.safs.io_request import (
     IORequest,
     MergedRequest,
     MergedSpans,
-    band_requests,
     merge_request_arrays,
     merge_requests,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "IORequest",
     "MergedRequest",
     "MergedSpans",
-    "band_requests",
     "merge_request_arrays",
     "merge_requests",
     "SAFSFile",

@@ -7,7 +7,7 @@ issued request can range from a single page to many megabytes — exactly the
 flexibility the paper credits for adapting to different access patterns.
 
 The engine holds a wave of requests as parallel arrays, keyed by file
-band (:func:`band_requests`), and merges it with
+band (``GraphImage.list_keys``), and merges it with
 :func:`merge_request_arrays`.  The per-request objects
 (:class:`IORequest`, :class:`MergedRequest`) and :func:`merge_requests`
 are the readable reference the property tests compare the array merger
@@ -159,34 +159,6 @@ class MergedSpans:
         return int(self.file_ids.size)
 
 
-def band_requests(
-    file_ids, offsets, lengths, page_size: int, band: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(keys, last pages)`` of ``(file, offset, length)`` request arrays:
-    the banded form :func:`merge_request_arrays` takes.  Raises what
-    :class:`IORequest` raises, and for columns of different lengths, a
-    negative file id or a request reaching past page ``band`` of its file.
-    """
-    if page_size <= 0:
-        raise ValueError("page size must be positive")
-    file_ids, offsets, lengths = (
-        np.asarray(a, dtype=np.int64) for a in (file_ids, offsets, lengths)
-    )
-    if not file_ids.ndim == 1 or not file_ids.shape == offsets.shape == lengths.shape:
-        raise ValueError("file ids, offsets and lengths must be 1-D and of one length")
-    if (file_ids < 0).any():
-        raise ValueError("file ids cannot be negative")
-    if (offsets < 0).any():
-        raise ValueError("request offset cannot be negative")
-    if (lengths <= 0).any():
-        raise ValueError("request length must be positive")
-    last = (offsets + lengths - 1) // page_size
-    if (last >= band).any():
-        raise ValueError(f"request escapes its file's band of {band} pages")
-    lift = file_ids * band
-    return offsets + lift * page_size, last + lift
-
-
 def merge_request_arrays(
     keys: np.ndarray,
     last_pages: np.ndarray,
@@ -201,7 +173,7 @@ def merge_request_arrays(
     page_size`` through page ``last_pages[i] - f * band``: each file's
     pages are lifted into a band of ``band`` pages, which must exceed
     every file's page count by more than ``adjacency_gap``.  The caller
-    lifts once, per request (:func:`band_requests`) or per image
+    lifts once, per image
     (:meth:`~repro.graph.builder.GraphImage.list_keys`), not per call.
 
     One stable argsort of the keys sorts by ``(file, offset)`` — the

@@ -84,6 +84,3 @@ class SAFSFile:
             raise ValueError(f"page {page_no} is past EOF of {self.name!r}")
         end = min(start + page_size, len(self._data))
         return memoryview(self._data)[start:end]
-
-    def __repr__(self) -> str:
-        return f"SAFSFile(name={self.name!r}, size={self.size})"

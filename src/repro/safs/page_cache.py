@@ -79,6 +79,8 @@ class PageCache:
         stats: Optional[StatsCollector] = None,
     ) -> None:
         self.config = config or PageCacheConfig()
+        if self.config.capacity_bytes < 0:
+            raise ValueError("cache capacity must be non-negative")
         if self.config.page_size <= 0:
             raise ValueError("page size must be positive")
         if self.config.associativity <= 0:
@@ -380,10 +382,3 @@ class PageCache:
         self._ref_bits.clear()
         self._hands.clear()
         self._rings.clear()
-
-    def __repr__(self) -> str:
-        cfg = self.config
-        return (
-            f"PageCache(pages={len(self)}/{cfg.capacity_pages}, "
-            f"sets={cfg.num_sets}x{cfg.set_capacity})"
-        )

@@ -7,8 +7,8 @@ array once, after which a single external-memory structure serves every
 algorithm (§3.5.2).
 
 This module models that construction: sequential streaming writes striped
-over the devices, a write-amplification factor for the FTL, and a wear
-counter so tests can assert the engine never writes during computation.
+over the devices and a write-amplification factor for the FTL, counted in
+``write.*`` counters that no computation moves.
 """
 
 from dataclasses import dataclass
@@ -26,19 +26,17 @@ class WriteModel:
 
     Consumer SSDs of the paper's era wrote at roughly half their read
     bandwidth; the FTL's write amplification consumes additional flash
-    program cycles that count toward wear but not host time.
+    program cycles that cost no host time.
     """
 
     #: Sustained sequential write bandwidth per device, bytes/second.
     seq_write_bandwidth: float = 250e6
     #: Flash pages programmed per host page written (FTL overhead).
     write_amplification: float = 1.1
-    #: Program/erase cycles a consumer drive endures per flash page.
-    endurance_cycles: int = 3000
 
 
 class GraphLoader:
-    """Streams graph files onto the simulated array and accounts wear."""
+    """Streams graph files onto the simulated array and counts the writes."""
 
     def __init__(
         self,
@@ -73,34 +71,3 @@ class GraphLoader:
         self.stats.add(reg.WRITE_FLASH_PAGES_PROGRAMMED, programmed)
         self.stats.add(reg.WRITE_SECONDS, seconds)
         return seconds, programmed
-
-    def wear_fraction(self) -> float:
-        """Fraction of the array's endurance consumed by writes so far.
-
-        The array's total endurance budget is ``devices x capacity_pages x
-        endurance_cycles``; we approximate capacity from the bytes written
-        (a loader only ever writes each image once, so this is the
-        conservative per-image wear).
-        """
-        programmed = self.stats.get(reg.WRITE_FLASH_PAGES_PROGRAMMED)
-        if programmed == 0:
-            return 0.0
-        host_pages = self.stats.get(reg.WRITE_HOST_PAGES)
-        # Each page location endures `endurance_cycles` programs; writing
-        # a page once consumes 1/endurance of that location's life.
-        return programmed / (host_pages * self.model.endurance_cycles)
-
-
-def assert_read_only_computation(stats: StatsCollector) -> None:
-    """Raise if any write counter moved during computation.
-
-    The engine's whole-run invariant (§3: "Minimize write"): after graph
-    construction, FlashGraph never writes to SSDs.  Tests and the harness
-    call this after algorithm runs.
-    """
-    written = stats.get("write.bytes.computation", 0.0)
-    if written:
-        raise AssertionError(
-            f"semi-external computation wrote {written} bytes to SSDs; "
-            "the SEM model must not write during algorithms"
-        )

@@ -378,7 +378,6 @@ class GraphService:
         image: GraphImage,
         tenants: Sequence[TenantSpec],
         config: Optional[ServiceConfig] = None,
-        undirected_image: Optional[GraphImage] = None,
         array_config: Optional[SSDArrayConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         fault_policy: Optional[FaultPolicy] = None,
@@ -417,7 +416,6 @@ class GraphService:
         )
         self.queries = QueryFactory(
             image,
-            undirected_image=undirected_image,
             pr_iterations=config.pr_iterations,
             source=source,
         )
@@ -866,7 +864,7 @@ class GraphService:
             return
         query = self.queries.build(arrival.app, **build_kwargs)
         engine = GraphEngine(
-            query.image,
+            self.queries.image,
             safs=self.safs,
             config=self._engine_config,
             cost_model=self.cost_model,

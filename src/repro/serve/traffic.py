@@ -30,7 +30,7 @@ class Arrival:
     time: float
     #: Tenant the query belongs to.
     tenant: str
-    #: Algorithm to run ("pr", "bfs", "wcc", "kcore", ...).
+    #: Algorithm to run (one of :data:`repro.serve.queries.APPS`).
     app: str
     #: Global index in the merged trace (ties broken deterministically).
     index: int

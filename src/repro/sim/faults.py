@@ -271,9 +271,6 @@ class FaultPlan:
         )
         return tuple(sorted(touched))
 
-    def __repr__(self) -> str:
-        return f"FaultPlan(seed={self.seed}, events={len(self.events)})"
-
 
 @dataclass(frozen=True)
 class DeviceCompletion:

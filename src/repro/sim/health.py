@@ -142,10 +142,3 @@ class HealthMonitor:
         self._quarantined_until = [float(t) for t in state["quarantined_until"]]
         self._trips = [int(t) for t in state["trips"]]
         self._failed = [bool(f) for f in state["failed"]]
-
-    def __repr__(self) -> str:
-        benched = sum(self._failed)
-        return (
-            f"HealthMonitor(devices={self.num_devices}, failed={benched}, "
-            f"trips={sum(self._trips)})"
-        )

@@ -253,9 +253,3 @@ class RebuildState:
         )
         rebuild._charged_pages = int(state["charged_pages"])
         return rebuild
-
-    def __repr__(self) -> str:
-        return (
-            f"RebuildState(device={self.device}, spare={self.spare}, "
-            f"total_pages={self.total_pages})"
-        )

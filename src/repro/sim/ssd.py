@@ -225,6 +225,3 @@ class SSD:
         self._busy_time = 0.0
         self._attempts = 0
         self._stall_time = 0.0
-
-    def __repr__(self) -> str:
-        return f"SSD(name={self.name!r}, busy_until={self._busy_until:.6f})"

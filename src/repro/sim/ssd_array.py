@@ -418,8 +418,3 @@ class SSDArray:
             spare.reset()
         self._next_spare = 0
         self._rebuilds = {}
-
-    def __repr__(self) -> str:
-        cfg = self.config
-        parity = ", parity" if self.parity is not None else ""
-        return f"SSDArray(num_ssds={cfg.num_ssds}, stripe_pages={cfg.stripe_pages}{parity})"

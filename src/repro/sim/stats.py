@@ -110,9 +110,6 @@ class Histogram:
             "max": self.max if self.count else None,
         }
 
-    def __repr__(self) -> str:
-        return f"Histogram({self.count} samples over {len(self.counts)} buckets)"
-
 
 class StatsCollector:
     """A bag of named numeric counters.
@@ -235,6 +232,3 @@ class StatsCollector:
 
     def __contains__(self, name: str) -> bool:
         return name in self._counters
-
-    def __repr__(self) -> str:
-        return f"StatsCollector({len(self._counters)} counters)"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.bfs import bfs, bfs_direction_optimizing
+from repro.algorithms.bfs import bfs
 from repro.core.config import ExecutionMode
 from repro.graph.builder import build_directed
 
@@ -44,37 +44,6 @@ class TestBFSCorrectness:
         reachable = set(nx.descendants(er_digraph, 0)) | {0}
         for v in range(er_image.num_vertices):
             assert (levels[v] >= 0) == (v in reachable)
-
-
-class TestDirectionOptimizing:
-    def test_matches_plain_bfs(self, rmat_image):
-        source = int(np.argmax(rmat_image.out_csr.degrees()))
-        plain, _ = bfs(engine_for(rmat_image), source=source)
-        opt, _ = bfs_direction_optimizing(engine_for(rmat_image), source=source)
-        assert np.array_equal(plain, opt)
-
-    def test_reads_more_bytes_in_sem(self, rmat_image):
-        # §5.2's argument: direction-optimizing BFS reads both directions,
-        # increasing SSD traffic even when it traverses fewer edges.
-        source = int(np.argmax(rmat_image.out_csr.degrees()))
-        _, plain = bfs(engine_for(rmat_image, cache_kib=32), source=source)
-        _, opt = bfs_direction_optimizing(
-            engine_for(rmat_image, cache_kib=32), source=source
-        )
-        assert opt.bytes_read > plain.bytes_read
-
-    def test_pinned_at_the_scalar_hooks(self, rmat_image):
-        # Recorded before BFSProgram had batch hooks: inheriting them
-        # would skip the bottom-up phase and move all three numbers.
-        source = int(np.argmax(rmat_image.out_csr.degrees()))
-        levels, result = bfs_direction_optimizing(engine_for(rmat_image), source=source)
-        assert np.bincount(levels + 1).tolist() == [143, 1, 146, 203, 18, 1]
-        assert result.runtime == 0.0007080616666666755
-        assert result.bytes_read == 40960.0
-
-    def test_invalid_fraction(self, rmat_image):
-        with pytest.raises(ValueError):
-            bfs_direction_optimizing(engine_for(rmat_image), 0, bottom_up_fraction=0.0)
 
 
 class TestBFSProperties:

@@ -1,19 +1,14 @@
-"""Tests for the extension algorithms: communities, core decomposition,
-clustering coefficients."""
+"""Tests for the label-propagation extension and modularity."""
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.algorithms.clustering import clustering_coefficients, undirected_degrees
 from repro.algorithms.communities import (
     LabelPropagationProgram,
     label_propagation,
     modularity,
 )
-from repro.algorithms.core_decomposition import core_decomposition
 from repro.core.config import ExecutionMode
 from repro.graph.builder import build_directed, build_undirected
 
@@ -102,78 +97,3 @@ class TestModularity:
         image = two_cliques()
         with pytest.raises(ValueError):
             modularity(image, np.zeros(3))
-
-
-class TestCoreDecomposition:
-    def test_matches_networkx(self, er_uimage, er_ugraph):
-        core, result = core_decomposition(engine_for(er_uimage))
-        graph = er_ugraph.copy()
-        graph.remove_edges_from(nx.selfloop_edges(graph))
-        expected = nx.core_number(graph)
-        assert all(core[v] == expected[v] for v in range(er_uimage.num_vertices))
-        assert result.runtime > 0
-
-    def test_clique_core(self):
-        image = two_cliques(size=6, bridge=False)
-        core, _ = core_decomposition(engine_for(image, range_shift=2))
-        assert (core == 5).all()
-
-    def test_isolated_vertices_have_core_zero(self):
-        image = build_undirected(np.array([[0, 1]]), 4, name="iso")
-        core, _ = core_decomposition(engine_for(image, range_shift=1))
-        assert core.tolist() == [1, 1, 0, 0]
-
-    def test_directed_rejected(self, er_image):
-        with pytest.raises(ValueError):
-            core_decomposition(engine_for(er_image))
-
-    @given(seed=st.integers(min_value=0, max_value=3000))
-    @settings(max_examples=10, deadline=None)
-    def test_random_graphs(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 30))
-        raw = rng.integers(0, n, size=(3 * n, 2), dtype=np.int64)
-        edges = raw[raw[:, 0] != raw[:, 1]]
-        if len(edges) == 0:
-            return
-        image = build_undirected(edges, n, name=f"coreprop{seed}")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(map(tuple, edges.tolist()))
-        core, _ = core_decomposition(engine_for(image, num_threads=2, range_shift=3))
-        expected = nx.core_number(graph)
-        assert all(core[v] == expected[v] for v in range(n))
-
-
-class TestClusteringCoefficients:
-    def test_matches_networkx_undirected(self, er_uimage, er_ugraph):
-        coeffs, avg, _ = clustering_coefficients(engine_for(er_uimage))
-        expected = nx.clustering(er_ugraph)
-        for v in range(er_uimage.num_vertices):
-            assert coeffs[v] == pytest.approx(expected[v])
-        assert avg == pytest.approx(nx.average_clustering(er_ugraph))
-
-    def test_matches_networkx_directed_projection(self, er_image, er_ugraph):
-        coeffs, _, _ = clustering_coefficients(engine_for(er_image))
-        expected = nx.clustering(er_ugraph)
-        for v in range(er_image.num_vertices):
-            assert coeffs[v] == pytest.approx(expected[v])
-
-    def test_triangle_free_graph_is_zero(self):
-        edges = np.array([[0, i] for i in range(1, 6)])
-        image = build_undirected(edges, 6, name="cc-star")
-        coeffs, avg, _ = clustering_coefficients(engine_for(image, range_shift=2))
-        assert avg == 0.0
-        assert (coeffs == 0).all()
-
-    def test_clique_is_one(self):
-        image = two_cliques(size=5, bridge=False)
-        coeffs, avg, _ = clustering_coefficients(engine_for(image, range_shift=2))
-        assert avg == pytest.approx(1.0)
-
-    def test_undirected_degrees(self, er_image, er_ugraph):
-        degrees = undirected_degrees(er_image)
-        for v in range(er_image.num_vertices):
-            assert degrees[v] == er_ugraph.degree(v) - (
-                1 if er_ugraph.has_edge(v, v) else 0
-            )

@@ -1,62 +1,15 @@
-"""Tests for the extension algorithms: k-core, SSSP, diameter."""
+"""Tests for the extension algorithms: SSSP and diameter."""
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms.diameter import estimate_diameter
-from repro.algorithms.kcore import KCoreProgram, kcore
 from repro.algorithms.sssp import sssp
 from repro.core.config import ExecutionMode
-from repro.graph.builder import _dedup, build_directed, build_undirected
+from repro.graph.builder import _dedup, build_directed
 
 from tests.conftest import engine_for
-
-
-class TestKCore:
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_matches_networkx(self, er_uimage, er_ugraph, k):
-        alive, _ = kcore(engine_for(er_uimage), k)
-        graph = er_ugraph.copy()
-        graph.remove_edges_from(nx.selfloop_edges(graph))
-        expected = set(nx.k_core(graph, k).nodes())
-        assert set(np.nonzero(alive)[0].tolist()) == expected
-
-    def test_k1_keeps_non_isolated(self):
-        image = build_undirected(np.array([[0, 1]]), 4, name="kc")
-        alive, _ = kcore(engine_for(image, range_shift=1), 1)
-        assert alive.tolist() == [True, True, False, False]
-
-    def test_too_large_k_empties_graph(self, er_uimage):
-        alive, _ = kcore(engine_for(er_uimage), 10_000)
-        assert alive.sum() == 0
-
-    def test_directed_rejected(self, er_image):
-        with pytest.raises(ValueError):
-            kcore(engine_for(er_image), 2)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KCoreProgram(4, 0, np.zeros(4))
-
-    @given(seed=st.integers(min_value=0, max_value=5000))
-    @settings(max_examples=15, deadline=None)
-    def test_random_graphs(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 40))
-        raw = rng.integers(0, n, size=(2 * n, 2), dtype=np.int64)
-        edges = raw[raw[:, 0] != raw[:, 1]]
-        if len(edges) == 0:
-            return
-        image = build_undirected(edges, n, name=f"kcprop{seed}")
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(map(tuple, edges.tolist()))
-        k = int(rng.integers(1, 5))
-        alive, _ = kcore(engine_for(image, num_threads=2, range_shift=3), k)
-        assert set(np.nonzero(alive)[0].tolist()) == set(nx.k_core(graph, k).nodes())
 
 
 class TestSSSP:

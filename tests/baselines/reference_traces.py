@@ -3,7 +3,7 @@
 ``np.union1d`` / ``np.intersect1d`` / ``np.unique`` per list: slow, but
 each line reads as its definition.
 The properties in ``test_reference_traces.py`` hold the vectorised
-functions to these bodies exactly — totals, work counts, degrees,
+functions to these bodies exactly — totals, work counts,
 modularity and the diameter estimate.
 """
 
@@ -60,17 +60,6 @@ def scan_trace(image: GraphImage) -> Tuple[int, WorkloadTrace]:
     trace = WorkloadTrace("scan_statistics")
     trace.iterations.append(IterationStats(n, work))
     return best, trace
-
-
-def undirected_degrees(image: GraphImage) -> np.ndarray:
-    num_vertices = image.num_vertices
-    degrees = np.zeros(num_vertices, dtype=np.int64)
-    for vertex in range(num_vertices):
-        merged = np.union1d(
-            image.out_csr.neighbors(vertex), image.in_csr.neighbors(vertex)
-        )
-        degrees[vertex] = int((merged != vertex).sum())
-    return degrees
 
 
 def modularity(image: GraphImage, labels: np.ndarray) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import bfs
-from repro.algorithms.pagerank import pagerank
 from repro.baselines import (
     PegasusEngine,
     PregelEngine,
@@ -12,27 +11,9 @@ from repro.baselines import (
     TurboGraphEngine,
 )
 from repro.baselines.cluster import ClusterCostModel
-from repro.baselines.common import wcc_trace
 from repro.baselines.pegasus import PegasusCostModel
 
 from tests.conftest import engine_for
-
-
-class TestPegasusNumerics:
-    def test_gimv_pagerank_matches_engine(self, er_image, make_engine):
-        peg = PegasusEngine(er_image)
-        ranks, iterations = peg.gimv_pagerank(max_iterations=200)
-        reference, _ = pagerank(
-            make_engine(er_image), max_iterations=150, tolerance=1e-13
-        )
-        assert np.abs(ranks - reference).max() < 1e-6
-        assert iterations <= 200
-
-    def test_gimv_wcc_matches_trace(self, er_image):
-        peg = PegasusEngine(er_image)
-        labels, _ = peg.gimv_wcc()
-        reference, _ = wcc_trace(er_image)
-        assert np.array_equal(labels, reference)
 
 
 class TestPegasusTiming:

@@ -36,10 +36,7 @@ def reference_deliver(
         # The property tests feed it inf + -inf and sums that overflow.
         with np.errstate(invalid="ignore", over="ignore"):
             np.add.at(out, inverse, values)
-    elif combiner == "min":
+    else:  # min
         out = np.full(unique.size, np.inf)
         np.minimum.at(out, inverse, values)
-    else:  # max
-        out = np.full(unique.size, -np.inf)
-        np.maximum.at(out, inverse, values)
     return unique, out, counts

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 from repro.algorithms.bc import _BackwardProgram, _ForwardProgram, betweenness_centrality
 from repro.algorithms.bfs import BFSProgram
-from repro.algorithms.kcore import KCoreProgram
 from repro.algorithms.pagerank import PageRankProgram
 from repro.algorithms.sssp import SSSPProgram
 from repro.algorithms.wcc import WCCProgram
 from repro.core.config import EngineConfig, ExecutionMode
 from repro.core.engine import GraphEngine
-from repro.graph.builder import build_directed, build_undirected
+from repro.graph.builder import build_directed
 from repro.graph.format import FORMAT_V1, FORMAT_V2
 from repro.graph.generators import rmat_graph
 
@@ -36,7 +35,6 @@ SCALAR_HOOKS = ("run", "run_on_vertex", "run_on_message")
 PROGRAMS = {
     "pr": ((PageRankProgram,), ("rank", "pending")),
     "wcc": ((WCCProgram,), ("component",)),
-    "kcore": ((KCoreProgram,), ("alive",)),
     "bfs": ((BFSProgram,), ("visited", "level")),
     "bc": ((_ForwardProgram, _BackwardProgram), ()),
     "sssp": ((SSSPProgram,), ("dist", "_announced")),
@@ -52,8 +50,6 @@ MODES = [
 
 def _image(name, fmt=FORMAT_V1):
     edges, num_vertices = rmat_graph(SCALE, edge_factor=8, seed=7)
-    if name == "kcore":
-        return build_undirected(edges, num_vertices, name="tiny-u", fmt=fmt)
     weights = None
     if name == "sssp":
         weights = np.random.default_rng(7).uniform(0.5, 4.0, len(edges)).astype(np.float32)
@@ -72,8 +68,6 @@ def _execute(name, engine, source):
         program = PageRankProgram(image.num_vertices)
     elif name == "wcc":
         program = WCCProgram(image.num_vertices)
-    elif name == "kcore":
-        program = KCoreProgram(image.num_vertices, 4, image.out_csr.degrees().astype(np.int64))
     elif name == "bfs":
         program = BFSProgram(image.num_vertices)
     else:
@@ -117,7 +111,7 @@ def _assert_identical(scalar, batched):
 
 @pytest.mark.parametrize(
     "name",
-    ["pr", "wcc", "kcore"]
+    ["pr", "wcc"]
     + [f"{name}-{fmt}" for name in TRAVERSALS for fmt in (FORMAT_V1, FORMAT_V2)],
 )
 @pytest.mark.parametrize("mode,merge_in_engine", MODES)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.bfs import BFSProgram, DirectionOptimizingBFSProgram
 from repro.algorithms.pagerank import PageRankProgram
 from repro.core.config import ExecutionMode
 from repro.core.engine import JobCancelled
@@ -401,11 +400,6 @@ class TestHookTwins:
 
         assert Both.run_on_messages is not VertexProgram.run_on_messages
         assert Both.run_batch is PageRankProgram.run_batch
-
-    def test_direction_optimizing_bfs_keeps_its_scalar_hooks(self):
-        assert BFSProgram.run_batch is not VertexProgram.run_batch
-        assert DirectionOptimizingBFSProgram.run_batch is VertexProgram.run_batch
-        assert DirectionOptimizingBFSProgram.run_on_vertices is VertexProgram.run_on_vertices
 
 
 class TestInMemoryEdgeLists:

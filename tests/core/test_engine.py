@@ -75,6 +75,15 @@ class TestBasics:
         engine.run(program, initial_active=np.array([3, 7, 3]), max_iterations=1)
         assert program.runs == 2  # duplicates collapse
 
+    def test_negative_max_iterations_rejected(self, er_image):
+        engine = engine_for(er_image)
+        program = CountingProgram()
+        with pytest.raises(ValueError, match="max_iterations"):
+            engine.run(program, max_iterations=-3)
+        with pytest.raises(ValueError, match="max_iterations"):
+            engine.start_job(program, max_iterations=-1)
+        assert program.runs == 0
+
     def test_terminates_with_no_activity(self, er_image):
         engine = engine_for(er_image)
         result = engine.run(CountingProgram(), initial_active=np.array([0]))

@@ -39,6 +39,8 @@ class TestSend:
     def test_unknown_combiner_rejected(self):
         with pytest.raises(ValueError):
             MessageBuffer("median")
+        with pytest.raises(ValueError, match="unknown combiner 'max'"):
+            MessageBuffer("max")
 
     def test_peak_pending(self):
         buf = MessageBuffer("sum")
@@ -63,12 +65,6 @@ class TestDeliver:
         dests, values, counts = buf.deliver()
         assert dests.tolist() == [5, 7]
         assert values.tolist() == [1.0, 9.0]
-
-    def test_max_combiner(self):
-        buf = MessageBuffer("max")
-        buf.send(np.array([0, 0]), np.array([2.0, 8.0]))
-        _, values, _counts = buf.deliver()
-        assert values.tolist() == [8.0]
 
     def test_no_combiner_keeps_duplicates(self):
         buf = MessageBuffer(None)
@@ -218,7 +214,7 @@ def _bytes(delivery):
     return [(a.dtype, a.tobytes()) for a in delivery]
 
 
-_COMBINERS = ["sum", "min", "max", None]
+_COMBINERS = ["sum", "min", None]
 
 
 class TestAgainstReference:
@@ -233,7 +229,7 @@ class TestAgainstReference:
         expected = _reference(combiner, chunks)
         assert _bytes(_filled(combiner, chunks).deliver()) == _bytes(expected)
 
-    @pytest.mark.parametrize("combiner", ["sum", "min", "max"])
+    @pytest.mark.parametrize("combiner", ["sum", "min"])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_permutation_invariance(self, combiner, data):
@@ -334,7 +330,7 @@ class TestDestinationRange:
     """A destination that is not a vertex id is an error at the barrier,
     not a wrap-around into the last vertices' state."""
 
-    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @pytest.mark.parametrize("combiner", ["sum", "min", None])
     @pytest.mark.parametrize("bad", [-1, 64, 1 << 40])
     def test_out_of_range_rejected(self, combiner, bad):
         buf = MessageBuffer(combiner, num_vertices=64)
@@ -342,7 +338,7 @@ class TestDestinationRange:
         with pytest.raises(ValueError, match=rf"{bad} .*num_vertices=64"):
             buf.deliver()
 
-    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @pytest.mark.parametrize("combiner", ["sum", "min", None])
     def test_negative_rejected_without_a_vertex_count(self, combiner):
         buf = MessageBuffer(combiner)
         buf.send(np.array([0, -7]), 1.0)
@@ -354,7 +350,7 @@ class TestDestinationRange:
         buf.send(np.array([63, 0]), 1.0)
         assert buf.deliver()[0].tolist() == [0, 63]
 
-    @pytest.mark.parametrize("combiner", ["sum", "min", "max", None])
+    @pytest.mark.parametrize("combiner", ["sum", "min", None])
     @pytest.mark.parametrize("bad", [-1, 64])
     def test_engine_run_raises(self, combiner, bad):
         """Unchecked, the run completes: ``-1`` lands in vertex 63's

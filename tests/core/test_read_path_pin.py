@@ -2,16 +2,16 @@
 
 ``golden_twitter_sim.json`` pins bfs/wcc/pr under one configuration
 (format v1, semi-external, engine merging).  This fixture covers the
-rest of what an edge-list wave can look like — attribute reads (sssp,
-weighted PageRank), cross-vertex requests with ``charge_edges`` and
-``BOTH`` (triangle counting, scan statistics), multi-run drivers (bc,
-scc), the batch hooks (pr, wcc, kcore) — under both on-SSD formats, both
-execution modes and all three Figure 12 merge disciplines, plus one
-vertically partitioned run and one run under a recoverable fault plan.
-The programs that only define scalar hooks get format v1 × both modes
-under engine merging: label propagation (no combiner, activations from
-``run_on_iteration_end``), Louvain, peeling, direction-optimizing BFS
-(its bottom-up phase) and SSSP under async execution (wave delivery
+rest of what an edge-list wave can look like — attribute reads (sssp),
+cross-vertex requests with ``charge_edges`` and ``BOTH`` (triangle
+counting, scan statistics), a multi-run driver whose backward sweep
+requests its own IN-edge lists (bc), the batch hooks (pr, wcc) — under
+both on-SSD formats, both execution modes and all three Figure 12 merge
+disciplines, plus one vertically partitioned run and one run under a
+recoverable fault plan.  The programs that only define scalar hooks get
+format v1 × both modes under engine merging: label propagation (no
+combiner, activations from ``run_on_iteration_end``), Louvain (an
+undirected image) and SSSP under async execution (wave delivery
 interleaved with eager message flushes).
 Each case pins ``runtime``, the full ``RunResult.counters`` dict and
 every worker's ``(time, busy)`` with **exact** equality — for a
@@ -33,18 +33,13 @@ import pytest
 from repro.algorithms import (
     betweenness_centrality,
     bfs,
-    bfs_direction_optimizing,
-    core_decomposition,
-    kcore,
     label_propagation,
     louvain,
     pagerank,
     scan_statistics,
-    scc,
     sssp,
     triangle_count,
     wcc,
-    weighted_pagerank,
 )
 from repro.bench.harness import default_source, make_engine
 from repro.core.config import ExecutionKind, ExecutionMode
@@ -68,11 +63,8 @@ APPS = {
     "bfs": lambda make, image: bfs(make(image), default_source(image))[-1],
     "bc": lambda make, image: betweenness_centrality(make(image), default_source(image))[-1],
     "sssp": lambda make, image: sssp(make(image), default_source(image))[-1],
-    "wpr": lambda make, image: weighted_pagerank(make(image), max_iterations=5)[-1],
     "tc": lambda make, image: triangle_count(make(image))[-1],
     "ss": lambda make, image: scan_statistics(make(image))[-1],
-    "scc": lambda make, image: scc(make(image))[-1],
-    "kcore": lambda make, image: kcore(make(image), 4)[-1],
     "pr": lambda make, image: pagerank(make(image), max_iterations=5)[-1],
     "wcc": lambda make, image: wcc(make(image))[-1],
 }
@@ -81,10 +73,8 @@ APPS = {
 SCALAR_ONLY = {
     "lp": lambda make, image: label_propagation(make(image), max_rounds=5)[-1],
     "louvain": lambda make, image: louvain(make, image, max_levels=3).run,
-    "peel": lambda make, image: core_decomposition(make(image))[-1],
-    "dobfs": lambda make, image: bfs_direction_optimizing(make(image), default_source(image))[-1],
 }
-UNDIRECTED = ("kcore", "louvain", "peel")
+UNDIRECTED = ("louvain",)
 
 MODES = {"sem": ExecutionMode.SEMI_EXTERNAL, "mem": ExecutionMode.IN_MEMORY}
 

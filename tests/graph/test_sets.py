@@ -9,7 +9,6 @@ from repro.graph.builder import build_directed, build_undirected
 from repro.graph.sets import (
     INTERSECT_CHUNK_MEMBERS,
     intersect_count_segments,
-    loopless_degrees,
     union_segments,
 )
 from tests.graph.test_build_oracle import edge_lists
@@ -65,13 +64,3 @@ def test_intersect_count_segments_spans_chunks():
     assert counts.sum() > 2 * INTERSECT_CHUNK_MEMBERS
     # Every member of the clique is in both rows (self-loops included).
     assert counts.tolist() == (n - 1 - above).tolist()
-
-
-@given(image=images())
-@settings(max_examples=60, deadline=None)
-def test_loopless_degrees_drop_each_self_loop(image):
-    csr = image.out_csr
-    want = [int((csr.neighbors(v) != v).sum()) for v in range(image.num_vertices)]
-    got = loopless_degrees(csr)
-    assert got.dtype == np.int64
-    assert got.tolist() == want

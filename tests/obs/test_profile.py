@@ -39,6 +39,16 @@ class TestBuildProfile:
         assert abs(grand - profile["runtime_s"]) <= ticks
         assert profile["runtime_s"] == pytest.approx(result.runtime)
 
+    def test_two_sweep_bc_tiles_the_summed_runtime(self):
+        """bc runs a forward and a backward sweep, each from clock 0; the
+        profile's runtime is their sum, as the merged RunResult's is."""
+        engine = make_engine(load_dataset("twitter-sim"))
+        observer = arm(engine)
+        result = run_algorithm(engine, "bc")
+        profile = build_profile(observer)
+        assert validate_profile(profile) == []
+        assert profile["runtime_s"] == pytest.approx(result.runtime)
+
     def test_layer_times_are_nonnegative(self, profile_and_result):
         profile, _ = profile_and_result
         for row in profile["iterations"]:

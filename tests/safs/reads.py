@@ -7,9 +7,39 @@ helpers let SAFS-level tests issue reads without one: a wave of
 span, or a one-page probe / install against a ``PageCache``.
 """
 
+from typing import Tuple
+
 import numpy as np
 
-from repro.safs.io_request import band_requests, merge_request_arrays
+from repro.safs.io_request import merge_request_arrays
+
+
+def band_requests(
+    file_ids, offsets, lengths, page_size: int, band: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, last pages)`` of ``(file, offset, length)`` request arrays:
+    the banded form ``merge_request_arrays`` takes.  Raises what
+    ``IORequest`` raises, and for columns of different lengths, a negative
+    file id or a request reaching past page ``band`` of its file.
+    """
+    if page_size <= 0:
+        raise ValueError("page size must be positive")
+    file_ids, offsets, lengths = (
+        np.asarray(a, dtype=np.int64) for a in (file_ids, offsets, lengths)
+    )
+    if not file_ids.ndim == 1 or not file_ids.shape == offsets.shape == lengths.shape:
+        raise ValueError("file ids, offsets and lengths must be 1-D and of one length")
+    if (file_ids < 0).any():
+        raise ValueError("file ids cannot be negative")
+    if (offsets < 0).any():
+        raise ValueError("request offset cannot be negative")
+    if (lengths <= 0).any():
+        raise ValueError("request length must be positive")
+    last = (offsets + lengths - 1) // page_size
+    if (last >= band).any():
+        raise ValueError(f"request escapes its file's band of {band} pages")
+    lift = file_ids * band
+    return offsets + lift * page_size, last + lift
 
 
 def submit_reads(safs, reads, issue_time=0.0, window=None, kernel_path=False):

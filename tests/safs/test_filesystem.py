@@ -18,6 +18,12 @@ def make_safs(cache_pages=64, page_size=PAGE, num_ssds=4):
     return SAFS(array, config, stats=stats)
 
 
+class TestConfig:
+    def test_negative_cache_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SAFS(config=SAFSConfig(cache_bytes=-1))
+
+
 class TestNamespace:
     def test_create_and_open(self):
         safs = make_safs()

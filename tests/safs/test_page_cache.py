@@ -1,5 +1,6 @@
 """Unit and property tests for the set-associative page cache."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,10 @@ class TestGeometry:
     def test_cache_holds_at_least_one_page(self):
         cfg = PageCacheConfig(capacity_bytes=1, page_size=4096)
         assert cfg.capacity_pages == 1
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PageCache(PageCacheConfig(capacity_bytes=-(1 << 20)))
 
 
 class TestLookupInsert:

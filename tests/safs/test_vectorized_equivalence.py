@@ -21,15 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.safs.io_request import (
-    IORequest,
-    band_requests,
-    merge_request_arrays,
-    merge_requests,
-)
+from repro.safs.io_request import IORequest, merge_request_arrays, merge_requests
 from repro.safs.page import SAFSFile
 from repro.safs.page_cache import PageCache, PageCacheConfig
 from repro.sim.stats import StatsCollector
+from tests.safs.reads import band_requests
 from tests.safs.reference_page_cache import ReferencePageCache
 
 PAGE = 512

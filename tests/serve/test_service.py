@@ -12,7 +12,7 @@ import pytest
 from repro.algorithms.pagerank import PageRankProgram
 from repro.bench.datasets import load_dataset
 from repro.bench.harness import make_engine
-from repro.graph.builder import build_directed, build_undirected
+from repro.graph.builder import build_directed
 from repro.graph.generators import rmat_graph
 from repro.serve import (
     GraphService,
@@ -200,17 +200,6 @@ class TestQueryFactory:
         factory = QueryFactory(image)
         with pytest.raises(ValueError, match="unsupported app"):
             factory.build("sssp")
-
-    def test_kcore_needs_an_undirected_image(self):
-        image = load_dataset("twitter-sim")
-        assert "kcore" not in QueryFactory(image).supported_apps()
-        rng = np.random.default_rng(0)
-        edges = rng.integers(0, 50, size=(200, 2), dtype=np.int64)
-        undirected = build_undirected(edges, 50, name="kcore-test")
-        factory = QueryFactory(image, undirected_image=undirected)
-        assert "kcore" in factory.supported_apps()
-        query = factory.build("kcore")
-        assert query.image is undirected
 
     def test_service_validates_tenants(self):
         image = load_dataset("twitter-sim")

@@ -327,6 +327,41 @@ class TestSlo:
             )
 
 
+#: Flags ``run`` and ``profile`` share, each with the start of its error.
+_BAD_FLAGS = [
+    (["--threads", "0"], "bad run configuration: num_threads"),
+    (["--cache-mb", "-1"], "bad run configuration: cache capacity"),
+    (["--source", "99999999"], "--source 99999999 is not a vertex"),
+    (["--max-iterations", "-3"], "--max-iterations must be non-negative"),
+]
+_BAD_RUN_FLAGS = [
+    (["--checkpoint-every", "0", "--checkpoint-dir", "{tmp}"],
+     "bad run configuration: the checkpoint interval"),
+    (["--execution", "async", "--async-threshold", "-1"],
+     "bad run configuration: async_threshold"),
+]
+
+
+class TestBadRunArguments:
+    """A configuration the engine rejects, a source that is not a vertex
+    and a negative iteration cap stop ``run`` / ``profile`` with a
+    one-line message before anything runs."""
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [("run", *case) for case in _BAD_FLAGS + _BAD_RUN_FLAGS]
+        + [("profile", *case) for case in _BAD_FLAGS],
+    )
+    def test_one_line_error(self, tmp_path, command, flags, message):
+        flags = [flag.replace("{tmp}", str(tmp_path)) for flag in flags]
+        argv = [command, "--algorithm", "pr", "--dataset", "twitter-sim", *flags]
+        if command == "profile":
+            argv += ["--out", str(tmp_path / "profile.json")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert str(exc.value.code).startswith(message)
+
+
 class TestServe:
     @pytest.mark.parametrize(
         "flags, message",
@@ -345,6 +380,19 @@ class TestServe:
             )
         assert str(exc.value.code).startswith("bad service configuration")
         assert message in str(exc.value.code)
+
+    @pytest.mark.parametrize("command", ["serve", "slo"])
+    @pytest.mark.parametrize("apps", ["kcore", "pr+bogus"])
+    def test_unsupported_app_rejected_when_parsed(self, command, apps):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                [
+                    command, "--dataset", "twitter-sim", "--duration", "0.01",
+                    "--tenant", f"name=a,rate=2000,apps={apps},slo-latency=0.02",
+                    "--out", "unused.json",
+                ]
+            )
+        assert str(exc.value.code).startswith("bad tenant 'a': unsupported app")
 
 
 class TestGraphFormat:

@@ -61,7 +61,6 @@ class TestCrossPackageConsistency:
             "repro.cli",
             "repro.graph.construction",
             "repro.graph.validation",
-            "repro.graph.transform",
             "repro.sim.numa",
             "repro.sim.calibration",
             "repro.safs.write_path",
@@ -71,8 +70,6 @@ class TestCrossPackageConsistency:
             "repro.bench.experiments",
             "repro.bench.extra_experiments",
             "repro.algorithms.louvain",
-            "repro.algorithms.scc",
-            "repro.algorithms.bc_full",
         ):
             importlib.import_module(module)
 
