@@ -11,8 +11,16 @@ exercises the ones this library provides:
 4. dataset statistics (degree skew, ID locality) for the generators,
 5. per-iteration tracing of an engine run, exported to CSV.
 
-Run:  python examples/toolbox_tour.py
+Run:  python examples/toolbox_tour.py [TRACE.csv]
+
+The BFS trace is written to ``TRACE.csv`` when a path is given, else
+into a temporary directory that is removed on exit.
 """
+
+import sys
+import tempfile
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from repro.obs import arm, write_iteration_csv
 from repro.sim import measured_envelope, profile_random_reads
 
 
-def main() -> None:
+def main(trace_path: Optional[str] = None) -> None:
     # 1. Calibrate the simulated array.
     profile = profile_random_reads(requests_per_point=1000)
     envelope = measured_envelope(profile)
@@ -69,9 +77,12 @@ def main() -> None:
     for row in observer.iterations:
         print(f"  {row['iteration']:>4}  {row['frontier']:>8,}  "
               f"{row['pages_fetched']:>13,}  {row['cache_hits']:>10,}")
-    write_iteration_csv(observer, "/tmp/bfs_trace.csv")
-    print("  full trace -> /tmp/bfs_trace.csv")
+    with tempfile.TemporaryDirectory() as scratch:
+        path = trace_path or Path(scratch) / "bfs_trace.csv"
+        rows = write_iteration_csv(observer, path)
+        kept = "" if trace_path else " (removed on exit; pass a path to keep it)"
+        print(f"  full trace ({rows} rows) -> {path}{kept}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else None)

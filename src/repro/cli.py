@@ -478,7 +478,14 @@ def cmd_run(args) -> int:
     observer = None
     if args.trace or args.trace_spans or args.trace_chrome:
         observer = arm(engine)
-    result = _run_traced(engine, args, observer)
+    try:
+        result = _run_traced(engine, args, observer)
+    except CheckpointError as exc:
+        # The checkpoint is held to the program only as the run starts:
+        # one another algorithm wrote fails here, not in resume_from.
+        if not args.resume:
+            raise
+        raise SystemExit(f"cannot resume: {exc}") from None
     if result is None:
         if manager is not None and manager.latest() is not None:
             print(

@@ -32,8 +32,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.format import gather_ranges
+
 #: Supported combiners: how concurrent messages to one vertex collapse.
 COMBINERS = ("sum", "min")
+#: Messages per chunk of a ``sum`` delivery: its gather and weight
+#: temporaries stay ~0.5 MiB instead of 32 B per buffered message.
+DELIVER_CHUNK = 1 << 15
 
 
 def check_vertex_ids(ids: np.ndarray, num_vertices: Optional[int], what: str) -> None:
@@ -165,22 +170,28 @@ class MessageBuffer:
         dense_counts = np.bincount(dests)
         unique = np.flatnonzero(dense_counts)
         if self.combiner == "sum":
-            # ``bincount`` adds in array order, so visiting the runs in
+            # ``add.at`` adds in array order, so visiting the runs in
             # ascending value order gives every destination its
             # ascending-value sum (equal values are interchangeable): one
-            # sort of the run values, then one gather that lays each run's
-            # destinations out where the sorted order puts the run.
+            # sort of the run values, then each run's destinations in
+            # that order, about DELIVER_CHUNK messages at a time.
             order = np.argsort(values)
             sorted_counts = counts[order]
-            run_ends = np.cumsum(counts)
-            sorted_ends = np.cumsum(sorted_counts)
-            where = np.repeat(run_ends[order] - sorted_ends, sorted_counts)
-            where += np.arange(dests.size)
-            dense = np.bincount(
-                dests[where],
-                weights=np.repeat(values[order], sorted_counts),
-                minlength=dense_counts.size,
-            )
+            starts = (counts.cumsum() - counts)[order]
+            sorted_values = values[order]
+            ends = sorted_counts.cumsum()
+            cuts = ends.searchsorted(
+                np.arange(DELIVER_CHUNK, dests.size, DELIVER_CHUNK), side="right"
+            ).tolist()
+            dense = np.zeros(dense_counts.size)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for lo, hi in zip([0] + cuts, cuts + [order.size]):
+                    chunk = sorted_counts[lo:hi]
+                    np.add.at(
+                        dense,
+                        gather_ranges(dests, starts[lo:hi], chunk),
+                        sorted_values[lo:hi].repeat(chunk),
+                    )
         else:  # min
             dense = np.full(dense_counts.size, np.inf)
             np.minimum.at(dense, dests, values)

@@ -34,6 +34,7 @@ optionally, an ``async_floor`` below which a residual is not worth
 scheduling — see ``docs/execution_modes.md``.
 """
 
+import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -194,10 +195,15 @@ class GraphContext:
     reader, every message and activation in the run's buffers, and every
     CPU charge is logged in its charge log against the item it is for,
     so the cost lands on the right virtual thread in the right order.
+
+    The engine owns its context, not the other way round: the context
+    reaches the engine through a weak proxy, so a dropped engine is freed
+    at once with its SAFS stack instead of waiting for the cycle
+    collector.
     """
 
     def __init__(self, engine) -> None:
-        self._engine = engine
+        self._engine = weakref.proxy(engine)
         self._reader = engine.reader
         self._charges = engine.charges
 

@@ -28,6 +28,8 @@ from repro.graph.format import (
     csr_keys,
     decode_lists_v2,
     edge_keys,
+    key_dtype,
+    list_runs,
     run_starts,
     serialize_adjacency,
     serialize_adjacency_v2,
@@ -267,21 +269,21 @@ class GraphImage:
 
 def _decode_file_v2(data: bytes, index: GraphIndex, lists: np.ndarray) -> None:
     """Decode every list of one v2 edge file and compare it with ``lists``,
-    the direction's neighbors: one :func:`decode_lists_v2` call per run
-    of lists that start within the same :data:`DECODE_CHUNK_EDGES` edges.
+    the direction's neighbors: one :func:`decode_lists_v2` call per
+    :func:`~repro.graph.format.list_runs` run of lists that start within
+    the same :data:`DECODE_CHUNK_EDGES` edges, the runs the encoder wrote.
     A list that decodes to other ids raises ``ValueError``."""
     offsets, degrees = index._exact_offsets(), index._full_degrees()
-    starts = degrees.cumsum() - degrees
-    cuts = np.searchsorted(starts, np.arange(0, lists.size, DECODE_CHUNK_EDGES)).tolist()
+    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
     data = np.frombuffer(data, dtype=np.uint8)
-    for a, b in zip(cuts, cuts[1:] + [degrees.size]):
-        if a < b:
-            span = lists[starts[a] : starts[a] + degrees[a:b].sum()]
-            if not np.array_equal(decode_lists_v2(data, offsets[a:b], degrees[a:b]), span):
-                raise ValueError(
-                    f"corrupt v2 edge list: vertices {a}..{b - 1} decode to "
-                    "other neighbors than the image holds"
-                )
+    for a, b in list_runs(indptr, DECODE_CHUNK_EDGES):
+        span = lists[indptr[a] : indptr[b]]
+        if not np.array_equal(decode_lists_v2(data, offsets[a:b], degrees[a:b]), span):
+            raise ValueError(
+                f"corrupt v2 edge list: vertices {a}..{b - 1} decode to "
+                "other neighbors than the image holds"
+            )
 
 
 def _build_direction(
@@ -305,15 +307,19 @@ def _check_fmt(fmt: str) -> None:
 
 
 def _as_edges(edges: np.ndarray) -> np.ndarray:
-    """``edges`` as an int64 ``(m, 2)`` array, copied only if it is not
-    one already.  Float endpoints must be finite integers: the cast
-    would truncate ``0.5`` to the vertex 0."""
+    """``edges`` as an integer ``(m, 2)`` array.  Integer edges are taken
+    as given, at any width: the keys get their own exact width (see
+    :func:`~repro.graph.format.key_dtype`).  Anything else is cast to
+    int64, and float endpoints must be finite integers: the cast would
+    truncate ``0.5`` to the vertex 0."""
     edges = np.asarray(edges)
     if edges.dtype.kind == "f" and not (
         np.isfinite(edges).all() and (np.floor(edges) == edges).all()
     ):
         raise ValueError("edge endpoints must be integers")
-    return edges.astype(np.int64, copy=False).reshape(-1, 2)
+    if edges.dtype.kind not in "iu":
+        edges = edges.astype(np.int64)
+    return edges.reshape(-1, 2)
 
 
 def _edge_weights(
@@ -358,7 +364,13 @@ def build_directed(
     del keys
     out_csr, out_bytes, out_index = _build_direction(*out_lists, fmt)
     # The in-lists' keys dst * n + src, from the out-CSR.
-    keys = csr_keys(out_csr.indptr, out_csr.indices, num_vertices, transpose=True)
+    keys = csr_keys(
+        out_csr.indptr,
+        out_csr.indices,
+        num_vertices,
+        transpose=True,
+        dtype=key_dtype(num_vertices),
+    )
     keys.sort()
     in_lists = csr_from_sorted_keys(keys, num_vertices, out=words[edge_count:])
     del keys
@@ -404,11 +416,11 @@ def build_undirected(
     np.floor_divide(keys, num_vertices, out=lo, casting="unsafe")
     np.remainder(keys, num_vertices, out=hi, casting="unsafe")
     mirrored = lo != hi
-    symmetric = np.empty(edge_count + int(np.count_nonzero(mirrored)), dtype=np.int64)
+    symmetric = np.empty(edge_count + int(np.count_nonzero(mirrored)), dtype=keys.dtype)
     symmetric[:edge_count] = keys
     del keys
     mirrors = symmetric[edge_count:]
-    np.multiply(hi[mirrored], num_vertices, out=mirrors, dtype=np.int64)
+    np.multiply(hi[mirrored], num_vertices, out=mirrors, dtype=mirrors.dtype)
     mirrors += lo[mirrored]
     del lo, hi, mirrors
     # One sort of the symmetrised keys; the keys are distinct, so carrying
@@ -448,10 +460,11 @@ def _dedup(
     num_vertices: int,
     canonical: bool = False,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Sort-reduce an int64 ``(m, 2)`` edge array to its distinct keys.
+    """Sort-reduce an integer ``(m, 2)`` edge array to its distinct keys.
 
     Returns the ascending distinct keys ``src * n + dst`` (``(min, max)``
-    with ``canonical``, see :func:`~repro.graph.format.edge_keys`) and,
+    with ``canonical``, see :func:`~repro.graph.format.edge_keys`), of
+    the narrowest exact :func:`~repro.graph.format.key_dtype`, and,
     with float32 ``weights``, each kept edge's first-occurrence weight.
     One sort of the keys puts equal edges next to each other and the
     first key of each run survives; with ``weights`` an argsort stands
@@ -459,9 +472,10 @@ def _dedup(
     ``np.unique``: since numpy 2.3, ``np.unique`` without ``return_*``
     takes a hash path, over an order of magnitude slower on these keys.
     """
+    dtype = key_dtype(num_vertices)
     if edges.size == 0:
-        return np.empty(0, dtype=np.int64), weights
-    keys = edge_keys(edges, num_vertices, canonical)
+        return np.empty(0, dtype=dtype), weights
+    keys = edge_keys(edges, num_vertices, canonical, dtype)
     if weights is None:
         keys.sort()
         return keys[run_starts(keys)], None

@@ -86,10 +86,11 @@ class GraphConstructor:
     ) -> ConstructionReport:
         """Construct a directed image and report the simulated cost.
 
-        The edge data really is sorted and serialized (via the builder);
-        the report prices the equivalent external passes.
+        The edge data really is sorted and serialized (via the builder,
+        which takes integer edges at their own width); the report prices
+        the equivalent external passes.
         """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(edges).reshape(-1, 2)
         num_edges = int(edges.shape[0])
         raw_bytes = float(num_edges * RAW_EDGE_BYTES)
         runs = self.num_runs(num_edges)

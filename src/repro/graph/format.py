@@ -34,7 +34,7 @@ and a running sum, so both encode and decode vectorise with numpy and
 never loop per edge.  See ``docs/graph_format.md`` for worked layouts.
 """
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,9 @@ FORMATS = (FORMAT_V1, FORMAT_V2)
 
 #: Neighbors packed per tag byte in v2 (2-bit length codes).
 VALUES_PER_TAG = 4
+#: Edges per run of lists :func:`serialize_adjacency_v2` encodes at once:
+#: it bounds the encoder's temporaries (~17 B per edge of a run) to ~0.5 MiB.
+ENCODE_CHUNK_EDGES = 1 << 15
 
 
 def _ramp(lengths: np.ndarray, total: int) -> np.ndarray:
@@ -177,13 +180,20 @@ def parse_edge_list(data: memoryview, offset: int = 0) -> Tuple[int, np.ndarray]
     return vertex_id, neighbors
 
 
+def key_dtype(num_vertices: int) -> type:
+    """The narrowest exact dtype of the keys ``src * n + dst``: u32 when
+    every key (below ``n ** 2``) fits 32 bits, else int64."""
+    return np.uint32 if num_vertices * num_vertices <= 1 << 32 else np.int64
+
+
 def edge_keys(
-    edges: np.ndarray, num_vertices: int, canonical: bool = False
+    edges: np.ndarray, num_vertices: int, canonical: bool = False, dtype=np.int64
 ) -> np.ndarray:
-    """The int64 keys ``src * n + dst`` of a non-empty ``(m, 2)`` edge array.
+    """The keys ``src * n + dst`` of a non-empty integer ``(m, 2)`` edge
+    array, of ``dtype`` (int64, or :func:`key_dtype` for the narrowest).
 
     ``canonical`` keys each edge as ``(min, max)``, the orientation of an
-    undirected edge.  The keys are built in place, one key-sized
+    undirected edge.  The keys are built in place, one endpoint-sized
     temporary at most.  An endpoint outside ``[0, n)`` raises
     :class:`ValueError`: a key does not remember it (``(1, -1)`` packs
     to the key of ``(0, n - 1)``).
@@ -191,13 +201,12 @@ def edge_keys(
     if edges.min() < 0 or edges.max() >= num_vertices:
         raise ValueError("edge endpoints must lie in [0, num_vertices)")
     src, dst = edges[:, 0], edges[:, 1]
-    if canonical:
-        keys = np.minimum(src, dst).astype(np.int64, copy=False)
-        keys *= num_vertices
-        keys += np.maximum(src, dst)
-    else:
-        keys = np.multiply(src, num_vertices, dtype=np.int64)
-        keys += dst
+    # The endpoints lie in [0, n), so the unsafe casts are exact.
+    head = np.minimum(src, dst) if canonical else src
+    keys = np.multiply(head, num_vertices, dtype=dtype, casting="unsafe")
+    del head
+    tail = np.maximum(src, dst) if canonical else dst
+    np.add(keys, tail, out=keys, casting="unsafe")
     return keys
 
 
@@ -209,28 +218,36 @@ def csr_from_sorted_keys(
     Vertex ``v``'s list starts at the first key ``>= v * n``, and each
     key's neighbor is ``key % n`` — lists come out sorted by neighbor.
     The neighbors are written into ``out`` (u32, one per key) when given.
+    The list starts are searched at the keys' own dtype, so the keys are
+    never cast; the last list ends at the last key.
     """
-    list_starts = np.arange(num_vertices + 1, dtype=np.int64) * num_vertices
-    indptr = np.searchsorted(keys, list_starts).astype(np.int64, copy=False)
+    indptr = np.empty(num_vertices + 1, dtype=np.int64)
+    list_starts = np.arange(num_vertices, dtype=keys.dtype) * num_vertices
+    indptr[:-1] = np.searchsorted(keys, list_starts)
+    indptr[-1] = keys.size
     indices = np.empty(keys.size, dtype=np.uint32) if out is None else out
     np.remainder(keys, num_vertices, out=indices, casting="unsafe")
     return indptr, indices
 
 
 def csr_keys(
-    indptr: np.ndarray, indices: np.ndarray, num_vertices: int, transpose: bool = False
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    num_vertices: int,
+    transpose: bool = False,
+    dtype=np.int64,
 ) -> np.ndarray:
-    """The int64 keys ``row * n + neighbor`` of a CSR's edges — the inverse
-    of :func:`csr_from_sorted_keys` — or, with ``transpose``, the keys
-    ``neighbor * n + row`` of the reversed edges."""
+    """The keys ``row * n + neighbor`` of a CSR's edges, of ``dtype`` —
+    the inverse of :func:`csr_from_sorted_keys` — or, with ``transpose``,
+    the keys ``neighbor * n + row`` of the reversed edges."""
     degrees = np.diff(indptr)
     if transpose:
         # The keys before the row temporary: the other order leaves a
         # 4 B/edge higher heap high-water mark behind after the builder.
-        keys = np.multiply(indices, num_vertices, dtype=np.int64)
+        keys = np.multiply(indices, num_vertices, dtype=dtype)
         keys += np.repeat(np.arange(num_vertices, dtype=np.uint32), degrees)
     else:
-        keys = np.repeat(np.arange(num_vertices, dtype=np.int64) * num_vertices, degrees)
+        keys = np.repeat(np.arange(num_vertices, dtype=dtype) * num_vertices, degrees)
         keys += indices
     return keys
 
@@ -315,6 +332,17 @@ def v2_edge_list_sizes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return HEADER_BYTES + tag_counts + _v2_lengths(indptr, indices)[2]
 
 
+def list_runs(indptr: np.ndarray, chunk_edges: int) -> List[Tuple[int, int]]:
+    """The vertex ranges ``[a, b)`` whose lists start within the same
+    ``chunk_edges`` edges of a CSR, in order and covering every vertex:
+    runs of whole lists that the v2 encoder and an image's v2 check each
+    handle in one call.  A CSR without edges is one run."""
+    starts = indptr[:-1]
+    marks = np.arange(0, max(int(indptr[-1]), 1), chunk_edges)
+    cuts = np.searchsorted(starts, marks).tolist()
+    return [(a, b) for a, b in zip(cuts, cuts[1:] + [starts.size]) if a < b]
+
+
 def serialize_adjacency_v2(
     indptr: np.ndarray, indices: np.ndarray
 ) -> Tuple[bytes, np.ndarray]:
@@ -323,21 +351,44 @@ def serialize_adjacency_v2(
     Neighbor lists must be sorted per vertex (duplicates are fine — they
     encode as delta 0).  Returns ``(file_bytes, offsets)`` with
     ``offsets[v]`` the byte offset of vertex ``v``'s record and
-    ``offsets[n]`` the file size.  Encode is pure numpy over u32 deltas
-    and u8 codes: the payload is one byte-plane mask over the deltas'
-    bytes, the tag stream one ``reduceat`` of the shifted codes.
+    ``offsets[n]`` the file size.  Records are self-contained, so the
+    file is encoded one :func:`list_runs` run of about
+    :data:`ENCODE_CHUNK_EDGES` edges at a time: the encoder's
+    temporaries are a run's, not the file's.
     """
     indptr, indices, degrees = _check_csr(indptr, indices)
+    pieces, sizes = [], []
+    for a, b in list_runs(indptr, ENCODE_CHUNK_EDGES):
+        lo, hi = indptr[a], indptr[b]
+        piece, piece_sizes = _encode_run_v2(indptr[a : b + 1] - lo, indices[lo:hi], a)
+        pieces.append(piece)
+        sizes.append(piece_sizes)
+    offsets = np.zeros(degrees.size + 1, dtype=np.int64)
+    if sizes:
+        np.cumsum(np.concatenate(sizes), out=offsets[1:])
+    return b"".join(pieces), offsets
+
+
+def _encode_run_v2(
+    indptr: np.ndarray, indices: np.ndarray, first_vertex: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(record bytes, record sizes)`` of the v2 records of vertices
+    ``first_vertex, first_vertex + 1, ...`` with lists ``indptr`` /
+    ``indices``.  Pure numpy over u32 deltas and u8 codes: the payload is
+    one byte-plane mask over the deltas' bytes, the tag stream one
+    ``reduceat`` of the shifted codes."""
+    degrees = np.diff(indptr)
     num_vertices = degrees.size
     tag_counts = (degrees + VALUES_PER_TAG - 1) // VALUES_PER_TAG
     deltas, codes, payload_counts = _v2_lengths(indptr, indices)
+    sizes = HEADER_BYTES + tag_counts + payload_counts
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(HEADER_BYTES + tag_counts + payload_counts, out=offsets[1:])
+    np.cumsum(sizes, out=offsets[1:])
     out = np.empty(int(offsets[-1]), dtype=np.uint8)
     is_payload = np.ones(out.size, dtype=bool)
 
     # Headers: 8 little-endian byte planes scattered at each record start.
-    vids = np.arange(num_vertices, dtype=np.int64)
+    vids = np.arange(first_vertex, first_vertex + num_vertices, dtype=np.int64)
     for k in range(4):
         for at, field in ((k, vids), (4 + k, degrees)):
             out[offsets[:-1] + at] = (field >> (8 * k)) & 0xFF
@@ -373,7 +424,7 @@ def serialize_adjacency_v2(
         is_payload[tag_positions] = False
         del tags, tag_positions
         out[is_payload] = payload
-    return out.tobytes(), offsets
+    return out, sizes
 
 
 def decode_lists_v2(

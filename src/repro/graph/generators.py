@@ -16,11 +16,37 @@ distribution, (ii) the edges/vertex ratio, and (iii) vertex-ID locality
 rates).  The generators below reproduce those properties at a configurable
 scale; :func:`twitter_sim`, :func:`subdomain_sim` and :func:`page_sim`
 bake in each dataset's ratio and locality profile.
+
+Every generator returns ``(edges, num_vertices)`` with ``edges`` an
+``(m, 2)`` array of ``_scratch_dtype(num_vertices)`` — int32 below 2**31
+vertices, the width the image stores ids at — which the builder takes
+as given.  The array is the transpose of a ``(2, m)`` one, so each
+column (the sources, the destinations) is contiguous: the generators
+build them, and the builder reads them, without strided access.
 """
 
 from typing import Tuple
 
 import numpy as np
+
+
+#: Values per draw in the generators' chunked loops.  numpy's
+#: ``Generator`` draws value by value, so a stream drawn in chunks is the
+#: stream drawn whole, and a chunk's temporaries stay under 1 MiB.
+DRAW_CHUNK = 1 << 16
+
+
+def _chunks(total: int):
+    """Consecutive slices of at most :data:`DRAW_CHUNK` covering ``[0, total)``."""
+    return [slice(a, min(a + DRAW_CHUNK, total)) for a in range(0, total, DRAW_CHUNK)]
+
+
+def _scratch_dtype(bound: int) -> type:
+    """int32 when every value a scratch array takes lies in ``[-bound,
+    bound]`` and ``bound`` fits int32, else int64: the width guard that
+    keeps narrow arithmetic exact.  Every generator returns its edges at
+    ``_scratch_dtype(num_vertices)``, int32 below 2**31 vertices."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def rmat_graph(
@@ -35,8 +61,9 @@ def rmat_graph(
 
     Returns ``(edges, num_vertices)`` with ``num_vertices = 2**scale`` and
     ``edge_factor * num_vertices`` sampled edges (duplicates included; the
-    builder deduplicates).  R-MAT yields the skewed, power-law-ish degree
-    distribution of social graphs like Twitter.
+    builder deduplicates), an int32 ``(m, 2)`` array.  R-MAT yields the
+    skewed, power-law-ish degree distribution of social graphs like
+    Twitter.
     """
     if scale <= 0 or scale > 30:
         raise ValueError("scale must be in (0, 30]")
@@ -48,57 +75,54 @@ def rmat_graph(
     rng = np.random.default_rng(seed)
     num_vertices = 1 << scale
     num_edges = edge_factor * num_vertices
-    # Pre-permutation ids have ``scale <= 30`` bits: int32 builds them in
-    # place, one reused float64 buffer takes each bit's draws.
-    src = np.zeros(num_edges, dtype=np.int32)
-    dst = np.zeros(num_edges, dtype=np.int32)
-    r = np.empty(num_edges)
+    # Ids have ``scale <= 30`` bits: the result's columns build them in
+    # place, bit by bit, each bit's draws taken a chunk at a time.
+    columns = np.zeros((2, num_edges), dtype=_scratch_dtype(num_vertices))
+    r = np.empty(DRAW_CHUNK)
+    chunks = _chunks(num_edges)
     for bit in range(scale):
-        rng.random(out=r)
-        # Quadrants in order a (0,0), b (0,1), c (1,0), d (1,1).
-        right = r >= a
-        right &= r < a + b
-        right |= r >= a + b + c
-        src <<= 1
-        src |= r >= a + b
-        dst <<= 1
-        dst |= right
-    del r, right
+        for part in chunks:
+            src, dst = columns[0, part], columns[1, part]
+            draws = r[: part.stop - part.start]
+            rng.random(out=draws)
+            # Quadrants in order a (0,0), b (0,1), c (1,0), d (1,1).
+            right = draws >= a
+            right &= draws < a + b
+            right |= draws >= a + b + c
+            src <<= 1
+            src |= draws >= a + b
+            dst <<= 1
+            dst |= right
     # Permute IDs so vertex ID carries no structural information, as in
     # natural social graphs where crawl order is arbitrary.
-    perm = rng.permutation(num_vertices)
-    edges = np.empty((num_edges, 2), dtype=np.int64)
-    edges[:, 0] = perm[src]
-    del src
-    edges[:, 1] = perm[dst]
-    return edges, num_vertices
+    perm = rng.permutation(num_vertices).astype(columns.dtype)
+    flat = columns.reshape(-1)
+    for part in _chunks(flat.size):
+        flat[part] = perm[flat[part]]
+    return columns.T, num_vertices
 
 
 def erdos_renyi_graph(
     num_vertices: int, num_edges: int, seed: int = 0
 ) -> Tuple[np.ndarray, int]:
-    """A G(n, m) random digraph (no degree skew; used by tests/ablations)."""
+    """A G(n, m) random digraph (no degree skew; used by tests/ablations),
+    its ``(m, 2)`` edges int32 below 2**31 vertices."""
     if num_vertices <= 0 or num_edges < 0:
         raise ValueError("need a positive vertex count and non-negative edges")
     rng = np.random.default_rng(seed)
-    edges = rng.integers(0, num_vertices, size=(num_edges, 2), dtype=np.int64)
-    return edges, num_vertices
+    columns = np.empty((2, num_edges), dtype=_scratch_dtype(num_vertices))
+    # The stream fills the edges row by row: src, dst, src, dst, ...
+    for part in _chunks(num_edges):
+        draws = rng.integers(0, num_vertices, size=2 * (part.stop - part.start), dtype=np.int64)
+        columns[0, part] = draws[0::2]
+        columns[1, part] = draws[1::2]
+    return columns.T, num_vertices
 
 
-def _scratch_dtype(bound: int) -> type:
-    """int32 when every value a scratch array takes lies in ``[-bound,
-    bound]`` and ``bound`` fits int32, else int64: the width guard that
-    keeps narrow arithmetic exact."""
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-
-
-def _domain_base(src: np.ndarray, domain_size: int, dtype: type) -> np.ndarray:
-    """``src // domain_size * domain_size`` in one ``dtype`` array (the
-    ufunc casts through its small buffer, not an int64 copy)."""
-    base = np.empty(src.size, dtype=dtype)
-    np.floor_divide(src, domain_size, out=base)
-    base *= domain_size
-    return base
+def _domain_base(src: np.ndarray, domain_size: int) -> np.ndarray:
+    """``src // domain_size * domain_size`` of a chunk, in int64."""
+    base = src // domain_size
+    return np.multiply(base, domain_size, dtype=np.int64)
 
 
 def web_graph(
@@ -115,6 +139,8 @@ def web_graph(
     own domain (IDs adjacent on SSD → good merging and cache hits); the
     rest hop to a page of a nearby domain.  Sparse long chains of
     domains give the large effective diameter the page graph exhibits.
+    Returns ``(edges, num_vertices)``, ``edges`` an ``(m, 2)`` array of
+    ``_scratch_dtype(num_vertices)`` (int32 below 2**31 vertices).
     """
     if edge_factor <= 0:
         raise ValueError("edge_factor must be positive")
@@ -126,53 +152,70 @@ def web_graph(
         raise ValueError("locality must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     num_edges = num_vertices * edge_factor
-    # One (m + chain, 2) result.  No two draw-sized temporaries are alive
-    # at once: beside the result and the ``local`` mask, each draw meets
-    # at most one scratch array, of the narrowest width that is exact.
-    # The draws' order and stream are fixed: the output is pinned byte for byte.
+    # The draws' order and stream are fixed (the edges are pinned value
+    # for value): seven full-length streams, each drawn a chunk at a time.
+    # Beside the result, only the ``far`` mask and the non-local links'
+    # hops live across streams; every other temporary is one chunk's.
     chain_src = np.arange(0, num_vertices - domain_size, domain_size, dtype=np.int64)
-    edges = np.empty((num_edges + chain_src.size, 2), dtype=np.int64)
-    src, dst = edges[:num_edges, 0], edges[:num_edges, 1]
-    src[:] = rng.integers(0, num_vertices, size=num_edges, dtype=np.int64)
-    local = rng.random(num_edges) < locality
+    columns = np.empty((2, num_edges + chain_src.size), dtype=_scratch_dtype(num_vertices))
+    src, dst = columns[0, :num_edges], columns[1, :num_edges]
+    chunks = _chunks(num_edges)
+    for part in chunks:
+        src[part] = rng.integers(
+            0, num_vertices, size=part.stop - part.start, dtype=np.int64
+        )
+    # ``far``: the links that leave their domain.
+    far = np.empty(num_edges, dtype=bool)
+    for part in chunks:
+        np.greater_equal(rng.random(part.stop - part.start), locality, out=far[part])
     # Local links: another page of the same domain.  A third of them point
     # at the domain's first page — real sites funnel links to their home
     # page — giving each domain a hub and dense within-domain overlap
     # (cache reuse, triangle structure) without adding any long-range
     # shortcut that would shrink the diameter.
-    dst[:] = rng.integers(0, domain_size, size=num_edges)
-    home = rng.random(num_edges) < 0.35
-    base = _domain_base(src, domain_size, _scratch_dtype(num_vertices))
-    dst += base
-    np.copyto(dst, base, where=home)
-    del base, home
+    for part in chunks:
+        dst[part] = rng.integers(0, domain_size, size=part.stop - part.start)
+    for part in chunks:
+        home = rng.random(part.stop - part.start) < 0.35
+        base = _domain_base(src[part], domain_size)
+        local = dst[part] + base
+        np.copyto(local, base, where=home)
+        np.minimum(local, num_vertices - 1, out=local)
+        dst[part] = local
     # Non-local links hop to a *nearby* domain (sites link within their
     # topical neighborhood).  Having no global shortcuts preserves the huge
     # effective diameter the paper reports for the page graph (650).
-    # The hop ``±geometric * domain_size + base + offset`` lies within
-    # ``num_vertices + (max geometric + 1) * domain_size`` of zero.
-    hops = rng.geometric(0.7, size=num_edges)
-    width = _scratch_dtype(num_vertices + (int(hops.max()) + 1) * domain_size)
-    near_dst = np.empty(num_edges, dtype=width)
-    np.multiply(hops, domain_size, out=near_dst)
-    del hops
+    # The target ``clip(base ± hops * domain_size + offset)`` is the same
+    # with ``hops`` capped at ``cap``: a hop that long clips to the first
+    # or last page either way, and the cap bounds the scratch width.
+    cap = num_vertices // domain_size + 2
+    hops = np.empty(int(np.count_nonzero(far)), dtype=_scratch_dtype(cap * domain_size))
+    spans, at = [], 0
+    for part in chunks:
+        drawn = rng.geometric(0.7, size=part.stop - part.start)[far[part]]
+        span = slice(at, at + drawn.size)
+        np.minimum(drawn, cap, out=drawn)
+        np.multiply(drawn, domain_size, out=hops[span], casting="unsafe")
+        spans.append((part, span))
+        at = span.stop
     # The stream ``choice((-1, 1))`` draws, without its gather of a copy.
-    sign = rng.integers(0, 2, size=num_edges)
-    sign *= 2
-    sign -= 1
-    near_dst *= sign
-    del sign
-    near_dst += _domain_base(src, domain_size, width)
-    near_dst += rng.integers(0, domain_size, size=num_edges)
-    np.clip(near_dst, 0, num_vertices - 1, out=near_dst)
-    np.logical_not(local, out=local)
-    np.copyto(dst, near_dst, where=local)
-    del near_dst, local
-    np.minimum(dst, num_vertices - 1, out=dst)
-    edges[num_edges:, 0] = chain_src
+    for part, span in spans:
+        sign = rng.integers(0, 2, size=part.stop - part.start)[far[part]]
+        sign *= 2
+        sign -= 1
+        hops[span] *= sign
+    for part, span in spans:
+        offset = rng.integers(0, domain_size, size=part.stop - part.start)
+        mask = far[part]
+        near = _domain_base(src[part][mask], domain_size)
+        near += hops[span]
+        near += offset[mask]
+        np.clip(near, 0, num_vertices - 1, out=near)
+        dst[part][mask] = near
+    columns[0, num_edges:] = chain_src
     chain_src += domain_size
-    edges[num_edges:, 1] = chain_src
-    return edges, num_vertices
+    columns[1, num_edges:] = chain_src
+    return columns.T, num_vertices
 
 
 def twitter_sim(scale: int = 14, seed: int = 1) -> Tuple[np.ndarray, int]:

@@ -105,7 +105,6 @@ class Observer:
         self._outstanding: Dict[int, list] = {}
         self._busy_base: List[float] = []
         self._counter_base: List[float] = []
-        self._engine = None
 
     # ------------------------------------------------------------------
     # Query span context (end-to-end tracing across the serving layer)
@@ -441,7 +440,6 @@ def arm(engine, observer: Optional[Observer] = None) -> Observer:
     """
     obs = observer if observer is not None else Observer()
     obs.stats = engine.stats
-    obs._engine = engine
     engine.obs = obs
     safs = getattr(engine, "safs", None)
     if safs is not None:

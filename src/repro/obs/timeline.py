@@ -38,6 +38,7 @@ test).  Two runs of the same seed produce byte-identical snapshot
 streams.
 """
 
+import weakref
 from typing import Dict, List
 
 from repro.obs import registry
@@ -83,8 +84,9 @@ class TimelineSampler:
         return self._service is not None
 
     def bind(self, service) -> None:
-        """Attach to ``service`` (one sampler serves one run)."""
-        self._service = service
+        """Attach to ``service`` (one sampler serves one run).  The
+        service owns its sampler, so the sampler holds it weakly."""
+        self._service = weakref.proxy(service)
         self._tenants = sorted(service.tenants)
         self._reset_window()
 

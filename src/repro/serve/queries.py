@@ -7,7 +7,7 @@ deterministic.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class QueryFactory:
         if source is None:
             source = int(np.argmax(image.out_csr.degrees()))
         self.source = source
-        self._builders: Dict[str, Callable[[], Query]] = {
-            "pr": lambda: self._pagerank(self.pr_iterations),
-            "pr30": lambda: self._pagerank(DEFAULT_MAX_ITERATIONS),
-            "bfs": self._bfs,
-            "wcc": self._wcc,
-        }
         self._image_digest: Optional[str] = None
 
     def _digest(self) -> str:
@@ -114,13 +108,11 @@ class QueryFactory:
         dial, they are shed or aborted instead.
         """
         self._check(app)
-        if app in ("pr", "pr30") and (
-            pr_iterations is not None or pr_tolerance_factor != 1.0
-        ):
+        if app in ("pr", "pr30"):
             return self._pagerank(
                 self._pr_cap(app, pr_iterations), pr_tolerance_factor
             )
-        return self._builders[app]()
+        return self._bfs() if app == "bfs" else self._wcc()
 
     def _check(self, app: str) -> None:
         if app not in APPS:

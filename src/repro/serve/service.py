@@ -32,6 +32,7 @@ sustained pressure; left ``None``, it changes nothing.
 """
 
 import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -425,8 +426,11 @@ class GraphService:
         detector = None
         self._enforce_deadlines = False
         if config.overload is not None:
+            # The controller is the service's: it reads the signal
+            # through a weak method, not a reference cycle.
+            pressure = weakref.WeakMethod(self._pressure)
             self.overload = OverloadController(
-                config.overload, self.tenants, signal=self._pressure
+                config.overload, self.tenants, signal=lambda now: pressure()(now)
             )
             self._enforce_deadlines = config.overload.enforce_deadlines
             if config.overload.brownout:
@@ -497,14 +501,17 @@ class GraphService:
 
     def _build_sinks(self) -> Dict[str, list]:
         """Per event kind, the sinks armed for this service — decided
-        once here, so no stage ever asks what is armed."""
+        once here, so no stage ever asks what is armed.  The sinks are
+        the class's functions, not bound methods: a table of bound
+        methods would make every service a reference cycle."""
         outcomes = ("shed", "completed", "aborted")
+        cls = type(self)
         # (what the sink writes to — None when disarmed, sink, kinds)
         wiring = (
-            (self.stats, self._histogram_sink, outcomes),
-            (self.slo, self._slo_sink, outcomes),
-            (self.timeline, self._timeline_sink, ("completed", "aborted")),
-            (self.observer, self._observer_sink, QUERY_EVENTS),
+            (self.stats, cls._histogram_sink, outcomes),
+            (self.slo, cls._slo_sink, outcomes),
+            (self.timeline, cls._timeline_sink, ("completed", "aborted")),
+            (self.observer, cls._observer_sink, QUERY_EVENTS),
         )
         sinks: Dict[str, list] = {kind: [] for kind in QUERY_EVENTS}
         for target, sink, kinds in wiring:
@@ -521,7 +528,7 @@ class GraphService:
         :class:`JobRecord` a terminal event closes; ``fields`` are the
         event's span-trace attributes."""
         for sink in self._sinks[kind]:
-            sink(kind, arrival, time, outcome, fields)
+            sink(self, kind, arrival, time, outcome, fields)
 
     def _histogram_sink(self, kind, arrival, time, outcome, fields) -> None:
         # Histograms live outside counter snapshots/diffs, so recording

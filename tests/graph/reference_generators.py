@@ -4,10 +4,9 @@
 in int64 full-size temporaries: ``rng.choice((-1, 1))`` gathered its
 sign into a second array beside its index draw, and the domain base was
 ``src // domain_size * domain_size``, two temporaries of its own.  The
-generator now holds one draw-sized temporary at a time beside its result
-and does the hop arithmetic in int32 scratch where that is exact; this
-module keeps the old body verbatim (argument checks aside), so a
-property test can hold the new one to it byte for byte.
+generator now returns int32 edges and draws every stream in fixed-size
+chunks; this module keeps the old int64 body verbatim (argument checks
+aside), so a property test can hold the new one to it value for value.
 """
 
 import numpy as np

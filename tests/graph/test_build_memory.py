@@ -2,17 +2,27 @@
 
 tracemalloc's peak (numpy reports its array buffers to it) over one call,
 divided by the edges that call handles: raw edges for a generator, whose
-peak includes the ``(m, 2)`` int64 result it returns (16 B per edge);
+peak includes the ``(m, 2)`` int32 result it returns (8 B per edge);
 distinct edges for a build, whose input was allocated before tracing
-began and so is not counted.  The ratios do not depend on scale, so small
-graphs stand in for the benchmark's.  The ceilings hold the stages to
-in-place arithmetic on temporaries at their narrowest exact width; the
-int64 per-edge scatter encoders they replaced peaked at 114 B
-(``build_directed`` v2) and 211 B (``build_undirected`` v2) per edge.
-``page_sim`` peaked at 92 B per raw edge, then 41 B with one
-preallocated result, and now 29 B: no two draw-sized temporaries
-are alive at once.  R-MAT generation peaks at 33 B (``twitter_sim(11)``;
-43.5 B when traced first in a fresh process, before numpy.random loads).
+began and so is not counted.  The ratios barely depend on scale (a
+generator's fixed chunk buffers weigh a little more on small graphs), so
+small graphs stand in for the benchmark's.  Each ceiling is the measured
+peak plus about a quarter.
+
+History: the int64 per-edge scatter encoders peaked at 114 B
+(``build_directed`` v2) and 211 B (``build_undirected`` v2) per edge;
+in-place arithmetic at the narrowest exact width brought the builds to
+25 B and 37 B.  Taking int32 edges as given, u32 keys below n = 2**16
+and a v2 encoder that works a run of lists at a time bring them to
+19 B and 21 B (v1: 23 B and 29 B).  ``page_sim`` peaked at 92 B per raw
+edge, then 41 B with one preallocated result, then 29 B with one
+draw-sized temporary at a time, and now 14 B: an int32 result and
+every stream drawn in fixed-size chunks.  R-MAT generation went from
+33 B to 20 B (``twitter_sim(11)``) the same way.  The setup-shaped
+budget traces ``page_sim`` and a v2 ``build_directed`` of its edges
+together, the edges alive throughout, as ``run.py``'s set-up does: 31 B
+per raw edge with int64 edges, 19 B now, so an int64 edge array coming
+back breaks it.
 """
 
 import tracemalloc
@@ -29,8 +39,10 @@ GENERATORS = {
     "page_sim": lambda: page_sim(1 << 13),
     "rmat": lambda: twitter_sim(11),
 }
-# Bytes per raw edge, the 16 B result included.
-GENERATION_CEILINGS = {"page_sim": 32, "rmat": 64}
+# Bytes per raw edge, the 8 B result included.
+GENERATION_CEILINGS = {"page_sim": 17, "rmat": 25}
+# Bytes per raw edge of page_sim generation plus a v2 directed build.
+SETUP_CEILING = 24
 
 
 def _peak_bytes(call):
@@ -58,10 +70,19 @@ def test_generation_peak(name):
 
 @pytest.mark.parametrize("fmt", ["v1", "v2"])
 @pytest.mark.parametrize(
-    "build, ceiling", [(build_directed, 64), (build_undirected, 104)],
+    "build, ceiling", [(build_directed, 30), (build_undirected, 37)],
     ids=["directed", "undirected"],
 )
 def test_build_peak_above_input(graph, build, ceiling, fmt):
     edges, n = graph
     image, peak = _peak_bytes(lambda: build(edges, n, fmt=fmt))
     assert peak / image.num_edges <= ceiling
+
+
+def test_setup_shaped_peak():
+    def setup():
+        edges, n = page_sim(1 << 13)
+        return edges, build_directed(edges, n, fmt="v2")
+
+    (edges, _), peak = _peak_bytes(setup)
+    assert peak / edges.shape[0] <= SETUP_CEILING

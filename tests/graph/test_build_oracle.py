@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import _dedup, build_directed, build_undirected
-from repro.graph.format import adjacency_from_edges
+from repro.graph.format import adjacency_from_edges, key_dtype
 from repro.graph.types import EdgeType
 from tests.graph.reference_builder import (
     reference_adjacency,
@@ -103,7 +103,9 @@ class TestAgainstReference:
         keys, got_weights = _dedup(edges, weights, n)
         want, want_weights = reference_dedup(edges, weights)
         order = np.lexsort((want[:, 1], want[:, 0]))
-        _assert_same(np.stack(np.divmod(keys, n), axis=1), want[order])
+        # The keys come at their narrowest exact width, u32 below n = 2**16.
+        assert keys.dtype == key_dtype(n)
+        _assert_same(np.stack(np.divmod(keys.astype(np.int64), n), axis=1), want[order])
         if weighted:
             _assert_same(got_weights, want_weights[order])
         else:
@@ -121,6 +123,27 @@ class TestExplicitCases:
             build_undirected(edges, 5, fmt=fmt),
             reference_build_undirected(edges, 5, fmt=fmt),
         )
+
+    @pytest.mark.parametrize("n", [1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_key_width_boundary(self, n, dtype, weighted):
+        # n = 2**16 keys in u32 up to 2**32 - 1; one more vertex needs int64.
+        last = n - 1
+        edges = np.array(
+            [[last, last], [last, 0], [0, last], [last, last], [1, last - 1], [last, 0]],
+            dtype=dtype,
+        )
+        weights = np.arange(6, dtype=np.float32) if weighted else None
+        for build, reference in (
+            (build_directed, reference_build_directed),
+            (build_undirected, reference_build_undirected),
+        ):
+            for fmt in ("v1", "v2"):
+                _assert_image(
+                    build(edges, n, weights=weights, fmt=fmt),
+                    reference(edges, n, weights=weights, fmt=fmt),
+                )
 
     def test_first_weight_wins(self):
         edges = np.array([[0, 1], [1, 2], [0, 1], [1, 2], [0, 1]])

@@ -2,19 +2,24 @@
 
 ``serialize_adjacency`` (v1) and ``serialize_adjacency_v2`` must return
 exactly the bytes and offsets of ``reference_builder``'s encoders — the
-int64 scatter bodies the builder used before its temporaries narrowed —
+int64 scatter bodies the builder used before its temporaries narrowed,
+v2 whole-file where the encoder now works a run of lists at a time —
 on random sorted CSRs: empty lists, every degree 1–9 (a partial last tag
 byte), longer lists, duplicate neighbors, and ids up to 2**32 - 1 with
 deltas at every byte-length boundary.  ``v2_edge_list_sizes`` must size
 each record as the encoder lays it out.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import format as graph_format
 from repro.graph.format import (
+    ENCODE_CHUNK_EDGES,
     serialize_adjacency,
     serialize_adjacency_v2,
     v2_edge_list_sizes,
@@ -70,9 +75,11 @@ class TestAgainstReference:
         )
 
     @settings(max_examples=300, deadline=None)
-    @given(csr=sorted_csrs())
-    def test_v2_bytes_and_offsets(self, csr):
-        got = serialize_adjacency_v2(*csr)
+    @given(csr=sorted_csrs(), chunk=st.sampled_from([1, 2, 3, 7, ENCODE_CHUNK_EDGES]))
+    def test_v2_bytes_and_offsets(self, csr, chunk):
+        # Small chunks encode the file in many runs of lists.
+        with mock.patch.object(graph_format, "ENCODE_CHUNK_EDGES", chunk):
+            got = serialize_adjacency_v2(*csr)
         _assert_same_file(got, reference_serialize_adjacency_v2(*csr))
         assert np.array_equal(v2_edge_list_sizes(*csr), np.diff(got[1]))
 

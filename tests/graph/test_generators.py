@@ -112,26 +112,28 @@ def web_graph_args(draw):
     )
 
 
-def _assert_same_bytes(args):
+def _assert_same_edges(args, dtype=np.int32):
+    """The generator's edges are the oracle's int64 edges, value for
+    value, at ``dtype`` (int32 below 2**31 vertices)."""
     edges, n = web_graph(**args)
     expected, expected_n = reference_generators.web_graph(**args)
     assert n == expected_n
-    assert edges.dtype == expected.dtype and edges.shape == expected.shape
-    assert edges.tobytes() == expected.tobytes()
+    assert edges.dtype == dtype and edges.shape == expected.shape
+    assert np.array_equal(edges, expected)
 
 
 class TestWebGraphMatchesOracle:
-    """The one-temporary generator against its old int64 body."""
+    """The chunked int32 generator against its old int64 body."""
 
     @given(args=web_graph_args())
     @settings(max_examples=150, deadline=None)
-    def test_byte_identical(self, args):
-        _assert_same_bytes(args)
+    def test_same_edges(self, args):
+        _assert_same_edges(args)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     @pytest.mark.parametrize("num_vertices", [1 << 12, 5000])
     def test_page_sim_profile(self, num_vertices, seed):
-        _assert_same_bytes(
+        _assert_same_edges(
             dict(num_vertices=num_vertices, edge_factor=52, domain_size=64, seed=seed)
         )
 
@@ -148,13 +150,28 @@ class TestWebGraphMatchesOracle:
             return np.int64
 
         monkeypatch.setattr(generators, "_scratch_dtype", guard)
-        _assert_same_bytes(
-            dict(num_vertices=3000, edge_factor=5, domain_size=50, locality=locality, seed=7)
+        _assert_same_edges(
+            dict(num_vertices=3000, edge_factor=5, domain_size=50, locality=locality, seed=7),
+            dtype=np.int64,
         )
-        # The domain base's bound, then the near hop's: a geometric draw
-        # is at least 1, so the hop reaches two domains past the last page.
-        assert bounds[0] == 3000
-        assert bounds[1] >= 3000 + 2 * 50
+        # The result's bound, then the capped hops': a hop of more than
+        # ``n // domain_size + 2`` domains clips to the first or last page.
+        assert bounds == [3000, (3000 // 50 + 2) * 50]
+
+    @pytest.mark.parametrize("domain_size", [1, 7, 64])
+    def test_hop_cap_reaches_both_clips(self, domain_size):
+        # Tiny graphs with locality 0: many hops run past either end.
+        _assert_same_edges(
+            dict(num_vertices=domain_size + 2, edge_factor=400,
+                 domain_size=domain_size, locality=0.0, seed=domain_size)
+        )
+
+    @pytest.mark.parametrize(
+        "num_vertices", [generators.DRAW_CHUNK - 1, generators.DRAW_CHUNK + 5]
+    )
+    def test_streams_cross_chunks(self, num_vertices):
+        # Edge factor 1: the streams end just short of / past one chunk.
+        _assert_same_edges(dict(num_vertices=num_vertices, edge_factor=1, seed=2))
 
 
 class TestDatasetStandIns:

@@ -164,6 +164,18 @@ class TestRobustnessFlags:
         assert "no checkpoint to resume from" in str(exc.value.code)
         assert not (tmp_path / "nope").exists()
 
+    def test_resume_from_another_algorithms_checkpoint(self, tmp_path, capsys):
+        graph = self._graph(tmp_path)
+        ckpt = tmp_path / "ckpts"
+        base = ["run", "--edges", str(graph), "--checkpoint-dir", str(ckpt)]
+        assert cli.main(base + ["--algorithm", "bfs", "--source", "0"]) == 0
+        assert any(p.name.startswith("ckpt_iter_") for p in ckpt.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli.main(base + ["--algorithm", "bc", "--source", "0", "--resume"])
+        message = str(exc.value.code)
+        assert message.startswith("cannot resume: ")
+        assert "BFSProgram" in message and "\n" not in message
+
     def test_fault_seed_runs_chaos(self, tmp_path, capsys):
         graph = self._graph(tmp_path)
         rc = cli.main(
